@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
+    EXP_GUARD,
     KirchhoffSpec,
     ModelParams,
     NonlinearitySpec,
@@ -141,12 +142,19 @@ def operator_cache(grid: RadialGrid, beta: float) -> _WOperators:
 def energy(u: RadialFunction, params: ModelParams) -> EnergyBreakdown:
     """Evaluate J(u) term by term."""
     ops = operator_cache(u.grid, params.beta)
-    lu = u.grid.lap @ u.values
-    norm_sq = float(ops.wvol @ (lu * lu))
-    kirch = 0.5 * float(params.kirchhoff.G(norm_sq))
-    power = float(ops.vol @ np.abs(u.values) ** params.q) / params.q
-    reaction = float(ops.vol @ F_values(params.nonlinearity, u.values))
+    kirch, power, reaction = (float(x) for x in _energy_terms(ops, u.values, params))
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
+
+
+def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
+    """Kirchhoff, power and reaction terms of J for nodal values of shape
+    (n,) or a stack of profiles of shape (k, n)."""
+    lu = values @ ops.grid.lap.T
+    norm_sq = (lu * lu) @ ops.wvol
+    kirch = 0.5 * params.kirchhoff.G(norm_sq)
+    power = (np.abs(values) ** params.q @ ops.vol) / params.q
+    reaction = F_values(params.nonlinearity, values) @ ops.vol
+    return kirch, power, reaction
 
 
 def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> float:
@@ -258,18 +266,18 @@ class FiberMap:
             return np.inf
         return self.tail_spec.guard_scale() / vmax
 
-    def _tail_deriv(self, t: float, saturate: bool) -> float:
+    def _tail_deriv(self, t, saturate: bool):
         if self.tail_spec is None:
             return 0.0
         nl = self.tail_spec
-        tv = t * self.values
+        tv = np.multiply.outer(t, self.values)
         at = np.abs(tv)
         with np.errstate(over="ignore"):  # inf keeps the sign information
             arg = nl.alpha0 * at**nl.gamma
             if saturate:
                 arg = np.minimum(arg, 700.0)
             head = at ** (nl.p - 2.0) * tv * np.exp(arg)
-            return float(self.vol @ (head * self.values))
+            return (head * self.values) @ self.vol
 
     def _tail_deriv2(self, t: float) -> float:
         if self.tail_spec is None:
@@ -298,24 +306,28 @@ class FiberMap:
             out -= t**e / e * m
         return out - self._tail_value(t)
 
-    def deriv(self, t: float, saturate: bool = False) -> float:
+    def deriv(self, t, saturate: bool = False):
         """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail.
 
-        With saturate=True the exponential argument is capped, which keeps
-        the sign information (the tail dominates far beyond the guard)
-        without overflowing; used by bracketing and sweep diagnostics.
+        t is a scale or an array of scales; a scale gives a float.  With
+        saturate=True the exponential argument is capped, which keeps the
+        sign information (the tail dominates far beyond the guard) without
+        overflowing; used by bracketing and sweep diagnostics.
         """
+        scalar = not isinstance(t, np.ndarray)
         s = t * t * self.norm_sq
-        out = float(self.kirchhoff.g(s)) * t * self.norm_sq
+        out = self.kirchhoff.g(s) * t * self.norm_sq
         for e, m in self.power_moments:
             out -= t ** (e - 1.0) * m
         if self.tail_spec is not None and not saturate:
             limit = self._tail_scale_limit()
-            if t > limit:
+            t_max = t if scalar else t.max()
+            if t_max > limit:
                 raise RangeOverflowError(
-                    f"fibering scale {t:.3g} exceeds the overflow guard ({limit:.3g})"
+                    f"fibering scale {t_max:.3g} exceeds the overflow guard ({limit:.3g})"
                 )
-        return out - self._tail_deriv(t, saturate)
+        out -= self._tail_deriv(t, saturate)
+        return float(out) if scalar else out
 
     def deriv2(self, t: float) -> float:
         s = t * t * self.norm_sq
@@ -326,12 +338,25 @@ class FiberMap:
         return out - self._tail_deriv2(t)
 
 
-def fibering(u: RadialFunction, t: float, params: ModelParams) -> float:
+def fibering(u: RadialFunction, t, params: ModelParams):
     """J(t u), evaluated through the energy of the scaled profile, so that
-    fibering(c u, t) and fibering(u, c t) follow the same computation."""
-    if t < 0.0:
+    fibering(c u, t) and fibering(u, c t) follow the same computation.
+
+    An array of scales evaluates the stack of scaled profiles at once;
+    scales past the overflow guard, where a single scale raises
+    RangeOverflowError, give -inf (far below the fibering maximum).
+    """
+    if np.any(np.asarray(t) < 0.0):
         raise ValueError("fibering scale must be nonnegative")
-    return energy(u.scaled(t), params).total
+    if np.ndim(t) == 0:
+        return energy(u.scaled(t), params).total
+    nl = params.nonlinearity
+    stack = np.multiply.outer(t, u.values)
+    inside = np.max(nl._exp_arg(np.abs(stack)), axis=1) <= EXP_GUARD
+    out = np.full(len(stack), -np.inf)
+    kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), stack[inside], params)
+    out[inside] = kirch - power - reaction
+    return out
 
 
 def fibering_deriv(u: RadialFunction, t: float, params: ModelParams) -> float:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
-from scipy.special import roots_legendre
+from scipy.special import hyp1f1
 
 __all__ = [
     "RangeOverflowError",
@@ -110,7 +108,8 @@ class KirchhoffSpec:
 
     @staticmethod
     def _check_domain(t):
-        if np.any(np.asarray(t) < 0.0):
+        negative = t < 0.0 if isinstance(t, float) else np.any(np.asarray(t) < 0.0)
+        if negative:
             raise ValueError("Kirchhoff functions are defined for t >= 0")
 
 
@@ -168,7 +167,7 @@ class NonlinearitySpec:
 
     def _check_guard(self, at):
         arg = self._exp_arg(at)
-        bad = np.max(arg) if np.ndim(arg) else arg
+        bad = np.max(arg, initial=0.0) if np.ndim(arg) else arg
         if bad > EXP_GUARD:
             raise RangeOverflowError(
                 f"exponential argument {bad:.3g} exceeds the overflow guard {EXP_GUARD:g}"
@@ -192,18 +191,23 @@ class NonlinearitySpec:
         )
 
     def F(self, t):
-        """Antiderivative with F(0) = 0; even in t."""
-        scalar = np.ndim(t) == 0
+        """Antiderivative with F(0) = 0; even in t.
+
+        The exponential part E(T) = int_0^T s^(p-1) exp(alpha0 s^gamma) ds
+        has the closed form (T^p/p) e^X 1F1(1; a+1; -X) with a = p/gamma and
+        X = alpha0 T^gamma (DLMF 8.5, 13.2: Kummer's transformation of
+        1F1(a; a+1; X)).  The T^p/p prefactor keeps tiny T representable.
+        """
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
         self._check_guard(at)
-        power_part = self.cp * at**self.p / self.p
+        at_p = at**self.p
+        power_part = self.cp * at_p / self.p
+        head = at_p / self.p
         if self.alpha0 == 0.0:
-            return power_part + at**self.p / self.p
-        if scalar:
-            key = (self.p, self.alpha0, self.gamma)
-            return power_part + _exp_primitive_scalar(key, float(at))
-        return power_part + _exp_primitive(self, at)
+            return power_part + head
+        arg = self._exp_arg(at)
+        return power_part + head * hyp1f1(1.0, self.p / self.gamma + 1.0, -arg) * np.exp(arg)
 
 
 def f_eval(spec: NonlinearitySpec, t: float) -> float:
@@ -224,83 +228,6 @@ def F_values(spec: NonlinearitySpec, t: np.ndarray) -> np.ndarray:
 
 def f_prime_values(spec: NonlinearitySpec, t: np.ndarray) -> np.ndarray:
     return np.asarray(spec.f_prime(t), dtype=float)
-
-
-# --- exponential primitive E(T) = int_0^T s^(p-1) exp(alpha0 s^gamma) ds ---
-#
-# No closed form for alpha0 > 0.  Scalar values go through adaptive
-# Gauss-Kronrod quadrature with memoization; nodal arrays go through a
-# vectorized segment-cumulative Gauss rule that refines panels until the
-# relative change is below 1e-12, so repeated energy evaluations stay
-# cheap and deterministic.
-
-_GL12 = roots_legendre(12)
-_GL24 = roots_legendre(24)
-
-
-@lru_cache(maxsize=200_000)
-def _exp_primitive_scalar(key: tuple, T: float) -> float:
-    p, alpha0, gamma = key
-    if T <= 0.0:
-        return 0.0
-    val, _ = _adaptive_quad(
-        lambda s: s ** (p - 1.0) * math.exp(alpha0 * s**gamma),
-        0.0,
-        T,
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return val
-
-
-def _panel_values(spec, lo, hi, rule):
-    x, w = rule
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    s = mid + half * x[None, :]
-    f = s ** (spec.p - 1.0) * np.exp(spec.alpha0 * s**spec.gamma)
-    return half[:, 0] * (f @ w)
-
-
-def _exp_primitive(spec: NonlinearitySpec, at: np.ndarray) -> np.ndarray:
-    scalar = np.ndim(at) == 0
-    at = np.atleast_1d(np.asarray(at, dtype=float))
-    order = np.argsort(at, kind="stable")
-    sorted_vals = at[order]
-    edges = np.concatenate(([0.0], sorted_vals))
-    lo, hi = edges[:-1], edges[1:]
-    live = hi > lo
-    seg_lo, seg_hi = lo[live], hi[live]
-    seg_owner = np.nonzero(live)[0]
-    totals = np.zeros(len(lo))
-    # refine panels by bisection until coarse and fine Gauss values agree
-    for _ in range(48):
-        if len(seg_lo) == 0:
-            break
-        coarse = _panel_values(spec, seg_lo, seg_hi, _GL12)
-        fine = _panel_values(spec, seg_lo, seg_hi, _GL24)
-        err = np.abs(fine - coarse)
-        ok = err <= 1e-12 * (1.0 + np.abs(fine))
-        np.add.at(totals, seg_owner[ok], fine[ok])
-        if np.all(ok):
-            seg_lo = seg_lo[:0]
-            break
-        bad = ~ok
-        blo, bhi, bown = seg_lo[bad], seg_hi[bad], seg_owner[bad]
-        bmid = 0.5 * (blo + bhi)
-        seg_lo = np.concatenate([blo, bmid])
-        seg_hi = np.concatenate([bmid, bhi])
-        seg_owner = np.concatenate([bown, bown])
-    else:
-        raise RuntimeError("exponential primitive failed to converge")
-    if len(seg_lo):  # depth exhausted; keep the fine values
-        np.add.at(totals, seg_owner, _panel_values(spec, seg_lo, seg_hi, _GL24))
-    cumulative = np.cumsum(totals)
-    out = np.empty_like(at)
-    out[order] = cumulative
-    out[at <= 0.0] = 0.0
-    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -95,16 +95,12 @@ def test_criterion_04_nehari_invariants(spectral64, resolved_default):
         fiber = FiberMap.full(u, params)
         pt = k4.project(u, params)
         ts = np.geomspace(1e-6 * pt.t_u, 1e3 * pt.t_u, 500)
-        signs = np.sign([fiber.deriv(t, saturate=True) for t in ts])
+        signs = np.sign(fiber.deriv(ts, saturate=True))
         signs = signs[signs != 0]
         sign_ok &= int(np.sum(signs[1:] != signs[:-1])) == 1
+        # past the overflow guard the batched map is -inf
         peak = k4.fibering(u, pt.t_u, params)
-        for t in np.linspace(0.0, 3.0 * pt.t_u, 200):
-            try:
-                if k4.fibering(u, t, params) > peak + 1e-9:
-                    max_ok = False
-            except k4.RangeOverflowError:
-                continue
+        max_ok &= not np.any(k4.fibering(u, np.linspace(0.0, 3.0 * pt.t_u, 200), params) > peak + 1e-9)
         beyond = pt.projected.scaled(1.5)
         if k4.nehari_residual(beyond, params) <= 0.0:
             small_ok &= k4.t_leq_one_check(beyond, params)

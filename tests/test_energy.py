@@ -162,6 +162,56 @@ def test_fiber_map_saturated_signs(spectral64, params_cp2):
     assert fiber.deriv(1e6 * t_u, saturate=True) < 0.0  # far past the guard
 
 
+def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_default):
+    for params in (params_cp2, resolved_default[0]):
+        u = unit_profile(spectral64, 0.5, 17)
+        fiber = FiberMap.full(u, params)
+        t_u = k4.project_scale(fiber)
+        ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
+        batch = fiber.deriv(ts, saturate=True)
+        single = np.array([fiber.deriv(t, saturate=True) for t in ts])
+        assert isinstance(fiber.deriv(ts[0], saturate=True), float)
+        assert np.array_equal(np.sign(batch), np.sign(single))
+        finite = np.isfinite(single)
+        assert np.array_equal(batch[~finite], single[~finite])
+        assert np.all(np.abs(batch[finite] - single[finite]) <= 1e-12 * np.abs(single[finite]))
+    fiber = FiberMap.full(u, params_cp2)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    assert np.all(np.isfinite(fiber.deriv(np.array([0.5, 0.9]) * limit)))
+    with pytest.raises(RangeOverflowError):
+        fiber.deriv(np.array([0.5, 1.1]) * limit)
+
+
+def test_fibering_array_matches_scalar(spectral64, params_cp2):
+    u = unit_profile(spectral64, 0.5, 18)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    ts = np.linspace(0.0, 2.0 * limit, 101)
+    batch = k4.fibering(u, ts, params_cp2)
+    overflow = []
+    for t, b in zip(ts, batch):
+        try:
+            single = k4.fibering(u, t, params_cp2)
+        except RangeOverflowError:
+            overflow.append(t)
+            assert b == -np.inf
+            continue
+        assert abs(b - single) <= 1e-12 * abs(single), t
+    assert 0 < len(overflow) < len(ts)
+    assert np.all(k4.fibering(u, ts[ts > limit * 1.01], params_cp2) == -np.inf)
+    with pytest.raises(ValueError):
+        k4.fibering(u, np.array([0.5, -0.3]), params_cp2)
+
+
+def test_weak_action_fd_check_regression(spectral64, resolved_default):
+    # verify seed 1195820244 draws a direction whose second-order central
+    # difference missed the weak action by 1.3e-6 (tolerance 1e-6)
+    from kirchhoff4.verify import _energy_checks
+
+    checks = {c.name: c for c in _energy_checks(spectral64, resolved_default[0], 1195820244)}
+    assert checks["weak-action-fd"].status == "pass"
+    assert checks["weak-action-fd"].margin >= 0.9e-6
+
+
 def test_energy_breakdown_fields(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 16)
     e = k4.energy(u, params_cp2)

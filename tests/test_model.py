@@ -112,6 +112,31 @@ def test_exp_primitive_vector_matches_scalar_quadrature():
         assert abs(v - ref) <= 1e-9 * (1 + abs(ref)), t
 
 
+@pytest.mark.parametrize(
+    "p, beta, alpha0",
+    [(4.0002, 0.9, 1.0), (6.0, 0.5, 1.0), (6.0, 0.5, 37.0), (20.0, 0.9, 1.0), (20.0, 0.99, 1.0), (4.0002, 0.99, 1.0)],
+)
+def test_exp_primitive_closed_form_matches_mpmath(p, beta, alpha0):
+    # 50-digit reference from the termwise integral of the exponential series:
+    # E(T) = (T^p/p) 1F1(a; a+1; X), a = p/gamma, X = alpha0 T^gamma
+    mpmath = pytest.importorskip("mpmath")
+    spec = NonlinearitySpec(cp=0.0, p=p, alpha0=alpha0, gamma=k4.growth_exponent(beta))
+    guard = spec.guard_scale()
+    lo = max(1e-30, (p * 1e-290) ** (1.0 / p))  # T^p/p stays a normal double
+    ts = np.concatenate(
+        [np.geomspace(lo, guard, 40), guard * (1.0 - np.array([1e-12, 1e-13])), [np.nextafter(guard, 0.0)]]
+    )
+    ts = ts[alpha0 * ts**spec.gamma <= 700.0]
+    assert ts[0] <= 1e-14 and guard - ts[-1] <= 1e-12 * guard
+    with mpmath.workdps(50):
+        a = mpmath.mpf(p) / mpmath.mpf(spec.gamma)
+        for t, v in zip(ts, F_values(spec, ts)):
+            T = mpmath.mpf(float(t))
+            ref = T**p / p * mpmath.hyp1f1(a, a + 1, alpha0 * T ** mpmath.mpf(spec.gamma))
+            assert abs((v - ref) / ref) <= 1e-12, t
+    assert F_values(spec, np.array([0.0]))[0] == 0.0
+
+
 def test_overflow_guard():
     spec = NonlinearitySpec(cp=2.0, p=6.0, alpha0=1.0, gamma=4.0)
     edge = (700.0) ** 0.25
