@@ -24,10 +24,6 @@ from .model import (
     NonlinearitySpec,
     ModelParams,
     RangeOverflowError,
-    kirchhoff_g,
-    kirchhoff_G,
-    f_eval,
-    F_eval,
     adams_constant,
     growth_exponent,
     check_hypotheses,
@@ -42,7 +38,6 @@ from .energy import (
     weak_action,
     sobolev_gradient,
     fibering,
-    fibering_deriv,
     nehari_residual,
 )
 from .nehari import (

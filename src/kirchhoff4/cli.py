@@ -7,7 +7,8 @@ Commands:
   verify   the full property-verification suite; writes suite.json
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(non-converged solve or a failed verification check).
+(non-converged solve, failed verification check, or a failed Nehari
+projection or exponential overflow, reported in one line naming the command).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .model import KirchhoffSpec, ModelParams, params_to_dict
+from .model import KirchhoffSpec, ModelParams, RangeOverflowError, params_to_dict
 from .nehari import (
+    ProjectionError,
     SearchConfig,
     aux_ground_state,
     ground_state,
@@ -193,8 +195,6 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_aux(config: RunConfig) -> int:
-    if config.p <= 4.0:
-        raise ConfigError(f"p must exceed 4 for the auxiliary problem, got {config.p}")
     params = config.base_params(cp=config.cp if config.cp is not None else 2.0)
     result = aux_ground_state(config.grid(), params, config.search())
     out = Path(config.out)
@@ -341,6 +341,9 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except (ProjectionError, RangeOverflowError) as exc:
+        print(f"{args.command}: numerical failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

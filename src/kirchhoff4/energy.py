@@ -27,8 +27,6 @@ from .model import (
     ModelParams,
     NonlinearitySpec,
     RangeOverflowError,
-    F_values,
-    f_values,
 )
 from .radial import (
     SURFACE_3SPHERE,
@@ -45,7 +43,6 @@ __all__ = [
     "weak_action",
     "sobolev_gradient",
     "fibering",
-    "fibering_deriv",
     "nehari_residual",
     "FiberMap",
     "operator_cache",
@@ -153,7 +150,7 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
     norm_sq = (lu * lu) @ ops.wvol
     kirch = 0.5 * params.kirchhoff.G(norm_sq)
     power = (np.abs(values) ** params.q @ ops.vol) / params.q
-    reaction = F_values(params.nonlinearity, values) @ ops.vol
+    reaction = params.nonlinearity.F(values) @ ops.vol
     return kirch, power, reaction
 
 
@@ -164,14 +161,19 @@ def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> 
     ops = operator_cache(u.grid, params.beta)
     g_val = float(params.kirchhoff.g(_norm_sq(ops, u.values)))
     head = g_val * w_inner(u, phi, params.beta)
-    vals = u.values
-    nodal = np.abs(vals) ** (params.q - 2.0) * vals + f_values(params.nonlinearity, vals)
-    return head - float(ops.vol @ (nodal * phi.values))
+    return head - float(ops.vol @ (_nodal_force(u.values, params) * phi.values))
 
 
 def _norm_sq(ops: _WOperators, values: np.ndarray) -> float:
-    lu = ops.grid.lap @ values
-    return float(ops.wvol @ (lu * lu))
+    """Squared weighted norm ||u||^2; inf or nan when nodal values overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu = ops.grid.lap @ values
+        return float(ops.wvol @ (lu * lu))
+
+
+def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Pointwise force |u|^(q-2) u + f(u) of the lower-order terms of J."""
+    return np.abs(values) ** (params.q - 2.0) * values + params.nonlinearity.f(values)
 
 
 def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
@@ -186,8 +188,7 @@ def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
 def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:
     """Nodal load vector rho with <J'(u), phi> = rho . phi_values."""
     g_val = float(params.kirchhoff.g(_norm_sq(ops, values)))
-    nodal = np.abs(values) ** (params.q - 2.0) * values + f_values(params.nonlinearity, values)
-    return g_val * (ops.gram @ values) - ops.vol * nodal
+    return g_val * (ops.gram @ values) - ops.vol * _nodal_force(values, params)
 
 
 def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
@@ -290,21 +291,7 @@ class FiberMap:
             body = at ** (nl.p - 2.0) * np.exp(arg) * (nl.p - 1.0 + nl.gamma * arg)
             return float(self.vol @ (body * self.values**2))
 
-    def _tail_value(self, t: float) -> float:
-        if self.tail_spec is None:
-            return 0.0
-        nl = self.tail_spec
-        tail = F_values(nl, t * self.values) - nl.cp * np.abs(t * self.values) ** nl.p / nl.p
-        return float(self.vol @ tail)
-
-    # --- map, derivative, curvature --------------------------------------
-
-    def value(self, t: float) -> float:
-        s = t * t * self.norm_sq
-        out = 0.5 * float(self.kirchhoff.G(s))
-        for e, m in self.power_moments:
-            out -= t**e / e * m
-        return out - self._tail_value(t)
+    # --- derivative and curvature ----------------------------------------
 
     def deriv(self, t, saturate: bool = False):
         """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail.
@@ -357,10 +344,3 @@ def fibering(u: RadialFunction, t, params: ModelParams):
     kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), stack[inside], params)
     out[inside] = kirch - power - reaction
     return out
-
-
-def fibering_deriv(u: RadialFunction, t: float, params: ModelParams) -> float:
-    """d/dt J(t u); equals weak_action(t u, u) by the chain rule."""
-    if t < 0.0:
-        raise ValueError("fibering scale must be nonnegative")
-    return FiberMap.full(u, params).deriv(t)

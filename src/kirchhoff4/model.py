@@ -25,14 +25,6 @@ __all__ = [
     "KirchhoffSpec",
     "NonlinearitySpec",
     "ModelParams",
-    "kirchhoff_g",
-    "kirchhoff_G",
-    "kirchhoff_g_prime",
-    "f_eval",
-    "F_eval",
-    "f_values",
-    "F_values",
-    "f_prime_values",
     "adams_constant",
     "growth_exponent",
     "CheckResult",
@@ -111,18 +103,6 @@ class KirchhoffSpec:
         negative = t < 0.0 if isinstance(t, float) else np.any(np.asarray(t) < 0.0)
         if negative:
             raise ValueError("Kirchhoff functions are defined for t >= 0")
-
-
-def kirchhoff_g(spec: KirchhoffSpec, t: float) -> float:
-    return float(spec.g(t))
-
-
-def kirchhoff_G(spec: KirchhoffSpec, t: float) -> float:
-    return float(spec.G(t))
-
-
-def kirchhoff_g_prime(spec: KirchhoffSpec, t: float) -> float:
-    return float(spec.g_prime(t))
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +190,6 @@ class NonlinearitySpec:
         return power_part + head * hyp1f1(1.0, self.p / self.gamma + 1.0, -arg) * np.exp(arg)
 
 
-def f_eval(spec: NonlinearitySpec, t: float) -> float:
-    return float(spec.f(t))
-
-
-def F_eval(spec: NonlinearitySpec, t: float) -> float:
-    return float(spec.F(t))
-
-
-def f_values(spec: NonlinearitySpec, t: np.ndarray) -> np.ndarray:
-    return np.asarray(spec.f(t), dtype=float)
-
-
-def F_values(spec: NonlinearitySpec, t: np.ndarray) -> np.ndarray:
-    return np.asarray(spec.F(t), dtype=float)
-
-
-def f_prime_values(spec: NonlinearitySpec, t: np.ndarray) -> np.ndarray:
-    return np.asarray(spec.f_prime(t), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # constants of the weighted space
 # ---------------------------------------------------------------------------
@@ -308,29 +268,6 @@ class ModelParams:
         return ModelParams.create(
             self.beta, self.q, self.p, cp, self.alpha0, self.delta, self.kirchhoff
         )
-
-    def validate(self) -> list[str]:
-        """Return the list of violated structural constraints (empty if valid)."""
-        issues = []
-        if not 0.0 < self.beta < 1.0:
-            issues.append(f"beta must lie in (0, 1), got {self.beta}")
-        if self.q <= 4.0:
-            issues.append(f"q must exceed 4, got {self.q}")
-        if self.p <= self.q:
-            issues.append(f"p must exceed q, got p={self.p}, q={self.q}")
-        if self.delta <= 0.0:
-            issues.append(f"delta must be positive, got {self.delta}")
-        if self.cp <= 1.0:
-            issues.append(f"Cp must exceed 1, got {self.cp}")
-        if self.alpha0 <= 0.0:
-            issues.append(f"alpha0 must be positive, got {self.alpha0}")
-        if self.nonlinearity.p != self.p:
-            issues.append("nonlinearity power disagrees with p")
-        if 0.0 < self.beta < 1.0 and not math.isclose(
-            self.nonlinearity.gamma, growth_exponent(self.beta), rel_tol=1e-12
-        ):
-            issues.append("nonlinearity growth exponent disagrees with 2/(1-beta)")
-        return issues
 
 
 def default_params(cp: float = 2.0) -> ModelParams:

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FiberMap, energy, nehari_residual, operator_cache
-from .model import (
-    ModelParams,
-    RangeOverflowError,
-    adams_constant,
-    f_prime_values,
-    f_values,
-)
+from .energy import _nodal_force, _norm_sq, _residual_load
+from .model import ModelParams, RangeOverflowError, adams_constant
 from .radial import RadialFunction, RadialGrid, random_clamped_profile
 
 __all__ = [
@@ -99,6 +94,8 @@ def project_scale(fiber: FiberMap, tol: float = _ROOT_WIDTH) -> float:
             val = fiber.deriv(t)
         except RangeOverflowError:
             return -math.inf
+        except OverflowError as exc:
+            raise ProjectionError(f"fibering derivative overflows at scale {t:.3g}") from exc
         if math.isnan(val):
             raise ProjectionError(f"fibering derivative is NaN at scale {t:.3g}")
         return val
@@ -108,14 +105,15 @@ def project_scale(fiber: FiberMap, tol: float = _ROOT_WIDTH) -> float:
         return 1.0
     if v1 > 0.0:
         lo, hi = 1.0, 2.0
-        while d(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > _SCALE_CEIL:
-                raise ProjectionError(
-                    "no sign change of the fibering derivative below the scale "
-                    f"ceiling {_SCALE_CEIL:.0e}; the direction has a degenerate "
-                    "reaction moment"
-                )
+        with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
+            while d(hi) > 0.0:
+                lo, hi = hi, 2.0 * hi
+                if hi > _SCALE_CEIL:
+                    raise ProjectionError(
+                        "no sign change of the fibering derivative below the scale "
+                        f"ceiling {_SCALE_CEIL:.0e}; the direction has a degenerate "
+                        "reaction moment"
+                    )
     else:
         lo, hi = 0.5, 1.0
         while d(lo) <= 0.0:
@@ -165,10 +163,7 @@ def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
     projected point rather than to the raw direction scale, and makes the
     scaling law t(c u) = t(u)/c hold by construction.
     """
-    ops = operator_cache(u.grid, params.beta)
-    with np.errstate(over="ignore"):
-        lu = u.grid.lap @ u.values
-        norm_sq = float(ops.wvol @ (lu * lu))
+    norm_sq = _norm_sq(operator_cache(u.grid, params.beta), u.values)
     # zero detection must stay relative: at the self-consistent power
     # coefficient the legitimate Nehari scales are themselves tiny
     if norm_sq <= 1e-280:
@@ -261,9 +256,7 @@ def t_leq_one_check(u: RadialFunction, params: ModelParams) -> bool:
     """For directions on or inside the Nehari set (residual <= 0), the
     projection scale cannot exceed one."""
     res = nehari_residual(u, params)
-    ops = operator_cache(u.grid, params.beta)
-    lu = u.grid.lap @ u.values
-    norm_sq = float(ops.wvol @ (lu * lu))
+    norm_sq = _norm_sq(operator_cache(u.grid, params.beta), u.values)
     if res > 1e-10 * (1.0 + norm_sq):
         raise ValueError(
             f"precondition violated: Nehari residual {res:.3g} is positive"
@@ -351,9 +344,7 @@ class _Functional:
         self.ops = operator_cache(grid, params.beta)
 
     def norm(self, values: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lu = self.grid.lap @ values
-            out = float(self.ops.wvol @ (lu * lu))
+        out = _norm_sq(self.ops, values)
         return math.sqrt(max(out, 0.0)) if math.isfinite(out) else math.inf
 
     def w_dot(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -374,19 +365,18 @@ class _Functional:
     def _nodal_force(self, values: np.ndarray) -> np.ndarray:
         if self.pure_power:
             return np.abs(values) ** (self.params.p - 2.0) * values
-        q = self.params.q
-        return np.abs(values) ** (q - 2.0) * values + f_values(self.params.nonlinearity, values)
+        return _nodal_force(values, self.params)
 
     def _nodal_stiffness(self, values: np.ndarray) -> np.ndarray:
         if self.pure_power:
             p = self.params.p
             return (p - 1.0) * np.abs(values) ** (p - 2.0)
         q = self.params.q
-        return (q - 1.0) * np.abs(values) ** (q - 2.0) + f_prime_values(
-            self.params.nonlinearity, values
-        )
+        return (q - 1.0) * np.abs(values) ** (q - 2.0) + self.params.nonlinearity.f_prime(values)
 
     def load(self, values: np.ndarray) -> np.ndarray:
+        if not self.pure_power:
+            return _residual_load(self.ops, values, self.params)
         s = self.norm(values) ** 2
         g_val = float(self.params.kirchhoff.g(s))
         return g_val * (self.ops.gram @ values) - self.ops.vol * self._nodal_force(values)

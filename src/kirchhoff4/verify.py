@@ -19,7 +19,6 @@ from .energy import (
     FiberMap,
     energy,
     fibering,
-    fibering_deriv,
     nehari_residual,
     operator_cache,
     sobolev_gradient,
@@ -268,7 +267,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
         u = RadialFunction(grid, u.values / w_norm(u, params.beta))
         fiber = FiberMap.full(u, params)
         pt = project(u, params)
-        t_u = project_scale(fiber)
+        t_u = pt.t_u
         # unique sign change of the derivative over a wide log grid
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
         signs = np.sign(fiber.deriv(ts, saturate=True))
@@ -303,6 +302,7 @@ def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples
     central difference, sampled away from the fibering maximum (there the
     derivative crosses zero and a difference quotient of the large map
     values is pure cancellation noise) and short of the exponential wall."""
+    fiber = FiberMap.full(u, params)
     worst = 0.0
     for t in np.linspace(0.1 * t_u, 0.95 * t_u, samples):
         h = 1e-4 * t
@@ -312,7 +312,7 @@ def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples
             - 8.0 * fibering(u, t - h, params)
             + fibering(u, t - 2 * h, params)
         ) / (12.0 * h)
-        dv = fibering_deriv(u, t, params)
+        dv = fiber.deriv(t)
         worst = max(worst, abs(fd - dv) / (1.0 + abs(dv)))
     return worst
 

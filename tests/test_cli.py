@@ -38,13 +38,19 @@ def test_run_config_rejects_unknown_keys():
         ({"alpha0": -1.0}, "alpha0"),
         ({"scheme": "uniform"}, "scheme"),
         ({"n": 4}, "n"),
+        ({"g0": 0.0}, "g0"),
+        ({"a": -1.0}, "a"),
+        ({"kirchhoff_kind": "cubic"}, "kirchhoff_kind"),
+        ({"starts": 0}, "starts"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": 0.0}, "tol"),
     ],
 )
 def test_validation_names_offending_key(overrides, needle):
     cfg = dataclasses.replace(cli.RunConfig(), **overrides)
     with pytest.raises(cli.ConfigError) as err:
         cfg.validate()
-    assert needle in str(err.value)
+    assert str(err.value).split()[0] == needle  # the message opens with the key
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -104,6 +110,16 @@ def test_aux_rejects_p_below_4(tmp_path, capsys):
     assert rc == 1
     msg = capsys.readouterr().err
     assert "q" in msg or "p" in msg
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # q, p just above 4: the fibering power terms overflow while the
+    # auxiliary projection brackets its root
+    rc = cli.main(["bounds", "--q", "4.0001", "--p", "4.0002", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bounds: numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_bounds_command(tmp_path):

@@ -267,7 +267,6 @@ def test_solver_log_type_kirchhoff(spectral32):
 def test_solver_other_beta(spectral32):
     # beta = 0.3: growth exponent 2/(1-beta) is not an integer
     params = k4.ModelParams.create(0.3, 4.6, 6.2, 2.0, 0.8, 0.2, KirchhoffSpec.affine(1.5, 0.5))
-    assert params.validate() == []
     assert abs(params.gamma - 2.0 / 0.7) < 1e-15
     cfg = k4.SearchConfig(starts=2, max_iter=150, tol=1e-6, seed=4)
     gs = k4.ground_state(spectral32, params, cfg)
