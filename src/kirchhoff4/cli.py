@@ -248,14 +248,7 @@ def cmd_bounds(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     params, _, _ = config.resolve()
-    suite = run_suite(
-        params,
-        grid=build_grid(config.n, config.scheme),
-        directions=200,
-        profiles=100,
-        adams_profiles=50,
-        seed=config.seed,
-    )
+    suite = run_suite(params, grid=config.grid(), seed=config.seed)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _report_skeleton("verify", config, params)

@@ -382,6 +382,31 @@ def _monotone_check(name, ts, vals, scale=None):
     return CheckResult(name, bool(margin >= -_REL_SLACK), margin, wit)
 
 
+def _representable_scale(nl: NonlinearitySpec, guard: float) -> float:
+    """Largest scale up to the guard at which the largest term the checks
+    form, t^p (cp + e^X) (p - 1 + gamma X) with X = alpha0 t^gamma, stays
+    under the overflow guard in log-magnitude.
+
+    The guard bounds only X; near it t f(t), F and f' are already past the
+    double range when p is large or alpha0 small.  The log-magnitude
+    increases with t, so bisection in log t finds the limit.
+    """
+    log_cp = math.log(nl.cp) if nl.cp > 0.0 else -math.inf
+
+    def log_magnitude(log_t: float) -> float:
+        x = nl._exp_arg(math.exp(log_t))
+        return nl.p * log_t + np.logaddexp(log_cp, x) + math.log(nl.p - 1.0 + nl.gamma * x)
+
+    lo, hi = math.log(1e-6), math.log(guard)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_magnitude(mid) <= EXP_GUARD:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
 def check_hypotheses(params: ModelParams, sample_count: int = 200) -> HypothesisReport:
     """Sample-based verification of every structural hypothesis.
 
@@ -395,7 +420,7 @@ def check_hypotheses(params: ModelParams, sample_count: int = 200) -> Hypothesis
     nl = params.nonlinearity
     q, p = params.q, params.p
     t_max = nl.guard_scale()
-    t_max = 10.0 if math.isinf(t_max) else 0.999 * t_max
+    t_max = 10.0 if math.isinf(t_max) else 0.999 * _representable_scale(nl, t_max)
     ts = np.geomspace(1e-6, t_max, sample_count)
 
     checks = []

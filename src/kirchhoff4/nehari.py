@@ -2,7 +2,9 @@
 
 Every nonzero direction u admits a unique scale t_u > 0 at which
 d/dt J(t u) = 0; the map u -> t_u u retracts directions onto the Nehari
-set.  The ground level
+set.  One bracket-and-Newton root finder (project_scale) locates t_u, on
+the moment form of the derivative in the descent and on the measured
+residual in project.  The ground level
 
     m = inf { J(w) : <J'(w), w> = 0, w != 0 }
 
@@ -50,13 +52,6 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-8       # absolute slack on level-bound comparisons
-_ROOT_WIDTH = 1e-12       # bisection bracket width for the projection scale
-# The bracket window must cover the admissible-cp regime, where the huge
-# power coefficient pushes projection scales of unit directions far below
-# one; the floor only exists to diagnose directions whose reaction term
-# overwhelms every representable scale.
-_SCALE_FLOOR = 1e-120
-_SCALE_CEIL = 1e120
 
 
 class ProjectionError(RuntimeError):
@@ -79,14 +74,21 @@ class NehariPoint:
 # ---------------------------------------------------------------------------
 
 
-def project_scale(fiber: FiberMap, tol: float = _ROOT_WIDTH) -> float:
-    """Root of the fibering derivative on (0, inf).
+def project_scale(fiber: FiberMap) -> float:
+    """Root of the fibering derivative d = fiber.deriv on (0, inf).
 
-    The derivative is positive for small scales and negative for large
-    ones, so doubling/halving from t = 1 brackets the root; past the
-    exponential overflow guard the reaction tail certainly dominates and
-    the derivative is treated as negative.  Bisection to the requested
-    width is followed by a safeguarded Newton polish.
+    d is positive below the root and negative above it; past the
+    exponential overflow guard the reaction tail certainly dominates and d
+    counts as -inf.  The search starts at the leading pure-power balance
+    min_e (g0 S / M_e)^(1/(e-2)) of the moments, where one power term alone
+    cancels the Kirchhoff head g0 t S, so it does not depend on the scale
+    of the problem.  It doubles or halves until d changes sign, then takes
+    Newton steps on fiber.deriv2 from the bracket end with the smaller |d|
+    until the bracket holds adjacent floats, and returns the end with the
+    smaller |d|.  It bisects instead when a step leaves the bracket or the
+    bracket has not halved in three steps (slow convergence, or a slope
+    that does not match d).  A step shorter than the float spacing is
+    lengthened to cross the root, doubling while it fails to.
     """
 
     def d(t: float) -> float:
@@ -100,59 +102,45 @@ def project_scale(fiber: FiberMap, tol: float = _ROOT_WIDTH) -> float:
             raise ProjectionError(f"fibering derivative is NaN at scale {t:.3g}")
         return val
 
-    v1 = d(1.0)
-    if v1 == 0.0:
-        return 1.0
-    if v1 > 0.0:
-        lo, hi = 1.0, 2.0
-        with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
-            while d(hi) > 0.0:
-                lo, hi = hi, 2.0 * hi
-                if hi > _SCALE_CEIL:
-                    raise ProjectionError(
-                        "no sign change of the fibering derivative below the scale "
-                        f"ceiling {_SCALE_CEIL:.0e}; the direction has a degenerate "
-                        "reaction moment"
-                    )
-    else:
-        lo, hi = 0.5, 1.0
-        while d(lo) <= 0.0:
-            lo, hi = 0.5 * lo, lo
-            if lo < _SCALE_FLOOR:
+    head = fiber.kirchhoff.g0 * fiber.norm_sq
+    logs = [(math.log(head) - math.log(m)) / (e - 2.0) for e, m in fiber.power_moments if m > 0.0]
+    if not logs:
+        raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
+    lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
+    d_lo, d_hi = math.inf, -math.inf
+    nudge = stalls = 0
+    width = math.inf  # bracket width when it last halved
+    with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
+        t = float(np.exp(min(logs)))
+        while True:
+            if not 0.0 < t < math.inf:
                 raise ProjectionError(
-                    "fibering derivative is negative down to the scale floor "
-                    f"{_SCALE_FLOOR:.0e}; nodal values overflow before projection"
+                    "the fibering derivative keeps its sign at every representable scale"
                 )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # bracket has hit adjacent floats
-            break
-        if d(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # Safeguarded Newton polish: quadratic convergence down to the
-    # floating-point root, falling back to bisection whenever the Newton
-    # iterate leaves the sign-change bracket.
-    t = 0.5 * (lo + hi)
-    for _ in range(30):
-        val = d(t)
-        if val > 0.0:
-            lo = t
-        else:
-            hi = t
-        try:
+            v = d(t)
+            if v == 0.0:
+                return t
+            if v > 0.0:
+                lo, d_lo = t, v
+            else:
+                hi, d_hi = t, v
+            if hi == math.inf or lo == 0.0:
+                t = 2.0 * lo if hi == math.inf else 0.5 * hi
+                continue
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # the bracket holds adjacent floats
+                return lo if abs(d_lo) <= abs(d_hi) else hi
+            if hi - lo <= 0.5 * width:
+                width, stalls = hi - lo, 0
+            else:
+                stalls += 1
+            t, v = (lo, d_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi)
             slope = fiber.deriv2(t)
-        except RangeOverflowError:
-            slope = 0.0
-        t_new = t - val / slope if math.isfinite(slope) and slope != 0.0 else 0.5 * (lo + hi)
-        if not (lo < t_new < hi) or not math.isfinite(t_new):
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 4.0 * np.finfo(float).eps * abs(t):
-            t = t_new
-            break
-        t = t_new
-    return t
+            step = -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+            nudge = nudge + 1 if abs(step) < math.ulp(t) else 0
+            if nudge:
+                step = math.copysign(math.ulp(t) * 2.0 ** (nudge - 1), mid - t)
+            t = t + step if stalls < 3 and lo < t + step < hi else mid
 
 
 def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
@@ -161,7 +149,9 @@ def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
     The root is located for the unit-norm direction and rescaled, which
     keeps the per-ulp granularity of the residual proportional to the
     projected point rather than to the raw direction scale, and makes the
-    scaling law t(c u) = t(u)/c hold by construction.
+    scaling law t(c u) = t(u)/c hold by construction.  The root finder runs
+    on the measured residual itself, so the reported residual sits at its
+    own rounding floor.
     """
     norm_sq = _norm_sq(operator_cache(u.grid, params.beta), u.values)
     # zero detection must stay relative: at the self-consistent power
@@ -174,82 +164,19 @@ def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
         )
     nrm = math.sqrt(norm_sq)
     unit = u.scaled(1.0 / nrm)
-    t = project_scale(FiberMap.full(unit, params))
-    # The root was located on the moment form of the derivative; polish it
-    # on the quadrature form of the residual (a slightly different float
-    # path whose difference grows with the Kirchhoff scale) so that the
-    # reported residual sits at its own rounding floor.
-    t, res = _polish_on_residual(unit, params, t)
+    fiber = FiberMap.full(unit, params)
+    # find the root of the measured residual <J'(t u), t u> / t itself; the
+    # moment form still supplies the slope and the starting balance
+    fiber.deriv = lambda t: nehari_residual(unit.scaled(t), params) / t
+    t = project_scale(fiber)
     w = unit.scaled(t)
     return NehariPoint(
         direction=u,
         t_u=t / nrm,
         projected=w,
         energy=energy(w, params).total,
-        residual=res,
+        residual=nehari_residual(w, params),
     )
-
-
-def _polish_on_residual(u: RadialFunction, params: ModelParams, t0: float):
-    """Drive the measured residual <J'(t u), t u> to its rounding floor.
-
-    The root finder works on the moment form of the fibering derivative;
-    the quadrature form evaluated at the scaled profile differs by a few
-    ulps of the Kirchhoff terms.  A short sign-bracketed bisection on the
-    measured residual (decreasing in t near the fibering maximum) picks
-    the float scale that minimizes it.
-    """
-
-    def h(t: float) -> float:
-        try:
-            return nehari_residual(u.scaled(t), params)
-        except RangeOverflowError:
-            return -math.inf
-
-    best_t, best_h = t0, h(t0)
-    if best_h == 0.0:
-        return best_t, best_h
-    eps = float(np.finfo(float).eps)
-    step = 16.0 * eps * t0
-    if best_h > 0.0:
-        lo, f_lo = t0, best_h
-        hi = t0 + step
-        f_hi = h(hi)
-        while f_hi > 0.0:
-            if abs(f_hi) < abs(best_h):
-                best_t, best_h = hi, f_hi
-            step *= 4.0
-            lo, f_lo = hi, f_hi
-            hi = hi + step
-            f_hi = h(hi)
-            if hi > 4.0 * t0:
-                return best_t, best_h
-    else:
-        hi, f_hi = t0, best_h
-        lo = t0 - step
-        f_lo = h(lo)
-        while f_lo <= 0.0:
-            if abs(f_lo) < abs(best_h):
-                best_t, best_h = lo, f_lo
-            step *= 4.0
-            lo = lo - step
-            f_lo = h(lo)
-            if lo < 0.25 * t0:
-                return best_t, best_h
-    for _ in range(80):
-        if abs(f_hi) < abs(best_h):
-            best_t, best_h = hi, f_hi
-        if abs(f_lo) < abs(best_h):
-            best_t, best_h = lo, f_lo
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        f_mid = h(mid)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return best_t, best_h
 
 
 def t_leq_one_check(u: RadialFunction, params: ModelParams) -> bool:

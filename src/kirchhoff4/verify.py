@@ -17,6 +17,7 @@ import numpy as np
 
 from .energy import (
     FiberMap,
+    _residual_load,
     energy,
     fibering,
     nehari_residual,
@@ -25,6 +26,7 @@ from .energy import (
     weak_action,
 )
 from .model import (
+    KirchhoffSpec,
     ModelParams,
     RangeOverflowError,
     adams_constant,
@@ -225,8 +227,6 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
 
     v = sobolev_gradient(u, params)
     ops = operator_cache(grid, params.beta)
-    from .energy import _residual_load
-
     load = _residual_load(ops, u.values, params)
     resid = ops.basis.T @ (ops.gram @ v.values) - ops.basis.T @ load
     # relative to the load magnitude: the admissible power coefficient can
@@ -237,8 +237,6 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
 
 
 def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:
-    from .model import KirchhoffSpec
-
     checks = []
     quartic = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
     root = project_scale(quartic)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli.main(["solve", "--q", "4", "--out", str(tmp_path)])
     assert rc == 1
     assert "q must exceed 4" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    # python -m kirchhoff4 runs the console script's entry point
+    env = dict(os.environ)
+    src = str(Path(k4.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kirchhoff4", "solve", "--q", "4", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "configuration error: q must exceed 4, got 4.0\n"
 
 
 def test_solve_writes_report_and_profile(tmp_path):

@@ -26,9 +26,33 @@ def test_projection_quartic_oracle():
 
 
 def test_projection_pure_power_closed_form():
-    for g0, s, moment, p in ((2.0, 3.0, 5.0, 6.0), (1.0, 1.0, 2.0, 5.0), (0.7, 10.0, 0.3, 4.5)):
+    # the last two roots sit near 1e-18 (the auto-cp scale) and near 1e15
+    for g0, s, moment, p in (
+        (2.0, 3.0, 5.0, 6.0),
+        (1.0, 1.0, 2.0, 5.0),
+        (0.7, 10.0, 0.3, 4.5),
+        (1.0, 1.0, 1e72, 6.0),
+        (1.0, 1.0, 1e-60, 6.0),
+    ):
         fiber = FiberMap(KirchhoffSpec.affine(g0, 0.0), s, ((p, moment),))
-        assert abs(k4.project_scale(fiber) - (g0 * s / moment) ** (1.0 / (p - 2.0))) < 1e-10
+        expect = (g0 * s / moment) ** (1.0 / (p - 2.0))
+        assert abs(k4.project_scale(fiber) - expect) <= 1e-12 * expect, moment
+
+
+def test_projection_bisects_when_newton_creeps():
+    # a slope that makes every Newton step 1e-12 of the scale: the bracket
+    # stops halving and bisection takes over (the quartic oracle's root)
+    fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
+    deriv = fiber.deriv
+    fiber.deriv2 = lambda t: -abs(deriv(t)) / (1e-12 * t)
+    assert abs(k4.project_scale(fiber) - math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)) < 1e-12
+
+
+def test_projection_needs_positive_moment():
+    # d(t) = t S g0 > 0 for every t: no root, and no balance scale to start from
+    fiber = FiberMap(KirchhoffSpec.affine(1.0, 0.0), 1.0, ((6.0, 0.0),))
+    with pytest.raises(ProjectionError):
+        k4.project_scale(fiber)
 
 
 def test_projection_scaling_law(spectral64, params_cp2):
@@ -285,6 +309,6 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
         fiber = FiberMap.full(u, params)
         t_u = k4.project_scale(fiber)
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
-        signs = np.sign([fiber.deriv(t, saturate=True) for t in ts])
+        signs = np.sign(fiber.deriv(ts, saturate=True))
         signs = signs[signs != 0]
         assert int(np.sum(signs[1:] != signs[:-1])) == 1, k
