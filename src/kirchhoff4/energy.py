@@ -205,10 +205,13 @@ class FiberMap:
     """Scalar restriction t -> J(t u) reduced to moments of the direction.
 
     power_moments holds (exponent e, moment M) pairs contributing
-    -(t^e / e) M to the value; the exponential tail of the reaction term
+    -(t^e / e) M to the value.  The exponential tail of the reaction term
     (absent for the pure-power functional and for alpha0 = 0) is carried
-    through nodal data.  Synthetic moment sets exercise the projection
-    root finder without any grid.
+    by per-node weights vol |v|^p and rates alpha0 (|v|/vmax)^gamma, taken
+    once: since |t v|^e = t^e |v|^e, its derivative is t^(p-1) sum_i
+    weight_i exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.
+    Synthetic moment sets exercise the projection root finder without any
+    grid.
     """
 
     def __init__(
@@ -224,13 +227,16 @@ class FiberMap:
         self.norm_sq = float(norm_sq)
         self.power_moments = tuple((float(e), float(m)) for e, m in power_moments)
         self.tail_spec = tail_spec
+        self.values = None
         if tail_spec is not None:
             mask = np.abs(values) > 0.0
             self.values = values[mask]
-            self.vol = vol[mask]
-        else:
-            self.values = None
-            self.vol = None
+            av = np.abs(self.values)
+            # rates relative to the largest node: (t vmax)^gamma stays
+            # finite up to the guard however large gamma is
+            self.vmax = av.max(initial=0.0)
+            self.weight = vol[mask] * av**tail_spec.p
+            self.rate = tail_spec.alpha0 * (av / self.vmax) ** tail_spec.gamma
 
     # --- builders -------------------------------------------------------
 
@@ -271,25 +277,20 @@ class FiberMap:
         if self.tail_spec is None:
             return 0.0
         nl = self.tail_spec
-        tv = np.multiply.outer(t, self.values)
-        at = np.abs(tv)
-        with np.errstate(over="ignore"):  # inf keeps the sign information
-            arg = nl.alpha0 * at**nl.gamma
-            if saturate:
-                arg = np.minimum(arg, 700.0)
-            head = at ** (nl.p - 2.0) * tv * np.exp(arg)
-            return (head * self.values) @ self.vol
+        with np.errstate(over="ignore", invalid="ignore"):  # inf keeps the sign information
+            arg = np.multiply.outer((t * self.vmax) ** nl.gamma, self.rate)
+            if saturate:  # fmin also caps the inf * 0 of underflowed rates
+                arg = np.fmin(arg, 700.0)
+            return t ** (nl.p - 1.0) * (np.exp(arg) @ self.weight)
 
     def _tail_deriv2(self, t: float) -> float:
         if self.tail_spec is None:
             return 0.0
         nl = self.tail_spec
-        tv = t * self.values
-        at = np.abs(tv)
         with np.errstate(over="ignore"):
-            arg = nl.alpha0 * at**nl.gamma
-            body = at ** (nl.p - 2.0) * np.exp(arg) * (nl.p - 1.0 + nl.gamma * arg)
-            return float(self.vol @ (body * self.values**2))
+            arg = (t * self.vmax) ** nl.gamma * self.rate
+            body = np.exp(arg) * (nl.p - 1.0 + nl.gamma * arg)
+            return float(t ** (nl.p - 2.0) * (body @ self.weight))
 
     # --- derivative and curvature ----------------------------------------
 
@@ -339,7 +340,7 @@ def fibering(u: RadialFunction, t, params: ModelParams):
         return energy(u.scaled(t), params).total
     nl = params.nonlinearity
     stack = np.multiply.outer(t, u.values)
-    inside = np.max(nl._exp_arg(np.abs(stack)), axis=1) <= EXP_GUARD
+    inside = nl._exp_arg(np.abs(stack).max(axis=1)) <= EXP_GUARD
     out = np.full(len(stack), -np.inf)
     kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), stack[inside], params)
     out[inside] = kirch - power - reaction

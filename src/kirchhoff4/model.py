@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0  # natural-log overflow guard for exp arguments
+_UNIT_FACTOR_BOUND = np.finfo(float).eps / 4.0  # below it e^X 1F1(1; b; -X) rounds to 1
 
 
 class RangeOverflowError(ValueError):
@@ -145,27 +146,28 @@ class NonlinearitySpec:
     def _exp_arg(self, at):
         return self.alpha0 * at**self.gamma
 
-    def _check_guard(self, at):
+    def _guarded_exp_arg(self, at):
+        """The exponential argument alpha0 |t|^gamma, checked against the guard."""
         arg = self._exp_arg(at)
         bad = np.max(arg, initial=0.0) if np.ndim(arg) else arg
         if bad > EXP_GUARD:
             raise RangeOverflowError(
                 f"exponential argument {bad:.3g} exceeds the overflow guard {EXP_GUARD:g}"
             )
+        return arg
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        self._check_guard(at)
+        arg = self._guarded_exp_arg(at)
         head = at ** (self.p - 2.0) * t
-        return self.cp * head + head * np.exp(self._exp_arg(at))
+        return self.cp * head + head * np.exp(arg)
 
     def f_prime(self, t):
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        self._check_guard(at)
+        arg = self._guarded_exp_arg(at)
         body = at ** (self.p - 2.0)
-        arg = self._exp_arg(at)
         return self.cp * (self.p - 1.0) * body + body * np.exp(arg) * (
             self.p - 1.0 + self.gamma * arg
         )
@@ -177,17 +179,19 @@ class NonlinearitySpec:
         has the closed form (T^p/p) e^X 1F1(1; a+1; -X) with a = p/gamma and
         X = alpha0 T^gamma (DLMF 8.5, 13.2: Kummer's transformation of
         1F1(a; a+1; X)).  The T^p/p prefactor keeps tiny T representable.
+        Where X <= eps/4 the factor 1F1(a; a+1; X) = 1 + a X/(a+1) + ...
+        rounds to 1, so 1F1 is evaluated only above that bound.
         """
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        self._check_guard(at)
+        arg = np.asarray(self._guarded_exp_arg(at))
         at_p = at**self.p
         power_part = self.cp * at_p / self.p
-        head = at_p / self.p
-        if self.alpha0 == 0.0:
-            return power_part + head
-        arg = self._exp_arg(at)
-        return power_part + head * hyp1f1(1.0, self.p / self.gamma + 1.0, -arg) * np.exp(arg)
+        tail = np.array(at_p / self.p)
+        big = arg > _UNIT_FACTOR_BOUND
+        x = arg[big]
+        tail[big] = tail[big] * hyp1f1(1.0, self.p / self.gamma + 1.0, -x) * np.exp(x)
+        return power_part + tail
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,34 @@ def test_fibering_deriv_finite_difference(spectral64, params_cp2):
     assert _fibering_fd_gap(u, params_cp2, t_u) <= 1e-7
 
 
-def test_fibering_deriv_chain_rule(spectral64, params_cp2):
+def _fiber_scales(fiber, params):
+    """Moderate scales, and scales within 5% of the overflow guard, where
+    the exponential argument is O(100) and the tail dominates."""
+    limit = params.nonlinearity.guard_scale() / np.abs(fiber.values).max()
+    return (0.4, 1.0, 2.3) + tuple(limit * np.array([0.95, 0.97, 0.99]))
+
+
+def test_fibering_deriv_chain_rule(spectral64, params_cp2, resolved_default):
     u = unit_profile(spectral64, 0.5, 12)
-    fiber = k4.FiberMap.full(u, params_cp2)
-    for t in (0.4, 1.0, 2.3):
-        lhs = fiber.deriv(t)
-        rhs = k4.weak_action(u.scaled(t), u, params_cp2)
-        assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
+    for params in (params_cp2, resolved_default[0]):
+        fiber = k4.FiberMap.full(u, params)
+        for t in _fiber_scales(fiber, params):
+            lhs = fiber.deriv(t)
+            rhs = k4.weak_action(u.scaled(t), u, params)
+            assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs)), (params.cp, t)
+
+
+def test_fibering_deriv2_finite_difference(spectral64, params_cp2, resolved_default):
+    u = unit_profile(spectral64, 0.5, 12)
+    for params in (params_cp2, resolved_default[0]):
+        fiber = k4.FiberMap.full(u, params)
+        for t in _fiber_scales(fiber, params):
+            h = 1e-6 * t
+            fd = (
+                -fiber.deriv(t + 2 * h) + 8.0 * fiber.deriv(t + h) - 8.0 * fiber.deriv(t - h) + fiber.deriv(t - 2 * h)
+            ) / (12.0 * h)
+            d2 = fiber.deriv2(t)
+            assert abs(fd - d2) < 1e-8 * (1 + abs(d2)), (params.cp, t)
 
 
 def test_fibering_scaling_identity(spectral64, params_cp2):
@@ -164,7 +185,10 @@ def test_fiber_map_saturated_signs(spectral64, params_cp2):
 
 
 def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_default):
-    for params in (params_cp2, resolved_default[0]):
+    # beta = 0.99 (gamma = 200): the rates of small nodes underflow, and
+    # far past the guard (t max|u|)^gamma overflows; the sweep stays signed
+    steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
+    for params in (params_cp2, resolved_default[0], steep):
         u = unit_profile(spectral64, 0.5, 17)
         fiber = FiberMap.full(u, params)
         t_u = k4.project_scale(fiber)
@@ -181,6 +205,10 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     assert np.all(np.isfinite(fiber.deriv(np.array([0.5, 0.9]) * limit)))
     with pytest.raises(RangeOverflowError):
         fiber.deriv(np.array([0.5, 1.1]) * limit)
+    # a direction with small values: t^gamma alone would overflow inside the guard
+    fiber = FiberMap.full(u.scaled(0.1), steep)
+    limit = steep.nonlinearity.guard_scale() / np.abs(fiber.values).max()
+    assert np.isfinite(fiber.deriv(0.9 * limit)) and np.isfinite(fiber.deriv2(0.9 * limit))
 
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):

@@ -121,8 +121,10 @@ def test_exp_primitive_closed_form_matches_mpmath(p, beta, alpha0):
     spec = NonlinearitySpec(cp=0.0, p=p, alpha0=alpha0, gamma=k4.growth_exponent(beta))
     guard = spec.guard_scale()
     lo = max(1e-30, (p * 1e-290) ** (1.0 / p))  # T^p/p stays a normal double
+    # scales straddling X = eps/4, below which F skips the 1F1 factor
+    unit = (np.finfo(float).eps / (4.0 * alpha0)) ** (1.0 / spec.gamma) * np.array([1.0 - 1e-3, 1.0 + 1e-3])
     ts = np.concatenate(
-        [np.geomspace(lo, guard, 40), guard * (1.0 - np.array([1e-12, 1e-13])), [np.nextafter(guard, 0.0)]]
+        [np.geomspace(lo, guard, 40), unit, guard * (1.0 - np.array([1e-12, 1e-13])), [np.nextafter(guard, 0.0)]]
     )
     ts = ts[alpha0 * ts**spec.gamma <= 700.0]
     assert ts[0] <= 1e-14 and guard - ts[-1] <= 1e-12 * guard
