@@ -26,7 +26,6 @@ from .model import (
     RangeOverflowError,
     adams_constant,
     growth_exponent,
-    check_hypotheses,
     default_params,
     params_to_dict,
     params_from_dict,
@@ -57,6 +56,6 @@ from .nehari import (
     resolve_auto_cp,
     power_envelope_max,
 )
-from .verify import SuiteReport, run_suite
+from .verify import SuiteReport, check_hypotheses, run_suite
 
 __version__ = "0.1.0"

@@ -237,6 +237,8 @@ class FiberMap:
             self.vmax = av.max(initial=0.0)
             self.weight = vol[mask] * av**tail_spec.p
             self.rate = tail_spec.alpha0 * (av / self.vmax) ** tail_spec.gamma
+            # largest scale whose tail stays under the overflow guard
+            self.scale_limit = tail_spec.guard_scale() / self.vmax if self.vmax > 0.0 else np.inf
 
     # --- builders -------------------------------------------------------
 
@@ -264,14 +266,6 @@ class FiberMap:
         return cls(params.kirchhoff, s, ((params.p, i_p),))
 
     # --- tail integrals ---------------------------------------------------
-
-    def _tail_scale_limit(self) -> float:
-        if self.tail_spec is None:
-            return np.inf
-        vmax = float(np.abs(self.values).max()) if len(self.values) else 0.0
-        if vmax == 0.0:
-            return np.inf
-        return self.tail_spec.guard_scale() / vmax
 
     def _tail_deriv(self, t, saturate: bool):
         if self.tail_spec is None:
@@ -308,11 +302,10 @@ class FiberMap:
         for e, m in self.power_moments:
             out -= t ** (e - 1.0) * m
         if self.tail_spec is not None and not saturate:
-            limit = self._tail_scale_limit()
             t_max = t if scalar else t.max()
-            if t_max > limit:
+            if t_max > self.scale_limit:
                 raise RangeOverflowError(
-                    f"fibering scale {t_max:.3g} exceeds the overflow guard ({limit:.3g})"
+                    f"fibering scale {t_max:.3g} exceeds the overflow guard ({self.scale_limit:.3g})"
                 )
         out -= self._tail_deriv(t, saturate)
         return float(out) if scalar else out

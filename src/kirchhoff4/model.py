@@ -8,8 +8,8 @@ norm with a reaction term
 which combines a pure power with critical exponential growth of exponent
 gamma = 2/(1-beta).  This module holds the Kirchhoff family g/G, the
 nonlinearity f/F, the exponential-integrability constant of the weighted
-space, and a numerical checker for every structural hypothesis the
-solver relies on (monotonicity, superadditivity, growth comparisons).
+space and the parameter bundle; the structural hypotheses on them are
+checked in verify.py.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ __all__ = [
     "ModelParams",
     "adams_constant",
     "growth_exponent",
-    "CheckResult",
-    "HypothesisReport",
-    "check_hypotheses",
     "default_params",
     "params_to_dict",
     "params_from_dict",
@@ -323,186 +320,3 @@ def params_from_dict(data: dict) -> ModelParams:
         delta=float(data["delta"]),
         kirchhoff=kirchhoff,
     )
-
-
-# ---------------------------------------------------------------------------
-# hypothesis checker
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    margin: float
-    witness: float | tuple
-
-    def to_dict(self) -> dict:
-        wit = self.witness if not isinstance(self.witness, tuple) else list(self.witness)
-        return {"name": self.name, "passed": bool(self.passed), "margin": float(self.margin), "witness": wit}
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    checks: tuple
-    sample_count: int
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "sample_count": self.sample_count,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-_REL_SLACK = 1e-9  # floating-point slack for non-strict inequalities
-
-
-def _min_margin(values, witnesses):
-    """Worst margin and the sample where it occurs."""
-    i = int(np.argmin(values))
-    wit = witnesses[i] if not isinstance(witnesses, tuple) else tuple(w[i] for w in witnesses)
-    return float(values[i]), wit
-
-
-def _monotone_check(name, ts, vals, scale=None):
-    diffs = np.diff(vals)
-    scale = np.abs(vals[1:]) + np.abs(vals[:-1]) if scale is None else scale
-    rel = diffs / (1.0 + scale)
-    margin, wit = _min_margin(rel, ts[1:])
-    return CheckResult(name, bool(margin >= -_REL_SLACK), margin, wit)
-
-
-def _representable_scale(nl: NonlinearitySpec, guard: float) -> float:
-    """Largest scale up to the guard at which the largest term the checks
-    form, t^p (cp + e^X) (p - 1 + gamma X) with X = alpha0 t^gamma, stays
-    under the overflow guard in log-magnitude.
-
-    The guard bounds only X; near it t f(t), F and f' are already past the
-    double range when p is large or alpha0 small.  The log-magnitude
-    increases with t, so bisection in log t finds the limit.
-    """
-    log_cp = math.log(nl.cp) if nl.cp > 0.0 else -math.inf
-
-    def log_magnitude(log_t: float) -> float:
-        x = nl._exp_arg(math.exp(log_t))
-        return nl.p * log_t + np.logaddexp(log_cp, x) + math.log(nl.p - 1.0 + nl.gamma * x)
-
-    lo, hi = math.log(1e-6), math.log(guard)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if log_magnitude(mid) <= EXP_GUARD:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
-
-
-def check_hypotheses(params: ModelParams, sample_count: int = 200) -> HypothesisReport:
-    """Sample-based verification of every structural hypothesis.
-
-    Samples are log-spaced on (0, t_max] with t_max set by the overflow
-    guard.  Failures are reported, never raised; each entry records the
-    worst margin (negative means violated beyond slack) and its witness.
-    """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    g = params.kirchhoff
-    nl = params.nonlinearity
-    q, p = params.q, params.p
-    t_max = nl.guard_scale()
-    t_max = 10.0 if math.isinf(t_max) else 0.999 * _representable_scale(nl, t_max)
-    ts = np.geomspace(1e-6, t_max, sample_count)
-
-    checks = []
-
-    # Kirchhoff side ----------------------------------------------------
-    gv = np.asarray(g.g(ts))
-    Gv = np.asarray(g.G(ts))
-    checks.append(_monotone_check("g-increasing", ts, gv))
-    checks.append(
-        CheckResult("g0-positive", bool(g.g(0.0) > 0.0), float(g.g(0.0)), 0.0)
-    )
-    checks.append(_monotone_check("g-over-t-nonincreasing", ts, -gv / ts))
-
-    rng_pairs = np.random.default_rng(0)
-    s_pair = ts[rng_pairs.integers(0, sample_count, size=sample_count)]
-    t_pair = ts[rng_pairs.integers(0, sample_count, size=sample_count)]
-    super_margin = (np.asarray(g.G(s_pair + t_pair)) - np.asarray(g.G(s_pair)) - np.asarray(g.G(t_pair))) / (
-        1.0 + np.abs(Gv.max())
-    )
-    margin, wit = _min_margin(super_margin, (s_pair, t_pair))
-    checks.append(CheckResult("G-superadditive", bool(margin >= -_REL_SLACK), margin, wit))
-
-    g1 = float(g.g(1.0))
-    lin = (g1 + g1 * ts - gv) / (1.0 + np.abs(gv))
-    margin, wit = _min_margin(lin, ts)
-    checks.append(CheckResult("g-affine-dominated", bool(margin >= -_REL_SLACK), margin, wit))
-
-    quad_bound = (g1 * ts + 0.5 * g1 * ts**2 - Gv) / (1.0 + np.abs(Gv))
-    margin, wit = _min_margin(quad_bound, ts)
-    checks.append(CheckResult("G-quadratic-dominated", bool(margin >= -_REL_SLACK), margin, wit))
-
-    h = 0.5 * Gv - 0.25 * gv * ts
-    checks.append(_monotone_check("half-G-minus-quarter-gt-nondecreasing", ts, h))
-    margin, wit = _min_margin(h / (1.0 + np.abs(Gv)), ts)
-    checks.append(CheckResult("half-G-minus-quarter-gt-positive", bool(margin > 0.0), margin, wit))
-
-    # nonlinearity side ---------------------------------------------------
-    fv = np.asarray(nl.f(ts))
-    Fv = np.asarray(nl.F(ts))
-
-    theta_margin = (ts * fv - params.theta * Fv) / (1.0 + np.abs(ts * fv))
-    margin, wit = _min_margin(theta_margin, ts)
-    checks.append(CheckResult("superlinearity-theta", bool(margin >= -_REL_SLACK), margin, wit))
-    margin, wit = _min_margin(Fv / (1.0 + np.abs(Fv)), ts)
-    checks.append(CheckResult("F-positive", bool(margin > 0.0), margin, wit))
-
-    ratio_q = fv / ts ** (q - 1.0)
-    checks.append(_monotone_check("f-power-ratio-increasing-pos", ts, ratio_q))
-    fneg = np.asarray(nl.f(-ts[::-1]))
-    ratio_q_neg = fneg / np.abs(ts[::-1]) ** (q - 1.0)
-    checks.append(_monotone_check("f-power-ratio-increasing-neg", -ts[::-1], ratio_q_neg))
-
-    # vanishing slope at zero: |f(t)/t| shrinks toward zero as t decreases,
-    # judged over the two decades above the smallest sample so the decay
-    # rate is visible whatever the size of the power coefficient
-    small = ts[ts <= 1e2 * ts[0]]
-    slopes = np.abs(np.asarray(nl.f(small)) / small)
-    shrinking = np.all(np.diff(slopes) >= -_REL_SLACK * (1.0 + np.abs(slopes[1:])))
-    margin = float(1e-3 - slopes[0] / (1.0 + slopes[-1]))
-    checks.append(
-        CheckResult(
-            "f-vanishing-slope-at-zero",
-            bool(shrinking and margin > 0.0),
-            margin,
-            float(small[0]),
-        )
-    )
-
-    lower = (np.sign(ts) * fv - nl.cp * ts ** (p - 1.0)) / (1.0 + np.abs(fv))
-    margin, wit = _min_margin(lower, ts)
-    checks.append(CheckResult("f-dominates-cp-power", bool(margin >= -_REL_SLACK), margin, wit))
-
-    checks.append(_monotone_check("f-cubic-ratio-increasing", ts, fv / ts**3))
-
-    checks.append(_monotone_check("tf-minus-qF-increasing", ts, ts * fv - q * Fv))
-
-    odd_gap = np.abs(np.asarray(nl.f(-ts)) + fv)
-    margin, wit = _min_margin(-odd_gap / (1.0 + np.abs(fv)), ts)
-    checks.append(CheckResult("f-odd", bool(margin >= -_REL_SLACK), margin, wit))
-
-    return HypothesisReport(checks=tuple(checks), sample_count=sample_count)

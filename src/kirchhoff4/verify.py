@@ -1,11 +1,14 @@
-"""Property-verification suite.
+"""Property-verification suite: the one home of every check.
 
 Every quantitative ingredient of the solver is checked against an
 independent value: quadrature against closed-form moments, operators
-against symbolic derivatives, weak derivatives against finite
-differences, the projection against scalar oracles, the radial pointwise
-estimate and norm equivalence on random profiles, and the exponential
-integrability budget by direct sampling at the critical coefficient.
+against symbolic derivatives, the structural hypotheses on g and f by
+sampling, weak derivatives against finite differences, the projection
+against scalar oracles, the radial pointwise estimate and norm
+equivalence on random profiles, and the exponential integrability budget
+by direct sampling at the critical coefficient.  Each check is one
+SuiteCheck; every group returns them and run_suite collects them into
+one SuiteReport.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .energy import (
     FiberMap,
+    _nodal_force,
     _residual_load,
     energy,
     fibering,
@@ -26,11 +30,11 @@ from .energy import (
     weak_action,
 )
 from .model import (
+    EXP_GUARD,
     KirchhoffSpec,
     ModelParams,
-    RangeOverflowError,
+    NonlinearitySpec,
     adams_constant,
-    check_hypotheses,
 )
 from .nehari import project, project_scale, t_leq_one_check
 from .radial import (
@@ -46,7 +50,7 @@ from .radial import (
     w_norm,
 )
 
-__all__ = ["SuiteCheck", "SuiteReport", "run_suite"]
+__all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,10 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     worst_gap = -math.inf
     worst_ratio = 1.0
     ratio_ok = True
+    coeffs = np.array([pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
     for k in range(count):
         u = random_clamped_profile(grid, np.random.default_rng([seed, 100 + k]))
         nw = w_norm(u, beta)
-        coeffs = np.array([pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
         gap = float(np.max(np.abs(u.values[:-1]) - coeffs * nw))
         worst_gap = max(worst_gap, gap)
         ratio = full_sobolev_norm(u, beta) / nw if nw > 0 else math.inf
@@ -187,6 +191,126 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     scale = 1.0 + abs(w_inner(u, z, beta)) + abs(w_inner(v, z, beta))
     checks.append(_bound("bilinearity", lin_gap / scale, 1e-10))
     return checks
+
+
+_REL_SLACK = 1e-9  # floating-point slack for non-strict inequalities
+
+
+def _worst(name, values, witnesses, strict=False):
+    """Check on the worst sampled margin, with the sample where it occurs:
+    it passes when the margin is positive (strict) or within slack of it."""
+    i = int(np.argmin(values))
+    wit = witnesses[i] if not isinstance(witnesses, tuple) else tuple(w[i] for w in witnesses)
+    margin = float(values[i])
+    return _check(name, margin > 0.0 if strict else margin >= -_REL_SLACK, margin, wit)
+
+
+def _monotone_check(name, ts, vals):
+    rel = np.diff(vals) / (1.0 + (np.abs(vals[1:]) + np.abs(vals[:-1])))
+    return _worst(name, rel, ts[1:])
+
+
+def _representable_scale(nl: NonlinearitySpec, guard: float) -> float:
+    """Largest scale up to the guard at which the largest term the checks
+    form, t^p (cp + e^X) (p - 1 + gamma X) with X = alpha0 t^gamma, stays
+    under the overflow guard in log-magnitude.
+
+    The guard bounds only X; near it t f(t), F and f' are already past the
+    double range when p is large or alpha0 small.  The log-magnitude
+    increases with t, so bisection in log t finds the limit.
+    """
+    log_cp = math.log(nl.cp) if nl.cp > 0.0 else -math.inf
+
+    def log_magnitude(log_t: float) -> float:
+        x = nl._exp_arg(math.exp(log_t))
+        return nl.p * log_t + np.logaddexp(log_cp, x) + math.log(nl.p - 1.0 + nl.gamma * x)
+
+    lo, hi = math.log(1e-6), math.log(guard)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_magnitude(mid) <= EXP_GUARD:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
+def check_hypotheses(params: ModelParams, sample_count: int = 200) -> SuiteReport:
+    """Sample-based verification of every structural hypothesis on g and f.
+
+    Samples are log-spaced on (0, t_max] with t_max set by the overflow
+    guard.  Failures are reported, never raised; each check, named
+    hyp-..., records the worst margin (negative means violated beyond
+    slack) and its witness.
+    """
+    if sample_count < 100:
+        raise ValueError("sample_count must be at least 100")
+    g = params.kirchhoff
+    nl = params.nonlinearity
+    q, p = params.q, params.p
+    t_max = nl.guard_scale()
+    t_max = 10.0 if math.isinf(t_max) else 0.999 * _representable_scale(nl, t_max)
+    ts = np.geomspace(1e-6, t_max, sample_count)
+
+    checks = []
+
+    # Kirchhoff side ----------------------------------------------------
+    gv = np.asarray(g.g(ts))
+    Gv = np.asarray(g.G(ts))
+    checks.append(_monotone_check("hyp-g-increasing", ts, gv))
+    checks.append(_check("hyp-g0-positive", g.g(0.0) > 0.0, g.g(0.0), 0.0))
+    checks.append(_monotone_check("hyp-g-over-t-nonincreasing", ts, -gv / ts))
+
+    rng_pairs = np.random.default_rng(0)
+    s_pair = ts[rng_pairs.integers(0, sample_count, size=sample_count)]
+    t_pair = ts[rng_pairs.integers(0, sample_count, size=sample_count)]
+    super_margin = (np.asarray(g.G(s_pair + t_pair)) - np.asarray(g.G(s_pair)) - np.asarray(g.G(t_pair))) / (
+        1.0 + np.abs(Gv.max())
+    )
+    checks.append(_worst("hyp-G-superadditive", super_margin, (s_pair, t_pair)))
+
+    g1 = float(g.g(1.0))
+    checks.append(_worst("hyp-g-affine-dominated", (g1 + g1 * ts - gv) / (1.0 + np.abs(gv)), ts))
+    quad_bound = (g1 * ts + 0.5 * g1 * ts**2 - Gv) / (1.0 + np.abs(Gv))
+    checks.append(_worst("hyp-G-quadratic-dominated", quad_bound, ts))
+
+    h = 0.5 * Gv - 0.25 * gv * ts
+    checks.append(_monotone_check("hyp-half-G-minus-quarter-gt-nondecreasing", ts, h))
+    checks.append(_worst("hyp-half-G-minus-quarter-gt-positive", h / (1.0 + np.abs(Gv)), ts, strict=True))
+
+    # nonlinearity side ---------------------------------------------------
+    fv = np.asarray(nl.f(ts))
+    Fv = np.asarray(nl.F(ts))
+
+    theta_margin = (ts * fv - params.theta * Fv) / (1.0 + np.abs(ts * fv))
+    checks.append(_worst("hyp-superlinearity-theta", theta_margin, ts))
+    checks.append(_worst("hyp-F-positive", Fv / (1.0 + np.abs(Fv)), ts, strict=True))
+
+    checks.append(_monotone_check("hyp-f-power-ratio-increasing-pos", ts, fv / ts ** (q - 1.0)))
+    fneg = np.asarray(nl.f(-ts[::-1]))
+    ratio_q_neg = fneg / np.abs(ts[::-1]) ** (q - 1.0)
+    checks.append(_monotone_check("hyp-f-power-ratio-increasing-neg", -ts[::-1], ratio_q_neg))
+
+    # vanishing slope at zero: |f(t)/t| shrinks toward zero as t decreases,
+    # judged over the two decades above the smallest sample so the decay
+    # rate is visible whatever the size of the power coefficient
+    small = ts[ts <= 1e2 * ts[0]]
+    slopes = np.abs(np.asarray(nl.f(small)) / small)
+    shrinking = np.all(np.diff(slopes) >= -_REL_SLACK * (1.0 + np.abs(slopes[1:])))
+    margin = float(1e-3 - slopes[0] / (1.0 + slopes[-1]))
+    checks.append(_check("hyp-f-vanishing-slope-at-zero", shrinking and margin > 0.0, margin, float(small[0])))
+
+    lower = (np.sign(ts) * fv - nl.cp * ts ** (p - 1.0)) / (1.0 + np.abs(fv))
+    checks.append(_worst("hyp-f-dominates-cp-power", lower, ts))
+
+    checks.append(_monotone_check("hyp-f-cubic-ratio-increasing", ts, fv / ts**3))
+
+    checks.append(_monotone_check("hyp-tf-minus-qF-increasing", ts, ts * fv - q * Fv))
+
+    odd_gap = np.abs(np.asarray(nl.f(-ts)) + fv)
+    checks.append(_worst("hyp-f-odd", -odd_gap / (1.0 + np.abs(fv)), ts))
+
+    return SuiteReport(checks=tuple(checks))
 
 
 def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
@@ -262,6 +386,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     worst_margin = math.inf
     g0 = params.kirchhoff.g0
     coer = 0.25 - 1.0 / params.q
+    ops = operator_cache(grid, params.beta)
     for k in range(count):
         u = random_clamped_profile(grid, np.random.default_rng([seed, 500 + k]))
         u = RadialFunction(grid, u.values / w_norm(u, params.beta))
@@ -287,15 +412,24 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
         margin = pt.energy / (coer * g0 * s_level) - 1.0
         worst_margin = min(worst_margin, margin + 1e-9)
         coer_ok &= margin >= -1e-9
-        resid_ok &= abs(pt.residual) <= max(
-            1e-10 * (1.0 + s_level), _residual_floor(fiber, pt.t_u)
-        )
+        resid_ok &= abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params)
     checks.append(_check("projection-unique-sign-change", sign_ok, 1.0 if sign_ok else -1.0))
     checks.append(_check("projection-fibering-max", max_ok, 1.0 if max_ok else -1.0))
     checks.append(_check("projection-scale-below-one", small_ok, 1.0 if small_ok else -1.0))
     checks.append(_check("projection-coercivity", coer_ok, worst_margin))
     checks.append(_check("projection-residual", resid_ok, 1.0 if resid_ok else -1.0))
     return checks
+
+
+def _residual_limit(ops, values: np.ndarray, params: ModelParams) -> float:
+    """Rounding bound of the Nehari residual <J'(w), w> = g(S) S - vol.(force(w) w):
+    eps times the magnitudes of its terms, so it scales with the problem
+    and has no absolute part."""
+    lw = ops.grid.lap @ values
+    g_val = float(params.kirchhoff.g(float(ops.wvol @ (lw * lw))))
+    head = 2.0 * g_val * float(ops.wvol @ (np.abs(lw) * (np.abs(ops.grid.lap) @ np.abs(values))))
+    tail = float(ops.vol @ np.abs(_nodal_force(values, params) * values))
+    return 4.0 * float(np.finfo(float).eps) * (head + tail)
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:
@@ -318,19 +452,10 @@ def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples
     return worst
 
 
-def _residual_floor(fiber: FiberMap, t: float) -> float:
-    """Granularity of the ray residual at the float scale t."""
-    try:
-        slope = t * fiber.deriv2(t) + fiber.deriv(t)
-    except RangeOverflowError:
-        return 0.0
-    return 4.0 * float(np.finfo(float).eps) * abs(t) * (abs(slope) + 1.0)
-
-
 def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:
     alpha = adams_constant(params.beta)
-    gamma = 2.0 / (1.0 - params.beta)
-    vol = 2.0 * np.pi**2 * grid.quad_weights
+    gamma = params.gamma
+    vol = operator_cache(grid, params.beta).vol
     sup = 0.0
     finite = True
     for k in range(count):
@@ -362,9 +487,7 @@ def run_suite(
     checks = []
     checks.extend(_grid_checks(grid))
     checks.extend(_profile_checks(grid, params.beta, profiles, seed))
-    hyp = check_hypotheses(params)
-    for c in hyp.checks:
-        checks.append(_check("hyp-" + c.name, c.passed, c.margin, c.witness))
+    checks.extend(check_hypotheses(params).checks)
     checks.extend(_energy_checks(grid, params, seed))
     checks.extend(_projection_checks(grid, params, directions, seed))
     checks.extend(_adams_check(grid, params, adams_profiles, seed))

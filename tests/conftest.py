@@ -46,3 +46,11 @@ def ground_default(spectral64, resolved_default, search_default):
 def unit_profile(grid, beta, seed):
     u = k4.random_clamped_profile(grid, np.random.default_rng(seed))
     return u.scaled(1.0 / k4.w_norm(u, beta))
+
+
+class WeakenedNonlinearity(k4.NonlinearitySpec):
+    """Violates the lower power bound: f = 0.5 cp |t|^(p-2) t."""
+
+    def f(self, t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * self.cp * np.abs(t) ** (self.p - 2.0) * t

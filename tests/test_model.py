@@ -9,10 +9,12 @@ from kirchhoff4.model import (
     KirchhoffSpec,
     NonlinearitySpec,
     RangeOverflowError,
-    check_hypotheses,
     params_from_dict,
     params_to_dict,
 )
+from kirchhoff4.verify import check_hypotheses
+
+from conftest import WeakenedNonlinearity
 
 
 def test_kirchhoff_affine_values():
@@ -192,37 +194,29 @@ def test_params_roundtrip():
 
 def test_hypotheses_default_pass(params_cp2):
     report = check_hypotheses(params_cp2, 200)
-    assert report.all_passed, [c.name for c in report.failed()]
+    assert report.overall, [c.name for c in report.failed()]
 
 
 def test_hypotheses_resolved_cp_pass(resolved_default):
     params, _, _ = resolved_default
     report = check_hypotheses(params, 200)
-    assert report.all_passed, [c.name for c in report.failed()]
+    assert report.overall, [c.name for c in report.failed()]
 
 
 def test_hypotheses_log_kirchhoff(params_cp2):
     p = k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.log_type())
     report = check_hypotheses(p, 150)
-    assert report.all_passed, [c.name for c in report.failed()]
-
-
-class _WeakenedNonlinearity(NonlinearitySpec):
-    """Violates the lower power bound: f = 0.5 cp |t|^(p-2) t."""
-
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * self.cp * np.abs(t) ** (self.p - 2.0) * t
+    assert report.overall, [c.name for c in report.failed()]
 
 
 def test_hypotheses_detect_weakened_cp(params_cp2):
-    broken = _WeakenedNonlinearity(cp=2.0, p=6.0, alpha0=1.0, gamma=4.0)
+    broken = WeakenedNonlinearity(cp=2.0, p=6.0, alpha0=1.0, gamma=4.0)
     params = k4.ModelParams(
         beta=0.5, q=5.0, p=6.0, delta=0.1,
         kirchhoff=KirchhoffSpec.affine(1.0, 1.0), nonlinearity=broken,
     )
     report = check_hypotheses(params, 150)
-    assert not report["f-dominates-cp-power"].passed
+    assert report["hyp-f-dominates-cp-power"].status == "fail"
 
 
 def test_hypotheses_sample_count_guard(params_cp2):

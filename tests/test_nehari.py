@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import FiberMap
+from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4.nehari import ProjectionError, _Functional
+from kirchhoff4.verify import _projection_checks, _residual_limit
 
 from conftest import unit_profile
 
@@ -78,17 +79,33 @@ def test_projection_overflow_diagnostic(spectral64, params_cp2):
 
 
 def test_projection_point_invariants(spectral64, params_cp2):
+    ops = operator_cache(spectral64, 0.5)
     for k in range(25):
         u = unit_profile(spectral64, 0.5, [61, k])
         pt = k4.project(u, params_cp2)
         s = k4.w_norm(pt.projected, 0.5) ** 2
-        fiber = FiberMap.full(u, params_cp2)
-        granularity = 4 * np.finfo(float).eps * pt.t_u * (
-            abs(pt.t_u * fiber.deriv2(pt.t_u) + fiber.deriv(pt.t_u)) + 1.0
-        )
-        assert abs(pt.residual) <= max(1e-10 * (1 + s), granularity), k
+        assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params_cp2), k
         coer = (0.25 - 1.0 / params_cp2.q) * params_cp2.kirchhoff.g0
         assert pt.energy >= coer * s - 1e-9
+
+
+def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
+    # the sweep of `verify --cp 2 --seed 1`: directions 101 and 132 exceeded
+    # the former floor 4 eps t (|slope| + 1) by 1.85x and 1.12x
+    checks = {c.name: c for c in _projection_checks(spectral64, params_cp2, 133, 1)}
+    assert checks["projection-residual"].status == "pass"
+
+
+def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolved_default):
+    # a point moved off the Nehari set by a relative 1e-9 along its ray
+    # breaks the rounding bound, at cp = 2 and at the automatic cp ~ 1e77
+    ops = operator_cache(spectral64, 0.5)
+    for params in (params_cp2, resolved_default[0]):
+        for k in range(10):
+            pt = k4.project(unit_profile(spectral64, 0.5, [62, k]), params)
+            assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params), k
+            moved = pt.projected.scaled(1.0 + 1e-9)
+            assert abs(k4.nehari_residual(moved, params)) > _residual_limit(ops, moved.values, params), k
 
 
 def test_projection_residual_scale_of_minimizer(ground_default):
