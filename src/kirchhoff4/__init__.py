@@ -48,7 +48,6 @@ from .nehari import (
     BoundsReport,
     project,
     project_scale,
-    t_leq_one_check,
     ground_state,
     aux_ground_state,
     level_bounds,
@@ -56,6 +55,6 @@ from .nehari import (
     resolve_auto_cp,
     power_envelope_max,
 )
-from .verify import SuiteReport, check_hypotheses, run_suite
+from .verify import SuiteReport, check_hypotheses, run_suite, t_leq_one_check
 
 __version__ = "0.1.0"

@@ -88,9 +88,7 @@ class _WOperators:
         self.basis = raw / np.sqrt(diag)
         self.a = self.basis.T @ self.gram @ self.basis
         eigs = np.linalg.eigvalsh(self.a)
-        self.eig_min = float(eigs[0])
-        self.eig_max = float(eigs[-1])
-        self.cond = self.eig_max / self.eig_min if self.eig_min > 0.0 else np.inf
+        self.cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else np.inf
         if self.cond > _COND_LIMIT:
             warnings.warn(
                 f"weighted Gram matrix condition estimate {self.cond:.3g} exceeds {_COND_LIMIT:g} "

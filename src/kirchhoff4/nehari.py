@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FiberMap, energy, nehari_residual, operator_cache
-from .energy import _nodal_force, _norm_sq, _residual_load
+from .energy import _norm_sq, _residual_load
 from .model import ModelParams, RangeOverflowError, adams_constant
 from .radial import RadialFunction, RadialGrid, random_clamped_profile
 
@@ -42,7 +42,6 @@ __all__ = [
     "BoundsReport",
     "project",
     "project_scale",
-    "t_leq_one_check",
     "ground_state",
     "aux_ground_state",
     "level_bounds",
@@ -179,18 +178,6 @@ def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
     )
 
 
-def t_leq_one_check(u: RadialFunction, params: ModelParams) -> bool:
-    """For directions on or inside the Nehari set (residual <= 0), the
-    projection scale cannot exceed one."""
-    res = nehari_residual(u, params)
-    norm_sq = _norm_sq(operator_cache(u.grid, params.beta), u.values)
-    if res > 1e-10 * (1.0 + norm_sq):
-        raise ValueError(
-            f"precondition violated: Nehari residual {res:.3g} is positive"
-        )
-    return project(u, params).t_u <= 1.0 + 1e-10
-
-
 # ---------------------------------------------------------------------------
 # descent machinery
 # ---------------------------------------------------------------------------
@@ -198,6 +185,9 @@ def t_leq_one_check(u: RadialFunction, params: ModelParams) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Multi-start search settings.  A start counts as converged when its
+    relative gradient ||J'(w)|| / (g(S) ||w||) is at most tol."""
+
     starts: int = 8
     max_iter: int = 300
     tol: float = 1e-6
@@ -217,6 +207,7 @@ class StartRecord:
     index: int
     energy: float
     gradient_norm: float
+    relative_gradient: float
     norm: float
     iterations: int
     converged: bool
@@ -227,6 +218,7 @@ class StartRecord:
             "index": self.index,
             "energy": self.energy,
             "gradient_norm": self.gradient_norm,
+            "relative_gradient": self.relative_gradient,
             "norm": self.norm,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -289,11 +281,6 @@ class _Functional:
             return 0.5 * float(self.params.kirchhoff.G(s)) - i_p / self.params.p
         return energy(RadialFunction(self.grid, values), self.params).total
 
-    def _nodal_force(self, values: np.ndarray) -> np.ndarray:
-        if self.pure_power:
-            return np.abs(values) ** (self.params.p - 2.0) * values
-        return _nodal_force(values, self.params)
-
     def _nodal_stiffness(self, values: np.ndarray) -> np.ndarray:
         if self.pure_power:
             p = self.params.p
@@ -306,29 +293,21 @@ class _Functional:
             return _residual_load(self.ops, values, self.params)
         s = self.norm(values) ** 2
         g_val = float(self.params.kirchhoff.g(s))
-        return g_val * (self.ops.gram @ values) - self.ops.vol * self._nodal_force(values)
+        force = np.abs(values) ** (self.params.p - 2.0) * values
+        return g_val * (self.ops.gram @ values) - self.ops.vol * force
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         return self.ops.riesz(self.load(values))
 
-    def gradient_floor(self, values: np.ndarray) -> float:
-        """Rounding floor of the gradient norm.
+    def relative_gradient(self, values: np.ndarray, grad_norm: float) -> float:
+        """||J'(w)|| / (g(S) ||w||) with S = ||w||^2.
 
-        The load is a cancellation of terms whose componentwise magnitude
-        is `parts`; its evaluation noise is of order eps * parts, and the
-        Riesz solve amplifies a worst-aligned perturbation by at most
-        sqrt(lam_max)/lam_min in the weighted norm.  The gradient of an
-        exact discrete critical point cannot be resolved below this level
-        in double precision."""
-        s = self.norm(values) ** 2
-        g_val = float(self.params.kirchhoff.g(s))
-        parts = np.abs(g_val * (self.ops.gram @ values)) + np.abs(
-            self.ops.vol * self._nodal_force(values)
-        )
-        eps = float(np.finfo(float).eps)
-        lever = math.sqrt(self.ops.eig_max) / self.ops.eig_min
-        # factor 4 covers the sqrt(n)-type accumulation of the dot products
-        return 4.0 * eps * lever * float(np.linalg.norm(self.ops.basis.T @ parts))
+        At a critical point the gradient is the difference of g(S) w and
+        the Riesz image of the force, so this is the gradient relative to
+        the terms it cancels: the same for both functionals at any cp."""
+        nrm = self.norm(values)
+        scale = float(self.params.kirchhoff.g(nrm**2)) * nrm
+        return grad_norm / scale if scale > 0.0 else math.inf
 
     def hessian_matrix(self, values: np.ndarray) -> np.ndarray:
         """Second derivative of the energy on the clamped basis."""
@@ -376,8 +355,8 @@ def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
 
 _ARMIJO = 1e-4
 # Energy comparisons near a minimum sit on the rounding floor of the
-# quadrature sums; the line search tolerates that much noise so the
-# terminal iterations are not rejected spuriously.
+# quadrature sums; the line search tolerates that much relative noise so
+# the terminal iterations are not rejected spuriously.
 _ENERGY_NOISE = 1e-13
 
 
@@ -394,11 +373,8 @@ def _finish_start(
     The polish targets the free critical-point system; afterwards the
     point is projected back onto the Nehari set along its own ray (a
     near-identity step when the polish succeeded), so every reported
-    level is the energy of a genuine constrained point.  Convergence uses
-    the requested tolerance, widened by the computable rounding floor of
-    the gradient: at the scale of this problem the gradient of an exact
-    discrete critical point still evaluates to a nonzero rounding
-    residue, which no further iteration can reduce.
+    level is the energy of a genuine constrained point.  The start has
+    converged when its relative gradient is at most the tolerance.
     """
     w_vals, _ = _newton_polish(func, w_vals)
     nrm = func.norm(w_vals)
@@ -407,19 +383,15 @@ def _finish_start(
         t = project_scale(func.fiber(direction))
         w_vals = t * direction.values
     grad_norm = func.norm(func.gradient(w_vals))
-    w_norm_val = func.norm(w_vals)
-    # the constraint residual after reprojection is limited by the float
-    # lattice of the ray scale; its ray component is part of the floor
-    ray = abs(float(w_vals @ func.load(w_vals))) / w_norm_val if w_norm_val > 0.0 else 0.0
-    floor = 2.0 * (func.gradient_floor(w_vals) + ray)
-    converged = grad_norm <= max(search.tol * (1.0 + w_norm_val), floor)
+    rel_grad = func.relative_gradient(w_vals, grad_norm)
     record = StartRecord(
         index=index,
         energy=func.value(w_vals),
         gradient_norm=grad_norm,
-        norm=w_norm_val,
+        relative_gradient=rel_grad,
+        norm=func.norm(w_vals),
         iterations=iterations,
-        converged=converged,
+        converged=rel_grad <= search.tol,
         trace=trace,
     )
     return record, w_vals
@@ -452,10 +424,7 @@ def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, i
     for iterations in range(1, search.max_iter + 1):
         grad = func.gradient(w_vals)
         grad_norm = func.norm(grad)
-        w_norm_val = func.norm(w_vals)
-        # working rule is relative in the point's own scale (the requested
-        # absolute criterion is vacuous when the minimizer is tiny)
-        if grad_norm <= search.tol * min(w_norm_val, 1.0 + w_norm_val):
+        if func.relative_gradient(w_vals, grad_norm) <= search.tol:
             break
         # Barzilai-Borwein initial step from the last curvature pair; the
         # backtracking below keeps the projected energy monotone.
@@ -480,7 +449,7 @@ def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, i
                     e_try = func.value(w_try)
                 except (ProjectionError, RangeOverflowError):
                     e_try = math.inf
-                if e_try <= e_val - _ARMIJO * a * grad_norm**2 + _ENERGY_NOISE * (1.0 + abs(e_val)):
+                if e_try <= e_val - _ARMIJO * a * grad_norm**2 + _ENERGY_NOISE * abs(e_val):
                     accepted = True
                     break
             a *= 0.5
@@ -562,7 +531,9 @@ def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, desc
         minimizers.append(vals)
         min_norm = min(min_norm, mn)
         coer_margin = min(coer_margin, cm)
-    best = min(range(len(records)), key=lambda k: (records[k].energy, k))
+    # prefer converged starts: one just above tol can undercut the level by
+    # a rounding-level energy margin
+    best = min(range(len(records)), key=lambda k: (not records[k].converged, records[k].energy, k))
     return records, minimizers[best], records[best], min_norm, coer_margin
 
 

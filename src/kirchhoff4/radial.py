@@ -70,7 +70,7 @@ class RadialGrid:
 
     nodes        radii r_i, strictly increasing, last node r = 1
     quad_weights weights w_i with sum w_i v(r_i) ~ int_0^1 v(r) r^3 dr
-    d1, d2       dense operators mapping nodal values to u'(r_i), u''(r_i)
+    d1           dense operator mapping nodal values to u'(r_i)
     lap          dense operator for the radial Laplacian u'' + (3/r) u'
     """
 
@@ -79,11 +79,10 @@ class RadialGrid:
     nodes: np.ndarray
     quad_weights: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
     lap: np.ndarray
 
     def __post_init__(self):
-        for name in ("nodes", "quad_weights", "d1", "d2", "lap"):
+        for name in ("nodes", "quad_weights", "d1", "lap"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -190,11 +189,10 @@ def _build_spectral(n: int):
     ds = 2.0 * (vand @ dcheb @ coef)          # d/ds, since s = (x + 1)/2
     dss = 4.0 * (vand @ (dcheb @ dcheb) @ coef)
     d1 = (2.0 * rl[:, None] * ds).astype(float)               # u'(r)  = 2 r U'(s)
-    d2 = (4.0 * sl[:, None] * dss + 2.0 * ds).astype(float)   # u''(r) = 4 s U'' + 2 U'
     lap = (4.0 * sl[:, None] * dss + 8.0 * ds).astype(float)  # u'' + (3/r) u'
-    for mat in (d1, d2, lap):  # constants must differentiate to exactly zero
+    for mat in (d1, lap):  # constants must differentiate to exactly zero
         mat[np.arange(n), np.arange(n)] -= mat.sum(axis=1)
-    return r, quad, d1, d2, lap
+    return r, quad, d1, lap
 
 
 def _fd_stencil_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -273,7 +271,7 @@ def _build_uniform(n: int):
                 den *= xs[loc] - o
             anti = npoly.polyint(npoly.polymul(num, rcubed))
             quad[i] += (npoly.polyval(b - c, anti) - npoly.polyval(a - c, anti)) / den
-    return r, quad, d1, d2, lap
+    return r, quad, d1, lap
 
 
 @lru_cache(maxsize=32)
@@ -284,10 +282,10 @@ def build_grid(n: int, scheme: str = "spectral-even") -> RadialGrid:
     if n < _MIN_NODES:
         raise ValueError(f"n={n} is too coarse for a fourth-order operator (need n >= {_MIN_NODES})")
     if scheme == "spectral-even":
-        r, quad, d1, d2, lap = _build_spectral(n)
+        r, quad, d1, lap = _build_spectral(n)
     else:
-        r, quad, d1, d2, lap = _build_uniform(n)
-    return RadialGrid(n=n, scheme=scheme, nodes=r, quad_weights=quad, d1=d1, d2=d2, lap=lap)
+        r, quad, d1, lap = _build_uniform(n)
+    return RadialGrid(n=n, scheme=scheme, nodes=r, quad_weights=quad, d1=d1, lap=lap)
 
 
 # ---------------------------------------------------------------------------

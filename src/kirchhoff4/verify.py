@@ -36,7 +36,7 @@ from .model import (
     NonlinearitySpec,
     adams_constant,
 )
-from .nehari import project, project_scale, t_leq_one_check
+from .nehari import project, project_scale
 from .radial import (
     RadialFunction,
     RadialGrid,
@@ -50,7 +50,7 @@ from .radial import (
     w_norm,
 )
 
-__all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite"]
+__all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite", "t_leq_one_check"]
 
 
 @dataclass(frozen=True)
@@ -430,6 +430,15 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams) -> float:
     head = 2.0 * g_val * float(ops.wvol @ (np.abs(lw) * (np.abs(ops.grid.lap) @ np.abs(values))))
     tail = float(ops.vol @ np.abs(_nodal_force(values, params) * values))
     return 4.0 * float(np.finfo(float).eps) * (head + tail)
+
+
+def t_leq_one_check(u: RadialFunction, params: ModelParams) -> bool:
+    """For directions on or inside the Nehari set (residual <= 0, up to its
+    rounding bound), the projection scale cannot exceed one."""
+    res = nehari_residual(u, params)
+    if res > _residual_limit(operator_cache(u.grid, params.beta), u.values, params):
+        raise ValueError(f"precondition violated: Nehari residual {res:.3g} is positive")
+    return project(u, params).t_u <= 1.0 + 1e-10
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
+from kirchhoff4.energy import operator_cache
+from kirchhoff4.nehari import _Functional
+from kirchhoff4.verify import _residual_limit
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +44,14 @@ def resolved_default(spectral64, params_cp2, search_default):
 def ground_default(spectral64, resolved_default, search_default):
     params, aux, _ = resolved_default
     return k4.ground_state(spectral64, params, search_default, extra_starts=(aux.w_p,))
+
+
+def minimizer_gates(gs, params):
+    """Relative gradient ||J'(w)|| / (g(S) ||w||) of a published minimizer and
+    the rounding bound of its Nehari residual: both follow the problem's scale."""
+    values = gs.minimizer.values
+    rel = _Functional(gs.minimizer.grid, params, pure_power=False).relative_gradient(values, gs.gradient_norm)
+    return rel, _residual_limit(operator_cache(gs.minimizer.grid, params.beta), values, params)
 
 
 def unit_profile(grid, beta, seed):

@@ -18,7 +18,7 @@ from kirchhoff4.energy import FiberMap
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4.verify import check_hypotheses, run_suite
 
-from conftest import WeakenedNonlinearity
+from conftest import WeakenedNonlinearity, minimizer_gates
 
 
 def _verdict(ok: bool, label: str, detail: str = ""):
@@ -95,17 +95,19 @@ def fd_solution(resolved_default, params_cp2, search_default, fd400):
     return k4.ground_state(fd400, params, search_default, extra_starts=(aux_fd.w_p,))
 
 
-def test_criterion_05_ground_state_quality(ground_default, fd_solution):
+def test_criterion_05_ground_state_quality(ground_default, fd_solution, resolved_default):
     gs, gf = ground_default, fd_solution
-    grad_ok = gs.converged and gs.gradient_norm <= 1e-6 * (1 + gs.minimizer_norm)
-    resid_ok = abs(gs.residual) <= 1e-10 * (1 + gs.minimizer_norm**2)
+    rel_grad, resid_limit = minimizer_gates(gs, resolved_default[0])
+    grad_ok = gs.converged and rel_grad <= 1e-6
+    resid_ok = abs(gs.residual) <= resid_limit
     positive = gs.m > 0.0
     agree = abs(gf.m - gs.m) / abs(gs.m)
     ok = grad_ok and resid_ok and positive and agree <= 1e-4
     _verdict(
         ok,
         "criterion 5: ground-state quality and cross-scheme agreement",
-        f"grad={gs.gradient_norm:.2e} resid={gs.residual:.2e} m={gs.m:.6g} agreement={agree:.2e}",
+        f"rel-grad={rel_grad:.2e} resid={gs.residual:.2e} (limit {resid_limit:.2e}) "
+        f"m={gs.m:.6g} agreement={agree:.2e}",
     )
 
 

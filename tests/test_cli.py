@@ -152,6 +152,16 @@ def test_bounds_command(tmp_path):
     assert report["result"]["cp_used"] > report["result"]["cp_threshold_stated"]
 
 
+@pytest.mark.parametrize("seed", [255, 359])
+def test_bounds_aux_converged_regression(tmp_path, seed):
+    # the aux start's gradient once landed above a rounding-noise floor by chance
+    rc = cli.main(["bounds", "--seed", str(seed), "--out", str(tmp_path)])
+    assert rc == 0
+    report = _load(tmp_path / "report.json")
+    assert report["result"]["aux_converged"] is True
+    assert report["result"]["main_converged"] is True
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"n": 32, "starts": 2, "max_iter": 80, "seed": 3, "beta": 0.5}))
