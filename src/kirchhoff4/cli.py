@@ -26,6 +26,7 @@ from .nehari import (
     ProjectionError,
     SearchConfig,
     aux_ground_state,
+    aux_pnorm_bound,
     ground_state,
     level_bounds,
     min_admissible_cp,
@@ -199,7 +200,7 @@ def cmd_aux(config: RunConfig) -> int:
     result = aux_ground_state(config.grid(), params, config.search())
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    cap = params.p * params.q / (params.p - params.q) * result.m_p
+    cap, below_cap = aux_pnorm_bound(result, params)
     report = _report_skeleton("aux", config, params)
     report["result"] = {
         "m_p": result.m_p,
@@ -210,7 +211,7 @@ def cmd_aux(config: RunConfig) -> int:
         "per_start_energies": result.per_start_energies,
         "per_start": _start_records(result),
         "pnorm_cap": cap,
-        "pnorm_below_cap": bool(result.p_norm_p <= cap + 1e-8),
+        "pnorm_below_cap": below_cap,
         "min_admissible_cp": min_admissible_cp(result, params),
     }
     _write_json(out / "report.json", report)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     EXP_GUARD,
@@ -34,7 +33,6 @@ from .radial import (
     RadialGrid,
     clamped_even_basis,
     weight_values,
-    w_inner,
 )
 
 __all__ = [
@@ -67,10 +65,9 @@ class _WOperators:
     vol      volume quadrature weights (2 pi^2 q_i)
     wvol     weighted quadrature weights (2 pi^2 q_i w(r_i))
     gram     nodal Gram matrix of the weighted scalar product
-    basis    columns spanning the discrete clamped subspace
-    The Riesz solve is diagonally normalized and Cholesky-factored once;
-    one step of iterative refinement keeps the defining equations of the
-    gradient satisfied to near machine precision.
+    basis    unit-norm columns spanning the discrete clamped subspace
+    a        Gram matrix of the basis, basis^T gram basis
+    riesz_matrix  the Riesz map basis a^-1 basis^T: one product per gradient
     """
 
     def __init__(self, grid: RadialGrid, beta: float):
@@ -83,8 +80,8 @@ class _WOperators:
         diag = np.einsum("ij,ij->j", raw, self.gram @ raw)
         if np.any(diag <= 0.0):
             raise RuntimeError("weighted Gram matrix is not positive definite")
-        # columns normalized to unit weighted norm: the solve is then
-        # naturally equilibrated and its defining equations hold to ~1e-12
+        # columns normalized to unit weighted norm: a is then equilibrated
+        # and its solve for the Riesz matrix is accurate to ~cond(a) eps
         self.basis = raw / np.sqrt(diag)
         self.a = self.basis.T @ self.gram @ self.basis
         eigs = np.linalg.eigvalsh(self.a)
@@ -96,7 +93,7 @@ class _WOperators:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self.cho = cho_factor(self.a)
+        self.riesz_matrix = self.basis @ np.linalg.solve(self.a, self.basis.T)
 
     @staticmethod
     def _clamped_basis(grid: RadialGrid) -> np.ndarray:
@@ -110,18 +107,13 @@ class _WOperators:
         # boundary there): unit vectors at interior nodes corrected through
         # the next-to-boundary value so that u(1) = 0 and (d1 u)(1) = 0.
         last = grid.d1[-1]
-        basis = np.zeros((n, n - 2))
-        for i in range(n - 2):
-            basis[i, i] = 1.0
-            basis[n - 2, i] = -last[i] / last[n - 2]
+        basis = np.eye(n, n - 2)
+        basis[n - 2] = -last[: n - 2] / last[n - 2]
         return basis
 
     def riesz(self, load: np.ndarray) -> np.ndarray:
         """Solve w_inner(v, phi) = <load, phi> over the clamped subspace."""
-        b = self.basis.T @ load
-        y = cho_solve(self.cho, b)
-        y += cho_solve(self.cho, b - self.a @ y)
-        return self.basis @ y
+        return self.riesz_matrix @ load
 
 
 @lru_cache(maxsize=16)
@@ -158,7 +150,7 @@ def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> 
         raise ValueError("operands live on different grids")
     ops = operator_cache(u.grid, params.beta)
     g_val = float(params.kirchhoff.g(_norm_sq(ops, u.values)))
-    head = g_val * w_inner(u, phi, params.beta)
+    head = g_val * float(ops.wvol @ ((ops.grid.lap @ u.values) * (ops.grid.lap @ phi.values)))
     return head - float(ops.vol @ (_nodal_force(u.values, params) * phi.values))
 
 
@@ -179,8 +171,7 @@ def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
     for every phi in the discrete clamped subspace; v = 0 exactly at
     discrete critical points."""
     ops = operator_cache(u.grid, params.beta)
-    load = _residual_load(ops, u.values, params)
-    return RadialFunction(u.grid, ops.riesz(load))
+    return RadialFunction(u.grid, ops.riesz(_residual_load(ops, u.values, params)))
 
 
 def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:

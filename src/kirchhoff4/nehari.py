@@ -45,12 +45,11 @@ __all__ = [
     "ground_state",
     "aux_ground_state",
     "level_bounds",
+    "aux_pnorm_bound",
     "min_admissible_cp",
     "resolve_auto_cp",
     "power_envelope_max",
 ]
-
-_BOUND_SLACK = 1e-8       # absolute slack on level-bound comparisons
 
 
 class ProjectionError(RuntimeError):
@@ -441,7 +440,7 @@ def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, i
         while a > 1e-20:
             trial = w_vals - a * grad
             trial_norm = func.norm(trial)
-            if math.isfinite(trial_norm) and trial_norm > 1e-12:
+            if math.isfinite(trial_norm) and trial_norm > 0.0:
                 u_try = RadialFunction(func.grid, trial / trial_norm)
                 try:
                     t_try = project_scale(func.fiber(u_try))
@@ -689,10 +688,7 @@ class BoundsReport:
     level_below_closed_form: bool | None
 
     def to_dict(self) -> dict:
-        out = {}
-        for name, val in self.__dict__.items():
-            out[name] = val
-        return out
+        return dict(self.__dict__)
 
     @property
     def all_passed(self) -> bool:
@@ -700,6 +696,16 @@ class BoundsReport:
         if self.level_below_closed_form is not None:
             flags.append(self.level_below_closed_form)
         return all(flags)
+
+
+def _below(x: float, cap: float) -> bool:
+    return bool(x <= cap + 1e-9 * abs(cap))  # rounding slack relative to the cap
+
+
+def aux_pnorm_bound(aux: AuxResult, params: ModelParams) -> tuple:
+    """The cap p q/(p - q) m_p on |w_p|_p^p, and whether w_p is below it."""
+    cap = params.p * params.q / (params.p - params.q) * aux.m_p
+    return cap, _below(aux.p_norm_p, cap)
 
 
 def level_bounds(m: float, aux: AuxResult, params: ModelParams) -> BoundsReport:
@@ -712,7 +718,7 @@ def level_bounds(m: float, aux: AuxResult, params: ModelParams) -> BoundsReport:
     tau_threshold, tau_cap = _tau_pair(m_p, params)
     adams = adams_constant(params.beta)
 
-    aux_pnorm_cap = p * q / (p - q) * m_p
+    aux_pnorm_cap, aux_pnorm_ok = aux_pnorm_bound(aux, params)
     cap_from_pnorm = power_envelope_max(tau_cap, cp, p) * pnorm
     cap_from_aux = tau_cap * (2.0 * tau_cap / cp) ** (2.0 / (p - 2.0)) * (q * (p - 2.0) / (p - q)) * m_p
     cap_closed_form = g0 * (q - 4.0) / (4.0 * q) * (adams / (2.0 * (params.alpha0 + params.delta))) ** (1.0 - params.beta)
@@ -735,8 +741,8 @@ def level_bounds(m: float, aux: AuxResult, params: ModelParams) -> BoundsReport:
         level_cap_from_pnorm=cap_from_pnorm,
         level_cap_from_aux=cap_from_aux,
         level_cap_closed_form=cap_closed_form,
-        aux_pnorm_ok=bool(pnorm <= aux_pnorm_cap + _BOUND_SLACK),
+        aux_pnorm_ok=aux_pnorm_ok,
         cp_above_threshold=bool(cp_ok),
-        level_below_aux_cap=bool(m <= cap_from_aux + _BOUND_SLACK),
-        level_below_closed_form=bool(m <= cap_closed_form + _BOUND_SLACK) if cp_ok else None,
+        level_below_aux_cap=_below(m, cap_from_aux),
+        level_below_closed_form=_below(m, cap_closed_form) if cp_ok else None,
     )

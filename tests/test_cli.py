@@ -76,6 +76,17 @@ def test_module_entry_point(tmp_path):
     assert proc.stderr == "configuration error: q must exceed 4, got 4.0\n"
 
 
+def test_cli_import_skips_scipy_linalg():
+    # the Riesz map is a numpy matrix; nothing on the CLI path needs scipy.linalg
+    env = dict(os.environ)
+    src = str(Path(k4.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, kirchhoff4.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_solve_writes_report_and_profile(tmp_path):
     rc = cli.main(["solve", *SMALL, "--out", str(tmp_path)])
     assert rc == 0

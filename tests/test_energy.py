@@ -92,11 +92,23 @@ def test_sobolev_gradient_zero(spectral64, params_cp2):
     assert np.abs(v.values).max() < 1e-14
 
 
-def test_sobolev_gradient_defining_equations(spectral64, params_cp2):
-    ops = operator_cache(spectral64, 0.5)
-    u = unit_profile(spectral64, 0.5, 9)
+@pytest.mark.parametrize(
+    "n, scheme",
+    [(32, "spectral-even"), (64, "spectral-even"), (128, "spectral-even"), (400, "uniform-fd")],
+    ids=["spectral32", "spectral64", "spectral128", "fd400"],
+)
+def test_sobolev_gradient_defining_equations(n, scheme, params_cp2):
+    # w_inner(v, phi_j) = <load, phi_j> for every basis column phi_j, on
+    # every grid, the worst-conditioned FD400 operator (cond ~1.7e9)
+    # included.  The left side is the weighted product of Laplacians, as
+    # w_inner defines it: through the assembled Gram matrix its rounding
+    # alone reaches ~1e-8 at n=128, whatever solves the system.
+    grid = k4.build_grid(n, scheme)
+    ops = operator_cache(grid, 0.5)
+    u = unit_profile(grid, 0.5, 9)
     v = k4.sobolev_gradient(u, params_cp2)
-    resid = ops.basis.T @ (ops.gram @ v.values) - ops.basis.T @ _residual_load(ops, u.values, params_cp2)
+    lhs = (grid.lap @ ops.basis).T @ (ops.wvol * (grid.lap @ v.values))
+    resid = lhs - ops.basis.T @ _residual_load(ops, u.values, params_cp2)
     assert np.abs(resid).max() < 1e-9
 
 

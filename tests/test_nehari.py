@@ -165,6 +165,11 @@ def test_ground_state_default_quality(ground_default, resolved_default, search_d
     assert gs.m <= min(gs.per_start_energies) + 1e-12 * (1 + abs(gs.m))
     for rec in gs.per_start:
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
+        # every start descends to its own critical point: none stalls after
+        # one step on the tiny Nehari norms of the automatic cp
+        assert rec.converged, rec.index
+        if rec.index < search_default.starts:  # random starts, not the seeded aux minimizer
+            assert rec.iterations > 1, rec.index
 
 
 def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
@@ -282,6 +287,19 @@ def test_bounds_chain(resolved_default, ground_default):
     assert rep.level_cap_from_pnorm <= rep.level_cap_from_aux + 1e-8 * (1 + rep.level_cap_from_aux)
     # both variants of the cap coefficient are reported, derived > stated
     assert rep.tau_cap > rep.tau_threshold
+
+
+def test_level_bounds_gate_is_relative(spectral64, resolved_default, search_default):
+    # at cp = 1e150 the level is ~1e-72 and the aux cap ~1e-36: an absolute
+    # slack would pass a level inflated by 1e60
+    params, aux, _ = resolved_default
+    params = params.with_cp(1e150)
+    gs = k4.ground_state(spectral64, params, search_default, extra_starts=(aux.w_p,))
+    assert k4.level_bounds(gs.m, aux, params).all_passed
+    inflated = k4.level_bounds(1e60 * gs.m, aux, params)
+    assert inflated.m < 1e-8
+    assert not inflated.level_below_aux_cap
+    assert not inflated.all_passed
 
 
 def test_min_admissible_cp_limits(resolved_default):
