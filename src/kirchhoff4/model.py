@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp1f1
 
 __all__ = [
     "RangeOverflowError",
@@ -33,7 +33,11 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0  # natural-log overflow guard for exp arguments
-_UNIT_FACTOR_BOUND = np.finfo(float).eps / 4.0  # below it e^X 1F1(1; b; -X) rounds to 1
+_EPS = np.finfo(float).eps
+_UNIT_FACTOR_BOUND = _EPS / 4.0  # below it 1F1(a; a+1; X) rounds to 1
+_KUMMER_BINS = 4  # Taylor bins per unit of X; |h| <= 1/8 ...
+_KUMMER_TERMS = 11  # ... so the first dropped term, h^11/11!, is below eps/50
+_KUMMER_SERIES_MAX = 1.0 / 8.0  # up to here the defining series needs <= 11 terms
 
 
 class RangeOverflowError(ValueError):
@@ -173,11 +177,11 @@ class NonlinearitySpec:
         """Antiderivative with F(0) = 0; even in t.
 
         The exponential part E(T) = int_0^T s^(p-1) exp(alpha0 s^gamma) ds
-        has the closed form (T^p/p) e^X 1F1(1; a+1; -X) with a = p/gamma and
-        X = alpha0 T^gamma (DLMF 8.5, 13.2: Kummer's transformation of
-        1F1(a; a+1; X)).  The T^p/p prefactor keeps tiny T representable.
-        Where X <= eps/4 the factor 1F1(a; a+1; X) = 1 + a X/(a+1) + ...
-        rounds to 1, so 1F1 is evaluated only above that bound.
+        has the closed form (T^p/p) 1F1(a; a+1; X) with a = p/gamma and
+        X = alpha0 T^gamma (DLMF 8.5, 13.2).  The T^p/p prefactor keeps tiny
+        T representable.  Where X <= eps/4 the factor 1F1(a; a+1; X) =
+        1 + a X/(a+1) + ... rounds to 1, so it is evaluated only above that
+        bound (see _kummer).
         """
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
@@ -186,9 +190,73 @@ class NonlinearitySpec:
         power_part = self.cp * at_p / self.p
         tail = np.array(at_p / self.p)
         big = arg > _UNIT_FACTOR_BOUND
-        x = arg[big]
-        tail[big] = tail[big] * hyp1f1(1.0, self.p / self.gamma + 1.0, -x) * np.exp(x)
+        if big.any():
+            tail[big] *= _kummer(self.p / self.gamma, arg[big])
         return power_part + tail
+
+
+@lru_cache(maxsize=8)
+def _kummer_tables(a: float):
+    """Tables that evaluate 1F1(a; a+1; X) = sum_k a/(a+k) X^k/k! for X > 0.
+
+    Beyond the switch point the asymptotic series a e^X/X sum_k (1-a)_k X^-k
+    (DLMF 13.7.1) is used, cut at its first term below eps/16.  The switch
+    is the first integer >= max(40, a) where such a term exists; with a <= X
+    the terms shrink monotonically until then.  Below it, Taylor
+    coefficients about the centres c of bins of width 1/_KUMMER_BINS,
+    c_k = (1/k!) sum_i a/(a+k+i) c^i/i!: sums of positive terms, exact to
+    rounding.  Returns (coefficients by term and bin, asymptotic
+    coefficients (1-a)_k / switch^k, switch, coefficients a/((a+k) k!) of
+    the defining series).
+    """
+    switch = max(40, math.ceil(a))
+    while True:
+        terms = np.cumprod((np.arange(1.0, 2 * switch + 8) - a) / switch)
+        small = np.flatnonzero(np.abs(terms) <= _EPS / 16)
+        if small.size or switch > EXP_GUARD:  # past the guard no X needs the series
+            break
+        switch += 1
+    asym = np.append(1.0, terms[: small[0] + 1] if small.size else [])
+    centre = (np.arange(switch * _KUMMER_BINS) + 0.5) / _KUMMER_BINS
+    i = np.arange(1.0, switch + 12 * math.sqrt(switch) + 40)  # Poisson(c) tail < 1e-20
+    powers = np.cumprod(np.hstack([np.ones((centre.size, 1)), centre[:, None] / i]), axis=1)
+    k = np.arange(_KUMMER_TERMS + 1.0)
+    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1.0))
+    coef = (a / (a + k[:-1, None] + np.append(0.0, i))) @ powers.T * inv_fact[:-1, None]
+    return coef, asym, switch, a / (a + k) * inv_fact
+
+
+def _kummer(a: float, x: np.ndarray) -> np.ndarray:
+    """1F1(a; a+1; x) = e^x 1F1(1; a+1; -x) for x > 0, to a few ulps."""
+    coef, asym, switch, series = _kummer_tables(a)
+    top = float(x.max())
+    if top <= _KUMMER_SERIES_MAX:
+        # the terms shrink by at least x each, so the tail past the first
+        # term below eps/32 stays under eps/16
+        cut = 2
+        while series[cut] * top**cut > _EPS / 32:
+            cut += 1
+        acc = np.full_like(x, series[cut - 1])
+        for c in series[cut - 2 :: -1]:
+            acc *= x
+            acc += c
+        return acc
+    out = np.empty_like(x)
+    low = x < switch
+    xl = x[low] * _KUMMER_BINS
+    j = xl.astype(np.intp)
+    h = (xl - j - 0.5) / _KUMMER_BINS
+    c = coef[:, j]
+    acc = c[-1].copy()
+    for row in c[-2::-1]:
+        acc *= h
+        acc += row
+    out[low] = acc
+    if top >= switch:
+        xh = x[~low]
+        inv = 1.0 / xh
+        out[~low] = a * np.exp(xh) * inv * np.polynomial.polynomial.polyval(switch * inv, asym)
+    return out
 
 
 # ---------------------------------------------------------------------------

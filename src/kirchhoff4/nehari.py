@@ -151,22 +151,26 @@ def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
     on the measured residual itself, so the reported residual sits at its
     own rounding floor.
     """
-    norm_sq = _norm_sq(operator_cache(u.grid, params.beta), u.values)
-    # zero detection must stay relative: at the self-consistent power
-    # coefficient the legitimate Nehari scales are themselves tiny
-    if norm_sq <= 1e-280:
-        raise ProjectionError("direction is numerically zero")
-    if not math.isfinite(norm_sq):
-        raise ProjectionError(
-            "nodal values overflow the weighted norm; no projection scale is representable"
-        )
-    nrm = math.sqrt(norm_sq)
-    unit = u.scaled(1.0 / nrm)
+    peak = float(np.abs(u.values).max())
+    if not 0.0 < peak < math.inf:
+        raise ProjectionError("direction is zero or not finite")
+    # the norm is taken of the shape u / max|u|, so no scale of a finite
+    # direction underflows or overflows it
+    shape = u.values / peak
+    shape_norm = math.sqrt(_norm_sq(operator_cache(u.grid, params.beta), shape))
+    if not shape_norm > 0.0:
+        raise ProjectionError("direction has zero weighted norm")
+    nrm = peak * shape_norm
+    unit = RadialFunction(u.grid, shape / shape_norm)
     fiber = FiberMap.full(unit, params)
     # find the root of the measured residual <J'(t u), t u> / t itself; the
     # moment form still supplies the slope and the starting balance
     fiber.deriv = lambda t: nehari_residual(unit.scaled(t), params) / t
     t = project_scale(fiber)
+    if not 0.0 < t / nrm < math.inf:
+        raise ProjectionError(
+            f"the weighted norm {nrm:.3g} of the direction leaves no representable projection scale"
+        )
     w = unit.scaled(t)
     return NehariPoint(
         direction=u,

@@ -33,8 +33,6 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 from numpy.polynomial import chebyshev as ncheb
-from numpy.polynomial import legendre as nleg
-from scipy.special import roots_jacobi
 
 __all__ = [
     "SURFACE_3SPHERE",
@@ -143,32 +141,54 @@ def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             b[[k, piv]] = b[[piv, k]]
         b[k] = b[k] / a[k, k]
         a[k] = a[k] / a[k, k]
-        for i in range(n):
-            if i != k and a[i, k] != 0.0:
-                b[i] -= a[i, k] * b[k]
-                a[i] -= a[i, k] * a[k]
+        # eliminate column k from every other row at once
+        factor = a[:, k].copy()
+        factor[k] = 0.0
+        b -= np.multiply.outer(factor, b[k])
+        a -= np.multiply.outer(factor, a[k])
     return b
 
 
+def _jacobi11(x: np.ndarray, m: int):
+    """P_m^(1,1)(x) and its derivative by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), 2.0 * x
+    d_prev, d = np.zeros_like(x), np.full_like(x, 2.0)
+    for k in range(2, m + 1):
+        p_prev, p = p, ((2 * k + 1) * (k + 1) * x * p - k * (k + 1) * p_prev) / (k * (k + 2))
+        d_prev, d = d, ((2 * k + 1) * (k + 1) * (p_prev + x * d) - k * (k + 1) * d_prev) / (k * (k + 2))
+    return p, d
+
+
+def _radau_rule(n: int):
+    """Gauss-Radau rule for the weight (1 + x) on [-1, 1] with the node x = 1.
+
+    The n - 1 interior nodes are the zeros of P_{n-1}^(1,1): eigenvalues of
+    its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), polished by
+    Newton steps on the recurrence in extended precision.  The weights are
+    lambda_j = mu_j / (1 - x_j) with mu_j the Gauss weights of (1 - x^2),
+    and the endpoint carries 4 / (n (n + 1)).
+    """
+    m = n - 1
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)).astype(np.longdouble)
+    for _ in range(3):  # quadratic convergence from ~1e-16 to the longdouble floor
+        p, dp = _jacobi11(x, m)
+        x = x - p / dp
+    _, dp = _jacobi11(x, m)
+    lam = 8.0 * (m + 1) / ((m + 2) * (1.0 - x * x) * dp * dp * (1.0 - x))
+    nodes = np.append(x.astype(float), 1.0)
+    return nodes, np.append(lam.astype(float), 4.0 / (n * (n + 1)))
+
+
 def _build_spectral(n: int):
-    # Radau-Jacobi nodes in x on [-1, 1] for weight (1 + x): interior nodes
-    # are the zeros of the degree n-1 Jacobi(1, 1) polynomial, plus x = 1.
-    # The resulting interpolatory rule integrates polynomials of degree
-    # 2n - 2 in x exactly, hence even polynomials of degree 4n - 4 in r.
-    x_int, _ = roots_jacobi(n - 1, 1.0, 1.0)
-    x = np.append(x_int, 1.0)
+    # The Radau rule integrates polynomials of degree 2n - 2 in x exactly,
+    # hence even polynomials of degree 4n - 4 in r.
+    x, lam = _radau_rule(n)
     s = (x + 1.0) / 2.0
     r = np.sqrt(s)
-
-    # Interpolatory weights from Legendre moments of (1 + x):
-    # int P_k(x) (1 + x) dx = 2 delta_k0 + (2/3) delta_k1.
-    moments = np.zeros(n)
-    moments[0] = 2.0
-    if n > 1:
-        moments[1] = 2.0 / 3.0
-    lam = _solve_extended(nleg.legvander(x, n - 1).T, moments)
     # int_0^1 v r^3 dr = (1/8) int v((x+1)/2) (1+x) dx
-    quad = np.asarray(lam / 8.0, dtype=float)
+    quad = lam / 8.0
     if quad.min() <= 0.0:
         raise RuntimeError(f"non-positive quadrature weight at n={n}")
 

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import kirchhoff4 as k4
 from kirchhoff4.model import (
+    _KUMMER_BINS,
+    _KUMMER_SERIES_MAX,
     KirchhoffSpec,
     NonlinearitySpec,
     RangeOverflowError,
@@ -107,7 +109,8 @@ def test_exp_primitive_vector_matches_scalar_quadrature():
     ts = np.array([1e-3, 0.2, 0.8, 1.9, 3.1, 4.4])
     vec = spec.F(ts)
     for t, v in zip(ts, vec):
-        ref, _ = quad(lambda s: s**5 * math.exp(s**4), 0.0, t, epsabs=0.0, epsrel=1e-12, limit=300)
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(lambda s: s**5 * mpmath.exp(s**4), [0.0, t]))
         ref += 2.0 * t**6 / 6.0
         assert abs(v - ref) <= 1e-9 * (1 + abs(ref)), t
 
@@ -137,6 +140,31 @@ def test_exp_primitive_closed_form_matches_mpmath(p, beta, alpha0):
             ref = T**p / p * mpmath.hyp1f1(a, a + 1, alpha0 * T ** mpmath.mpf(spec.gamma))
             assert abs((v - ref) / ref) <= 1e-12, t
     assert spec.F(np.array([0.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("a", [k4.default_params().p / k4.default_params().gamma, 0.25, 5.0])
+def test_kummer_factor_matches_mpmath(a):
+    # F = (t^p/p) 1F1(a; a+1; X) with X = t^gamma at cp = 0 and alpha0 = 1;
+    # X straddles every switch of the evaluation: eps/4 (below it the factor
+    # is taken as 1), the end of the short series for arrays with small X,
+    # the edges of the Taylor bins, and the start of the asymptotic series
+    # (40, or 41 for a = 0.25).  Each X is evaluated alone and in one array.
+    gamma = 10.0
+    spec = NonlinearitySpec(cp=0.0, p=a * gamma, alpha0=1.0, gamma=gamma)
+    edges = np.concatenate(
+        [[np.finfo(float).eps / 4.0, _KUMMER_SERIES_MAX], np.arange(1, 42 * _KUMMER_BINS + 1) / _KUMMER_BINS]
+    )
+    targets = np.concatenate([edges * (1.0 - 1e-12), edges, edges * (1.0 + 1e-12), np.geomspace(1e-16, 650.0, 40)])
+    ts = targets ** (1.0 / gamma)
+    xs = ts**gamma  # the exponential argument as F forms it
+    prefactor = ts**spec.p / spec.p
+    alone = np.array([spec.F(np.array([t]))[0] for t in ts]) / prefactor
+    together = spec.F(ts) / prefactor
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.hyp1f1(a, a + 1, mpmath.mpf(float(x)))) for x in xs])
+    for factor in (alone, together):
+        err = np.abs(factor / ref - 1.0)
+        assert err.max() <= 1e-13, (xs[err.argmax()], err.max())
 
 
 def test_overflow_guard():

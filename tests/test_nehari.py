@@ -59,9 +59,10 @@ def test_projection_needs_positive_moment():
 def test_projection_scaling_law(spectral64, params_cp2):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(101))
     base = k4.project(u, params_cp2)
-    for lam in (0.5, 2.0, 10.0):
+    # the extreme scales must neither read as zero nor overflow the norm
+    for lam in (0.5, 2.0, 10.0, 1e-150, 1e-300, 1e150):
         pt = k4.project(u.scaled(lam), params_cp2)
-        assert abs(pt.t_u * lam - base.t_u) < 1e-9 * (1 + base.t_u)
+        assert abs(pt.t_u * lam / base.t_u - 1.0) < 1e-12, lam
         assert np.abs(pt.projected.values - base.projected.values).max() < 1e-9
 
 
@@ -71,11 +72,12 @@ def test_projection_rejects_zero(spectral64, params_cp2):
 
 
 def test_projection_overflow_diagnostic(spectral64, params_cp2):
-    # nodal values so large that even the weighted norm overflows
+    # nodal values so large that the weighted norm (about 110 max|u| here)
+    # overflows, or so small that t_u = t / ||u|| does: no t_u is representable
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(5))
-    huge = u.scaled(1e160 / np.abs(u.values).max())
-    with pytest.raises(ProjectionError):
-        k4.project(huge, params_cp2)
+    for peak in (1e307, 1e-320):
+        with pytest.raises(ProjectionError):
+            k4.project(u.scaled(peak / np.abs(u.values).max()), params_cp2)
 
 
 def test_projection_point_invariants(spectral64, params_cp2):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.radial import build_grid, clamped_even_basis
+from kirchhoff4.radial import _radau_rule, build_grid, clamped_even_basis
 
 
 def test_build_grid_contract():
@@ -42,6 +43,46 @@ def test_spectral_quadrature_even_exactness():
         g = build_grid(n, "spectral-even")
         for k in range(0, 2 * n, 2):
             assert abs(g.quad_weights @ g.nodes**k - 1.0 / (k + 4)) < 1e-12, (n, k)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_radau_rule_matches_mpmath(n):
+    # 50-digit reference built independently of the closed forms: interior
+    # nodes are zeros of the orthonormal Jacobi(1, 1) polynomial of degree
+    # n - 1, their weights Christoffel numbers of (1 - x^2) divided by 1 - x,
+    # and the endpoint takes the rest of int (1 + x) dx = 2
+    x, lam = _radau_rule(n)
+    m = n - 1
+    with mpmath.workdps(50):
+        b = [mpmath.sqrt(mpmath.mpf(k * (k + 2)) / ((2 * k + 1) * (2 * k + 3))) for k in range(1, m + 1)]
+
+        def orthonormal(t):
+            vals, ders = [1 / mpmath.sqrt(mpmath.mpf(4) / 3)], [mpmath.mpf(0)]
+            prev, dprev = mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(m):
+                bk = b[k - 1] if k else 0
+                nxt = (t * vals[-1] - bk * prev) / b[k]
+                dnxt = (vals[-1] + t * ders[-1] - bk * dprev) / b[k]
+                prev, dprev = vals[-1], ders[-1]
+                vals.append(nxt)
+                ders.append(dnxt)
+            return vals, ders
+
+        ref_x, ref_lam = [], []
+        for xj in x[:-1]:
+            t = mpmath.mpf(float(xj))
+            for _ in range(3):
+                vals, ders = orthonormal(t)
+                t -= vals[-1] / ders[-1]
+            vals, _ = orthonormal(t)
+            ref_x.append(t)
+            ref_lam.append(1 / (sum(v * v for v in vals[:-1]) * (1 - t)))
+        ref_lam.append(2 - sum(ref_lam))
+        ulps = [abs(float((mpmath.mpf(float(a)) - r) / np.spacing(abs(float(r))))) for a, r in zip(x, ref_x)]
+        rel = [abs(float(mpmath.mpf(float(a)) / r - 1)) for a, r in zip(lam, ref_lam)]
+    assert x[-1] == 1.0
+    assert max(ulps) <= 2.0, max(ulps)
+    assert max(rel) <= 5e-13, max(rel)
 
 
 def test_fd_quadrature_quartic_exactness():
