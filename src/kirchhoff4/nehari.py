@@ -11,13 +11,15 @@ residual in project.  The ground level
 is approximated by multi-start projected descent: each start draws a
 random smooth clamped profile, and every iteration takes a Sobolev
 gradient step at the current projected point, renormalizes, reprojects
-and backtracks on the projected energy.  The same machinery applied to
-the pure-power functional
+and backtracks on the projected energy.  The same multi-start frame, with
+a power-method ascent of |u|_p^p on the unit sphere for the descent, gives
+the level m_p of the pure-power functional
 
     J_p(u) = (1/2) G(||u||^2) - (1/p) |u|_p^p
 
-produces the auxiliary level m_p that calibrates the admissible range of
-the power coefficient cp and the closed-form cap on m.
+that calibrates the admissible range of the power coefficient cp and the
+closed-form cap on m.  Newton polish runs only on each solve's published
+winner and on starts the descent left above the tolerance.
 """
 
 from __future__ import annotations
@@ -214,7 +216,10 @@ class StartRecord:
     norm: float
     iterations: int
     converged: bool
-    trace: tuple = ()  # accepted projected energies, in iteration order
+    polished: bool = False  # whether the Newton polish ran on this start
+    # in iteration order: the accepted projected energies of the main
+    # descent, or the moments vol |u|^p of the auxiliary power iterates
+    trace: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -225,6 +230,7 @@ class StartRecord:
             "norm": self.norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "polished": self.polished,
         }
 
 
@@ -253,7 +259,6 @@ class AuxResult:
     per_start_energies: list
     converged: bool
     per_start: list
-    min_nehari_norm: float
 
 
 class _Functional:
@@ -356,11 +361,12 @@ def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
     return values, gn
 
 
+# The main descent's line search.  Energy comparisons near a minimum sit on
+# the rounding floor of the quadrature sums; it tolerates that much relative
+# noise so the terminal iterations are not rejected spuriously.
 _ARMIJO = 1e-4
-# Energy comparisons near a minimum sit on the rounding floor of the
-# quadrature sums; the line search tolerates that much relative noise so
-# the terminal iterations are not rejected spuriously.
 _ENERGY_NOISE = 1e-13
+_MOMENT_RISE = 1e-15  # the aux ascent stops at this relative moment gain
 
 
 def _finish_start(
@@ -369,17 +375,16 @@ def _finish_start(
     index: int,
     iterations: int,
     search: SearchConfig,
-    trace: tuple = (),
+    trace: tuple,
+    polished: bool = False,
 ):
-    """Newton-polish a descent iterate, restore feasibility, judge convergence.
+    """Restore feasibility of a start's final point and judge convergence.
 
-    The polish targets the free critical-point system; afterwards the
-    point is projected back onto the Nehari set along its own ray (a
-    near-identity step when the polish succeeded), so every reported
+    The point is projected back onto the Nehari set along its own ray (a
+    near-identity step after a descent or a polish), so every reported
     level is the energy of a genuine constrained point.  The start has
     converged when its relative gradient is at most the tolerance.
     """
-    w_vals, _ = _newton_polish(func, w_vals)
     nrm = func.norm(w_vals)
     if nrm > 0.0:
         direction = RadialFunction(func.grid, w_vals / nrm)
@@ -395,13 +400,14 @@ def _finish_start(
         norm=func.norm(w_vals),
         iterations=iterations,
         converged=rel_grad <= search.tol,
+        polished=polished,
         trace=trace,
     )
     return record, w_vals
 
 
-def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, index: int):
-    """Projected Sobolev-gradient descent from one start direction.
+def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index: int):
+    """Projected Sobolev-gradient descent from one unit-norm start direction.
 
     Returns (record, minimizer values, min observed Nehari norm,
     worst coercivity margin across accepted projected points).
@@ -409,10 +415,7 @@ def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, i
     g0 = func.params.kirchhoff.g0
     coer = 0.25 - 1.0 / func.params.q
 
-    nrm = func.norm(u0.values)
-    if nrm <= 0.0:
-        raise ProjectionError("start direction is numerically zero")
-    u = RadialFunction(func.grid, u0.values / nrm)
+    u = RadialFunction(func.grid, u0)
     t = project_scale(func.fiber(u))
     w_vals = t * u.values
     e_val = func.value(w_vals)
@@ -470,56 +473,45 @@ def _descend_main(func: _Functional, u0: RadialFunction, search: SearchConfig, i
     return record, w_vals, min_norm, coer_margin
 
 
-def _descend_aux(func: _Functional, u0: RadialFunction, search: SearchConfig, index: int):
-    """Constrained minimization of the pure-power functional.
+def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig, index: int):
+    """Constrained minimization of the pure-power functional, unit-norm start.
 
     Along each ray the projected level is a strictly decreasing function
-    of the Lebesgue moment |u|_p^p (envelope identity: the scale of the
+    of the moment Phi(u) = vol |u|^p (envelope identity: the scale of the
     fibering maximum does not contribute to first order), so minimizing
-    over directions is equivalent to maximizing |u|_p^p on the unit
-    sphere of the weighted norm.  That ascent is power-iteration-like and
-    far better conditioned than descending the projected level, whose
-    values grow like the inverse square of the moment.
+    over directions is maximizing Phi on the unit sphere of the weighted
+    norm.  Phi is convex, so the generalized power method u <- v/||v||,
+    with v the Riesz image of vol |u|^(p-2) u = grad Phi / p, needs no line
+    search: by convexity and Cauchy-Schwarz, Phi(v/||v||) - Phi(u) >=
+    p <v, v/||v|| - u> = p (||v|| - <v, u>) >= 0 (Journee, Nesterov,
+    Richtarik & Sepulchre, JMLR 11, 2010, sec. 2).  It stops once the
+    moment rises by no more than its rounding floor.  The ascent visits no
+    Nehari point, so it reports no path norms or margins (inf, inf).
     """
     p = func.params.p
     ops = func.ops
-    nrm = func.norm(u0.values)
-    if nrm <= 0.0:
-        raise ProjectionError("start direction is numerically zero")
-    u = u0.values / nrm
     moment = float(ops.vol @ np.abs(u) ** p)
-    step = 1.0
+    trace = [moment]
     iterations = 0
     for iterations in range(1, search.max_iter + 1):
-        load = ops.vol * (p * np.abs(u) ** (p - 2.0) * u)
-        v = ops.riesz(load)
-        v_t = v - func.w_dot(v, u) * u
-        vt_norm = func.norm(v_t)
-        if vt_norm <= 1e-13 * p * moment:
+        v = ops.riesz(ops.vol * (np.abs(u) ** (p - 2.0) * u))
+        u_next = v / func.norm(v)
+        m_next = float(ops.vol @ np.abs(u_next) ** p)
+        if not m_next > moment * (1.0 + _MOMENT_RISE):  # the rounding floor
             break
-        accepted = False
-        a = min(4.0 * step, 1e12)
-        while a > 1e-30:
-            trial = u + a * v_t
-            trial_norm = func.norm(trial)
-            if math.isfinite(trial_norm) and trial_norm > 0.0:
-                u_try = trial / trial_norm
-                m_try = float(ops.vol @ np.abs(u_try) ** p)
-                if m_try >= moment + _ARMIJO * a * vt_norm**2 / max(1.0, trial_norm):
-                    accepted = True
-                    break
-            a *= 0.5
-        if not accepted:
-            break
-        step, u, moment = a, u_try, m_try
-
-    direction = RadialFunction(func.grid, u)
-    t = project_scale(func.fiber(direction))
-    record, w_vals = _finish_start(func, t * u, index, iterations, search)
-    return record, w_vals, record.norm, math.inf
+        u, moment = u_next, m_next
+        trace.append(moment)
+    record, w_vals = _finish_start(func, u, index, iterations, search, tuple(trace))
+    return record, w_vals, math.inf, math.inf
 
 
 def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, descend):
+    # Newton polish runs on the winner and on every start the descent left
+    # above tol; the other starts keep their descent iterates
+    def polish(rec, vals):
+        vals, _ = _newton_polish(func, vals)
+        return _finish_start(func, vals, rec.index, rec.iterations, search, rec.trace, True)
+
     starts = [
         random_clamped_profile(func.grid, np.random.default_rng([search.seed, k]))
         for k in range(search.starts)
@@ -529,7 +521,12 @@ def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, desc
     min_norm = math.inf
     coer_margin = math.inf
     for k, u0 in enumerate(starts):
-        rec, vals, mn, cm = descend(func, u0, search, k)
+        nrm = func.norm(u0.values)
+        if nrm <= 0.0:
+            raise ProjectionError("start direction is numerically zero")
+        rec, vals, mn, cm = descend(func, u0.values / nrm, search, k)
+        if not rec.converged:
+            rec, vals = polish(rec, vals)
         records.append(rec)
         minimizers.append(vals)
         min_norm = min(min_norm, mn)
@@ -537,6 +534,8 @@ def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, desc
     # prefer converged starts: one just above tol can undercut the level by
     # a rounding-level energy margin
     best = min(range(len(records)), key=lambda k: (not records[k].converged, records[k].energy, k))
+    if not records[best].polished:
+        records[best], minimizers[best] = polish(records[best], minimizers[best])
     return records, minimizers[best], records[best], min_norm, coer_margin
 
 
@@ -583,7 +582,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     if params.p <= 4.0:
         raise ValueError(f"auxiliary problem needs p > 4, got {params.p}")
     func = _Functional(grid, params, pure_power=True)
-    records, best_vals, best, min_norm, _ = _minimize(func, search, (), _descend_aux)
+    records, best_vals, best, _, _ = _minimize(func, search, (), _descend_aux)
     w_p = RadialFunction(grid, best_vals)
     p_norm_p = float(func.ops.vol @ np.abs(best_vals) ** params.p)
     return AuxResult(
@@ -595,7 +594,6 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
-        min_nehari_norm=min_norm,
     )
 
 

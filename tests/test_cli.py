@@ -139,6 +139,11 @@ def test_aux_command(tmp_path):
     assert report["result"]["m_p"] > 0
     assert report["result"]["pnorm_below_cap"] is True
     assert report["result"]["min_admissible_cp"] >= 1.0
+    # each start says whether it was Newton-polished; the published one was
+    per_start = report["result"]["per_start"]
+    published = [s for s in per_start if s["energy"] == report["result"]["m_p"]]
+    assert all(isinstance(s["polished"], bool) for s in per_start)
+    assert published and all(s["polished"] for s in published)
 
 
 def test_aux_rejects_p_below_4(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
-from kirchhoff4.nehari import ProjectionError, _Functional
+from kirchhoff4.nehari import ProjectionError, _descend_aux, _Functional
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
 from conftest import minimizer_gates, unit_profile
@@ -232,6 +232,70 @@ def test_aux_result_invariants(resolved_default, params_cp2, search_default):
     assert aux.converged
     for rec in aux.per_start:
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
+        assert rec.converged, rec.index
+
+
+def _solver_start(func, search, k):
+    """The unit-norm start direction k of a multi-start solve."""
+    u = k4.random_clamped_profile(func.grid, np.random.default_rng([search.seed, k])).values
+    return u / func.norm(u)
+
+
+@pytest.mark.parametrize("scheme, n", [("spectral-even", 32), ("uniform-fd", 100)])
+def test_aux_moment_traces_monotone(params_cp2, scheme, n):
+    # the power iteration u <- v/||v|| needs no line search: with no guard
+    # at all, the moment vol |u|^p never falls by more than its rounding
+    # floor, and the solver's own trace of moments stops at that floor
+    grid = k4.build_grid(n, scheme)
+    cfg = k4.SearchConfig(starts=3, max_iter=300, tol=1e-6, seed=3)
+    aux = k4.aux_ground_state(grid, params_cp2, cfg)
+    func = _Functional(grid, params_cp2, pure_power=True)
+    ops, p = func.ops, params_cp2.p
+    for rec in aux.per_start:
+        u = _solver_start(func, cfg, rec.index)
+        moments = []
+        for _ in range(40):
+            moments.append(float(ops.vol @ np.abs(u) ** p))
+            v = ops.riesz(ops.vol * (np.abs(u) ** (p - 2.0) * u))
+            u = v / func.norm(v)
+        floor = 1e-12 * moments[-1]
+        assert np.all(np.diff(moments) >= -floor), rec.index
+        trace = np.array(rec.trace)
+        assert trace[0] == moments[0], rec.index
+        assert np.all(np.diff(trace) > 0.0), rec.index
+        assert rec.iterations < 40, rec.index
+        assert abs(trace[-1] - max(moments)) <= floor, rec.index
+
+
+def test_published_minimizers_are_polished(spectral64, resolved_default, ground_default):
+    # the polish of the two published points holds their relative gradients
+    # three orders below the default tol; at the defaults every start
+    # converges unpolished, so the published start is the only polished one
+    params, aux, _ = resolved_default
+    func = _Functional(spectral64, params, pure_power=True)
+    rel_aux = func.relative_gradient(aux.w_p.values, func.norm(func.gradient(aux.w_p.values)))
+    assert rel_aux <= 1e-9
+    assert minimizer_gates(ground_default, params)[0] <= 1e-9
+    for result, level in ((aux, aux.m_p), (ground_default, ground_default.m)):
+        polished = [r for r in result.per_start if r.polished]
+        assert len(polished) == 1
+        assert abs(polished[0].energy - level) <= 1e-12 * level
+
+
+def test_aux_starved_starts_are_polished(spectral32, params_cp2):
+    # two power steps leave every start above tol; each is then polished, and
+    # every flag is judged on the polished point
+    cfg = k4.SearchConfig(starts=4, max_iter=2, tol=1e-6, seed=5)
+    aux = k4.aux_ground_state(spectral32, params_cp2, cfg)
+    func = _Functional(spectral32, params_cp2, pure_power=True)
+    for rec in aux.per_start:
+        u = _solver_start(func, cfg, rec.index)
+        raw, _, _, _ = _descend_aux(func, u, cfg, rec.index)
+        assert not raw.converged and not raw.polished, rec.index
+        assert rec.polished, rec.index
+        assert rec.converged == (rec.relative_gradient <= cfg.tol), rec.index
+        assert rec.relative_gradient < raw.relative_gradient, rec.index
+    assert aux.converged
 
 
 def test_aux_projected_energy_closed_form(spectral64, search_default):
