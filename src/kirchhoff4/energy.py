@@ -136,9 +136,7 @@ def energy(u: RadialFunction, params: ModelParams) -> EnergyBreakdown:
 def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
     (n,) or a stack of profiles of shape (k, n)."""
-    lu = values @ ops.grid.lap.T
-    norm_sq = (lu * lu) @ ops.wvol
-    kirch = 0.5 * params.kirchhoff.G(norm_sq)
+    kirch = 0.5 * params.kirchhoff.G(_norm_sq_rows(ops, values))
     power = (np.abs(values) ** params.q @ ops.vol) / params.q
     reaction = params.nonlinearity.F(values) @ ops.vol
     return kirch, power, reaction
@@ -157,8 +155,14 @@ def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> 
 def _norm_sq(ops: _WOperators, values: np.ndarray) -> float:
     """Squared weighted norm ||u||^2; inf or nan when nodal values overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lu = ops.grid.lap @ values
-        return float(ops.wvol @ (lu * lu))
+        return float(_norm_sq_rows(ops, values))
+
+
+def _norm_sq_rows(ops: _WOperators, values: np.ndarray) -> np.ndarray:
+    """Squared weighted norms of nodal values (n,) or of each profile of a
+    stack (k, n), one Laplacian product per profile."""
+    lu = values @ ops.grid.lap.T
+    return (lu * lu) @ ops.wvol
 
 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -183,6 +187,18 @@ def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams) ->
 def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
     """<J'(u), u>: zero precisely on the Nehari set."""
     return weak_action(u, u, params)
+
+
+def _nehari_residuals(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:
+    """<J'(u), u> = g(S) S - vol . (force(u) u) of each profile of a stack
+    (k, n), one Laplacian product per profile.  Profiles past the overflow
+    guard give -inf, where the reaction tail certainly dominates."""
+    inside = params.nonlinearity._exp_arg(np.abs(values).max(axis=1)) <= EXP_GUARD
+    out = np.full(len(values), -np.inf)
+    v = values[inside]
+    s = _norm_sq_rows(ops, v)
+    out[inside] = params.kirchhoff.g(s) * s - (_nodal_force(v, params) * v) @ ops.vol
+    return out
 
 
 # ---------------------------------------------------------------------------

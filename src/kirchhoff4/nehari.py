@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FiberMap, energy, nehari_residual, operator_cache
-from .energy import _norm_sq, _residual_load
+from .energy import FiberMap, energy, operator_cache
+from .energy import _energy_terms, _nehari_residuals, _norm_sq, _norm_sq_rows, _residual_load
 from .model import ModelParams, RangeOverflowError, adams_constant
 from .radial import RadialFunction, RadialGrid, random_clamped_profile
 
@@ -70,8 +70,57 @@ class NehariPoint:
 
 
 # ---------------------------------------------------------------------------
-# scalar projection
+# projection
 # ---------------------------------------------------------------------------
+
+
+def _scale_search(fiber: FiberMap):
+    """The root search of project_scale as a generator.
+
+    It yields each scale t at which it needs the fibering derivative d, is
+    sent d(t) there (-inf past the exponential overflow guard), and returns
+    the root.  Only d is asked for: the slope comes from fiber.deriv2.  So
+    one search can be driven by direct calls (project_scale) or many in
+    lockstep, with d of every pending search evaluated in one stack.
+    """
+    head = fiber.kirchhoff.g0 * fiber.norm_sq
+    logs = [(math.log(head) - math.log(m)) / (e - 2.0) for e, m in fiber.power_moments if m > 0.0]
+    if not logs:
+        raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
+    lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
+    d_lo, d_hi = math.inf, -math.inf
+    nudge = stalls = 0
+    width = math.inf  # bracket width when it last halved
+    t = float(np.exp(min(logs)))
+    while True:
+        if not 0.0 < t < math.inf:
+            raise ProjectionError("the fibering derivative keeps its sign at every representable scale")
+        v = yield t
+        if math.isnan(v):
+            raise ProjectionError(f"fibering derivative is NaN at scale {t:.3g}")
+        if v == 0.0:
+            return t
+        if v > 0.0:
+            lo, d_lo = t, v
+        else:
+            hi, d_hi = t, v
+        if hi == math.inf or lo == 0.0:
+            t = 2.0 * lo if hi == math.inf else 0.5 * hi
+            continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket holds adjacent floats
+            return lo if abs(d_lo) <= abs(d_hi) else hi
+        if hi - lo <= 0.5 * width:
+            width, stalls = hi - lo, 0
+        else:
+            stalls += 1
+        t, v = (lo, d_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi)
+        slope = fiber.deriv2(t)
+        step = -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+        nudge = nudge + 1 if abs(step) < math.ulp(t) else 0
+        if nudge:
+            step = math.copysign(math.ulp(t) * 2.0 ** (nudge - 1), mid - t)
+        t = t + step if stalls < 3 and lo < t + step < hi else mid
 
 
 def project_scale(fiber: FiberMap) -> float:
@@ -90,97 +139,107 @@ def project_scale(fiber: FiberMap) -> float:
     that does not match d).  A step shorter than the float spacing is
     lengthened to cross the root, doubling while it fails to.
     """
-
-    def d(t: float) -> float:
-        try:
-            val = fiber.deriv(t)
-        except RangeOverflowError:
-            return -math.inf
-        except OverflowError as exc:
-            raise ProjectionError(f"fibering derivative overflows at scale {t:.3g}") from exc
-        if math.isnan(val):
-            raise ProjectionError(f"fibering derivative is NaN at scale {t:.3g}")
-        return val
-
-    head = fiber.kirchhoff.g0 * fiber.norm_sq
-    logs = [(math.log(head) - math.log(m)) / (e - 2.0) for e, m in fiber.power_moments if m > 0.0]
-    if not logs:
-        raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
-    lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
-    d_lo, d_hi = math.inf, -math.inf
-    nudge = stalls = 0
-    width = math.inf  # bracket width when it last halved
+    search = _scale_search(fiber)
     with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
-        t = float(np.exp(min(logs)))
+        t = next(search)
         while True:
-            if not 0.0 < t < math.inf:
-                raise ProjectionError(
-                    "the fibering derivative keeps its sign at every representable scale"
-                )
-            v = d(t)
-            if v == 0.0:
-                return t
-            if v > 0.0:
-                lo, d_lo = t, v
-            else:
-                hi, d_hi = t, v
-            if hi == math.inf or lo == 0.0:
-                t = 2.0 * lo if hi == math.inf else 0.5 * hi
-                continue
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # the bracket holds adjacent floats
-                return lo if abs(d_lo) <= abs(d_hi) else hi
-            if hi - lo <= 0.5 * width:
-                width, stalls = hi - lo, 0
-            else:
-                stalls += 1
-            t, v = (lo, d_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi)
-            slope = fiber.deriv2(t)
-            step = -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
-            nudge = nudge + 1 if abs(step) < math.ulp(t) else 0
-            if nudge:
-                step = math.copysign(math.ulp(t) * 2.0 ** (nudge - 1), mid - t)
-            t = t + step if stalls < 3 and lo < t + step < hi else mid
+            try:
+                v = fiber.deriv(t)
+            except RangeOverflowError:  # past the guard the reaction tail dominates
+                v = -math.inf
+            except OverflowError as exc:
+                raise ProjectionError(f"fibering derivative overflows at scale {t:.3g}") from exc
+            try:
+                t = search.send(v)
+            except StopIteration as stop:
+                return stop.value
 
 
-def project(u: RadialFunction, params: ModelParams) -> NehariPoint:
-    """Unique Nehari projection of a nonzero direction.
+def project(u, params: ModelParams):
+    """Unique Nehari projection of a nonzero direction, or of each direction
+    of a sequence of them on one grid (a list of NehariPoints, in order).
 
     The root is located for the unit-norm direction and rescaled, which
     keeps the per-ulp granularity of the residual proportional to the
     projected point rather than to the raw direction scale, and makes the
     scaling law t(c u) = t(u)/c hold by construction.  The root finder runs
-    on the measured residual itself, so the reported residual sits at its
-    own rounding floor.
+    on the measured residual <J'(t u), t u> / t itself, so the reported
+    residual sits at its own rounding floor; the moment form supplies the
+    slope and the starting balance.  The searches of a sequence run in
+    lockstep: every round measures the residuals of all pending
+    directions in one stacked kernel.  Alone, a direction gets the
+    arithmetic of the single-profile kernels (energy, nehari_residual) bit
+    for bit; in a longer sequence its row differs from that by about 1e-14
+    relative, as the BLAS product of a stack rounds differently.  An error
+    names the row it comes from.
     """
-    peak = float(np.abs(u.values).max())
-    if not 0.0 < peak < math.inf:
-        raise ProjectionError("direction is zero or not finite")
-    # the norm is taken of the shape u / max|u|, so no scale of a finite
-    # direction underflows or overflows it
-    shape = u.values / peak
-    shape_norm = math.sqrt(_norm_sq(operator_cache(u.grid, params.beta), shape))
-    if not shape_norm > 0.0:
-        raise ProjectionError("direction has zero weighted norm")
-    nrm = peak * shape_norm
-    unit = RadialFunction(u.grid, shape / shape_norm)
-    fiber = FiberMap.full(unit, params)
-    # find the root of the measured residual <J'(t u), t u> / t itself; the
-    # moment form still supplies the slope and the starting balance
-    fiber.deriv = lambda t: nehari_residual(unit.scaled(t), params) / t
-    t = project_scale(fiber)
-    if not 0.0 < t / nrm < math.inf:
-        raise ProjectionError(
-            f"the weighted norm {nrm:.3g} of the direction leaves no representable projection scale"
-        )
-    w = unit.scaled(t)
-    return NehariPoint(
-        direction=u,
-        t_u=t / nrm,
-        projected=w,
-        energy=energy(w, params).total,
-        residual=nehari_residual(w, params),
+    if isinstance(u, RadialFunction):
+        return _project_rows([u], params)[0]
+    return _project_rows(list(u), params)
+
+
+def _reject_rows(bad: np.ndarray, message: str) -> None:
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ProjectionError(f"row {rows[0]}: {message}")
+
+
+def _project_rows(rows: list, params: ModelParams) -> list:
+    """project on each of a list of directions, with the searches in lockstep."""
+    if not rows:
+        return []
+    grid = rows[0].grid
+    if any(r.grid is not grid for r in rows):
+        raise ValueError("directions live on different grids")
+    ops = operator_cache(grid, params.beta)
+    values = np.array([r.values for r in rows])
+    peaks = np.abs(values).max(axis=1)
+    _reject_rows(~((0.0 < peaks) & (peaks < math.inf)), "direction is zero or not finite")
+    shapes = values / peaks[:, None]
+    norms = np.sqrt(_norm_sq_rows(ops, shapes))
+    _reject_rows(~(norms > 0.0), "direction has zero weighted norm")
+    units = shapes / norms[:, None]
+    searches = [_scale_search(FiberMap.full(RadialFunction(grid, unit), params)) for unit in units]
+    pending = {}  # row -> the scale its search asks for next
+    roots = np.empty(len(rows))
+
+    def advance(i, v):
+        try:
+            pending[i] = searches[i].send(v)
+        except StopIteration as stop:
+            roots[i] = stop.value
+            del pending[i]
+        except ProjectionError as exc:
+            raise ProjectionError(f"row {i}: {exc}") from exc
+
+    with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
+        for i in range(len(rows)):
+            advance(i, None)
+        while pending:
+            idx = np.fromiter(pending, dtype=int, count=len(pending))
+            ts = np.fromiter(pending.values(), dtype=float, count=len(pending))
+            d = _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts
+            for i, v in zip(idx.tolist(), d.tolist()):
+                advance(i, v)
+        t_u = roots / (peaks * norms)
+    _reject_rows(
+        ~((0.0 < t_u) & (t_u < math.inf)),
+        "the weighted norm of the direction leaves no representable projection scale",
     )
+    w = roots[:, None] * units
+    kirch, power, reaction = _energy_terms(ops, w, params)
+    energies = kirch - power - reaction
+    residuals = _nehari_residuals(ops, w, params)
+    return [
+        NehariPoint(
+            direction=r,
+            t_u=float(t_u[i]),
+            projected=RadialFunction(grid, w[i]),
+            energy=float(energies[i]),
+            residual=float(residuals[i]),
+        )
+        for i, r in enumerate(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -440,9 +440,15 @@ def random_clamped_profile(grid: RadialGrid, rng: np.random.Generator, modes: in
     """
     count = min(modes if modes is not None else 24, grid.n - 2)
     coeffs = rng.standard_normal(count) / (1.0 + np.arange(count) ** 2)
-    x = 2.0 * grid.nodes**2 - 1.0
-    vals = clamped_even_basis(x, count) @ coeffs
-    return enforce_clamped(RadialFunction(grid, vals))
+    return enforce_clamped(RadialFunction(grid, _profile_basis(grid, count) @ coeffs))
+
+
+@lru_cache(maxsize=32)
+def _profile_basis(grid: RadialGrid, count: int) -> np.ndarray:
+    """Read-only clamped even-Chebyshev basis of random_clamped_profile."""
+    basis = clamped_even_basis(2.0 * grid.nodes**2 - 1.0, count)
+    basis.setflags(write=False)
+    return basis
 
 
 def laplacian4(u: RadialFunction) -> RadialFunction:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import FiberMap, operator_cache, _residual_load
+from kirchhoff4.energy import FiberMap, operator_cache, _nehari_residuals, _residual_load
 from kirchhoff4.model import KirchhoffSpec, RangeOverflowError
 
 from conftest import unit_profile
@@ -84,6 +84,21 @@ def test_weak_action_finite_difference(spectral64, params_cp2):
 def test_weak_action_equals_residual(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 8)
     assert k4.weak_action(u, u, params_cp2) == k4.nehari_residual(u, params_cp2)
+
+
+def test_stacked_residuals_match_single(spectral64, params_cp2):
+    # one Laplacian product per profile instead of three: the same residual
+    # to rounding, and -inf for a profile past the overflow guard
+    ops = operator_cache(spectral64, 0.5)
+    rows = [unit_profile(spectral64, 0.5, [43, k]).scaled(0.5 + k) for k in range(6)]
+    stack = np.array([u.values for u in rows])
+    out = _nehari_residuals(ops, stack, params_cp2)
+    for u, res in zip(rows, out):
+        single = k4.nehari_residual(u, params_cp2)
+        assert abs(res - single) <= 1e-13 * abs(single)
+    past = 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(stack[0]).max()
+    out = _nehari_residuals(ops, np.array([stack[1], past * stack[0]]), params_cp2)
+    assert out[1] == -np.inf and out[0] == _nehari_residuals(ops, stack[1:2], params_cp2)[0]
 
 
 def test_sobolev_gradient_zero(spectral64, params_cp2):

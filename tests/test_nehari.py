@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4.nehari import ProjectionError, _descend_aux, _Functional
+from kirchhoff4 import verify
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
 from conftest import minimizer_gates, unit_profile
@@ -91,11 +93,79 @@ def test_projection_point_invariants(spectral64, params_cp2):
         assert pt.energy >= coer * s - 1e-9
 
 
+def test_stacked_projection_matches_single(spectral64, params_cp2, resolved_default):
+    # the lockstep rows round differently from single projections, by ~1e-14
+    ops = operator_cache(spectral64, 0.5)
+    for params in (params_cp2, resolved_default[0]):
+        dirs = [k4.random_clamped_profile(spectral64, np.random.default_rng([63, k])) for k in range(40)]
+        dirs[3] = dirs[3].scaled(1e-200)  # the scale of a row does not matter
+        stack = k4.project(dirs, params)
+        assert len(stack) == len(dirs)
+        for k, (u, pt) in enumerate(zip(dirs, stack)):
+            single = k4.project(u, params)
+            assert pt.direction is u
+            assert abs(pt.t_u / single.t_u - 1.0) <= 1e-13, k
+            assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params), k
+            assert abs(pt.energy / single.energy - 1.0) <= 1e-12, k
+
+
+def test_stack_of_one_equals_single(spectral64, params_cp2, resolved_default):
+    # alone, a direction gets the arithmetic of the single-profile kernels
+    for params in (params_cp2, resolved_default[0]):
+        for k in range(10):
+            u = unit_profile(spectral64, 0.5, [64, k])
+            (pt,) = k4.project([u], params)
+            single = k4.project(u, params)
+            assert (pt.t_u, pt.energy, pt.residual) == (single.t_u, single.energy, single.residual)
+            assert np.array_equal(pt.projected.values, single.projected.values)
+            assert pt.energy == k4.energy(pt.projected, params).total, k
+            assert pt.residual == k4.nehari_residual(pt.projected, params), k
+    assert k4.project([], params_cp2) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_stacked_projection_names_bad_row(spectral64, params_cp2, bad):
+    dirs = [unit_profile(spectral64, 0.5, [65, k]) for k in range(4)]
+    dirs[2] = k4.RadialFunction(spectral64, np.full(64, bad))
+    with pytest.raises(ProjectionError, match="row 2"):
+        k4.project(dirs, params_cp2)
+
+
+def test_t_leq_one_stack(spectral64, params_cp2):
+    # every doubled point lies inside the Nehari set and projects at 1/2
+    pts = k4.project([unit_profile(spectral64, 0.5, [66, k]) for k in range(8)], params_cp2)
+    doubled = [pt.projected.scaled(2.0) for pt in pts]
+    assert k4.t_leq_one_check(doubled, params_cp2)
+    assert all(abs(pt.t_u - 0.5) < 1e-13 for pt in k4.project(doubled, params_cp2))
+    doubled[5] = pts[5].projected.scaled(0.5)  # residual > 0 here
+    with pytest.raises(ValueError, match="row 5"):
+        k4.t_leq_one_check(doubled, params_cp2)
+
+
 def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
     # the sweep of `verify --cp 2 --seed 1`: directions 101 and 132 exceeded
     # the former floor 4 eps t (|slope| + 1) by 1.85x and 1.12x
     checks = {c.name: c for c in _projection_checks(spectral64, params_cp2, 133, 1)}
     assert checks["projection-residual"].status == "pass"
+
+
+def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatch):
+    # the fibering peaks at the automatic cp are ~1e-35: a scale 1% off the
+    # root must still fail the check (an absolute slack of 1e-9 passed it)
+    real = verify.project
+
+    def misplaced(u, params):
+        pts = real(u, params)
+        return pts if isinstance(u, k4.RadialFunction) else [replace(pt, t_u=1.01 * pt.t_u) for pt in pts]
+
+    def fibering_max():
+        checks = _projection_checks(spectral64, resolved_default[0], 20, 1)
+        return next(c for c in checks if c.name == "projection-fibering-max")
+
+    assert fibering_max().status == "pass"
+    monkeypatch.setattr(verify, "project", misplaced)
+    check = fibering_max()
+    assert check.status == "fail" and check.margin < 0.0
 
 
 def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolved_default):
@@ -164,7 +234,7 @@ def test_ground_state_default_quality(ground_default, resolved_default, search_d
     assert gs.m > 0.0
     assert rel_grad <= 1e-6
     assert abs(gs.residual) <= resid_limit
-    assert gs.m <= min(gs.per_start_energies) + 1e-12 * (1 + abs(gs.m))
+    assert gs.m <= min(gs.per_start_energies) + 1e-12 * abs(gs.m)
     for rec in gs.per_start:
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
         # every start descends to its own critical point: none stalls after
