@@ -27,13 +27,7 @@ from .model import (
     NonlinearitySpec,
     RangeOverflowError,
 )
-from .radial import (
-    SURFACE_3SPHERE,
-    RadialFunction,
-    RadialGrid,
-    clamped_even_basis,
-    weight_values,
-)
+from .radial import RadialFunction, RadialGrid, clamped_even_basis, weighted_rule
 
 __all__ = [
     "EnergyBreakdown",
@@ -62,8 +56,7 @@ class EnergyBreakdown:
 class _WOperators:
     """Per-(grid, beta) dense operators for the weighted inner product.
 
-    vol      volume quadrature weights (2 pi^2 q_i)
-    wvol     weighted quadrature weights (2 pi^2 q_i w(r_i))
+    rule     the weighted rule of the grid (radial.weighted_rule)
     gram     nodal Gram matrix of the weighted scalar product
     basis    unit-norm columns spanning the discrete clamped subspace
     a        Gram matrix of the basis, basis^T gram basis
@@ -71,11 +64,8 @@ class _WOperators:
     """
 
     def __init__(self, grid: RadialGrid, beta: float):
-        self.grid = grid
-        self.beta = beta
-        self.vol = SURFACE_3SPHERE * grid.quad_weights
-        self.wvol = self.vol * weight_values(grid, beta)
-        self.gram = grid.lap.T @ (self.wvol[:, None] * grid.lap)
+        self.rule = weighted_rule(grid, beta)
+        self.gram = grid.lap.T @ (self.rule.wvol[:, None] * grid.lap)
         raw = self._clamped_basis(grid)
         diag = np.einsum("ij,ij->j", raw, self.gram @ raw)
         if np.any(diag <= 0.0):
@@ -136,9 +126,9 @@ def energy(u: RadialFunction, params: ModelParams) -> EnergyBreakdown:
 def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
     (n,) or a stack of profiles of shape (k, n)."""
-    kirch = 0.5 * params.kirchhoff.G(_norm_sq_rows(ops, values))
-    power = (np.abs(values) ** params.q @ ops.vol) / params.q
-    reaction = params.nonlinearity.F(values) @ ops.vol
+    kirch = 0.5 * params.kirchhoff.G(ops.rule.form(values))
+    power = (np.abs(values) ** params.q @ ops.rule.vol) / params.q
+    reaction = params.nonlinearity.F(values) @ ops.rule.vol
     return kirch, power, reaction
 
 
@@ -146,23 +136,10 @@ def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> 
     """Directional derivative <J'(u), phi>; linear in phi."""
     if u.grid is not phi.grid:
         raise ValueError("operands live on different grids")
-    ops = operator_cache(u.grid, params.beta)
-    g_val = float(params.kirchhoff.g(_norm_sq(ops, u.values)))
-    head = g_val * float(ops.wvol @ ((ops.grid.lap @ u.values) * (ops.grid.lap @ phi.values)))
-    return head - float(ops.vol @ (_nodal_force(u.values, params) * phi.values))
-
-
-def _norm_sq(ops: _WOperators, values: np.ndarray) -> float:
-    """Squared weighted norm ||u||^2; inf or nan when nodal values overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_norm_sq_rows(ops, values))
-
-
-def _norm_sq_rows(ops: _WOperators, values: np.ndarray) -> np.ndarray:
-    """Squared weighted norms of nodal values (n,) or of each profile of a
-    stack (k, n), one Laplacian product per profile."""
-    lu = values @ ops.grid.lap.T
-    return (lu * lu) @ ops.wvol
+    rule = weighted_rule(u.grid, params.beta)
+    g_val = float(params.kirchhoff.g(rule.form(u.values)))
+    head = g_val * float(rule.form(u.values, phi.values))
+    return head - float(rule.vol @ (_nodal_force(u.values, params) * phi.values))
 
 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -175,13 +152,15 @@ def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
     for every phi in the discrete clamped subspace; v = 0 exactly at
     discrete critical points."""
     ops = operator_cache(u.grid, params.beta)
-    return RadialFunction(u.grid, ops.riesz(_residual_load(ops, u.values, params)))
+    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
+    return RadialFunction(u.grid, ops.riesz(load))
 
 
-def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Nodal load vector rho with <J'(u), phi> = rho . phi_values."""
-    g_val = float(params.kirchhoff.g(_norm_sq(ops, values)))
-    return g_val * (ops.gram @ values) - ops.vol * _nodal_force(values, params)
+def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, force: np.ndarray) -> np.ndarray:
+    """Nodal load vector rho with <J'(u), phi> = rho . phi_values, for the
+    Kirchhoff term and the nodal force of the lower-order terms."""
+    g_val = float(params.kirchhoff.g(ops.rule.form(values)))
+    return g_val * (ops.gram @ values) - ops.rule.vol * force
 
 
 def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
@@ -196,8 +175,8 @@ def _nehari_residuals(ops: _WOperators, values: np.ndarray, params: ModelParams)
     inside = params.nonlinearity._exp_arg(np.abs(values).max(axis=1)) <= EXP_GUARD
     out = np.full(len(values), -np.inf)
     v = values[inside]
-    s = _norm_sq_rows(ops, v)
-    out[inside] = params.kirchhoff.g(s) * s - (_nodal_force(v, params) * v) @ ops.vol
+    s = ops.rule.form(v)
+    out[inside] = params.kirchhoff.g(s) * s - (_nodal_force(v, params) * v) @ ops.rule.vol
     return out
 
 
@@ -250,25 +229,24 @@ class FiberMap:
     @classmethod
     def full(cls, u: RadialFunction, params: ModelParams) -> "FiberMap":
         """Fibering map of the full energy J along direction u."""
-        ops = operator_cache(u.grid, params.beta)
+        rule = weighted_rule(u.grid, params.beta)
         vals = u.values
-        s = _norm_sq(ops, vals)
+        s = rule.form(vals)
         nl = params.nonlinearity
-        i_q = float(ops.vol @ np.abs(vals) ** params.q)
-        i_p = float(ops.vol @ np.abs(vals) ** params.p)
+        i_q = float(rule.vol @ np.abs(vals) ** params.q)
+        i_p = float(rule.vol @ np.abs(vals) ** params.p)
         if nl.alpha0 == 0.0:
             moments = ((params.q, i_q), (params.p, (nl.cp + 1.0) * i_p))
             return cls(params.kirchhoff, s, moments)
         moments = ((params.q, i_q), (params.p, nl.cp * i_p))
-        return cls(params.kirchhoff, s, moments, tail_spec=nl, values=vals, vol=ops.vol)
+        return cls(params.kirchhoff, s, moments, tail_spec=nl, values=vals, vol=rule.vol)
 
     @classmethod
     def pure_power(cls, u: RadialFunction, params: ModelParams) -> "FiberMap":
         """Fibering map of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p."""
-        ops = operator_cache(u.grid, params.beta)
-        s = _norm_sq(ops, u.values)
-        i_p = float(ops.vol @ np.abs(u.values) ** params.p)
-        return cls(params.kirchhoff, s, ((params.p, i_p),))
+        rule = weighted_rule(u.grid, params.beta)
+        i_p = float(rule.vol @ np.abs(u.values) ** params.p)
+        return cls(params.kirchhoff, rule.form(u.values), ((params.p, i_p),))
 
     # --- tail integrals ---------------------------------------------------
 

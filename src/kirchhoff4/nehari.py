@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FiberMap, energy, operator_cache
-from .energy import _energy_terms, _nehari_residuals, _norm_sq, _norm_sq_rows, _residual_load
+from .energy import _energy_terms, _nehari_residuals, _nodal_force, _residual_load
 from .model import ModelParams, RangeOverflowError, adams_constant
 from .radial import RadialFunction, RadialGrid, random_clamped_profile
 
@@ -83,6 +83,8 @@ def _scale_search(fiber: FiberMap):
     one search can be driven by direct calls (project_scale) or many in
     lockstep, with d of every pending search evaluated in one stack.
     """
+    if not 0.0 < fiber.norm_sq < math.inf:
+        raise ProjectionError(f"the squared weighted norm {fiber.norm_sq:.3g} is not positive and finite")
     head = fiber.kirchhoff.g0 * fiber.norm_sq
     logs = [(math.log(head) - math.log(m)) / (e - 2.0) for e, m in fiber.power_moments if m > 0.0]
     if not logs:
@@ -196,7 +198,7 @@ def _project_rows(rows: list, params: ModelParams) -> list:
     peaks = np.abs(values).max(axis=1)
     _reject_rows(~((0.0 < peaks) & (peaks < math.inf)), "direction is zero or not finite")
     shapes = values / peaks[:, None]
-    norms = np.sqrt(_norm_sq_rows(ops, shapes))
+    norms = np.sqrt(ops.rule.form(shapes))
     _reject_rows(~(norms > 0.0), "direction has zero weighted norm")
     units = shapes / norms[:, None]
     searches = [_scale_search(FiberMap.full(RadialFunction(grid, unit), params)) for unit in units]
@@ -329,13 +331,6 @@ class _Functional:
         self.pure_power = pure_power
         self.ops = operator_cache(grid, params.beta)
 
-    def norm(self, values: np.ndarray) -> float:
-        out = _norm_sq(self.ops, values)
-        return math.sqrt(max(out, 0.0)) if math.isfinite(out) else math.inf
-
-    def w_dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self.ops.wvol @ ((self.grid.lap @ x) * (self.grid.lap @ y)))
-
     def fiber(self, u: RadialFunction) -> FiberMap:
         if self.pure_power:
             return FiberMap.pure_power(u, self.params)
@@ -343,8 +338,8 @@ class _Functional:
 
     def value(self, values: np.ndarray) -> float:
         if self.pure_power:
-            s = self.norm(values) ** 2
-            i_p = float(self.ops.vol @ np.abs(values) ** self.params.p)
+            s = self.ops.rule.form(values)
+            i_p = float(self.ops.rule.vol @ np.abs(values) ** self.params.p)
             return 0.5 * float(self.params.kirchhoff.G(s)) - i_p / self.params.p
         return energy(RadialFunction(self.grid, values), self.params).total
 
@@ -356,12 +351,9 @@ class _Functional:
         return (q - 1.0) * np.abs(values) ** (q - 2.0) + self.params.nonlinearity.f_prime(values)
 
     def load(self, values: np.ndarray) -> np.ndarray:
-        if not self.pure_power:
-            return _residual_load(self.ops, values, self.params)
-        s = self.norm(values) ** 2
-        g_val = float(self.params.kirchhoff.g(s))
-        force = np.abs(values) ** (self.params.p - 2.0) * values
-        return g_val * (self.ops.gram @ values) - self.ops.vol * force
+        params = self.params
+        force = np.abs(values) ** (params.p - 2.0) * values if self.pure_power else _nodal_force(values, params)
+        return _residual_load(self.ops, values, params, force)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         return self.ops.riesz(self.load(values))
@@ -372,18 +364,18 @@ class _Functional:
         At a critical point the gradient is the difference of g(S) w and
         the Riesz image of the force, so this is the gradient relative to
         the terms it cancels: the same for both functionals at any cp."""
-        nrm = self.norm(values)
+        nrm = self.ops.rule.norm(values)
         scale = float(self.params.kirchhoff.g(nrm**2)) * nrm
         return grad_norm / scale if scale > 0.0 else math.inf
 
     def hessian_matrix(self, values: np.ndarray) -> np.ndarray:
         """Second derivative of the energy on the clamped basis."""
-        s = self.norm(values) ** 2
+        s = self.ops.rule.form(values)
         g_val = float(self.params.kirchhoff.g(s))
         g_slope = float(self.params.kirchhoff.g_prime(s))
         basis = self.ops.basis
         b = basis.T @ (self.ops.gram @ values)
-        stiff = self.ops.vol * self._nodal_stiffness(values)
+        stiff = self.ops.rule.vol * self._nodal_stiffness(values)
         return g_val * self.ops.a + 2.0 * g_slope * np.outer(b, b) - (basis.T * stiff) @ basis
 
 
@@ -396,7 +388,7 @@ def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
     stationarity of the reported minimizer.
     """
     basis = func.ops.basis
-    gn = func.norm(func.gradient(values))
+    gn = func.ops.rule.norm(func.gradient(values))
     for _ in range(steps):
         try:
             hess = func.hessian_matrix(values)
@@ -408,7 +400,7 @@ def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
         for _ in range(12):
             trial = values + scale * delta
             try:
-                gn_try = func.norm(func.gradient(trial))
+                gn_try = func.ops.rule.norm(func.gradient(trial))
             except RangeOverflowError:
                 gn_try = math.inf
             if gn_try < gn:
@@ -444,19 +436,19 @@ def _finish_start(
     level is the energy of a genuine constrained point.  The start has
     converged when its relative gradient is at most the tolerance.
     """
-    nrm = func.norm(w_vals)
+    nrm = func.ops.rule.norm(w_vals)
     if nrm > 0.0:
         direction = RadialFunction(func.grid, w_vals / nrm)
         t = project_scale(func.fiber(direction))
         w_vals = t * direction.values
-    grad_norm = func.norm(func.gradient(w_vals))
+    grad_norm = func.ops.rule.norm(func.gradient(w_vals))
     rel_grad = func.relative_gradient(w_vals, grad_norm)
     record = StartRecord(
         index=index,
         energy=func.value(w_vals),
         gradient_norm=grad_norm,
         relative_gradient=rel_grad,
-        norm=func.norm(w_vals),
+        norm=func.ops.rule.norm(w_vals),
         iterations=iterations,
         converged=rel_grad <= search.tol,
         polished=polished,
@@ -479,7 +471,7 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
     w_vals = t * u.values
     e_val = func.value(w_vals)
 
-    min_norm = func.norm(w_vals)
+    min_norm = func.ops.rule.norm(w_vals)
     coer_margin = e_val - coer * g0 * min_norm**2
     step = 1.0
     iterations = 0
@@ -488,7 +480,7 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
 
     for iterations in range(1, search.max_iter + 1):
         grad = func.gradient(w_vals)
-        grad_norm = func.norm(grad)
+        grad_norm = func.ops.rule.norm(grad)
         if func.relative_gradient(w_vals, grad_norm) <= search.tol:
             break
         # Barzilai-Borwein initial step from the last curvature pair; the
@@ -497,15 +489,15 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
         if prev_vals is not None:
             s_vec = w_vals - prev_vals
             y_vec = grad - prev_grad
-            sy = func.w_dot(s_vec, y_vec)
-            yy = func.w_dot(y_vec, y_vec)
+            sy = func.ops.rule.form(s_vec, y_vec)
+            yy = func.ops.rule.form(y_vec)
             if sy > 0.0 and yy > 0.0:
                 a = min(max(sy / yy, 1e-12), 1e8)
         prev_vals, prev_grad = w_vals, grad
         accepted = False
         while a > 1e-20:
             trial = w_vals - a * grad
-            trial_norm = func.norm(trial)
+            trial_norm = func.ops.rule.norm(trial)
             if math.isfinite(trial_norm) and trial_norm > 0.0:
                 u_try = RadialFunction(func.grid, trial / trial_norm)
                 try:
@@ -522,7 +514,7 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
             break
         step, w_vals, e_val = a, w_try, e_try
         trace.append(e_val)
-        pn = func.norm(w_vals)
+        pn = func.ops.rule.norm(w_vals)
         min_norm = min(min_norm, pn)
         coer_margin = min(coer_margin, e_val - coer * g0 * pn**2)
 
@@ -549,13 +541,13 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig, index: 
     """
     p = func.params.p
     ops = func.ops
-    moment = float(ops.vol @ np.abs(u) ** p)
+    moment = float(ops.rule.vol @ np.abs(u) ** p)
     trace = [moment]
     iterations = 0
     for iterations in range(1, search.max_iter + 1):
-        v = ops.riesz(ops.vol * (np.abs(u) ** (p - 2.0) * u))
-        u_next = v / func.norm(v)
-        m_next = float(ops.vol @ np.abs(u_next) ** p)
+        v = ops.riesz(ops.rule.vol * (np.abs(u) ** (p - 2.0) * u))
+        u_next = v / func.ops.rule.norm(v)
+        m_next = float(ops.rule.vol @ np.abs(u_next) ** p)
         if not m_next > moment * (1.0 + _MOMENT_RISE):  # the rounding floor
             break
         u, moment = u_next, m_next
@@ -580,7 +572,7 @@ def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, desc
     min_norm = math.inf
     coer_margin = math.inf
     for k, u0 in enumerate(starts):
-        nrm = func.norm(u0.values)
+        nrm = func.ops.rule.norm(u0.values)
         if nrm <= 0.0:
             raise ProjectionError("start direction is numerically zero")
         rec, vals, mn, cm = descend(func, u0.values / nrm, search, k)
@@ -618,20 +610,20 @@ def ground_state(
     # report the winner through the full projection so the residual of the
     # published minimizer sits at its rounding floor (projection acts on
     # the normalized direction; the minimizer itself may be tiny)
-    best_norm = func.norm(best_vals)
+    best_norm = func.ops.rule.norm(best_vals)
     point = project(RadialFunction(grid, best_vals / best_norm), params)
     minimizer = point.projected
     return GroundStateResult(
         minimizer=minimizer,
         m=point.energy,
-        gradient_norm=func.norm(func.gradient(minimizer.values)),
+        gradient_norm=func.ops.rule.norm(func.gradient(minimizer.values)),
         starts=len(records),
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
         residual=point.residual,
-        minimizer_norm=func.norm(minimizer.values),
-        min_nehari_norm=min(min_norm, func.norm(minimizer.values)),
+        minimizer_norm=func.ops.rule.norm(minimizer.values),
+        min_nehari_norm=min(min_norm, func.ops.rule.norm(minimizer.values)),
         coercivity_margin=coer_margin,
     )
 
@@ -643,7 +635,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     func = _Functional(grid, params, pure_power=True)
     records, best_vals, best, _, _ = _minimize(func, search, (), _descend_aux)
     w_p = RadialFunction(grid, best_vals)
-    p_norm_p = float(func.ops.vol @ np.abs(best_vals) ** params.p)
+    p_norm_p = float(func.ops.rule.vol @ np.abs(best_vals) ** params.p)
     return AuxResult(
         w_p=w_p,
         m_p=best.energy,

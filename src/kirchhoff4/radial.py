@@ -27,6 +27,7 @@ v, int_B v dx = |S^3| * int_0^1 v(r) r^3 dr with |S^3| = 2 pi^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,8 @@ __all__ = [
     "laplacian4",
     "log_weight",
     "weight_values",
+    "WeightedRule",
+    "weighted_rule",
     "ball_integral",
     "w_inner",
     "w_norm",
@@ -338,6 +341,33 @@ def weight_values(grid: RadialGrid, beta: float) -> np.ndarray:
     return (1.0 - np.log(grid.nodes)) ** beta
 
 
+class WeightedRule:
+    """Quadrature of the weighted space on a grid: volume weights vol_i =
+    2 pi^2 q_i (sum_i vol_i v(r_i) ~ int_B v dx) and weighted volume weights
+    wvol_i = vol_i w(r_i), with w the logarithmic weight."""
+
+    def __init__(self, grid: RadialGrid, beta: float):
+        self.grid = grid
+        self.vol = SURFACE_3SPHERE * grid.quad_weights
+        self.wvol = self.vol * weight_values(grid, beta)
+
+    def form(self, x: np.ndarray, y: np.ndarray | None = None):
+        """int_B w (lap x)(lap y) dx of nodal values (n,), or row by row of
+        stacks (k, n); y = x gives the squared weighted norm."""
+        lx = x @ self.grid.lap.T
+        ly = lx if y is None else y @ self.grid.lap.T
+        return (lx * ly) @ self.wvol
+
+    def norm(self, x: np.ndarray) -> float:
+        """Weighted norm of nodal values (n,); inf when they overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(self.form(x))
+        return math.sqrt(s) if math.isfinite(s) else math.inf
+
+
+weighted_rule = lru_cache(maxsize=32)(WeightedRule)  # one rule per (grid, beta)
+
+
 def _nodal(v, grid=None):
     if isinstance(v, RadialFunction):
         return v.grid, v.values
@@ -356,16 +386,12 @@ def w_inner(u: RadialFunction, v: RadialFunction, beta: float) -> float:
     """Weighted scalar product int_B w(x) (lap u)(lap v) dx."""
     if u.grid is not v.grid:
         raise ValueError("operands live on different grids")
-    grid = u.grid
-    lu = grid.lap @ u.values
-    lv = grid.lap @ v.values
-    wq = grid.quad_weights * weight_values(grid, beta)
-    return SURFACE_3SPHERE * float(wq @ (lu * lv))
+    return float(weighted_rule(u.grid, beta).form(u.values, v.values))
 
 
 def w_norm(u: RadialFunction, beta: float) -> float:
     """Norm of the weighted space: (int_B w |lap u|^2 dx)^(1/2)."""
-    return float(np.sqrt(max(w_inner(u, u, beta), 0.0)))
+    return weighted_rule(u.grid, beta).norm(u.values)
 
 
 def lebesgue_norm(u: RadialFunction, s: float) -> float:

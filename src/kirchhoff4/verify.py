@@ -353,7 +353,7 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
 
     v = sobolev_gradient(u, params)
     ops = operator_cache(grid, params.beta)
-    load = _residual_load(ops, u.values, params)
+    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
     resid = ops.basis.T @ (ops.gram @ v.values) - ops.basis.T @ load
     # relative to the load magnitude: the admissible power coefficient can
     # push the absolute scale far beyond unity
@@ -383,20 +383,21 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
         u = random_clamped_profile(grid, np.random.default_rng([seed, 500 + k]))
         dirs.append(RadialFunction(grid, u.values / w_norm(u, params.beta)))
     pts = project(dirs, params)
-    sign_ok = True
+    sign_changes = []
     max_gaps = []
     for u, pt in zip(dirs, pts):
         # unique sign change of the derivative over a wide log grid
         ts = np.geomspace(1e-6 * pt.t_u, 1e3 * pt.t_u, 500)
         signs = np.sign(FiberMap.full(u, params).deriv(ts, saturate=True))
         signs = signs[signs != 0.0]
-        sign_ok &= int(np.sum(signs[1:] != signs[:-1])) == 1
+        sign_changes.append(int(np.sum(signs[1:] != signs[:-1])))
         # the fibering maximum is attained at the projection scale, up to a
         # slack relative to it (levels can be ~1e-36); past the guard the
         # map is -inf, far below its maximum
         peak = fibering(u, pt.t_u, params)
         max_gaps.append((peak - fibering(u, np.linspace(0.0, 3.0 * pt.t_u, 200), params).max()) / abs(peak))
-    checks.append(_check("projection-unique-sign-change", sign_ok, 1.0 if sign_ok else -1.0))
+    bad = [k for k, c in enumerate(sign_changes) if c != 1]  # the witness is the first of them
+    checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
     checks.append(_worst("projection-fibering-max", np.array(max_gaps), range(count)))
     # scale-below-one criterion on the doubled points inside the Nehari set
     ops = operator_cache(grid, params.beta)
@@ -410,8 +411,9 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     margins = [pt.energy / (coer * w_norm(pt.projected, params.beta) ** 2) - 1.0 for pt in pts]
     worst_margin = min(margins)
     checks.append(_check("projection-coercivity", worst_margin >= -1e-9, worst_margin + 1e-9))
-    resid_ok = bool(np.all(np.abs([pt.residual for pt in pts]) <= _residual_limit(ops, projected, params)))
-    checks.append(_check("projection-residual", resid_ok, 1.0 if resid_ok else -1.0))
+    resid, limit = np.abs([pt.residual for pt in pts]), _residual_limit(ops, projected, params)
+    worst = int(np.argmax(resid / limit))  # the margin is the headroom of its ratio
+    checks.append(_check("projection-residual", bool(np.all(resid <= limit)), 1.0 - resid[worst] / limit[worst], worst))
     return checks
 
 
@@ -420,10 +422,10 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams):
     of nodal values (n,) or of each profile of a stack (k, n): eps times the
     magnitudes of its terms, so it scales with the problem and has no
     absolute part."""
-    lw = values @ ops.grid.lap.T
-    g_val = params.kirchhoff.g((lw * lw) @ ops.wvol)
-    head = 2.0 * g_val * ((np.abs(lw) * (np.abs(values) @ np.abs(ops.grid.lap).T)) @ ops.wvol)
-    tail = np.abs(_nodal_force(values, params) * values) @ ops.vol
+    rule, lap = ops.rule, ops.rule.grid.lap
+    g_val = params.kirchhoff.g(rule.form(values))
+    head = 2.0 * g_val * ((np.abs(values @ lap.T) * (np.abs(values) @ np.abs(lap).T)) @ rule.wvol)
+    tail = np.abs(_nodal_force(values, params) * values) @ rule.vol
     return 4.0 * float(np.finfo(float).eps) * (head + tail)
 
 
@@ -469,7 +471,7 @@ def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples
 def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:
     alpha = adams_constant(params.beta)
     gamma = params.gamma
-    vol = operator_cache(grid, params.beta).vol
+    vol = operator_cache(grid, params.beta).rule.vol
     sup = 0.0
     finite = True
     for k in range(count):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import FiberMap, operator_cache, _nehari_residuals, _residual_load
+from kirchhoff4.energy import FiberMap, operator_cache, _nehari_residuals, _nodal_force, _residual_load
 from kirchhoff4.model import KirchhoffSpec, RangeOverflowError
+from kirchhoff4.radial import weighted_rule
+from kirchhoff4.verify import _residual_limit
 
 from conftest import unit_profile
 
@@ -122,8 +124,8 @@ def test_sobolev_gradient_defining_equations(n, scheme, params_cp2):
     ops = operator_cache(grid, 0.5)
     u = unit_profile(grid, 0.5, 9)
     v = k4.sobolev_gradient(u, params_cp2)
-    lhs = (grid.lap @ ops.basis).T @ (ops.wvol * (grid.lap @ v.values))
-    resid = lhs - ops.basis.T @ _residual_load(ops, u.values, params_cp2)
+    lhs = (grid.lap @ ops.basis).T @ (ops.rule.wvol * (grid.lap @ v.values))
+    resid = lhs - ops.basis.T @ _residual_load(ops, u.values, params_cp2, _nodal_force(u.values, params_cp2))
     assert np.abs(resid).max() < 1e-9
 
 
@@ -131,6 +133,34 @@ def test_sobolev_gradient_condition_estimate(spectral64):
     ops = operator_cache(spectral64, 0.5)
     assert math.isfinite(ops.cond)
     assert ops.cond < 1e14
+
+
+def test_weighted_rule_has_one_home(spectral64, params_cp2, monkeypatch):
+    # doubling the weighted volumes of the one cached rule moves every
+    # weighted quantity built on it: no site keeps a copy of its own
+    beta, g = params_cp2.beta, params_cp2.kirchhoff
+    u = unit_profile(spectral64, beta, 12)
+    ops = operator_cache(spectral64, beta)
+    s = float(ops.rule.form(u.values))
+    force_u = _nodal_force(u.values, params_cp2) * u.values
+    action = k4.weak_action(u, u, params_cp2)
+    gram_sq = u.values @ ops.gram @ u.values
+    bound = _residual_limit(ops, u.values, params_cp2) / (4.0 * np.finfo(float).eps)
+    head = bound - np.abs(force_u) @ ops.rule.vol  # 2 g(S) times a weighted product
+    rule = weighted_rule(spectral64, beta)
+    monkeypatch.setitem(vars(rule), "wvol", 2.0 * rule.wvol)
+    operator_cache.cache_clear()  # its Gram matrix is built from the rule
+    try:
+        ops = operator_cache(spectral64, beta)
+        assert k4.w_norm(u, beta) ** 2 == pytest.approx(2.0 * s, rel=1e-15)
+        assert k4.energy(u, params_cp2).kirchhoff_term == 0.5 * g.G(2.0 * s)
+        assert u.values @ ops.gram @ u.values == pytest.approx(2.0 * gram_sq, rel=1e-14)
+        moved = k4.weak_action(u, u, params_cp2) - action
+        assert moved == pytest.approx(g.g(2.0 * s) * 2.0 * s - g.g(s) * s, rel=1e-12)
+        moved = _residual_limit(ops, u.values, params_cp2) / (4.0 * np.finfo(float).eps) - bound
+        assert moved == pytest.approx((2.0 * g.g(2.0 * s) / g.g(s) - 1.0) * head, rel=1e-12)
+    finally:
+        operator_cache.cache_clear()
 
 
 def test_fibering_endpoints(spectral64, params_cp2):

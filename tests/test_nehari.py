@@ -56,6 +56,11 @@ def test_projection_needs_positive_moment():
     fiber = FiberMap(KirchhoffSpec.affine(1.0, 0.0), 1.0, ((6.0, 0.0),))
     with pytest.raises(ProjectionError):
         k4.project_scale(fiber)
+    # nor from a squared weighted norm that is not positive and finite
+    for norm_sq in (0.0, -1.0, math.nan, math.inf):
+        fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), norm_sq, ((6.0, 1.0),))
+        with pytest.raises(ProjectionError, match="weighted norm"):
+            k4.project_scale(fiber)
 
 
 def test_projection_scaling_law(spectral64, params_cp2):
@@ -166,6 +171,31 @@ def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatc
     monkeypatch.setattr(verify, "project", misplaced)
     check = fibering_max()
     assert check.status == "fail" and check.margin < 0.0
+
+
+def test_projection_residual_check_names_worst_row(spectral64, resolved_default, monkeypatch):
+    # the margin is the headroom of the worst |residual| / limit ratio, and
+    # the witness is its row
+    params = resolved_default[0]
+    ops = operator_cache(spectral64, params.beta)
+    real = verify.project
+
+    def offset(u, params):
+        pts = real(u, params)
+        if isinstance(u, k4.RadialFunction):
+            return pts
+        pts[7] = replace(pts[7], residual=2.0 * _residual_limit(ops, pts[7].projected.values, params))
+        return pts
+
+    def residual_check():
+        checks = _projection_checks(spectral64, params, 20, 1)
+        return next(c for c in checks if c.name == "projection-residual")
+
+    check = residual_check()
+    assert check.status == "pass" and 0.0 < check.margin < 1.0
+    monkeypatch.setattr(verify, "project", offset)
+    check = residual_check()
+    assert check.status == "fail" and check.margin < 0.0 and check.witness == 7
 
 
 def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolved_default):
@@ -308,7 +338,7 @@ def test_aux_result_invariants(resolved_default, params_cp2, search_default):
 def _solver_start(func, search, k):
     """The unit-norm start direction k of a multi-start solve."""
     u = k4.random_clamped_profile(func.grid, np.random.default_rng([search.seed, k])).values
-    return u / func.norm(u)
+    return u / func.ops.rule.norm(u)
 
 
 @pytest.mark.parametrize("scheme, n", [("spectral-even", 32), ("uniform-fd", 100)])
@@ -325,9 +355,9 @@ def test_aux_moment_traces_monotone(params_cp2, scheme, n):
         u = _solver_start(func, cfg, rec.index)
         moments = []
         for _ in range(40):
-            moments.append(float(ops.vol @ np.abs(u) ** p))
-            v = ops.riesz(ops.vol * (np.abs(u) ** (p - 2.0) * u))
-            u = v / func.norm(v)
+            moments.append(float(ops.rule.vol @ np.abs(u) ** p))
+            v = ops.riesz(ops.rule.vol * (np.abs(u) ** (p - 2.0) * u))
+            u = v / func.ops.rule.norm(v)
         floor = 1e-12 * moments[-1]
         assert np.all(np.diff(moments) >= -floor), rec.index
         trace = np.array(rec.trace)
@@ -343,7 +373,7 @@ def test_published_minimizers_are_polished(spectral64, resolved_default, ground_
     # converges unpolished, so the published start is the only polished one
     params, aux, _ = resolved_default
     func = _Functional(spectral64, params, pure_power=True)
-    rel_aux = func.relative_gradient(aux.w_p.values, func.norm(func.gradient(aux.w_p.values)))
+    rel_aux = func.relative_gradient(aux.w_p.values, func.ops.rule.norm(func.gradient(aux.w_p.values)))
     assert rel_aux <= 1e-9
     assert minimizer_gates(ground_default, params)[0] <= 1e-9
     for result, level in ((aux, aux.m_p), (ground_default, ground_default.m)):
