@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,7 +33,7 @@ from .nehari import (
     min_admissible_cp,
     resolve_auto_cp,
 )
-from .radial import build_grid, write_profile_csv
+from .radial import RadialFunction, build_grid, write_profile_csv
 from .verify import run_suite
 
 __all__ = ["RunConfig", "ConfigError", "main", "console_main"]
@@ -40,6 +41,14 @@ __all__ = ["RunConfig", "ConfigError", "main", "console_main"]
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
+
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+def _field_type(field: dataclasses.Field) -> type:
+    """float, int or str: the type of the field's default (cp's None is a float)."""
+    return float if field.default is None else type(field.default)
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            kind = _field_type(fields[key])
+            if value is None and fields[key].default is None:
+                continue
+            wrong_type = isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+            if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         return cls(**data)
 
     # --- validation and resolution ------------------------------------
@@ -146,21 +162,37 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _start_records(result) -> list:
-    return [r.to_dict() for r in result.per_start]
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _report_skeleton(command: str, config: RunConfig, params: ModelParams) -> dict:
-    return {
+def _payload(result) -> dict:
+    """Every field of a result dataclass but its profile, which goes to
+    minimizer.csv; the start records without their traces."""
+    payload = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if field.name == "per_start":
+            value = [r.to_dict() for r in value]
+        if not isinstance(value, RadialFunction):
+            payload[field.name] = value
+    return payload
+
+
+def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, profile=None) -> None:
+    """Write report.json (suite.json for verify) and the profile's minimizer.csv."""
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "config": config.to_dict(),
         "params": params_to_dict(params),
+        "result": result,
     }
+    _write_json(out / ("suite.json" if command == "verify" else "report.json"), report)
+    if profile is not None:
+        write_profile_csv(profile, out / "minimizer.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -172,50 +204,20 @@ def cmd_solve(config: RunConfig) -> int:
     params, aux, threshold = config.resolve()
     extras = (aux.w_p,) if aux is not None else ()
     result = ground_state(config.grid(), params, config.search(), extra_starts=extras)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = _report_skeleton("solve", config, params)
-    report["result"] = {
-        "m": result.m,
-        "gradient_norm": result.gradient_norm,
-        "residual": result.residual,
-        "minimizer_norm": result.minimizer_norm,
-        "converged": result.converged,
-        "starts": result.starts,
-        "per_start_energies": result.per_start_energies,
-        "per_start": _start_records(result),
-        "min_nehari_norm": result.min_nehari_norm,
-        "coercivity_margin": result.coercivity_margin,
-    }
+    payload = _payload(result)
     if threshold is not None:
-        report["result"]["cp_threshold"] = threshold
-        report["result"]["auxiliary_level"] = aux.m_p
-    _write_json(out / "report.json", report)
-    write_profile_csv(result.minimizer, out / "minimizer.csv")
+        payload.update(cp_threshold=threshold, auxiliary_level=aux.m_p)
+    _emit("solve", config, params, payload, result.minimizer)
     return 0 if result.converged else 2
 
 
 def cmd_aux(config: RunConfig) -> int:
     params = config.base_params(cp=config.cp if config.cp is not None else 2.0)
     result = aux_ground_state(config.grid(), params, config.search())
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     cap, below_cap = aux_pnorm_bound(result, params)
-    report = _report_skeleton("aux", config, params)
-    report["result"] = {
-        "m_p": result.m_p,
-        "p_norm_p": result.p_norm_p,
-        "gradient_norm": result.gradient_norm,
-        "converged": result.converged,
-        "starts": result.starts,
-        "per_start_energies": result.per_start_energies,
-        "per_start": _start_records(result),
-        "pnorm_cap": cap,
-        "pnorm_below_cap": below_cap,
-        "min_admissible_cp": min_admissible_cp(result, params),
-    }
-    _write_json(out / "report.json", report)
-    write_profile_csv(result.w_p, out / "minimizer.csv")
+    payload = _payload(result)
+    payload.update(pnorm_cap=cap, pnorm_below_cap=below_cap, min_admissible_cp=min_admissible_cp(result, params))
+    _emit("aux", config, params, payload, result.w_p)
     return 0 if result.converged else 2
 
 
@@ -228,10 +230,7 @@ def cmd_bounds(config: RunConfig) -> int:
         threshold = min_admissible_cp(aux, params)
     result = ground_state(grid, params, search, extra_starts=(aux.w_p,))
     bounds = level_bounds(result.m, aux, params)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = _report_skeleton("bounds", config, params)
-    report["result"] = {
+    payload = {
         "bounds": bounds.to_dict(),
         "cp_threshold_stated": threshold,
         "cp_used": params.cp,
@@ -241,8 +240,7 @@ def cmd_bounds(config: RunConfig) -> int:
         "aux_converged": aux.converged,
         "all_passed": bounds.all_passed,
     }
-    _write_json(out / "report.json", report)
-    write_profile_csv(result.minimizer, out / "minimizer.csv")
+    _emit("bounds", config, params, payload, result.minimizer)
     ok = result.converged and aux.converged and bounds.all_passed
     return 0 if ok else 2
 
@@ -250,11 +248,7 @@ def cmd_bounds(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     params, _, _ = config.resolve()
     suite = run_suite(params, grid=config.grid(), seed=config.seed)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = _report_skeleton("verify", config, params)
-    report["result"] = suite.to_dict()
-    _write_json(out / "suite.json", report)
+    _emit("verify", config, params, suite.to_dict())
     return 0 if suite.overall else 2
 
 
@@ -263,45 +257,22 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a configuration error
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kirchhoff4",
-        description="Nehari-manifold ground states of a weighted fourth-order "
-        "Kirchhoff problem on the unit ball of R^4",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "compute the ground state"),
-        ("aux", "compute the pure-power auxiliary ground state"),
-        ("bounds", "verify every level-bound inequality"),
-        ("verify", "run the property-verification suite"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--cp", type=float, default=None)
-        group.add_argument("--auto-cp", action="store_true", help="cp = 1.1 x admissibility threshold (default)")
-        p.add_argument("--alpha0", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--g0", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--scheme", type=str, default=None, choices=("spectral-even", "uniform-fd"))
-        p.add_argument("--starts", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+    """One flag per RunConfig field, typed by its default; flags left out stay None."""
+    parser = _Parser(prog="kirchhoff4", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--auto-cp", action="store_true", help="cp = 1.1 x admissibility threshold (default)")
+    for field in dataclasses.fields(RunConfig):
+        target = group if field.name == "cp" else parser
+        target.add_argument("--" + field.name.replace("_", "-"), type=_field_type(field))
     return parser
-
-
-_FLAG_FIELDS = (
-    "beta", "q", "p", "cp", "alpha0", "delta", "g0", "a",
-    "n", "scheme", "starts", "max_iter", "tol", "seed", "out",
-)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -313,11 +284,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    for field in _FLAG_FIELDS:
-        value = getattr(args, field, None)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            data[field] = value
-    if getattr(args, "auto_cp", False):
+            data[field.name] = value
+    if args.auto_cp:
         data["cp"] = None
     return RunConfig.from_dict(data)
 
@@ -352,9 +323,8 @@ def _retain_freed_memory() -> None:
 
 def main(argv: list | None = None) -> int:
     _retain_freed_memory()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _config_from_args(args)
         config.validate()
         return _COMMANDS[args.command](config)

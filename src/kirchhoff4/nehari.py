@@ -460,11 +460,11 @@ def _finish_start(
 def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index: int):
     """Projected Sobolev-gradient descent from one unit-norm start direction.
 
-    Returns (record, minimizer values, min observed Nehari norm,
-    worst coercivity margin across accepted projected points).
+    Returns (record, minimizer values, min observed Nehari norm, worst
+    coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
+    projected points: relative, as levels can be ~1e-36).
     """
-    g0 = func.params.kirchhoff.g0
-    coer = 0.25 - 1.0 / func.params.q
+    coer = (0.25 - 1.0 / func.params.q) * func.params.kirchhoff.g0
 
     u = RadialFunction(func.grid, u0)
     t = project_scale(func.fiber(u))
@@ -472,7 +472,7 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
     e_val = func.value(w_vals)
 
     min_norm = func.ops.rule.norm(w_vals)
-    coer_margin = e_val - coer * g0 * min_norm**2
+    coer_margin = e_val / (coer * min_norm**2) - 1.0
     step = 1.0
     iterations = 0
     prev_vals = prev_grad = None
@@ -516,11 +516,11 @@ def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index
         trace.append(e_val)
         pn = func.ops.rule.norm(w_vals)
         min_norm = min(min_norm, pn)
-        coer_margin = min(coer_margin, e_val - coer * g0 * pn**2)
+        coer_margin = min(coer_margin, e_val / (coer * pn**2) - 1.0)
 
     record, w_vals = _finish_start(func, w_vals, index, iterations, search, tuple(trace))
     min_norm = min(min_norm, record.norm)
-    coer_margin = min(coer_margin, record.energy - coer * g0 * record.norm**2)
+    coer_margin = min(coer_margin, record.energy / (coer * record.norm**2) - 1.0)
     return record, w_vals, min_norm, coer_margin
 
 
@@ -687,30 +687,27 @@ def _cp_threshold(tau: float, m_p: float, params: ModelParams) -> float:
 
 
 def min_admissible_cp(aux: AuxResult, params: ModelParams) -> float:
-    """Smallest admissible power coefficient for the given auxiliary level."""
-    tau_threshold, _ = _tau_pair(aux.m_p, params)
-    return _cp_threshold(tau_threshold, aux.m_p, params)
+    """Smallest admissible power coefficient for the given auxiliary level.
+
+    Both published variants of the cap coefficient are honored (the larger
+    of the two thresholds is taken), so the existence hypothesis holds
+    under either reading and the closed-form level cap is guaranteed by the
+    comparison chain.
+    """
+    return max(_cp_threshold(tau, aux.m_p, params) for tau in _tau_pair(aux.m_p, params))
 
 
 def resolve_auto_cp(grid: RadialGrid, params: ModelParams, search: SearchConfig):
-    """Solve the auxiliary problem and fix cp = 1.1 x its admissibility
-    threshold.
+    """Solve the auxiliary problem and fix cp = 1.1 x min_admissible_cp.
 
-    Both published variants of the cap coefficient are honored (the max of
-    the two thresholds is taken), so the existence hypothesis holds under
-    either reading and the closed-form level cap is guaranteed by the
-    comparison chain.  Returns the resolved parameters together with the
-    auxiliary result, whose minimizer should seed the main solve: its
-    projection certifies the level caps and, in the resolved regime, the
-    reaction term is dominated by the pure power, so the auxiliary
-    extremal is also the best available start direction.
+    Returns the resolved parameters together with the auxiliary result,
+    whose minimizer should seed the main solve: its projection certifies
+    the level caps and, in the resolved regime, the reaction term is
+    dominated by the pure power, so the auxiliary extremal is also the
+    best available start direction.
     """
     aux = aux_ground_state(grid, params, search)
-    tau_threshold, tau_cap = _tau_pair(aux.m_p, params)
-    thr = max(
-        _cp_threshold(tau_threshold, aux.m_p, params),
-        _cp_threshold(tau_cap, aux.m_p, params),
-    )
+    thr = min_admissible_cp(aux, params)
     return params.with_cp(1.1 * thr), aux, thr
 
 

@@ -40,7 +40,6 @@ from .nehari import project, project_scale
 from .radial import (
     RadialFunction,
     RadialGrid,
-    build_grid,
     full_sobolev_norm,
     lebesgue_norm,
     laplacian4,
@@ -403,9 +402,12 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     ops = operator_cache(grid, params.beta)
     projected = np.array([pt.projected.values for pt in pts])
     doubled = 2.0 * projected
-    inside = _nehari_residuals(ops, doubled, params) <= 0.0
-    small_ok = t_leq_one_check([RadialFunction(grid, v) for v in doubled[inside]], params)
-    checks.append(_check("projection-scale-below-one", small_ok, 1.0 if small_ok else -1.0))
+    inside = np.flatnonzero(_nehari_residuals(ops, doubled, params) <= 0.0)
+    t_u = np.full(count, -math.inf)  # a point outside the set is not tested
+    t_u[inside] = _scales_inside([RadialFunction(grid, v) for v in doubled[inside]], params)
+    worst = int(np.argmax(t_u))  # the margin is the headroom of the largest scale
+    headroom = 1.0 + 1e-10 - t_u[worst]
+    checks.append(_check("projection-scale-below-one", headroom >= 0.0, headroom, worst))
     # relative to the coercivity level: energies can be ~1e-36
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
     margins = [pt.energy / (coer * w_norm(pt.projected, params.beta) ** 2) - 1.0 for pt in pts]
@@ -435,8 +437,14 @@ def t_leq_one_check(u, params: ModelParams) -> bool:
     direction or a sequence of them on one grid; the check holds when it
     holds for each."""
     rows = [u] if isinstance(u, RadialFunction) else list(u)
+    return bool(np.all(_scales_inside(rows, params) <= 1.0 + 1e-10))
+
+
+def _scales_inside(rows: list, params: ModelParams) -> np.ndarray:
+    """Projection scales of directions on or inside the Nehari set; a
+    ValueError names the first row whose residual exceeds its rounding bound."""
     if not rows:
-        return True
+        return np.empty(0)
     ops = operator_cache(rows[0].grid, params.beta)
     values = np.array([r.values for r in rows])
     res = _nehari_residuals(ops, values, params)
@@ -445,7 +453,7 @@ def t_leq_one_check(u, params: ModelParams) -> bool:
     if over.size:
         i = over[0]
         raise ValueError(f"precondition violated: Nehari residual {res[i]:.3g} of row {i} is positive")
-    return all(pt.t_u <= 1.0 + 1e-10 for pt in project(rows, params))
+    return np.array([pt.t_u for pt in project(rows, params)])
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:
@@ -489,17 +497,13 @@ def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -
 
 def run_suite(
     params: ModelParams,
-    grid: RadialGrid | None = None,
-    n: int = 64,
-    scheme: str = "spectral-even",
+    grid: RadialGrid,
     directions: int = 200,
     profiles: int = 100,
     adams_profiles: int = 50,
     seed: int = 1,
 ) -> SuiteReport:
     """Run every verification check and aggregate the outcomes."""
-    if grid is None:
-        grid = build_grid(n, scheme)
     checks = []
     checks.extend(_grid_checks(grid))
     checks.extend(_profile_checks(grid, params.beta, profiles, seed))

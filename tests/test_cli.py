@@ -10,7 +10,6 @@ import pytest
 
 import kirchhoff4 as k4
 import kirchhoff4.cli as cli
-import kirchhoff4.verify
 
 
 SMALL = ["--n", "32", "--starts", "2", "--max-iter", "80"]
@@ -55,6 +54,82 @@ def test_validation_names_offending_key(overrides, needle):
     with pytest.raises(cli.ConfigError) as err:
         cfg.validate()
     assert str(err.value).split()[0] == needle  # the message opens with the key
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["solve", "--n", "abc"], "--n"),
+        (["solve", "--scheme", "foo"], "scheme"),
+        (["solve", "--bogus", "1"], "--bogus"),
+        (["solve", "--cp", "2", "--auto-cp"], "--auto-cp"),
+        ([], "command"),
+        (["aux", "--q", "nan"], "q must be a finite number"),
+    ],
+)
+def test_malformed_command_line_is_config_error(tmp_path, capsys, argv, needle):
+    rc = cli.main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data,key",
+    [({"n": "64"}, "n"), ({"beta": None}, "beta"), ({"n": 16.0}, "n"), ({"starts": True}, "starts"),
+     ({"tol": "1e-6"}, "tol"), ({"cp": float("inf")}, "cp")],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, data, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    rc = cli.main(["aux", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"configuration error: {key} ") and err.count("\n") == 1, err
+
+
+def test_config_types_accepted():
+    # float keys take any JSON number, cp also null; ints and strings as such
+    cfg = cli.RunConfig.from_dict({"beta": 1, "tol": 1e-7, "cp": None, "n": 16, "scheme": "uniform-fd"})
+    assert (cfg.beta, cfg.tol, cfg.cp, cfg.n, cfg.scheme) == (1, 1e-7, None, 16, "uniform-fd")
+    assert cli.RunConfig.from_dict({"cp": 3.0}).cp == 3.0
+
+
+def test_every_config_key_is_a_flag():
+    parser = cli._build_parser()
+    flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help", "--config", "--auto-cp"}
+    assert flags == {"--" + f.name.replace("_", "-") for f in dataclasses.fields(cli.RunConfig)}
+    config = cli._config_from_args(parser.parse_args(["aux", "--kirchhoff-kind", "log-type", "--max-iter", "7"]))
+    assert (config.kirchhoff_kind, config.max_iter) == ("log-type", 7)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_report_keys_are_result_fields(tmp_path):
+    # the solve and aux payloads are their result dataclasses minus the profile
+    assert cli.main(["solve", *SMALL, "--out", str(tmp_path / "solve")]) == 0
+    assert cli.main(["aux", *SMALL, "--out", str(tmp_path / "aux")]) == 0
+    solve = _load(tmp_path / "solve" / "report.json")["result"]
+    aux = _load(tmp_path / "aux" / "report.json")["result"]
+    fields = {f.name for f in dataclasses.fields(k4.GroundStateResult)} - {"minimizer"}
+    assert set(solve) == fields | {"cp_threshold", "auxiliary_level"}
+    fields = {f.name for f in dataclasses.fields(k4.AuxResult)} - {"w_p"}
+    assert set(aux) == fields | {"pnorm_cap", "pnorm_below_cap", "min_admissible_cp"}
+    assert set(solve["per_start"][0]) == {f.name for f in dataclasses.fields(k4.nehari.StartRecord)} - {"trace"}
+
+
+def test_one_admissibility_threshold(tmp_path):
+    # aux reports the threshold that auto cp multiplies by 1.1, and bounds
+    # states the same threshold at an explicit cp
+    runs = {"aux": ["aux"], "auto": ["bounds"], "explicit": ["bounds", "--cp", "1e77"]}
+    rep = {}
+    for name, argv in runs.items():
+        assert cli.main([*argv, *SMALL, "--seed", "2", "--out", str(tmp_path / name)]) == 0
+        rep[name] = _load(tmp_path / name / "report.json")["result"]
+    assert 1.1 * rep["aux"]["min_admissible_cp"] == rep["auto"]["cp_used"]
+    assert rep["explicit"]["cp_threshold_stated"] == rep["auto"]["cp_threshold_stated"]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -210,7 +285,7 @@ def test_verify_command_small(tmp_path):
 def test_verify_detects_mutated_laplacian(tmp_path, monkeypatch):
     import dataclasses as dc
 
-    real_build = kirchhoff4.verify.build_grid
+    real_build = cli.build_grid
 
     def sabotaged(n, scheme="spectral-even"):
         grid = real_build(n, scheme)

@@ -198,6 +198,39 @@ def test_projection_residual_check_names_worst_row(spectral64, resolved_default,
     assert check.status == "fail" and check.margin < 0.0 and check.witness == 7
 
 
+def test_scale_below_one_check_names_worst_direction(spectral64, resolved_default, monkeypatch):
+    # the margin is the headroom 1 + 1e-10 - max t_u (about 1/2: the doubled
+    # points project at t_u = 1/2), and the witness is the index of that
+    # point's direction, also when an earlier direction is left out as
+    # lying outside the Nehari set
+    params = resolved_default[0]
+    real_project, real_residuals = verify.project, verify._nehari_residuals
+
+    def overshoot(u, params):
+        pts = real_project(u, params)
+        if not isinstance(u, k4.RadialFunction):
+            pts[6] = replace(pts[6], t_u=1.5)  # among the doubled points: direction 7
+        return pts
+
+    def outside(ops, values, params):
+        res = real_residuals(ops, values, params)
+        if len(values) == 20:
+            res[3] = 1.0  # the doubled point of direction 3 is left out
+        return res
+
+    def scale_check():
+        checks = _projection_checks(spectral64, params, 20, 1)
+        return next(c for c in checks if c.name == "projection-scale-below-one")
+
+    check = scale_check()
+    assert check.status == "pass" and abs(check.margin - 0.5) < 1e-9 and 0 <= check.witness < 20
+    monkeypatch.setattr(verify, "project", overshoot)
+    monkeypatch.setattr(verify, "_nehari_residuals", outside)
+    check = scale_check()
+    assert check.status == "fail" and check.witness == 7
+    assert abs(check.margin - (1e-10 - 0.5)) < 1e-12
+
+
 def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolved_default):
     # a point moved off the Nehari set by a relative 1e-9 along its ray
     # breaks the rounding bound, at cp = 2 and at the automatic cp ~ 1e77
@@ -284,11 +317,12 @@ def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
 
 
 def test_ground_state_coercivity(ground_default, resolved_default):
+    # relative to the coercivity level: at the automatic cp, m is ~3e-36
     params, _, _ = resolved_default
     gs = ground_default
     assert gs.coercivity_margin >= -1e-9
     level = (0.25 - 1.0 / params.q) * params.kirchhoff.g0 * gs.min_nehari_norm**2
-    assert gs.m >= level - 1e-9 * (1 + abs(gs.m))
+    assert gs.m / level - 1.0 >= -1e-9
     assert gs.min_nehari_norm > 0.0
 
 
