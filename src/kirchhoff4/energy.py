@@ -27,7 +27,7 @@ from .model import (
     NonlinearitySpec,
     RangeOverflowError,
 )
-from .radial import RadialFunction, RadialGrid, clamped_even_basis, weighted_rule
+from .radial import RadialFunction, RadialGrid, clamped_even_basis, rowwise, weighted_rule
 
 __all__ = [
     "EnergyBreakdown",
@@ -102,8 +102,9 @@ class _WOperators:
         return basis
 
     def riesz(self, load: np.ndarray) -> np.ndarray:
-        """Solve w_inner(v, phi) = <load, phi> over the clamped subspace."""
-        return self.riesz_matrix @ load
+        """Solve w_inner(v, phi) = <load, phi> over the clamped subspace, for
+        a load (n,) or row by row of a stack (k, n)."""
+        return rowwise(self.riesz_matrix, load)
 
 
 @lru_cache(maxsize=16)
@@ -127,8 +128,8 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
     (n,) or a stack of profiles of shape (k, n)."""
     kirch = 0.5 * params.kirchhoff.G(ops.rule.form(values))
-    power = (np.abs(values) ** params.q @ ops.rule.vol) / params.q
-    reaction = params.nonlinearity.F(values) @ ops.rule.vol
+    power = rowwise(ops.rule.vol, np.abs(values) ** params.q) / params.q
+    reaction = rowwise(ops.rule.vol, params.nonlinearity.F(values))
     return kirch, power, reaction
 
 
@@ -158,9 +159,10 @@ def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
 
 def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, force: np.ndarray) -> np.ndarray:
     """Nodal load vector rho with <J'(u), phi> = rho . phi_values, for the
-    Kirchhoff term and the nodal force of the lower-order terms."""
-    g_val = float(params.kirchhoff.g(ops.rule.form(values)))
-    return g_val * (ops.gram @ values) - ops.rule.vol * force
+    Kirchhoff term and the nodal force of the lower-order terms; row by row
+    for a stack (k, n) of profiles and forces."""
+    g_val = params.kirchhoff.g(ops.rule.form(values))[..., None]
+    return g_val * rowwise(ops.gram, values) - ops.rule.vol * force
 
 
 def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
@@ -176,7 +178,7 @@ def _nehari_residuals(ops: _WOperators, values: np.ndarray, params: ModelParams)
     out = np.full(len(values), -np.inf)
     v = values[inside]
     s = ops.rule.form(v)
-    out[inside] = params.kirchhoff.g(s) * s - (_nodal_force(v, params) * v) @ ops.rule.vol
+    out[inside] = params.kirchhoff.g(s) * s - rowwise(ops.rule.vol, _nodal_force(v, params) * v)
     return out
 
 

@@ -11,9 +11,10 @@ residual in project.  The ground level
 is approximated by multi-start projected descent: each start draws a
 random smooth clamped profile, and every iteration takes a Sobolev
 gradient step at the current projected point, renormalizes, reprojects
-and backtracks on the projected energy.  The same multi-start frame, with
-a power-method ascent of |u|_p^p on the unit sphere for the descent, gives
-the level m_p of the pure-power functional
+and backtracks on the projected energy.  The starts of a solve advance in
+lockstep as one (k, n) stack, each row with its own step and stop.  The
+same multi-start frame, with a power-method ascent of |u|_p^p on the unit
+sphere for the descent, gives the level m_p of the pure-power functional
 
     J_p(u) = (1/2) G(||u||^2) - (1/p) |u|_p^p
 
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FiberMap, energy, operator_cache
+from .energy import FiberMap, energy, operator_cache  # energy: unused here; perfbench tests rebind it
 from .energy import _energy_terms, _nehari_residuals, _nodal_force, _residual_load
-from .model import ModelParams, RangeOverflowError, adams_constant
-from .radial import RadialFunction, RadialGrid, random_clamped_profile
+from .model import EXP_GUARD, ModelParams, RangeOverflowError, adams_constant
+from .radial import RadialFunction, RadialGrid, random_clamped_profile, rowwise
 
 __all__ = [
     "ProjectionError",
@@ -169,11 +170,11 @@ def project(u, params: ModelParams):
     residual sits at its own rounding floor; the moment form supplies the
     slope and the starting balance.  The searches of a sequence run in
     lockstep: every round measures the residuals of all pending
-    directions in one stacked kernel.  Alone, a direction gets the
-    arithmetic of the single-profile kernels (energy, nehari_residual) bit
-    for bit; in a longer sequence its row differs from that by about 1e-14
-    relative, as the BLAS product of a stack rounds differently.  An error
-    names the row it comes from.
+    directions in one stacked kernel.  Alone or in a sequence of up to 16,
+    a direction gets the arithmetic of the single-profile kernels (energy,
+    nehari_residual) bit for bit (radial.rowwise); in a longer sequence its
+    row differs from that by about 1e-14 relative, as the BLAS product of a
+    tall stack rounds differently.  An error names the row it comes from.
     """
     if isinstance(u, RadialFunction):
         return _project_rows([u], params)[0]
@@ -277,6 +278,7 @@ class StartRecord:
     norm: float
     iterations: int
     converged: bool
+    stop_reason: str  # converged, line-search-stalled, max-iter; aux: moment-floor, max-iter
     polished: bool = False  # whether the Newton polish ran on this start
     # in iteration order: the accepted projected energies of the main
     # descent, or the moments vol |u|^p of the auxiliary power iterates
@@ -291,6 +293,7 @@ class StartRecord:
             "norm": self.norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "polished": self.polished,
         }
 
@@ -323,7 +326,8 @@ class AuxResult:
 
 
 class _Functional:
-    """Adapter between the descent loop and the two energies it minimizes."""
+    """Adapter between the descent loop and the two energies it minimizes;
+    value, load and the gradients take (n,) or a stack (k, n), a row a start."""
 
     def __init__(self, grid: RadialGrid, params: ModelParams, pure_power: bool):
         self.grid = grid
@@ -336,12 +340,17 @@ class _Functional:
             return FiberMap.pure_power(u, self.params)
         return FiberMap.full(u, self.params)
 
-    def value(self, values: np.ndarray) -> float:
+    def value(self, values: np.ndarray):
+        """The energy; inf for a row past the exponential overflow guard."""
         if self.pure_power:
-            s = self.ops.rule.form(values)
-            i_p = float(self.ops.rule.vol @ np.abs(values) ** self.params.p)
-            return 0.5 * float(self.params.kirchhoff.G(s)) - i_p / self.params.p
-        return energy(RadialFunction(self.grid, values), self.params).total
+            i_p = rowwise(self.ops.rule.vol, np.abs(values) ** self.params.p)
+            return 0.5 * self.params.kirchhoff.G(self.ops.rule.form(values)) - i_p / self.params.p
+        stack = np.atleast_2d(values)
+        inside = self.params.nonlinearity._exp_arg(np.abs(stack).max(axis=1)) <= EXP_GUARD
+        out = np.full(len(stack), np.inf)
+        kirch, power, reaction = _energy_terms(self.ops, stack[inside], self.params)
+        out[inside] = kirch - power - reaction
+        return out if values.ndim == 2 else float(out[0])
 
     def _nodal_stiffness(self, values: np.ndarray) -> np.ndarray:
         if self.pure_power:
@@ -358,15 +367,16 @@ class _Functional:
     def gradient(self, values: np.ndarray) -> np.ndarray:
         return self.ops.riesz(self.load(values))
 
-    def relative_gradient(self, values: np.ndarray, grad_norm: float) -> float:
+    def relative_gradient(self, values: np.ndarray, grad_norm):
         """||J'(w)|| / (g(S) ||w||) with S = ||w||^2.
 
         At a critical point the gradient is the difference of g(S) w and
         the Riesz image of the force, so this is the gradient relative to
         the terms it cancels: the same for both functionals at any cp."""
         nrm = self.ops.rule.norm(values)
-        scale = float(self.params.kirchhoff.g(nrm**2)) * nrm
-        return grad_norm / scale if scale > 0.0 else math.inf
+        scale = self.params.kirchhoff.g(nrm**2) * nrm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(scale > 0.0, grad_norm / scale, np.inf)
 
     def hessian_matrix(self, values: np.ndarray) -> np.ndarray:
         """Second derivative of the energy on the clamped basis."""
@@ -418,114 +428,134 @@ def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
 _ARMIJO = 1e-4
 _ENERGY_NOISE = 1e-13
 _MOMENT_RISE = 1e-15  # the aux ascent stops at this relative moment gain
+# Energies within this relative window of the lowest tie (_winner): far above
+# the rounding spread of starts at one critical point (4.2e-13 among the aux
+# starts at the defaults), far below the discretization error of the level
+# (about 4e-6 at n = 64), so rounding does not pick the published start.
+_ENERGY_TIE = 1e-10
 
 
-def _finish_start(
-    func: _Functional,
-    w_vals: np.ndarray,
-    index: int,
-    iterations: int,
-    search: SearchConfig,
-    trace: tuple,
-    polished: bool = False,
-):
-    """Restore feasibility of a start's final point and judge convergence.
+def _start_stack(func: _Functional, search: SearchConfig, extra_starts: tuple = ()) -> np.ndarray:
+    """The unit-norm start directions of a solve, one row each: the
+    search.starts random profiles, then the extra starts."""
+    rngs = (np.random.default_rng([search.seed, k]) for k in range(search.starts))
+    starts = np.array([random_clamped_profile(func.grid, r).values for r in rngs] + [u.values for u in extra_starts])
+    nrm = func.ops.rule.norm(starts)
+    if np.any(nrm <= 0.0):
+        raise ProjectionError("start direction is numerically zero")
+    return starts / nrm[:, None]
 
-    The point is projected back onto the Nehari set along its own ray (a
+
+def _scales(func: _Functional, units: np.ndarray) -> np.ndarray:
+    """project_scale of each row of a stack of directions."""
+    return np.array([project_scale(func.fiber(RadialFunction(func.grid, u))) for u in units])
+
+
+def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, drafts, polished: bool = False):
+    """Restore feasibility of the final points w (k, n) and judge convergence.
+
+    drafts holds the (index, iterations, stop_reason, trace) of each row.
+    Each row is projected back onto the Nehari set along its own ray (a
     near-identity step after a descent or a polish), so every reported
-    level is the energy of a genuine constrained point.  The start has
+    level is the energy of a genuine constrained point.  A start has
     converged when its relative gradient is at most the tolerance.
     """
-    nrm = func.ops.rule.norm(w_vals)
-    if nrm > 0.0:
-        direction = RadialFunction(func.grid, w_vals / nrm)
-        t = project_scale(func.fiber(direction))
-        w_vals = t * direction.values
-    grad_norm = func.ops.rule.norm(func.gradient(w_vals))
-    rel_grad = func.relative_gradient(w_vals, grad_norm)
-    record = StartRecord(
-        index=index,
-        energy=func.value(w_vals),
-        gradient_norm=grad_norm,
-        relative_gradient=rel_grad,
-        norm=func.ops.rule.norm(w_vals),
-        iterations=iterations,
-        converged=rel_grad <= search.tol,
-        polished=polished,
-        trace=trace,
-    )
-    return record, w_vals
+    units = w / func.ops.rule.norm(w)[:, None]
+    w = _scales(func, units)[:, None] * units
+    grad_norm = func.ops.rule.norm(func.gradient(w))
+    rel_grad = func.relative_gradient(w, grad_norm)
+    columns = (x.tolist() for x in (func.value(w), grad_norm, rel_grad, func.ops.rule.norm(w)))
+    records = [
+        StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, polished, tuple(trace))
+        for (index, iterations, reason, trace), energy, gnorm, rel, norm in zip(drafts, *columns)
+    ]
+    return records, w
 
 
-def _descend_main(func: _Functional, u0: np.ndarray, search: SearchConfig, index: int):
-    """Projected Sobolev-gradient descent from one unit-norm start direction.
+def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
+    """Projected Sobolev-gradient descent from each row of a stack (k, n) of
+    unit-norm start directions, all rows in lockstep.
 
-    Returns (record, minimizer values, min observed Nehari norm, worst
+    Each row keeps its own step size, Barzilai-Borwein pair, Armijo
+    backtracking and stop.  A round evaluates the gradients, norms, BB
+    forms, trial points and projected energies of all pending rows in one
+    stacked call each, and projects each trial row by project_scale.
+
+    Returns (records, final points, min observed Nehari norm, worst
     coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
     projected points: relative, as levels can be ~1e-36).
     """
+    norm, form = func.ops.rule.norm, func.ops.rule.form
     coer = (0.25 - 1.0 / func.params.q) * func.params.kirchhoff.g0
-
-    u = RadialFunction(func.grid, u0)
-    t = project_scale(func.fiber(u))
-    w_vals = t * u.values
-    e_val = func.value(w_vals)
-
-    min_norm = func.ops.rule.norm(w_vals)
-    coer_margin = e_val / (coer * min_norm**2) - 1.0
-    step = 1.0
-    iterations = 0
-    prev_vals = prev_grad = None
-    trace = [e_val]
-
-    for iterations in range(1, search.max_iter + 1):
-        grad = func.gradient(w_vals)
-        grad_norm = func.ops.rule.norm(grad)
-        if func.relative_gradient(w_vals, grad_norm) <= search.tol:
+    k = len(units)
+    w = _scales(func, units)[:, None] * units
+    e = func.value(w)
+    pn = norm(w)
+    min_norm, coer_margin = pn.min(), np.min(e / (coer * pn**2) - 1.0)
+    step = np.ones(k)
+    prev_w, prev_grad = np.empty_like(w), np.empty_like(w)
+    iterations = np.zeros(k, dtype=int)
+    reasons = np.full(k, "max-iter", dtype=object)
+    traces = [[x] for x in e.tolist()]
+    active = np.arange(k)
+    for it in range(1, search.max_iter + 1):
+        iterations[active] = it
+        grad = func.gradient(w[active])
+        grad_norm = norm(grad)
+        done = func.relative_gradient(w[active], grad_norm) <= search.tol
+        reasons[active[done]] = "converged"
+        active, grad, grad_norm = active[~done], grad[~done], grad_norm[~done]
+        if not active.size:
             break
-        # Barzilai-Borwein initial step from the last curvature pair; the
-        # backtracking below keeps the projected energy monotone.
-        a = min(4.0 * step, 1e6)
-        if prev_vals is not None:
-            s_vec = w_vals - prev_vals
-            y_vec = grad - prev_grad
-            sy = func.ops.rule.form(s_vec, y_vec)
-            yy = func.ops.rule.form(y_vec)
-            if sy > 0.0 and yy > 0.0:
-                a = min(max(sy / yy, 1e-12), 1e8)
-        prev_vals, prev_grad = w_vals, grad
-        accepted = False
-        while a > 1e-20:
-            trial = w_vals - a * grad
-            trial_norm = func.ops.rule.norm(trial)
-            if math.isfinite(trial_norm) and trial_norm > 0.0:
-                u_try = RadialFunction(func.grid, trial / trial_norm)
+        # Barzilai-Borwein initial steps from the last curvature pairs; the
+        # backtracking below keeps each projected energy monotone.
+        a = np.minimum(4.0 * step[active], 1e6)
+        if it > 1:
+            s_vec, y_vec = w[active] - prev_w[active], grad - prev_grad[active]
+            sy, yy = form(s_vec, y_vec), form(y_vec)
+            bb = (sy > 0.0) & (yy > 0.0)
+            a[bb] = np.minimum(np.maximum(sy[bb] / yy[bb], 1e-12), 1e8)
+        prev_w[active], prev_grad[active] = w[active], grad
+        accepted = np.zeros(len(active), dtype=bool)
+        pending = np.arange(len(active))  # positions in active still backtracking
+        while pending.size:
+            rows = active[pending]
+            trial = w[rows] - a[pending, None] * grad[pending]
+            trial_norm = norm(trial)
+            w_try, projected = np.empty_like(trial), []
+            for j in np.flatnonzero(np.isfinite(trial_norm) & (trial_norm > 0.0)):
+                u_try = trial[j] / trial_norm[j]
                 try:
-                    t_try = project_scale(func.fiber(u_try))
-                    w_try = t_try * u_try.values
-                    e_try = func.value(w_try)
-                except (ProjectionError, RangeOverflowError):
-                    e_try = math.inf
-                if e_try <= e_val - _ARMIJO * a * grad_norm**2 + _ENERGY_NOISE * abs(e_val):
-                    accepted = True
-                    break
-            a *= 0.5
-        if not accepted:
-            break
-        step, w_vals, e_val = a, w_try, e_try
-        trace.append(e_val)
-        pn = func.ops.rule.norm(w_vals)
-        min_norm = min(min_norm, pn)
-        coer_margin = min(coer_margin, e_val / (coer * pn**2) - 1.0)
+                    w_try[j] = project_scale(func.fiber(RadialFunction(func.grid, u_try))) * u_try
+                    projected.append(j)
+                except ProjectionError:
+                    pass  # no scale to project on: the trial is rejected
+            e_try = np.full(len(pending), np.inf)  # and so is a row past the overflow guard
+            e_try[projected] = func.value(w_try[projected])
+            e_row = e[rows]
+            ok = e_try <= e_row - _ARMIJO * a[pending] * grad_norm[pending] ** 2 + _ENERGY_NOISE * np.abs(e_row)
+            accepted[pending[ok]] = True
+            w[rows[ok]], e[rows[ok]], step[rows[ok]] = w_try[ok], e_try[ok], a[pending[ok]]
+            pending = pending[~ok]
+            a[pending] *= 0.5
+            pending = pending[a[pending] > 1e-20]
+        reasons[active[~accepted]] = "line-search-stalled"
+        active = active[accepted]
+        for i in active:
+            traces[i].append(e[i])
+        pn = norm(w[active])
+        min_norm = min(min_norm, pn.min(initial=math.inf))
+        coer_margin = min(coer_margin, np.min(e[active] / (coer * pn**2) - 1.0, initial=math.inf))
 
-    record, w_vals = _finish_start(func, w_vals, index, iterations, search, tuple(trace))
-    min_norm = min(min_norm, record.norm)
-    coer_margin = min(coer_margin, record.energy / (coer * record.norm**2) - 1.0)
-    return record, w_vals, min_norm, coer_margin
+    records, w = _finish_starts(func, w, search, zip(range(k), iterations, reasons, traces))
+    min_norm = min(min_norm, *(r.norm for r in records))
+    coer_margin = min(coer_margin, *(r.energy / (coer * r.norm**2) - 1.0 for r in records))
+    return records, w, min_norm, coer_margin
 
 
-def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig, index: int):
-    """Constrained minimization of the pure-power functional, unit-norm start.
+def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
+    """Constrained minimization of the pure-power functional from each row
+    of a stack (k, n) of unit-norm starts.
 
     Along each ray the projected level is a strictly decreasing function
     of the moment Phi(u) = vol |u|^p (envelope identity: the scale of the
@@ -535,59 +565,63 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig, index: 
     with v the Riesz image of vol |u|^(p-2) u = grad Phi / p, needs no line
     search: by convexity and Cauchy-Schwarz, Phi(v/||v||) - Phi(u) >=
     p <v, v/||v|| - u> = p (||v|| - <v, u>) >= 0 (Journee, Nesterov,
-    Richtarik & Sepulchre, JMLR 11, 2010, sec. 2).  It stops once the
-    moment rises by no more than its rounding floor.  The ascent visits no
-    Nehari point, so it reports no path norms or margins (inf, inf).
+    Richtarik & Sepulchre, JMLR 11, 2010, sec. 2).  The rows step in
+    lockstep, one stacked Riesz product per step, and each row stops once
+    its moment rises by no more than its rounding floor.  The ascent visits
+    no Nehari point, so it reports no path norms or margins (inf, inf).
     """
     p = func.params.p
     ops = func.ops
-    moment = float(ops.rule.vol @ np.abs(u) ** p)
-    trace = [moment]
-    iterations = 0
-    for iterations in range(1, search.max_iter + 1):
-        v = ops.riesz(ops.rule.vol * (np.abs(u) ** (p - 2.0) * u))
-        u_next = v / func.ops.rule.norm(v)
-        m_next = float(ops.rule.vol @ np.abs(u_next) ** p)
-        if not m_next > moment * (1.0 + _MOMENT_RISE):  # the rounding floor
+    u = u.copy()
+    moment = rowwise(ops.rule.vol, np.abs(u) ** p)
+    traces = [[m] for m in moment.tolist()]
+    iterations = np.zeros(len(u), dtype=int)
+    reasons = np.full(len(u), "max-iter", dtype=object)
+    active = np.arange(len(u))
+    for it in range(1, search.max_iter + 1):
+        iterations[active] = it
+        v = ops.riesz(ops.rule.vol * (np.abs(u[active]) ** (p - 2.0) * u[active]))
+        u_next = v / ops.rule.norm(v)[:, None]
+        m_next = rowwise(ops.rule.vol, np.abs(u_next) ** p)
+        rise = m_next > moment[active] * (1.0 + _MOMENT_RISE)  # above the rounding floor
+        reasons[active[~rise]] = "moment-floor"
+        active = active[rise]
+        u[active], moment[active] = u_next[rise], m_next[rise]
+        for i in active:
+            traces[i].append(moment[i])
+        if not active.size:
             break
-        u, moment = u_next, m_next
-        trace.append(moment)
-    record, w_vals = _finish_start(func, u, index, iterations, search, tuple(trace))
-    return record, w_vals, math.inf, math.inf
+    records, u = _finish_starts(func, u, search, zip(range(len(u)), iterations, reasons, traces))
+    return records, u, math.inf, math.inf
+
+
+def _winner(records: list) -> int:
+    """Position of the published start: the lowest energy among converged
+    starts (among all when none converged), energies within _ENERGY_TIE
+    relative of it tied and a tie going to the lowest index."""
+    pool = [k for k, r in enumerate(records) if r.converged] or range(len(records))
+    low = min(records[k].energy for k in pool)
+    return next(k for k in pool if records[k].energy <= low + _ENERGY_TIE * abs(low))
 
 
 def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, descend):
-    # Newton polish runs on the winner and on every start the descent left
-    # above tol; the other starts keep their descent iterates
-    def polish(rec, vals):
-        vals, _ = _newton_polish(func, vals)
-        return _finish_start(func, vals, rec.index, rec.iterations, search, rec.trace, True)
+    records, w, min_norm, coer_margin = descend(func, _start_stack(func, search, extra_starts), search)
 
-    starts = [
-        random_clamped_profile(func.grid, np.random.default_rng([search.seed, k]))
-        for k in range(search.starts)
-    ]
-    starts.extend(extra_starts)
-    records, minimizers = [], []
-    min_norm = math.inf
-    coer_margin = math.inf
-    for k, u0 in enumerate(starts):
-        nrm = func.ops.rule.norm(u0.values)
-        if nrm <= 0.0:
-            raise ProjectionError("start direction is numerically zero")
-        rec, vals, mn, cm = descend(func, u0.values / nrm, search, k)
-        if not rec.converged:
-            rec, vals = polish(rec, vals)
-        records.append(rec)
-        minimizers.append(vals)
-        min_norm = min(min_norm, mn)
-        coer_margin = min(coer_margin, cm)
-    # prefer converged starts: one just above tol can undercut the level by
-    # a rounding-level energy margin
-    best = min(range(len(records)), key=lambda k: (not records[k].converged, records[k].energy, k))
+    # Newton polish runs on every start the descent left above tol and on
+    # the winner; the other starts keep their descent iterates
+    def polish(rows):
+        vals = np.array([_newton_polish(func, w[i])[0] for i in rows])
+        drafts = [(records[i].index, records[i].iterations, records[i].stop_reason, records[i].trace) for i in rows]
+        polished, w[rows] = _finish_starts(func, vals, search, drafts, polished=True)
+        for i, rec in zip(rows, polished):
+            records[i] = rec
+
+    if unconverged := [i for i, r in enumerate(records) if not r.converged]:
+        polish(unconverged)
+    best = _winner(records)
     if not records[best].polished:
-        records[best], minimizers[best] = polish(records[best], minimizers[best])
-    return records, minimizers[best], records[best], min_norm, coer_margin
+        polish([best])
+    return records, w[best], records[best], min_norm, coer_margin
 
 
 def ground_state(

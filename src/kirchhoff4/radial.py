@@ -45,6 +45,7 @@ __all__ = [
     "weight_values",
     "WeightedRule",
     "weighted_rule",
+    "rowwise",
     "ball_integral",
     "w_inner",
     "w_norm",
@@ -341,6 +342,24 @@ def weight_values(grid: RadialGrid, beta: float) -> np.ndarray:
     return (1.0 - np.log(grid.nodes)) ** beta
 
 
+_ROWWISE_MAX = 16  # the multi-start stacks: starts + 1 rows, 9 at the defaults
+
+
+def rowwise(a: np.ndarray, x: np.ndarray):
+    """a @ x for nodal values x (n,), or row by row for a stack x (k, n),
+    with a a matrix (m, n) or a weight vector (n,).  Up to _ROWWISE_MAX
+    rows, each row has its own matrix-vector product (a stacked matmul) and
+    so the arithmetic of the profile alone, bit for bit: a start of a
+    multi-start solve does not depend on the others.  A taller stack
+    (verify's 200-row sweeps) runs one BLAS matrix-matrix product, faster
+    there, whose rounding of a row depends on the stack by about 1e-16."""
+    if x.ndim == 1:
+        return a @ x
+    if len(x) > _ROWWISE_MAX:
+        return x @ (a.T if a.ndim == 2 else a)
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 class WeightedRule:
     """Quadrature of the weighted space on a grid: volume weights vol_i =
     2 pi^2 q_i (sum_i vol_i v(r_i) ~ int_B v dx) and weighted volume weights
@@ -354,14 +373,17 @@ class WeightedRule:
     def form(self, x: np.ndarray, y: np.ndarray | None = None):
         """int_B w (lap x)(lap y) dx of nodal values (n,), or row by row of
         stacks (k, n); y = x gives the squared weighted norm."""
-        lx = x @ self.grid.lap.T
-        ly = lx if y is None else y @ self.grid.lap.T
-        return (lx * ly) @ self.wvol
+        lx = rowwise(self.grid.lap, x)
+        ly = lx if y is None else rowwise(self.grid.lap, y)
+        return rowwise(self.wvol, lx * ly)
 
-    def norm(self, x: np.ndarray) -> float:
-        """Weighted norm of nodal values (n,); inf when they overflow."""
+    def norm(self, x: np.ndarray):
+        """Weighted norm of nodal values (n,), or of each row of a stack
+        (k, n); inf where they overflow."""
         with np.errstate(over="ignore", invalid="ignore"):
-            s = float(self.form(x))
+            s = self.form(x)
+        if np.ndim(s):
+            return np.sqrt(np.where(np.isfinite(s), s, np.inf))
         return math.sqrt(s) if math.isfinite(s) else math.inf
 
 

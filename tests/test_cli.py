@@ -118,6 +118,9 @@ def test_report_keys_are_result_fields(tmp_path):
     fields = {f.name for f in dataclasses.fields(k4.AuxResult)} - {"w_p"}
     assert set(aux) == fields | {"pnorm_cap", "pnorm_below_cap", "min_admissible_cp"}
     assert set(solve["per_start"][0]) == {f.name for f in dataclasses.fields(k4.nehari.StartRecord)} - {"trace"}
+    # each start says why its descent stopped
+    assert {r["stop_reason"] for r in solve["per_start"]} <= {"converged", "line-search-stalled", "max-iter"}
+    assert {r["stop_reason"] for r in aux["per_start"]} <= {"moment-floor", "max-iter"}
 
 
 def test_one_admissibility_threshold(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
-from kirchhoff4.nehari import ProjectionError, _descend_aux, _Functional
+from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _Functional
+from kirchhoff4.nehari import _start_stack, _winner
 from kirchhoff4 import verify
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
@@ -99,7 +100,8 @@ def test_projection_point_invariants(spectral64, params_cp2):
 
 
 def test_stacked_projection_matches_single(spectral64, params_cp2, resolved_default):
-    # the lockstep rows round differently from single projections, by ~1e-14
+    # past 16 rows the lockstep rows round differently from single
+    # projections, by ~1e-14
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
         dirs = [k4.random_clamped_profile(spectral64, np.random.default_rng([63, k])) for k in range(40)]
@@ -302,7 +304,7 @@ def test_ground_state_default_quality(ground_default, resolved_default, search_d
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
         # every start descends to its own critical point: none stalls after
         # one step on the tiny Nehari norms of the automatic cp
-        assert rec.converged, rec.index
+        assert rec.converged and rec.stop_reason == "converged", rec.index
         if rec.index < search_default.starts:  # random starts, not the seeded aux minimizer
             assert rec.iterations > 1, rec.index
 
@@ -314,6 +316,62 @@ def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
         trace = np.array(rec.trace)
         slack = 1e-13 * (1.0 + np.abs(trace[:-1]))
         assert np.all(np.diff(trace) <= slack), rec.index
+
+
+def test_ground_state_starved_starts_stop_at_max_iter(spectral32, params_cp2):
+    cfg = k4.SearchConfig(starts=3, max_iter=2, tol=1e-6, seed=3)
+    gs = k4.ground_state(spectral32, params_cp2, cfg)
+    for rec in gs.per_start:
+        assert rec.stop_reason == "max-iter" and rec.iterations == 2, rec.index
+        assert len(rec.trace) == 3, rec.index
+
+
+@pytest.mark.parametrize("descend, pure_power", [(_descend_main, False), (_descend_aux, True)])
+def test_stacked_rows_are_independent(spectral64, resolved_default, descend, pure_power):
+    # a start follows the same path alone as in a stack of 8, to the bit:
+    # every row has matrix-vector products of its own, and no row reads
+    # another's step size, curvature pair, mask or stop
+    func = _Functional(spectral64, resolved_default[0], pure_power=pure_power)
+    starts = _start_stack(func, k4.SearchConfig(starts=8))
+    wide, wide_vals, _, _ = descend(func, starts, k4.SearchConfig(starts=8))
+    assert len(wide) == 8
+    for k in (0, 5):
+        (alone,), vals, _, _ = descend(func, starts[k : k + 1], k4.SearchConfig(starts=1))
+        assert alone.iterations > 1 and len(alone.trace) > 2, k
+        assert replace(alone, index=k) == wide[k], k
+        assert np.array_equal(vals[0], wide_vals[k]), k
+
+
+def test_overflow_row_does_not_spoil_the_stack(spectral64, params_cp2):
+    # a row past the exponential overflow guard gets energy inf; its
+    # neighbours keep their energies and nothing raises
+    func = _Functional(spectral64, params_cp2, pure_power=False)
+    rows = np.array([k4.project(unit_profile(spectral64, 0.5, [67, k]), params_cp2).projected.values for k in range(4)])
+    rows[2] *= 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(rows[2]).max()
+    values = func.value(rows)
+    assert values[2] == math.inf
+    for k in (0, 1, 3):
+        assert values[k] == func.value(rows[k]), k
+    with pytest.raises(k4.RangeOverflowError):
+        k4.energy(k4.RadialFunction(spectral64, rows[2]), params_cp2)
+
+
+def _record(index, energy, converged=True):
+    return StartRecord(index, energy, 0.0, 0.0, 1.0, 1, converged, "converged" if converged else "max-iter")
+
+
+def test_winner_ignores_rounding():
+    # energies within 1e-10 relative tie, and the lowest index takes the
+    # tie; a real gap or an unconverged start does not
+    level = 3.3e-36
+    base = [_record(k, level) for k in range(4)]
+    assert _winner(base) == 0
+    nudged = [_record(0, level * (1 + 1e-12))] + base[1:]
+    assert _winner(nudged) == 0
+    gap = [_record(0, level * (1 + 1e-8))] + base[1:]
+    assert _winner(gap) == 1
+    assert _winner([_record(0, 0.5 * level, converged=False)] + base[1:]) == 1
+    assert _winner([_record(k, level * (2 - k), converged=False) for k in range(2)]) == 1
 
 
 def test_ground_state_coercivity(ground_default, resolved_default):
@@ -367,6 +425,7 @@ def test_aux_result_invariants(resolved_default, params_cp2, search_default):
     for rec in aux.per_start:
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
         assert rec.converged, rec.index
+        assert rec.stop_reason == "moment-floor", rec.index
 
 
 def _solver_start(func, search, k):
@@ -422,13 +481,14 @@ def test_aux_starved_starts_are_polished(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=4, max_iter=2, tol=1e-6, seed=5)
     aux = k4.aux_ground_state(spectral32, params_cp2, cfg)
     func = _Functional(spectral32, params_cp2, pure_power=True)
+    raw, _, _, _ = _descend_aux(func, _start_stack(func, cfg), cfg)
     for rec in aux.per_start:
-        u = _solver_start(func, cfg, rec.index)
-        raw, _, _, _ = _descend_aux(func, u, cfg, rec.index)
-        assert not raw.converged and not raw.polished, rec.index
+        pre = raw[rec.index]
+        assert not pre.converged and not pre.polished, rec.index
+        assert pre.stop_reason == rec.stop_reason == "max-iter", rec.index
         assert rec.polished, rec.index
         assert rec.converged == (rec.relative_gradient <= cfg.tol), rec.index
-        assert rec.relative_gradient < raw.relative_gradient, rec.index
+        assert rec.relative_gradient < pre.relative_gradient, rec.index
     assert aux.converged
 
 
