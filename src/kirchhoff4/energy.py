@@ -14,20 +14,15 @@ costs O(n) per point.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (
-    EXP_GUARD,
-    KirchhoffSpec,
-    ModelParams,
-    NonlinearitySpec,
-    RangeOverflowError,
-)
-from .radial import RadialFunction, RadialGrid, clamped_even_basis, rowwise, weighted_rule
+from .model import EXP_GUARD, KirchhoffSpec, ModelParams
+from .radial import RadialFunction, RadialGrid, _nodal, clamped_even_basis, rowwise, weighted_rule
 
 __all__ = [
     "EnergyBreakdown",
@@ -188,120 +183,129 @@ def _nehari_residuals(ops: _WOperators, values: np.ndarray, params: ModelParams)
 
 
 class FiberMap:
-    """Scalar restriction t -> J(t u) reduced to moments of the direction.
+    """Scalar restrictions t -> J(t u) of a stack of k directions, a row
+    each, reduced to moments of the direction.
 
-    power_moments holds (exponent e, moment M) pairs contributing
-    -(t^e / e) M to the value.  The exponential tail of the reaction term
-    (absent for the pure-power functional and for alpha0 = 0) is carried
-    by per-node weights vol |v|^p and rates alpha0 (|v|/vmax)^gamma, taken
-    once: since |t v|^e = t^e |v|^e, its derivative is t^(p-1) sum_i
-    weight_i exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.
-    Synthetic moment sets exercise the projection root finder without any
-    grid.
+    norm_sq holds S = ||u||^2 per row, and power_moments (exponent e,
+    moment M) pairs, M per row, contributing -(t^e / e) M to the value.
+    The exponential tail of the reaction term (absent for the pure-power
+    functional and for alpha0 = 0) is carried by per-node weights
+    vol |v|^p and rates alpha0 (|v|/vmax)^gamma, taken once: since
+    |t v|^e = t^e |v|^e, its derivative is t^(p-1) sum_i weight_i
+    exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.  Each row
+    has reductions of its own, so it evaluates as it would alone.
+    Synthetic moment sets (scalars: a stack of one) exercise the
+    projection root finder without any grid.
     """
 
-    def __init__(
-        self,
-        kirchhoff: KirchhoffSpec,
-        norm_sq: float,
-        power_moments: tuple,
-        tail_spec: NonlinearitySpec | None = None,
-        values: np.ndarray | None = None,
-        vol: np.ndarray | None = None,
-    ):
+    def __init__(self, kirchhoff: KirchhoffSpec, norm_sq, power_moments: tuple, tail_spec=None, values=None, vol=None):
         self.kirchhoff = kirchhoff
-        self.norm_sq = float(norm_sq)
-        self.power_moments = tuple((float(e), float(m)) for e, m in power_moments)
+        self.norm_sq = np.array(norm_sq, dtype=float, ndmin=1)
+        self.power_moments = tuple((float(e), np.array(m, dtype=float, ndmin=1)) for e, m in power_moments)
         self.tail_spec = tail_spec
-        self.values = None
         if tail_spec is not None:
-            mask = np.abs(values) > 0.0
-            self.values = values[mask]
-            av = np.abs(self.values)
-            # rates relative to the largest node: (t vmax)^gamma stays
-            # finite up to the guard however large gamma is
-            self.vmax = av.max(initial=0.0)
-            self.weight = vol[mask] * av**tail_spec.p
-            self.rate = tail_spec.alpha0 * (av / self.vmax) ** tail_spec.gamma
-            # largest scale whose tail stays under the overflow guard
-            self.scale_limit = tail_spec.guard_scale() / self.vmax if self.vmax > 0.0 else np.inf
+            av = np.abs(values)
+            self.vmax = av.max(axis=1)
+            self.weight = vol * av**tail_spec.p
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero row has no scale to project on
+                # rates relative to the largest node of the row: (t vmax)^gamma
+                # stays finite up to the guard however large gamma is
+                self.rate = tail_spec.alpha0 * (av / self.vmax[:, None]) ** tail_spec.gamma
+                # largest scale whose tail stays under the overflow guard
+                self.scale_limit = tail_spec.guard_scale() / self.vmax
 
     # --- builders -------------------------------------------------------
 
     @classmethod
-    def full(cls, u: RadialFunction, params: ModelParams) -> "FiberMap":
-        """Fibering map of the full energy J along direction u."""
-        rule = weighted_rule(u.grid, params.beta)
-        vals = u.values
-        s = rule.form(vals)
+    def full(cls, u, params: ModelParams, grid: RadialGrid | None = None) -> "FiberMap":
+        """Fibering maps of the full energy J along a direction u, or along
+        each row of nodal values (k, n) on grid."""
+        grid, vals = _nodal(u, grid)
+        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(vals)
         nl = params.nonlinearity
-        i_q = float(rule.vol @ np.abs(vals) ** params.q)
-        i_p = float(rule.vol @ np.abs(vals) ** params.p)
-        if nl.alpha0 == 0.0:
-            moments = ((params.q, i_q), (params.p, (nl.cp + 1.0) * i_p))
-            return cls(params.kirchhoff, s, moments)
-        moments = ((params.q, i_q), (params.p, nl.cp * i_p))
-        return cls(params.kirchhoff, s, moments, tail_spec=nl, values=vals, vol=rule.vol)
+        i_q = rowwise(rule.vol, np.abs(vals) ** params.q)
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
+        tail = nl if nl.alpha0 > 0.0 else None  # alpha0 = 0: F = (cp + 1) |t|^p / p, no tail
+        moments = ((params.q, i_q), (params.p, (nl.cp if tail else nl.cp + 1.0) * i_p))
+        return cls(params.kirchhoff, rule.form(vals), moments, tail, vals, rule.vol)
 
     @classmethod
-    def pure_power(cls, u: RadialFunction, params: ModelParams) -> "FiberMap":
-        """Fibering map of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p."""
-        rule = weighted_rule(u.grid, params.beta)
-        i_p = float(rule.vol @ np.abs(u.values) ** params.p)
-        return cls(params.kirchhoff, rule.form(u.values), ((params.p, i_p),))
+    def pure_power(cls, u, params: ModelParams, grid: RadialGrid | None = None) -> "FiberMap":
+        """Fibering maps of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p; u as for full."""
+        grid, vals = _nodal(u, grid)
+        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(vals)
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
+        return cls(params.kirchhoff, rule.form(vals), ((params.p, i_p),))
 
-    # --- tail integrals ---------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.norm_sq)
 
-    def _tail_deriv(self, t, saturate: bool):
-        if self.tail_spec is None:
-            return 0.0
-        nl = self.tail_spec
-        with np.errstate(over="ignore", invalid="ignore"):  # inf keeps the sign information
-            arg = np.multiply.outer((t * self.vmax) ** nl.gamma, self.rate)
-            if saturate:  # fmin also caps the inf * 0 of underflowed rates
-                arg = np.fmin(arg, 700.0)
-            return t ** (nl.p - 1.0) * (np.exp(arg) @ self.weight)
-
-    def _tail_deriv2(self, t: float) -> float:
-        if self.tail_spec is None:
-            return 0.0
-        nl = self.tail_spec
-        with np.errstate(over="ignore"):
-            arg = (t * self.vmax) ** nl.gamma * self.rate
-            body = np.exp(arg) * (nl.p - 1.0 + nl.gamma * arg)
-            return float(t ** (nl.p - 2.0) * (body @ self.weight))
+    def take(self, rows) -> "FiberMap":
+        """The maps of the given rows (an index array or a slice), as a stack."""
+        sub = copy.copy(self)
+        sub.norm_sq = self.norm_sq[rows]
+        sub.power_moments = tuple((e, m[rows]) for e, m in self.power_moments)
+        if self.tail_spec is not None:
+            for name in ("vmax", "weight", "rate", "scale_limit"):
+                setattr(sub, name, getattr(self, name)[rows])
+        return sub
 
     # --- derivative and curvature ----------------------------------------
 
     def deriv(self, t, saturate: bool = False):
-        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail.
+        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row.
 
-        t is a scale or an array of scales; a scale gives a float.  With
-        saturate=True the exponential argument is capped, which keeps the
-        sign information (the tail dominates far beyond the guard) without
-        overflowing; used by bracketing and sweep diagnostics.
+        t holds one scale per row (k,) or a sweep of scales per row (k, m);
+        a stack of one also takes a scale, which gives a float, or any array
+        of scales.  A scale past its row's overflow guard gives -inf, where
+        the reaction tail certainly dominates.  With saturate=True the
+        exponential argument is capped instead, which keeps the sign
+        information without overflowing; used by sweep diagnostics.
         """
-        scalar = not isinstance(t, np.ndarray)
-        s = t * t * self.norm_sq
-        out = self.kirchhoff.g(s) * t * self.norm_sq
+        t, shape = self._sweep(t)
+        s_row = self.norm_sq[:, None]
+        out = self.kirchhoff.g(t * t * s_row) * t * s_row
         for e, m in self.power_moments:
-            out -= t ** (e - 1.0) * m
-        if self.tail_spec is not None and not saturate:
-            t_max = t if scalar else t.max()
-            if t_max > self.scale_limit:
-                raise RangeOverflowError(
-                    f"fibering scale {t_max:.3g} exceeds the overflow guard ({self.scale_limit:.3g})"
-                )
-        out -= self._tail_deriv(t, saturate)
-        return float(out) if scalar else out
+            out -= t ** (e - 1.0) * m[:, None]
+        return self._shaped(out - self._tail(t, 1, saturate), t, shape, guard=not saturate)
 
-    def deriv2(self, t: float) -> float:
-        s = t * t * self.norm_sq
-        out = 2.0 * float(self.kirchhoff.g_prime(s)) * (t * self.norm_sq) ** 2
-        out += float(self.kirchhoff.g(s)) * self.norm_sq
+    def deriv2(self, t):
+        """d^2/dt^2 J(t u), row by row; t as for deriv, -inf past the guard."""
+        t, shape = self._sweep(t)
+        s_row = self.norm_sq[:, None]
+        s = t * t * s_row
+        out = 2.0 * self.kirchhoff.g_prime(s) * (t * s_row) ** 2
+        out += self.kirchhoff.g(s) * s_row
         for e, m in self.power_moments:
-            out -= (e - 1.0) * t ** (e - 2.0) * m
-        return out - self._tail_deriv2(t)
+            out -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
+        return self._shaped(out - self._tail(t, 2), t, shape, guard=True)
+
+    def _sweep(self, t):
+        """The scales as a (k, m) array, and the shape of the result."""
+        t = np.asarray(t, dtype=float)
+        if len(self) != 1 and t.shape[:1] != (len(self),):
+            raise ValueError(f"need the scales of {len(self)} rows, got shape {t.shape}")
+        return t.reshape(len(self), -1), t.shape
+
+    def _shaped(self, out, t, shape, guard: bool):
+        if guard and self.tail_spec is not None:
+            out = np.where(t <= self.scale_limit[:, None], out, -np.inf)
+        out = out.reshape(shape)
+        return float(out) if not shape else out
+
+    def _tail(self, t, order: int, saturate: bool = False):
+        """The reaction tail of deriv (order 1) or deriv2 (order 2) at scales (k, m)."""
+        if self.tail_spec is None:
+            return 0.0
+        nl = self.tail_spec
+        with np.errstate(over="ignore", invalid="ignore"):  # inf keeps the sign information
+            arg = ((t * self.vmax[:, None]) ** nl.gamma)[..., None] * self.rate[:, None, :]
+            if saturate:  # fmin also caps the inf * 0 of underflowed rates
+                arg = np.fmin(arg, 700.0)
+            body = np.exp(arg)
+            if order == 2:
+                body *= nl.p - 1.0 + nl.gamma * arg
+            return t ** (nl.p - order) * np.matmul(body, self.weight[:, :, None])[..., 0]
 
 
 def fibering(u: RadialFunction, t, params: ModelParams):

@@ -2,9 +2,10 @@
 
 Every nonzero direction u admits a unique scale t_u > 0 at which
 d/dt J(t u) = 0; the map u -> t_u u retracts directions onto the Nehari
-set.  One bracket-and-Newton root finder (project_scale) locates t_u, on
-the moment form of the derivative in the descent and on the measured
-residual in project.  The ground level
+set.  One bracket-and-Newton root search (_scale_search) locates t_u,
+and one driver (_drive) runs the searches of a stack of directions in
+lockstep on a stacked FiberMap: on the moment form of the derivative in
+the descent, and on the measured residual in project.  The ground level
 
     m = inf { J(w) : <J'(w), w> = 0, w != 0 }
 
@@ -75,38 +76,49 @@ class NehariPoint:
 # ---------------------------------------------------------------------------
 
 
-def _scale_search(fiber: FiberMap):
-    """The root search of project_scale as a generator.
+def _scale_search(fiber: FiberMap, row: int):
+    """Root search for the scale of one row of a fibering map, as a generator:
+    it yields each scale t at which it needs the fibering derivative d, is
+    sent the pair (d, slope) there, and returns the root.
 
-    It yields each scale t at which it needs the fibering derivative d, is
-    sent d(t) there (-inf past the exponential overflow guard), and returns
-    the root.  Only d is asked for: the slope comes from fiber.deriv2.  So
-    one search can be driven by direct calls (project_scale) or many in
-    lockstep, with d of every pending search evaluated in one stack.
+    d is positive below the root and negative above it, and -inf past the
+    overflow guard, where the reaction tail certainly dominates.  The
+    search starts at the leading pure-power balance min_e (g0 S /
+    M_e)^(1/(e-2)) of the moments, where one power term alone cancels the
+    Kirchhoff head g0 t S, so it does not depend on the scale of the
+    problem.  It doubles or halves until d changes sign, then takes Newton
+    steps from the bracket end with the smaller |d| until the bracket holds
+    adjacent floats, and returns the end with the smaller |d|.  It bisects
+    when a step leaves the bracket or the bracket has not halved in three
+    steps (slow convergence, or a slope that does not match d).  A step
+    shorter than the float spacing is lengthened to cross the root,
+    doubling while it fails to.
     """
-    if not 0.0 < fiber.norm_sq < math.inf:
-        raise ProjectionError(f"the squared weighted norm {fiber.norm_sq:.3g} is not positive and finite")
-    head = fiber.kirchhoff.g0 * fiber.norm_sq
-    logs = [(math.log(head) - math.log(m)) / (e - 2.0) for e, m in fiber.power_moments if m > 0.0]
+    norm_sq = float(fiber.norm_sq[row])
+    if not 0.0 < norm_sq < math.inf:
+        raise ProjectionError(f"the squared weighted norm {norm_sq:.3g} is not positive and finite")
+    head = fiber.kirchhoff.g0 * norm_sq
+    logs = [(math.log(head) - math.log(m[row])) / (e - 2.0) for e, m in fiber.power_moments if m[row] > 0.0]
     if not logs:
         raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
     lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
     d_lo, d_hi = math.inf, -math.inf
+    slope_lo = slope_hi = math.nan
     nudge = stalls = 0
     width = math.inf  # bracket width when it last halved
     t = float(np.exp(min(logs)))
     while True:
         if not 0.0 < t < math.inf:
             raise ProjectionError("the fibering derivative keeps its sign at every representable scale")
-        v = yield t
+        v, slope = yield t
         if math.isnan(v):
             raise ProjectionError(f"fibering derivative is NaN at scale {t:.3g}")
         if v == 0.0:
             return t
         if v > 0.0:
-            lo, d_lo = t, v
+            lo, d_lo, slope_lo = t, v, slope
         else:
-            hi, d_hi = t, v
+            hi, d_hi, slope_hi = t, v, slope
         if hi == math.inf or lo == 0.0:
             t = 2.0 * lo if hi == math.inf else 0.5 * hi
             continue
@@ -117,8 +129,7 @@ def _scale_search(fiber: FiberMap):
             width, stalls = hi - lo, 0
         else:
             stalls += 1
-        t, v = (lo, d_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi)
-        slope = fiber.deriv2(t)
+        t, v, slope = (lo, d_lo, slope_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi, slope_hi)
         step = -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
         nudge = nudge + 1 if abs(step) < math.ulp(t) else 0
         if nudge:
@@ -126,36 +137,51 @@ def _scale_search(fiber: FiberMap):
         t = t + step if stalls < 3 and lo < t + step < hi else mid
 
 
-def project_scale(fiber: FiberMap) -> float:
-    """Root of the fibering derivative d = fiber.deriv on (0, inf).
+def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:
+    """The roots of every row of a fibering map, their searches in lockstep.
 
-    d is positive below the root and negative above it; past the
-    exponential overflow guard the reaction tail certainly dominates and d
-    counts as -inf.  The search starts at the leading pure-power balance
-    min_e (g0 S / M_e)^(1/(e-2)) of the moments, where one power term alone
-    cancels the Kirchhoff head g0 t S, so it does not depend on the scale
-    of the problem.  It doubles or halves until d changes sign, then takes
-    Newton steps on fiber.deriv2 from the bracket end with the smaller |d|
-    until the bracket holds adjacent floats, and returns the end with the
-    smaller |d|.  It bisects instead when a step leaves the bracket or the
-    bracket has not halved in three steps (slow convergence, or a slope
-    that does not match d).  A step shorter than the float spacing is
-    lengthened to cross the root, doubling while it fails to.
+    Each round calls measure(rows, ts) once for all pending rows, at the
+    scales ts they ask for, and sends each search its pair (d, slope); the
+    default measure is the moment form, deriv and deriv2.  A search that
+    fails raises ProjectionError naming its row when strict, and leaves NaN
+    as its root otherwise; no other row notices either way.
     """
-    search = _scale_search(fiber)
-    with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
-        t = next(search)
-        while True:
-            try:
-                v = fiber.deriv(t)
-            except RangeOverflowError:  # past the guard the reaction tail dominates
-                v = -math.inf
-            except OverflowError as exc:
-                raise ProjectionError(f"fibering derivative overflows at scale {t:.3g}") from exc
-            try:
-                t = search.send(v)
-            except StopIteration as stop:
-                return stop.value
+    if measure is None:
+        def measure(rows, ts):
+            sub = fiber if len(rows) == len(fiber) else fiber.take(rows)
+            return sub.deriv(ts), sub.deriv2(ts)
+
+    searches = [_scale_search(fiber, i) for i in range(len(fiber))]
+    roots = np.full(len(searches), math.nan)
+    pending = {}  # row -> the scale its search asks for next, in row order
+
+    def advance(i, sent):
+        try:
+            pending[i] = searches[i].send(sent)
+        except StopIteration as stop:
+            roots[i] = stop.value
+        except ProjectionError as exc:
+            if strict:
+                raise ProjectionError(f"row {i}: {exc}") from exc
+
+    # huge scales: an inf term keeps its sign, and inf - inf is a NaN the search reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(searches)):
+            advance(i, None)
+        while pending:
+            rows = np.fromiter(pending, dtype=int, count=len(pending))
+            ts = np.fromiter(pending.values(), dtype=float, count=len(pending))
+            pending.clear()
+            d, slope = measure(rows, ts)
+            for i, sent in zip(rows.tolist(), zip(d.tolist(), slope.tolist())):
+                advance(i, sent)
+    return roots
+
+
+def project_scale(fiber: FiberMap) -> float:
+    """Root of the fibering derivative fiber.deriv on (0, inf) for a map of
+    one row (_scale_search), with Newton slopes from fiber.deriv2."""
+    return float(_drive(fiber)[0])
 
 
 def project(u, params: ModelParams):
@@ -202,28 +228,13 @@ def _project_rows(rows: list, params: ModelParams) -> list:
     norms = np.sqrt(ops.rule.form(shapes))
     _reject_rows(~(norms > 0.0), "direction has zero weighted norm")
     units = shapes / norms[:, None]
-    searches = [_scale_search(FiberMap.full(RadialFunction(grid, unit), params)) for unit in units]
-    pending = {}  # row -> the scale its search asks for next
-    roots = np.empty(len(rows))
+    fiber = FiberMap.full(units, params, grid)
 
-    def advance(i, v):
-        try:
-            pending[i] = searches[i].send(v)
-        except StopIteration as stop:
-            roots[i] = stop.value
-            del pending[i]
-        except ProjectionError as exc:
-            raise ProjectionError(f"row {i}: {exc}") from exc
+    def measure(idx, ts):  # the measured residual; the moment form gives the slope
+        return _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts, fiber.take(idx).deriv2(ts)
 
-    with np.errstate(over="ignore"):  # huge scales: an inf Kirchhoff term keeps its sign
-        for i in range(len(rows)):
-            advance(i, None)
-        while pending:
-            idx = np.fromiter(pending, dtype=int, count=len(pending))
-            ts = np.fromiter(pending.values(), dtype=float, count=len(pending))
-            d = _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts
-            for i, v in zip(idx.tolist(), d.tolist()):
-                advance(i, v)
+    roots = _drive(fiber, measure)
+    with np.errstate(over="ignore"):
         t_u = roots / (peaks * norms)
     _reject_rows(
         ~((0.0 < t_u) & (t_u < math.inf)),
@@ -233,16 +244,8 @@ def _project_rows(rows: list, params: ModelParams) -> list:
     kirch, power, reaction = _energy_terms(ops, w, params)
     energies = kirch - power - reaction
     residuals = _nehari_residuals(ops, w, params)
-    return [
-        NehariPoint(
-            direction=r,
-            t_u=float(t_u[i]),
-            projected=RadialFunction(grid, w[i]),
-            energy=float(energies[i]),
-            residual=float(residuals[i]),
-        )
-        for i, r in enumerate(rows)
-    ]
+    columns = zip(rows, t_u.tolist(), w, energies.tolist(), residuals.tolist())
+    return [NehariPoint(r, t, RadialFunction(grid, wr), e, res) for r, t, wr, e, res in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +337,6 @@ class _Functional:
         self.params = params
         self.pure_power = pure_power
         self.ops = operator_cache(grid, params.beta)
-
-    def fiber(self, u: RadialFunction) -> FiberMap:
-        if self.pure_power:
-            return FiberMap.pure_power(u, self.params)
-        return FiberMap.full(u, self.params)
 
     def value(self, values: np.ndarray):
         """The energy; inf for a row past the exponential overflow guard."""
@@ -446,9 +444,12 @@ def _start_stack(func: _Functional, search: SearchConfig, extra_starts: tuple = 
     return starts / nrm[:, None]
 
 
-def _scales(func: _Functional, units: np.ndarray) -> np.ndarray:
-    """project_scale of each row of a stack of directions."""
-    return np.array([project_scale(func.fiber(RadialFunction(func.grid, u))) for u in units])
+def _scales(func: _Functional, units: np.ndarray, strict: bool = True) -> np.ndarray:
+    """Projection scale of each row of a stack of directions, on the moment
+    form of the fibering derivative (_drive; NaN for a failed row unless strict)."""
+    build = FiberMap.pure_power if func.pure_power else FiberMap.full
+    fiber = build(units, func.params, func.grid)
+    return _drive(fiber, strict=strict)
 
 
 def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, drafts, polished: bool = False):
@@ -479,7 +480,9 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     Each row keeps its own step size, Barzilai-Borwein pair, Armijo
     backtracking and stop.  A round evaluates the gradients, norms, BB
     forms, trial points and projected energies of all pending rows in one
-    stacked call each, and projects each trial row by project_scale.
+    stacked call each; the trial rows share one FiberMap and project in
+    lockstep (_scales).  A trial that finds no scale comes back NaN and is
+    rejected, as is one past the overflow guard.
 
     Returns (records, final points, min observed Nehari norm, worst
     coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
@@ -521,17 +524,12 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
         while pending.size:
             rows = active[pending]
             trial = w[rows] - a[pending, None] * grad[pending]
-            trial_norm = norm(trial)
-            w_try, projected = np.empty_like(trial), []
-            for j in np.flatnonzero(np.isfinite(trial_norm) & (trial_norm > 0.0)):
-                u_try = trial[j] / trial_norm[j]
-                try:
-                    w_try[j] = project_scale(func.fiber(RadialFunction(func.grid, u_try))) * u_try
-                    projected.append(j)
-                except ProjectionError:
-                    pass  # no scale to project on: the trial is rejected
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero or overflowing trial finds no scale
+                u_try = trial / norm(trial)[:, None]
+            t_try = _scales(func, u_try, strict=False)
+            w_try, found = t_try[:, None] * u_try, ~np.isnan(t_try)  # NaN: no scale, and the trial is rejected
             e_try = np.full(len(pending), np.inf)  # and so is a row past the overflow guard
-            e_try[projected] = func.value(w_try[projected])
+            e_try[found] = func.value(w_try[found])
             e_row = e[rows]
             ok = e_try <= e_row - _ARMIJO * a[pending] * grad_norm[pending] ** 2 + _ENERGY_NOISE * np.abs(e_row)
             accepted[pending[ok]] = True

@@ -382,12 +382,14 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
         u = random_clamped_profile(grid, np.random.default_rng([seed, 500 + k]))
         dirs.append(RadialFunction(grid, u.values / w_norm(u, params.beta)))
     pts = project(dirs, params)
+    fibers = FiberMap.full(np.array([u.values for u in dirs]), params, grid)
     sign_changes = []
     max_gaps = []
-    for u, pt in zip(dirs, pts):
-        # unique sign change of the derivative over a wide log grid
+    for k, (u, pt) in enumerate(zip(dirs, pts)):
+        # unique sign change of the derivative over a wide log grid, a row of
+        # the stacked map at a time (all rows at once: a 51 MB temporary)
         ts = np.geomspace(1e-6 * pt.t_u, 1e3 * pt.t_u, 500)
-        signs = np.sign(FiberMap.full(u, params).deriv(ts, saturate=True))
+        signs = np.sign(fibers.take([k]).deriv(ts, saturate=True))
         signs = signs[signs != 0.0]
         sign_changes.append(int(np.sum(signs[1:] != signs[:-1])))
         # the fibering maximum is attained at the projection scale, up to a
@@ -461,19 +463,12 @@ def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples
     central difference, sampled away from the fibering maximum (there the
     derivative crosses zero and a difference quotient of the large map
     values is pure cancellation noise) and short of the exponential wall."""
-    fiber = FiberMap.full(u, params)
-    worst = 0.0
-    for t in np.linspace(0.1 * t_u, 0.95 * t_u, samples):
-        h = 1e-4 * t
-        fd = (
-            -fibering(u, t + 2 * h, params)
-            + 8.0 * fibering(u, t + h, params)
-            - 8.0 * fibering(u, t - h, params)
-            + fibering(u, t - 2 * h, params)
-        ) / (12.0 * h)
-        dv = fiber.deriv(t)
-        worst = max(worst, abs(fd - dv) / (1.0 + abs(dv)))
-    return worst
+    ts = np.linspace(0.1 * t_u, 0.95 * t_u, samples)
+    h = 1e-4 * ts
+    j = [fibering(u, ts + c * h, params) for c in (2.0, 1.0, -1.0, -2.0)]
+    fd = (-j[0] + 8.0 * j[1] - 8.0 * j[2] + j[3]) / (12.0 * h)
+    dv = FiberMap.full(u, params).deriv(ts)
+    return float(np.max(np.abs(fd - dv) / (1.0 + np.abs(dv))))
 
 
 def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:

@@ -7,7 +7,8 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
-from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _Functional
+from kirchhoff4 import nehari
+from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive, _Functional
 from kirchhoff4.nehari import _start_stack, _winner
 from kirchhoff4 import verify
 from kirchhoff4.verify import _projection_checks, _residual_limit
@@ -136,6 +137,74 @@ def test_stacked_projection_names_bad_row(spectral64, params_cp2, bad):
     dirs[2] = k4.RadialFunction(spectral64, np.full(64, bad))
     with pytest.raises(ProjectionError, match="row 2"):
         k4.project(dirs, params_cp2)
+
+
+def _failing_search():
+    raise ProjectionError("no scale")
+    yield
+
+
+def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypatch):
+    # a stack whose row 1 has no positive moment: strict, the driver names
+    # the row; otherwise that root is NaN, and every other root equals the
+    # root of its row alone, bit for bit
+    kirchhoff = KirchhoffSpec.affine(1.0, 1.0)
+    moments = np.array([1.0, 0.0, 5.0, 1e-60])
+    fiber = FiberMap(kirchhoff, np.ones(4), ((6.0, moments),))
+    with pytest.raises(ProjectionError, match="row 1: no positive moment"):
+        _drive(fiber)
+    roots = _drive(fiber, strict=False)
+    assert np.isnan(roots[1])
+    for i in (0, 2, 3):
+        assert roots[i] == k4.project_scale(FiberMap(kirchhoff, 1.0, ((6.0, moments[i]),))), i
+    # in the measure of project, on grid directions: the residual of row 3,
+    # the only one that starts negative, reads NaN
+    dirs = [unit_profile(spectral64, 0.5, [68, k]) for k in range(6)]
+    dirs = [u.scaled(np.sign(u.values[0]) * (-1.0 if k == 3 else 1.0)) for k, u in enumerate(dirs)]
+    real = nehari._nehari_residuals
+
+    def nan_row(ops, values, params):
+        res = real(ops, values, params)
+        res[values[:, 0] < 0.0] = np.nan
+        return res
+
+    monkeypatch.setattr(nehari, "_nehari_residuals", nan_row)
+    with pytest.raises(ProjectionError, match="row 3: fibering derivative is NaN"):
+        k4.project(dirs, params_cp2)
+    # and in the descent's measure (the moment form), at the automatic cp,
+    # where every first trial is accepted: row 2 of the first trial stack
+    # comes back NaN and is rejected, so that row backtracks alone while
+    # the other rows go on as they would
+    func = _Functional(spectral64, resolved_default[0], pure_power=False)
+    cfg = k4.SearchConfig(starts=4)
+    starts = _start_stack(func, cfg)
+    monkeypatch.setattr(nehari, "_nehari_residuals", real)
+    real_search, real_drive = nehari._scale_search, nehari._drive
+
+    def run(fail):
+        sizes = []  # rows of each stack driven: the starts, then the trials
+
+        def search(fib, row):
+            return _failing_search() if fail and len(sizes) == 2 and row == 2 else real_search(fib, row)
+
+        def drive(fib, measure=None, strict=True):
+            sizes.append(len(fib))
+            roots = real_drive(fib, measure, strict)
+            if fail and len(sizes) == 2:
+                assert np.isnan(roots[2]) and np.all(np.isfinite(np.delete(roots, 2)))
+            return roots
+
+        monkeypatch.setattr(nehari, "_scale_search", search)
+        monkeypatch.setattr(nehari, "_drive", drive)
+        return _descend_main(func, starts, cfg), sizes
+
+    (plain, plain_w, _, _), plain_sizes = run(False)
+    (hit, hit_w, _, _), hit_sizes = run(True)
+    assert plain_sizes[:3] == [4, 4, 4] and hit_sizes[:4] == [4, 4, 1, 4]  # row 2 retries alone
+    for k in (0, 1, 3):
+        assert hit[k] == plain[k], k
+        assert np.array_equal(hit_w[k], plain_w[k]), k
+    assert hit[2].trace[1] != plain[2].trace[1]
 
 
 def test_t_leq_one_stack(spectral64, params_cp2):
@@ -500,7 +569,7 @@ def test_aux_projected_energy_closed_form(spectral64, search_default):
     p = params.p
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [81, k])
-        t = k4.project_scale(func.fiber(u))
+        t = k4.project_scale(FiberMap.pure_power(u, params))
         level = func.value(t * u.values)
         pnorm = k4.lebesgue_norm(u, p)
         expect = (0.5 - 1.0 / p) * 2.0 ** (p / (p - 2.0)) * pnorm ** (-2.0 * p / (p - 2.0))
