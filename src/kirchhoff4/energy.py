@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -161,20 +161,46 @@ def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, fo
 
 
 def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
-    """<J'(u), u>: zero precisely on the Nehari set."""
-    return weak_action(u, u, params)
+    """<J'(u), u>: zero precisely on the Nehari set; -inf past the guard."""
+    return float(_nehari_residuals(operator_cache(u.grid, params.beta), u.values[None], params)[0])
 
 
-def _nehari_residuals(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:
+def _inside_guard(nl, peaks):
+    """Whether profiles of these largest magnitudes keep the exponential
+    argument under the overflow guard, in the arithmetic of the guard of F:
+    the one place that decides it.  Callers silence overflow, since an
+    overflowing argument is past the guard."""
+    return nl._exp_arg(peaks) <= EXP_GUARD
+
+
+def _guarded(kernel):
+    """A value kernel(ops, values, params) of a stack (k, n), evaluated on
+    the rows inside the guard; -inf on the others, where the reaction tail
+    certainly dominates.  A breakdown, a load or a gradient raises there."""
+    @wraps(kernel)
+    def guarded(ops: _WOperators, values: np.ndarray, params: ModelParams) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            inside = _inside_guard(params.nonlinearity, np.abs(values).max(axis=1))
+        out = np.full(len(values), -np.inf)
+        out[inside] = kernel(ops, values[inside], params)
+        return out
+
+    return guarded
+
+
+@_guarded
+def _energies(ops, values, params):
+    """J of each profile of a stack (k, n)."""
+    kirch, power, reaction = _energy_terms(ops, values, params)
+    return kirch - power - reaction
+
+
+@_guarded
+def _nehari_residuals(ops, values, params):
     """<J'(u), u> = g(S) S - vol . (force(u) u) of each profile of a stack
-    (k, n), one Laplacian product per profile.  Profiles past the overflow
-    guard give -inf, where the reaction tail certainly dominates."""
-    inside = params.nonlinearity._exp_arg(np.abs(values).max(axis=1)) <= EXP_GUARD
-    out = np.full(len(values), -np.inf)
-    v = values[inside]
-    s = ops.rule.form(v)
-    out[inside] = params.kirchhoff.g(s) * s - rowwise(ops.rule.vol, _nodal_force(v, params) * v)
-    return out
+    (k, n), one Laplacian product per profile."""
+    s = ops.rule.form(values)
+    return params.kirchhoff.g(s) * s - rowwise(ops.rule.vol, _nodal_force(values, params) * values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +237,6 @@ class FiberMap:
                 # rates relative to the largest node of the row: (t vmax)^gamma
                 # stays finite up to the guard however large gamma is
                 self.rate = tail_spec.alpha0 * (av / self.vmax[:, None]) ** tail_spec.gamma
-                # largest scale whose tail stays under the overflow guard
-                self.scale_limit = tail_spec.guard_scale() / self.vmax
 
     # --- builders -------------------------------------------------------
 
@@ -246,28 +270,25 @@ class FiberMap:
         sub.norm_sq = self.norm_sq[rows]
         sub.power_moments = tuple((e, m[rows]) for e, m in self.power_moments)
         if self.tail_spec is not None:
-            for name in ("vmax", "weight", "rate", "scale_limit"):
+            for name in ("vmax", "weight", "rate"):
                 setattr(sub, name, getattr(self, name)[rows])
         return sub
 
     # --- derivative and curvature ----------------------------------------
 
-    def deriv(self, t, saturate: bool = False):
+    def deriv(self, t):
         """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row.
 
         t holds one scale per row (k,) or a sweep of scales per row (k, m);
         a stack of one also takes a scale, which gives a float, or any array
-        of scales.  A scale past its row's overflow guard gives -inf, where
-        the reaction tail certainly dominates.  With saturate=True the
-        exponential argument is capped instead, which keeps the sign
-        information without overflowing; used by sweep diagnostics.
+        of scales.  A scale past its row's overflow guard gives -inf.
         """
         t, shape = self._sweep(t)
         s_row = self.norm_sq[:, None]
         out = self.kirchhoff.g(t * t * s_row) * t * s_row
         for e, m in self.power_moments:
             out -= t ** (e - 1.0) * m[:, None]
-        return self._shaped(out - self._tail(t, 1, saturate), t, shape, guard=not saturate)
+        return self._less_tail(out, t, shape, 1)
 
     def deriv2(self, t):
         """d^2/dt^2 J(t u), row by row; t as for deriv, -inf past the guard."""
@@ -278,7 +299,7 @@ class FiberMap:
         out += self.kirchhoff.g(s) * s_row
         for e, m in self.power_moments:
             out -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
-        return self._shaped(out - self._tail(t, 2), t, shape, guard=True)
+        return self._less_tail(out, t, shape, 2)
 
     def _sweep(self, t):
         """The scales as a (k, m) array, and the shape of the result."""
@@ -287,43 +308,30 @@ class FiberMap:
             raise ValueError(f"need the scales of {len(self)} rows, got shape {t.shape}")
         return t.reshape(len(self), -1), t.shape
 
-    def _shaped(self, out, t, shape, guard: bool):
-        if guard and self.tail_spec is not None:
-            out = np.where(t <= self.scale_limit[:, None], out, -np.inf)
+    def _less_tail(self, out, t, shape, order: int):
+        """out (k, m) less the reaction tail of deriv (order 1) or deriv2
+        (order 2) at scales t (k, m), -inf past the guard, in the given shape."""
+        if self.tail_spec is not None:
+            nl = self.tail_spec
+            with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+                peak = t * self.vmax[:, None]
+                arg = (peak**nl.gamma)[..., None] * self.rate[:, None, :]
+                body = np.exp(arg)
+                if order == 2:
+                    body *= nl.p - 1.0 + nl.gamma * arg
+                tail = t ** (nl.p - order) * np.matmul(body, self.weight[:, :, None])[..., 0]
+                out = np.where(_inside_guard(nl, peak), out - tail, -np.inf)
         out = out.reshape(shape)
         return float(out) if not shape else out
 
-    def _tail(self, t, order: int, saturate: bool = False):
-        """The reaction tail of deriv (order 1) or deriv2 (order 2) at scales (k, m)."""
-        if self.tail_spec is None:
-            return 0.0
-        nl = self.tail_spec
-        with np.errstate(over="ignore", invalid="ignore"):  # inf keeps the sign information
-            arg = ((t * self.vmax[:, None]) ** nl.gamma)[..., None] * self.rate[:, None, :]
-            if saturate:  # fmin also caps the inf * 0 of underflowed rates
-                arg = np.fmin(arg, 700.0)
-            body = np.exp(arg)
-            if order == 2:
-                body *= nl.p - 1.0 + nl.gamma * arg
-            return t ** (nl.p - order) * np.matmul(body, self.weight[:, :, None])[..., 0]
-
 
 def fibering(u: RadialFunction, t, params: ModelParams):
-    """J(t u), evaluated through the energy of the scaled profile, so that
-    fibering(c u, t) and fibering(u, c t) follow the same computation.
-
-    An array of scales evaluates the stack of scaled profiles at once;
-    scales past the overflow guard, where a single scale raises
-    RangeOverflowError, give -inf (far below the fibering maximum).
+    """J(t u) at a scale or an array of scales, evaluated as the stack of
+    scaled profiles (_energies), so that fibering(c u, t) and
+    fibering(u, c t) follow the same computation; -inf past the guard.
     """
-    if np.any(np.asarray(t) < 0.0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("fibering scale must be nonnegative")
-    if np.ndim(t) == 0:
-        return energy(u.scaled(t), params).total
-    nl = params.nonlinearity
-    stack = np.multiply.outer(t, u.values)
-    inside = nl._exp_arg(np.abs(stack).max(axis=1)) <= EXP_GUARD
-    out = np.full(len(stack), -np.inf)
-    kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), stack[inside], params)
-    out[inside] = kirch - power - reaction
-    return out
+    out = _energies(operator_cache(u.grid, params.beta), np.multiply.outer(np.atleast_1d(t), u.values), params)
+    return float(out[0]) if not t.ndim else out

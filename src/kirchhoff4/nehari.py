@@ -27,13 +27,13 @@ winner and on starts the descent left above the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .energy import FiberMap, energy, operator_cache  # energy: unused here; perfbench tests rebind it
-from .energy import _energy_terms, _nehari_residuals, _nodal_force, _residual_load
-from .model import EXP_GUARD, ModelParams, RangeOverflowError, adams_constant
+from .energy import _energies, _nehari_residuals, _nodal_force, _residual_load
+from .model import ModelParams, RangeOverflowError, adams_constant
 from .radial import RadialFunction, RadialGrid, random_clamped_profile, rowwise
 
 __all__ = [
@@ -241,9 +241,7 @@ def _project_rows(rows: list, params: ModelParams) -> list:
         "the weighted norm of the direction leaves no representable projection scale",
     )
     w = roots[:, None] * units
-    kirch, power, reaction = _energy_terms(ops, w, params)
-    energies = kirch - power - reaction
-    residuals = _nehari_residuals(ops, w, params)
+    energies, residuals = _energies(ops, w, params), _nehari_residuals(ops, w, params)
     columns = zip(rows, t_u.tolist(), w, energies.tolist(), residuals.tolist())
     return [NehariPoint(r, t, RadialFunction(grid, wr), e, res) for r, t, wr, e, res in columns]
 
@@ -288,17 +286,7 @@ class StartRecord:
     trace: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "energy": self.energy,
-            "gradient_norm": self.gradient_norm,
-            "relative_gradient": self.relative_gradient,
-            "norm": self.norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "polished": self.polished,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
 
 @dataclass(frozen=True)
@@ -339,15 +327,11 @@ class _Functional:
         self.ops = operator_cache(grid, params.beta)
 
     def value(self, values: np.ndarray):
-        """The energy; inf for a row past the exponential overflow guard."""
+        """The energy; -inf for a row past the exponential overflow guard."""
         if self.pure_power:
             i_p = rowwise(self.ops.rule.vol, np.abs(values) ** self.params.p)
             return 0.5 * self.params.kirchhoff.G(self.ops.rule.form(values)) - i_p / self.params.p
-        stack = np.atleast_2d(values)
-        inside = self.params.nonlinearity._exp_arg(np.abs(stack).max(axis=1)) <= EXP_GUARD
-        out = np.full(len(stack), np.inf)
-        kirch, power, reaction = _energy_terms(self.ops, stack[inside], self.params)
-        out[inside] = kirch - power - reaction
+        out = _energies(self.ops, np.atleast_2d(values), self.params)
         return out if values.ndim == 2 else float(out[0])
 
     def _nodal_stiffness(self, values: np.ndarray) -> np.ndarray:
@@ -481,8 +465,8 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     backtracking and stop.  A round evaluates the gradients, norms, BB
     forms, trial points and projected energies of all pending rows in one
     stacked call each; the trial rows share one FiberMap and project in
-    lockstep (_scales).  A trial that finds no scale comes back NaN and is
-    rejected, as is one past the overflow guard.
+    lockstep (_scales).  A trial whose energy is not finite is rejected:
+    NaN when it finds no scale, -inf past the overflow guard.
 
     Returns (records, final points, min observed Nehari norm, worst
     coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
@@ -526,12 +510,10 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
             trial = w[rows] - a[pending, None] * grad[pending]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero or overflowing trial finds no scale
                 u_try = trial / norm(trial)[:, None]
-            t_try = _scales(func, u_try, strict=False)
-            w_try, found = t_try[:, None] * u_try, ~np.isnan(t_try)  # NaN: no scale, and the trial is rejected
-            e_try = np.full(len(pending), np.inf)  # and so is a row past the overflow guard
-            e_try[found] = func.value(w_try[found])
-            e_row = e[rows]
-            ok = e_try <= e_row - _ARMIJO * a[pending] * grad_norm[pending] ** 2 + _ENERGY_NOISE * np.abs(e_row)
+            w_try = _scales(func, u_try, strict=False)[:, None] * u_try
+            e_try, e_row = func.value(w_try), e[rows]
+            decrease = _ARMIJO * a[pending] * grad_norm[pending] ** 2
+            ok = np.isfinite(e_try) & (e_try <= e_row - decrease + _ENERGY_NOISE * np.abs(e_row))
             accepted[pending[ok]] = True
             w[rows[ok]], e[rows[ok]], step[rows[ok]] = w_try[ok], e_try[ok], a[pending[ok]]
             pending = pending[~ok]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import FiberMap, operator_cache, _nehari_residuals, _nodal_force, _residual_load
+from kirchhoff4.energy import FiberMap, operator_cache, _energies, _nehari_residuals, _nodal_force, _residual_load
 from kirchhoff4.model import KirchhoffSpec, RangeOverflowError
+from kirchhoff4.nehari import _Functional
 from kirchhoff4.radial import weighted_rule
 from kirchhoff4.verify import _residual_limit
 
@@ -218,9 +219,60 @@ def test_fibering_scaling_identity(spectral64, params_cp2):
 
 
 def test_fibering_overflow_propagates(spectral64, params_cp2):
+    # past the guard the value is -inf; the breakdown of the same profile raises
     u = unit_profile(spectral64, 0.5, 14)
+    assert k4.fibering(u, 1e6, params_cp2) == -np.inf
     with pytest.raises(RangeOverflowError):
-        k4.fibering(u, 1e6, params_cp2)
+        k4.energy(u.scaled(1e6), params_cp2)
+
+
+# The overflow convention: past the exponential guard every value kernel
+# (J, <J'(u), u>, d/dt J(tu), d^2/dt^2 J(tu)) gives -inf, where the reaction
+# tail certainly dominates.  Each takes the profile u at the scales ts.
+_VALUE_KERNELS = {
+    "fibering": lambda u, ts, params: np.array([k4.fibering(u, t, params) for t in ts]),
+    "fibering-array": lambda u, ts, params: k4.fibering(u, ts, params),
+    "nehari_residual": lambda u, ts, params: np.array([k4.nehari_residual(u.scaled(t), params) for t in ts]),
+    "_energies": lambda u, ts, params: _energies(operator_cache(u.grid, params.beta), np.outer(ts, u.values), params),
+    "_nehari_residuals": lambda u, ts, params: _nehari_residuals(
+        operator_cache(u.grid, params.beta), np.outer(ts, u.values), params
+    ),
+    "_Functional.value": lambda u, ts, params: _Functional(u.grid, params, pure_power=False).value(
+        np.outer(ts, u.values)
+    ),
+    "_Functional.value-row": lambda u, ts, params: np.array(
+        [_Functional(u.grid, params, pure_power=False).value(t * u.values) for t in ts]
+    ),
+    "FiberMap.deriv": lambda u, ts, params: FiberMap.full(u, params).deriv(ts),
+    "FiberMap.deriv2": lambda u, ts, params: FiberMap.full(u, params).deriv2(ts),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_VALUE_KERNELS))
+def test_value_kernels_give_minus_inf_past_the_guard(kernel, spectral64, params_cp2):
+    u = unit_profile(spectral64, 0.5, 14)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    got = _VALUE_KERNELS[kernel](u, np.array([0.5, 1.1, 1e6]) * limit, params_cp2)
+    assert np.isfinite(got[0]) and np.all(got[1:] == -np.inf), got
+
+
+# A breakdown, a weak action along another direction, a load or a gradient
+# raises past the guard.
+_RAISING_KERNELS = {
+    "energy": lambda w, phi, params: k4.energy(w, params),
+    "weak_action": lambda w, phi, params: k4.weak_action(w, phi, params),
+    "sobolev_gradient": lambda w, phi, params: k4.sobolev_gradient(w, params),
+    "_Functional.load": lambda w, phi, params: _Functional(w.grid, params, pure_power=False).load(w.values),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_RAISING_KERNELS))
+def test_breakdowns_and_gradients_raise_past_the_guard(kernel, spectral64, params_cp2):
+    u, phi = unit_profile(spectral64, 0.5, 14), unit_profile(spectral64, 0.5, 15)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    _RAISING_KERNELS[kernel](u.scaled(0.5 * limit), phi, params_cp2)
+    with pytest.raises(RangeOverflowError):
+        _RAISING_KERNELS[kernel](u.scaled(1.1 * limit), phi, params_cp2)
 
 
 def test_residual_sign_window(spectral64, params_cp2):
@@ -238,21 +290,21 @@ def test_fiber_map_saturated_signs(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 15)
     fiber = FiberMap.full(u, params_cp2)
     t_u = k4.project(u, params_cp2).t_u
-    assert fiber.deriv(1e6 * t_u, saturate=True) < 0.0  # far past the guard
+    assert fiber.deriv(1e6 * t_u) == -np.inf  # far past the guard
 
 
 def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_default):
     # beta = 0.99 (gamma = 200): the rates of small nodes underflow, and
-    # far past the guard (t max|u|)^gamma overflows; the sweep stays signed
+    # far past the guard (t max|u|)^gamma overflows; there the sweep is -inf
     steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
     for params in (params_cp2, resolved_default[0], steep):
         u = unit_profile(spectral64, 0.5, 17)
         fiber = FiberMap.full(u, params)
         t_u = k4.project_scale(fiber)
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
-        batch = fiber.deriv(ts, saturate=True)
-        single = np.array([fiber.deriv(t, saturate=True) for t in ts])
-        assert isinstance(fiber.deriv(ts[0], saturate=True), float)
+        batch = fiber.deriv(ts)
+        single = np.array([fiber.deriv(t) for t in ts])
+        assert isinstance(fiber.deriv(ts[0]), float)
         assert np.array_equal(np.sign(batch), np.sign(single))
         finite = np.isfinite(single)
         assert np.array_equal(batch[~finite], single[~finite])
@@ -297,16 +349,11 @@ def test_fibering_array_matches_scalar(spectral64, params_cp2):
     limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
     ts = np.linspace(0.0, 2.0 * limit, 101)
     batch = k4.fibering(u, ts, params_cp2)
-    overflow = []
-    for t, b in zip(ts, batch):
-        try:
-            single = k4.fibering(u, t, params_cp2)
-        except RangeOverflowError:
-            overflow.append(t)
-            assert b == -np.inf
-            continue
-        assert abs(b - single) <= 1e-12 * abs(single), t
-    assert 0 < len(overflow) < len(ts)
+    single = np.array([k4.fibering(u, t, params_cp2) for t in ts])
+    past = single == -np.inf
+    assert 0 < np.sum(past) < len(ts)
+    assert np.all(batch[past] == -np.inf)
+    assert np.all(np.abs(batch[~past] - single[~past]) <= 1e-12 * np.abs(single[~past]))
     assert np.all(k4.fibering(u, ts[ts > limit * 1.01], params_cp2) == -np.inf)
     with pytest.raises(ValueError):
         k4.fibering(u, np.array([0.5, -0.3]), params_cp2)
@@ -328,3 +375,35 @@ def test_energy_breakdown_fields(spectral64, params_cp2):
     assert e.kirchhoff_term > 0
     assert e.power_term > 0
     assert e.f_term > 0
+
+
+# The two verify checks gated on their own rounding floor catch
+# perturbations of their operator at n = 64.
+def test_gradient_gate_catches_perturbed_riesz_matrix(spectral64, resolved_default, monkeypatch):
+    from kirchhoff4.verify import _energy_checks
+
+    params = resolved_default[0]
+    ops = operator_cache(spectral64, params.beta)
+    assert {c.name: c for c in _energy_checks(spectral64, params, 1)}["gradient-defining-equations"].status == "pass"
+    # each entry of the Riesz matrix off by about 1e-11 relative
+    noise = 1.0 + 1e-11 * np.random.default_rng(2).standard_normal(ops.riesz_matrix.shape)
+    monkeypatch.setattr(ops, "riesz_matrix", ops.riesz_matrix * noise)
+    check = {c.name: c for c in _energy_checks(spectral64, params, 1)}["gradient-defining-equations"]
+    assert check.status == "fail" and 16.0 * (1.0 - check.margin) > 64.0  # in units of eps
+    # the former gate, the residual relative to 1 + max B^T |load| below 1e-9, passes it
+    u = k4.random_clamped_profile(spectral64, np.random.default_rng([1, 300]))  # the check's direction
+    u = k4.RadialFunction(spectral64, u.values / k4.w_norm(u, params.beta))
+    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
+    resid = ops.basis.T @ (ops.gram @ k4.sobolev_gradient(u, params).values) - ops.basis.T @ load
+    assert np.abs(resid).max() / (1.0 + np.abs(ops.basis.T @ np.abs(load)).max()) < 1e-9
+
+
+def test_laplacian_gate_catches_perturbed_operator(spectral64):
+    from dataclasses import replace
+
+    from kirchhoff4.verify import _grid_checks
+
+    assert {c.name: c for c in _grid_checks(spectral64)}["laplacian-oracle"].status == "pass"
+    noise = 1.0 + 1e-13 * np.random.default_rng(2).standard_normal(spectral64.lap.shape)
+    check = {c.name: c for c in _grid_checks(replace(spectral64, lap=spectral64.lap * noise))}["laplacian-oracle"]
+    assert check.status == "fail" and 4.0 * (1.0 - check.margin) > 8.0  # in units of n eps

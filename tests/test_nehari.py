@@ -412,17 +412,29 @@ def test_stacked_rows_are_independent(spectral64, resolved_default, descend, pur
 
 
 def test_overflow_row_does_not_spoil_the_stack(spectral64, params_cp2):
-    # a row past the exponential overflow guard gets energy inf; its
+    # a row past the exponential overflow guard gets energy -inf; its
     # neighbours keep their energies and nothing raises
     func = _Functional(spectral64, params_cp2, pure_power=False)
     rows = np.array([k4.project(unit_profile(spectral64, 0.5, [67, k]), params_cp2).projected.values for k in range(4)])
     rows[2] *= 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(rows[2]).max()
     values = func.value(rows)
-    assert values[2] == math.inf
+    assert values[2] == -math.inf
     for k in (0, 1, 3):
         assert values[k] == func.value(rows[k]), k
     with pytest.raises(k4.RangeOverflowError):
         k4.energy(k4.RadialFunction(spectral64, rows[2]), params_cp2)
+    # the descent rejects a trial whose energy is -inf, although it is lower
+    # than any: with every trial past the guard each start stalls in place
+    value, calls = func.value, []
+
+    def past_guard(v):  # the start energies, then every trial past the guard
+        calls.append(v)
+        return value(v) if len(calls) == 1 else np.full(len(v), -np.inf)
+
+    func.value = past_guard
+    units = _start_stack(func, k4.SearchConfig(starts=2))
+    records, w, _, _ = _descend_main(func, units, k4.SearchConfig(starts=2, max_iter=5))
+    assert [(r.stop_reason, r.iterations, len(r.trace)) for r in records] == [("line-search-stalled", 1, 1)] * 2
 
 
 def _record(index, energy, converged=True):
@@ -678,6 +690,6 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
         fiber = FiberMap.full(u, params)
         t_u = k4.project_scale(fiber)
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
-        signs = np.sign(fiber.deriv(ts, saturate=True))
+        signs = np.sign(fiber.deriv(ts))  # -inf past the guard
         signs = signs[signs != 0]
         assert int(np.sum(signs[1:] != signs[:-1])) == 1, k
