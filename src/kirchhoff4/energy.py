@@ -283,23 +283,39 @@ class FiberMap:
         a stack of one also takes a scale, which gives a float, or any array
         of scales.  A scale past its row's overflow guard gives -inf.
         """
-        t, shape = self._sweep(t)
-        s_row = self.norm_sq[:, None]
-        out = self.kirchhoff.g(t * t * s_row) * t * s_row
-        for e, m in self.power_moments:
-            out -= t ** (e - 1.0) * m[:, None]
-        return self._less_tail(out, t, shape, 1)
+        return self._derivs(t, second=False)[0]
 
-    def deriv2(self, t):
-        """d^2/dt^2 J(t u), row by row; t as for deriv, -inf past the guard."""
+    def derivs(self, t):
+        """(d/dt J(t u), d^2/dt^2 J(t u)), row by row, from one pass over the
+        scales and the exponential body; t as for deriv, -inf past the guard."""
+        return self._derivs(t, second=True)
+
+    def _derivs(self, t, second: bool):
+        """(deriv,) or, when second, (deriv, d^2/dt^2 J(t u)) at the scales t."""
         t, shape = self._sweep(t)
         s_row = self.norm_sq[:, None]
         s = t * t * s_row
-        out = 2.0 * self.kirchhoff.g_prime(s) * (t * s_row) ** 2
-        out += self.kirchhoff.g(s) * s_row
+        g = self.kirchhoff.g(s)
+        d = g * t * s_row
+        d2 = 2.0 * self.kirchhoff.g_prime(s) * (t * s_row) ** 2 + g * s_row if second else None
         for e, m in self.power_moments:
-            out -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
-        return self._less_tail(out, t, shape, 2)
+            d -= t ** (e - 1.0) * m[:, None]
+            if second:
+                d2 -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
+        if self.tail_spec is not None:
+            nl = self.tail_spec
+            weight = self.weight[:, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+                peak = t * self.vmax[:, None]
+                arg = (peak**nl.gamma)[..., None] * self.rate[:, None, :]
+                body = np.exp(arg)
+                inside = _inside_guard(nl, peak)
+                d = np.where(inside, d - t ** (nl.p - 1.0) * np.matmul(body, weight)[..., 0], -np.inf)
+                if second:
+                    body *= nl.p - 1.0 + nl.gamma * arg
+                    d2 = np.where(inside, d2 - t ** (nl.p - 2.0) * np.matmul(body, weight)[..., 0], -np.inf)
+        out = tuple(x.reshape(shape) for x in ((d, d2) if second else (d,)))
+        return tuple(float(x) for x in out) if not shape else out
 
     def _sweep(self, t):
         """The scales as a (k, m) array, and the shape of the result."""
@@ -307,22 +323,6 @@ class FiberMap:
         if len(self) != 1 and t.shape[:1] != (len(self),):
             raise ValueError(f"need the scales of {len(self)} rows, got shape {t.shape}")
         return t.reshape(len(self), -1), t.shape
-
-    def _less_tail(self, out, t, shape, order: int):
-        """out (k, m) less the reaction tail of deriv (order 1) or deriv2
-        (order 2) at scales t (k, m), -inf past the guard, in the given shape."""
-        if self.tail_spec is not None:
-            nl = self.tail_spec
-            with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
-                peak = t * self.vmax[:, None]
-                arg = (peak**nl.gamma)[..., None] * self.rate[:, None, :]
-                body = np.exp(arg)
-                if order == 2:
-                    body *= nl.p - 1.0 + nl.gamma * arg
-                tail = t ** (nl.p - order) * np.matmul(body, self.weight[:, :, None])[..., 0]
-                out = np.where(_inside_guard(nl, peak), out - tail, -np.inf)
-        out = out.reshape(shape)
-        return float(out) if not shape else out
 
 
 def fibering(u: RadialFunction, t, params: ModelParams):

@@ -102,7 +102,7 @@ class KirchhoffSpec:
 
     @staticmethod
     def _check_domain(t):
-        negative = t < 0.0 if isinstance(t, float) else np.any(np.asarray(t) < 0.0)
+        negative = t < 0.0 if isinstance(t, float) else (np.asarray(t) < 0.0).any()
         if negative:
             raise ValueError("Kirchhoff functions are defined for t >= 0")
 

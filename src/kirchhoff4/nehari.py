@@ -83,9 +83,11 @@ def _scale_search(fiber: FiberMap, row: int):
 
     d is positive below the root and negative above it, and -inf past the
     overflow guard, where the reaction tail certainly dominates.  The
-    search starts at the leading pure-power balance min_e (g0 S /
-    M_e)^(1/(e-2)) of the moments, where one power term alone cancels the
-    Kirchhoff head g0 t S, so it does not depend on the scale of the
+    search starts at min_e max((g0 S / M_e)^(1/(e-2)), (a S^2 /
+    M_e)^(1/(e-4))): for each moment, the larger of the scales where its
+    power term alone cancels the Kirchhoff head g0 t S and, for an affine
+    g of slope a > 0 and e > 4, the slope term a t^3 S^2.  Both scale as
+    1/c under u -> c u, so the start does not depend on the scale of the
     problem.  It doubles or halves until d changes sign, then takes Newton
     steps from the bracket end with the smaller |d| until the bracket holds
     adjacent floats, and returns the end with the smaller |d|.  It bisects
@@ -97,8 +99,13 @@ def _scale_search(fiber: FiberMap, row: int):
     norm_sq = float(fiber.norm_sq[row])
     if not 0.0 < norm_sq < math.inf:
         raise ProjectionError(f"the squared weighted norm {norm_sq:.3g} is not positive and finite")
-    head = fiber.kirchhoff.g0 * norm_sq
-    logs = [(math.log(head) - math.log(m[row])) / (e - 2.0) for e, m in fiber.power_moments if m[row] > 0.0]
+    # (k, log c) of each head term c t^(k-1): it meets t^(e-1) M_e at t^(e-k) = c / M_e
+    heads = [(2.0, math.log(fiber.kirchhoff.g0 * norm_sq))]
+    if fiber.kirchhoff.a > 0.0:
+        heads.append((4.0, math.log(fiber.kirchhoff.a) + 2.0 * math.log(norm_sq)))
+    logs = [
+        max((h - math.log(m[row])) / (e - k) for k, h in heads if e > k) for e, m in fiber.power_moments if m[row] > 0.0
+    ]
     if not logs:
         raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
     lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
@@ -142,14 +149,13 @@ def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:
 
     Each round calls measure(rows, ts) once for all pending rows, at the
     scales ts they ask for, and sends each search its pair (d, slope); the
-    default measure is the moment form, deriv and deriv2.  A search that
+    default measure is the moment form, FiberMap.derivs.  A search that
     fails raises ProjectionError naming its row when strict, and leaves NaN
     as its root otherwise; no other row notices either way.
     """
     if measure is None:
         def measure(rows, ts):
-            sub = fiber if len(rows) == len(fiber) else fiber.take(rows)
-            return sub.deriv(ts), sub.deriv2(ts)
+            return (fiber if len(rows) == len(fiber) else fiber.take(rows)).derivs(ts)
 
     searches = [_scale_search(fiber, i) for i in range(len(fiber))]
     roots = np.full(len(searches), math.nan)
@@ -179,8 +185,8 @@ def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:
 
 
 def project_scale(fiber: FiberMap) -> float:
-    """Root of the fibering derivative fiber.deriv on (0, inf) for a map of
-    one row (_scale_search), with Newton slopes from fiber.deriv2."""
+    """Root of the fibering derivative on (0, inf) for a map of one row
+    (_scale_search), measured with fiber.derivs."""
     return float(_drive(fiber)[0])
 
 
@@ -231,7 +237,7 @@ def _project_rows(rows: list, params: ModelParams) -> list:
     fiber = FiberMap.full(units, params, grid)
 
     def measure(idx, ts):  # the measured residual; the moment form gives the slope
-        return _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts, fiber.take(idx).deriv2(ts)
+        return _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts, fiber.take(idx).derivs(ts)[1]
 
     roots = _drive(fiber, measure)
     with np.errstate(over="ignore"):

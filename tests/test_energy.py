@@ -198,6 +198,7 @@ def test_fibering_deriv_chain_rule(spectral64, params_cp2, resolved_default):
 
 
 def test_fibering_deriv2_finite_difference(spectral64, params_cp2, resolved_default):
+    # derivs gives deriv bit for bit and the second derivative beside it
     u = unit_profile(spectral64, 0.5, 12)
     for params in (params_cp2, resolved_default[0]):
         fiber = k4.FiberMap.full(u, params)
@@ -206,7 +207,8 @@ def test_fibering_deriv2_finite_difference(spectral64, params_cp2, resolved_defa
             fd = (
                 -fiber.deriv(t + 2 * h) + 8.0 * fiber.deriv(t + h) - 8.0 * fiber.deriv(t - h) + fiber.deriv(t - 2 * h)
             ) / (12.0 * h)
-            d2 = fiber.deriv2(t)
+            d, d2 = fiber.derivs(t)
+            assert isinstance(d2, float) and d == fiber.deriv(t), (params.cp, t)
             assert abs(fd - d2) < 1e-8 * (1 + abs(d2)), (params.cp, t)
 
 
@@ -228,7 +230,8 @@ def test_fibering_overflow_propagates(spectral64, params_cp2):
 
 # The overflow convention: past the exponential guard every value kernel
 # (J, <J'(u), u>, d/dt J(tu), d^2/dt^2 J(tu)) gives -inf, where the reaction
-# tail certainly dominates.  Each takes the profile u at the scales ts.
+# tail certainly dominates.  Each takes the profile u at the scales ts and
+# gives one value per scale, or (derivs) a pair of such arrays.
 _VALUE_KERNELS = {
     "fibering": lambda u, ts, params: np.array([k4.fibering(u, t, params) for t in ts]),
     "fibering-array": lambda u, ts, params: k4.fibering(u, ts, params),
@@ -244,7 +247,7 @@ _VALUE_KERNELS = {
         [_Functional(u.grid, params, pure_power=False).value(t * u.values) for t in ts]
     ),
     "FiberMap.deriv": lambda u, ts, params: FiberMap.full(u, params).deriv(ts),
-    "FiberMap.deriv2": lambda u, ts, params: FiberMap.full(u, params).deriv2(ts),
+    "FiberMap.derivs": lambda u, ts, params: FiberMap.full(u, params).derivs(ts),
 }
 
 
@@ -252,8 +255,8 @@ _VALUE_KERNELS = {
 def test_value_kernels_give_minus_inf_past_the_guard(kernel, spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 14)
     limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
-    got = _VALUE_KERNELS[kernel](u, np.array([0.5, 1.1, 1e6]) * limit, params_cp2)
-    assert np.isfinite(got[0]) and np.all(got[1:] == -np.inf), got
+    for got in np.atleast_2d(_VALUE_KERNELS[kernel](u, np.array([0.5, 1.1, 1e6]) * limit, params_cp2)):
+        assert np.isfinite(got[0]) and np.all(got[1:] == -np.inf), got
 
 
 # A breakdown, a weak action along another direction, a load or a gradient
@@ -314,7 +317,7 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     assert np.all(np.isfinite(fiber.deriv(np.array([0.5, 0.9]) * limit)))
     past = fiber.deriv(np.array([0.5, 1.1]) * limit)  # past the guard the tail dominates
     assert np.isfinite(past[0]) and past[1] == -np.inf
-    # a stacked map of 9 or 200 directions: each row's deriv and deriv2, on
+    # a stacked map of 9 or 200 directions: each row's deriv and d^2, on
     # a sweep (k, m) and at one scale per row (k,), equal those of the
     # direction's own map.  Up to 16 rows a row has the arithmetic of its
     # one-row map (radial.rowwise); past 16 the BLAS product of the
@@ -332,16 +335,37 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
         for k, tol in ((9, 0.0), (200, 1e-12)):
             stack = FiberMap.full(values[:k], params, spectral64)
             sweep = t_u[:k, None] * np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
-            for name in ("deriv", "deriv2"):
-                one = [getattr(f, name) for f in alone[:k]]
-                got = getattr(stack, name)(sweep)
-                agree(got, np.array([d(ts) for d, ts in zip(one, sweep)]), tol)
-                agree(getattr(stack, name)(sweep[:, 1]), np.array([d(t) for d, t in zip(one, sweep[:, 1])]), tol)
-                assert np.array_equal(getattr(stack.take([k - 1]), name)(sweep[-1]), got[-1]), (name, k)
+            for name, kernel in (("deriv", FiberMap.deriv), ("d2", lambda f, t: f.derivs(t)[1])):
+                got = kernel(stack, sweep)
+                agree(got, np.array([kernel(f, ts) for f, ts in zip(alone, sweep)]), tol)
+                agree(kernel(stack, sweep[:, 1]), np.array([kernel(f, t) for f, t in zip(alone, sweep[:, 1])]), tol)
+                assert np.array_equal(kernel(stack.take([k - 1]), sweep[-1]), got[-1]), (name, k)
     # a direction with small values: t^gamma alone would overflow inside the guard
     fiber = FiberMap.full(u.scaled(0.1), steep)
     limit = steep.nonlinearity.guard_scale() / fiber.vmax[0]
-    assert np.isfinite(fiber.deriv(0.9 * limit)) and np.isfinite(fiber.deriv2(0.9 * limit))
+    assert np.all(np.isfinite(fiber.derivs(0.9 * limit)))
+
+
+def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
+    # derivs shares one pass between both outputs; its first is deriv bit for
+    # bit, on stacks of 1, 9 and 200 rows, at one scale per row and on sweeps
+    # that reach past the guard (-inf from 10 t_u at cp = 2)
+    steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
+    values = np.array([unit_profile(spectral64, 0.5, [19, k]).values for k in range(200)])
+    for params in (params_cp2, resolved_default[0], steep):
+        for k in (1, 9, 200):
+            fiber = FiberMap.full(values[:k], params, spectral64)
+            t_u = np.array([k4.project_scale(fiber.take([i])) for i in range(k)])
+            sweep = t_u[:, None] * np.array([1e-3, 0.5, 1.0, 2.0, 10.0, 1e3])
+            for ts in (sweep, sweep[:, 2], sweep[:, 4]):
+                d, d2 = fiber.derivs(ts)
+                assert d.shape == d2.shape == ts.shape
+                assert np.array_equal(d, fiber.deriv(ts)), (params.cp, k)
+                assert np.array_equal(d == -np.inf, d2 == -np.inf), (params.cp, k)
+            if params is params_cp2:
+                assert np.all(fiber.derivs(sweep)[0][:, -1] == -np.inf)
+        one = FiberMap.full(values[0], params, spectral64)
+        assert one.derivs(t_u[0])[0] == one.deriv(t_u[0])
 
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):

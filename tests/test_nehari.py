@@ -9,7 +9,7 @@ from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4 import nehari
 from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive, _Functional
-from kirchhoff4.nehari import _start_stack, _winner
+from kirchhoff4.nehari import _scale_search, _start_stack, _winner
 from kirchhoff4 import verify
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
@@ -30,8 +30,33 @@ def test_projection_quartic_oracle():
     assert abs(root - 1.2720196) < 1e-7
 
 
-def test_projection_pure_power_closed_form():
-    # the last two roots sit near 1e-18 (the auto-cp scale) and near 1e15
+def _counting_search(searches):
+    """_scale_search that appends the list of scales each search asks for."""
+
+    def search(fiber, row):
+        inner, asked = _scale_search(fiber, row), []
+        searches.append(asked)
+        t = next(inner)
+        while True:
+            asked.append(t)
+            try:
+                t = inner.send((yield t))
+            except StopIteration as stop:
+                return stop.value
+
+    return search
+
+
+def test_projection_pure_power_closed_form(monkeypatch):
+    searches = []
+    monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
+
+    def check(fiber, expect, most):
+        assert abs(k4.project_scale(fiber) - expect) <= 1e-12 * expect
+        assert len(searches[-1]) <= most, len(searches[-1])
+
+    # g(s) = g0: t^(e-2) = g0 S / M, the start itself; the last two roots
+    # sit near 1e-18 (the auto-cp scale) and near 1e15
     for g0, s, moment, p in (
         (2.0, 3.0, 5.0, 6.0),
         (1.0, 1.0, 2.0, 5.0),
@@ -39,17 +64,50 @@ def test_projection_pure_power_closed_form():
         (1.0, 1.0, 1e72, 6.0),
         (1.0, 1.0, 1e-60, 6.0),
     ):
-        fiber = FiberMap(KirchhoffSpec.affine(g0, 0.0), s, ((p, moment),))
-        expect = (g0 * s / moment) ** (1.0 / (p - 2.0))
-        assert abs(k4.project_scale(fiber) - expect) <= 1e-12 * expect, moment
+        check(FiberMap(KirchhoffSpec.affine(g0, 0.0), s, ((p, moment),)), (g0 * s / moment) ** (1.0 / (p - 2.0)), 4)
+    # g(s) = g0 + a s with e = 6: M t^4 - a S^2 t^2 - g0 S = 0.  A start off
+    # by orders of magnitude would take a doubling per factor 2; the start is
+    # the larger balance of g0 t S and a t^3 S^2 with the moment, so where
+    # either dominates the search asks for at most 6 scales (roots near
+    # 1e-18, 1 and 1e15).  Where the two are comparable the start sits
+    # within a factor 2 below the root, and the one-sided Newton steps from
+    # the concave side stall into bisection: up to 10 scales.
+    for g0, a, s, moment, most in (
+        (1.0, 1.0, 1.0, 1e72, 6),
+        (1.0, 1.0, 1e40, 1e116, 6),
+        (1e-6, 1.0, 1.0, 1.0, 6),
+        (0.2, 7.0, 3.0, 0.5, 6),
+        (1.0, 1.0, 1.0, 1e-30, 6),
+        (1.0, 1.0, 1.0, 1.0, 10),
+        (1.0, 1.0, 1e36, 1e108, 10),
+        (1.0, 1.0, 1e-30, 1e-90, 10),
+    ):
+        expect = math.sqrt((a * s * s + math.sqrt((a * s * s) ** 2 + 4.0 * g0 * s * moment)) / (2.0 * moment))
+        check(FiberMap(KirchhoffSpec.affine(g0, a), s, ((6.0, moment),)), expect, most)
+    # e = 4 with M > a S^2: t^2 = g0 S / (M - a S^2).  The slope term gives
+    # no start, and the balance g0 S / M is within 1% of the root but for
+    # M = 3 a S^2
+    for g0, a, s, moment, most in (
+        (1.0, 1.0, 1.0, 100.0, 6),
+        (2.0, 0.5, 1e-20, 1e-38, 6),
+        (1.0, 1.0, 1e10, 1e22, 6),
+        (1.0, 1.0, 1.0, 3.0, 10),
+    ):
+        check(FiberMap(KirchhoffSpec.affine(g0, a), s, ((4.0, moment),)), math.sqrt(g0 * s / (moment - a * s * s)), most)
+    assert len(searches) == 17
 
 
 def test_projection_bisects_when_newton_creeps():
     # a slope that makes every Newton step 1e-12 of the scale: the bracket
     # stops halving and bisection takes over (the quartic oracle's root)
     fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
-    deriv = fiber.deriv
-    fiber.deriv2 = lambda t: -abs(deriv(t)) / (1e-12 * t)
+    derivs = fiber.derivs
+
+    def creeping(t):
+        d = derivs(t)[0]
+        return d, -abs(d) / (1e-12 * t)
+
+    fiber.derivs = creeping
     assert abs(k4.project_scale(fiber) - math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)) < 1e-12
 
 
@@ -554,6 +612,17 @@ def test_published_minimizers_are_polished(spectral64, resolved_default, ground_
         polished = [r for r in result.per_start if r.polished]
         assert len(polished) == 1
         assert abs(polished[0].energy - level) <= 1e-12 * level
+
+
+def test_aux_searches_start_near_their_roots(spectral64, params_cp2, search_default, monkeypatch):
+    # the aux solve projects its 8 starts, then its polished winner.  Each
+    # search starts at the balance of the Kirchhoff slope a t^3 S^2 with the
+    # moment, near the root; from the balance of g0 t S alone each took
+    # 15-18 scales
+    searches = []
+    monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
+    k4.aux_ground_state(spectral64, params_cp2, search_default)
+    assert len(searches) == 9 and max(map(len, searches)) <= 6, [len(x) for x in searches]
 
 
 def test_aux_starved_starts_are_polished(spectral32, params_cp2):
