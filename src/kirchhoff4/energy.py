@@ -168,7 +168,8 @@ def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
 def _inside_guard(nl, peaks):
     """Whether profiles of these largest magnitudes keep the exponential
     argument under the overflow guard, in the arithmetic of the guard of F:
-    the one place that decides it.  Callers silence overflow, since an
+    the one place that decides it (FiberMap forms the same product from the
+    power its exp argument shares).  Callers silence overflow, since an
     overflowing argument is past the guard."""
     return nl._exp_arg(peaks) <= EXP_GUARD
 
@@ -218,8 +219,10 @@ class FiberMap:
     functional and for alpha0 = 0) is carried by per-node weights
     vol |v|^p and rates alpha0 (|v|/vmax)^gamma, taken once: since
     |t v|^e = t^e |v|^e, its derivative is t^(p-1) sum_i weight_i
-    exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.  Each row
-    has reductions of its own, so it evaluates as it would alone.
+    exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.  Where
+    t vmax is at most the nonlinearity's _exact_peak, every exp rounds to 1
+    and the tail is t^(p-1) times the row's weight_sum, taken once too.
+    Each row has reductions of its own, so it evaluates as it would alone.
     Synthetic moment sets (scalars: a stack of one) exercise the
     projection root finder without any grid.
     """
@@ -233,6 +236,7 @@ class FiberMap:
             av = np.abs(values)
             self.vmax = av.max(axis=1)
             self.weight = vol * av**tail_spec.p
+            self.weight_sum = self.weight.sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero row has no scale to project on
                 # rates relative to the largest node of the row: (t vmax)^gamma
                 # stays finite up to the guard however large gamma is
@@ -270,7 +274,7 @@ class FiberMap:
         sub.norm_sq = self.norm_sq[rows]
         sub.power_moments = tuple((e, m[rows]) for e, m in self.power_moments)
         if self.tail_spec is not None:
-            for name in ("vmax", "weight", "rate"):
+            for name in ("vmax", "weight", "weight_sum", "rate"):
                 setattr(sub, name, getattr(self, name)[rows])
         return sub
 
@@ -304,16 +308,34 @@ class FiberMap:
                 d2 -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
         if self.tail_spec is not None:
             nl = self.tail_spec
-            weight = self.weight[:, :, None]
-            with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
-                peak = t * self.vmax[:, None]
-                arg = (peak**nl.gamma)[..., None] * self.rate[:, None, :]
-                body = np.exp(arg)
-                inside = _inside_guard(nl, peak)
-                d = np.where(inside, d - t ** (nl.p - 1.0) * np.matmul(body, weight)[..., 0], -np.inf)
+            peak = t * self.vmax[:, None]
+            # the tail sums weight_i exp(arg_i), and for d^2 weight_i exp(arg_i)
+            # (p - 1 + gamma arg_i): the weight sum where every exp rounds to 1
+            exact = peak <= nl._exact_peak
+            n_exact = np.count_nonzero(exact)
+            if n_exact == exact.size:
+                d = d - t ** (nl.p - 1.0) * self.weight_sum[:, None]
                 if second:
-                    body *= nl.p - 1.0 + nl.gamma * arg
-                    d2 = np.where(inside, d2 - t ** (nl.p - 2.0) * np.matmul(body, weight)[..., 0], -np.inf)
+                    d2 = d2 - t ** (nl.p - 2.0) * ((nl.p - 1.0) * self.weight_sum[:, None])
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+                    weight = self.weight[:, :, None]
+                    scaled = peak**nl.gamma
+                    inside = nl.alpha0 * scaled <= EXP_GUARD  # _inside_guard(nl, peak), sharing the power
+                    arg = scaled[..., None] * self.rate[:, None, :]
+                    body = np.exp(arg)
+                    mass = np.matmul(body, weight)[..., 0]
+                    if n_exact:
+                        mass = np.where(exact, self.weight_sum[:, None], mass)
+                    d = np.where(inside, d - t ** (nl.p - 1.0) * mass, -np.inf)
+                    if second:
+                        arg *= nl.gamma  # in place: body *= p - 1 + gamma arg
+                        arg += nl.p - 1.0
+                        body *= arg
+                        mass = np.matmul(body, weight)[..., 0]
+                        if n_exact:
+                            mass = np.where(exact, (nl.p - 1.0) * self.weight_sum[:, None], mass)
+                        d2 = np.where(inside, d2 - t ** (nl.p - 2.0) * mass, -np.inf)
         out = tuple(x.reshape(shape) for x in ((d, d2) if second else (d,)))
         return tuple(float(x) for x in out) if not shape else out
 

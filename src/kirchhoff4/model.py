@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,28 +147,48 @@ class NonlinearitySpec:
     def _exp_arg(self, at):
         return self.alpha0 * at**self.gamma
 
-    def _guarded_exp_arg(self, at):
-        """The exponential argument alpha0 |t|^gamma, checked against the guard."""
+    @cached_property
+    def _exact_peak(self) -> float:
+        """The magnitude |t| up to which the tail is exactly the pure power:
+        its argument alpha0 |t|^gamma is eps / (4 max(1, gamma)) there, and
+        up to that exp(x) rounds to 1 and p - 1 + gamma x to p - 1."""
+        bound = _EPS / (4.0 * max(1.0, self.gamma))
+        with np.errstate(divide="ignore", over="ignore"):  # alpha0 = 0: every |t|
+            return float((np.float64(bound) / self.alpha0) ** (1.0 / self.gamma))
+
+    def _tail_arg(self, at):
+        """The exponential argument alpha0 |t|^gamma of the magnitudes at,
+        or None where no entry passes _exact_peak.
+
+        The argument grows with |t|, so the peak max|t| decides that, and
+        the largest argument decides the overflow guard, which raises.
+        """
+        if at.max(initial=0.0) <= self._exact_peak:
+            return None
         arg = self._exp_arg(at)
-        bad = np.max(arg, initial=0.0) if np.ndim(arg) else arg
-        if bad > EXP_GUARD:
+        top = arg.max(initial=0.0)
+        if top > EXP_GUARD:
             raise RangeOverflowError(
-                f"exponential argument {bad:.3g} exceeds the overflow guard {EXP_GUARD:g}"
+                f"exponential argument {top:.3g} exceeds the overflow guard {EXP_GUARD:g}"
             )
         return arg
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        arg = self._guarded_exp_arg(at)
+        arg = self._tail_arg(at)
         head = at ** (self.p - 2.0) * t
+        if arg is None:
+            return self.cp * head + head
         return self.cp * head + head * np.exp(arg)
 
     def f_prime(self, t):
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        arg = self._guarded_exp_arg(at)
+        arg = self._tail_arg(at)
         body = at ** (self.p - 2.0)
+        if arg is None:
+            return self.cp * (self.p - 1.0) * body + body * (self.p - 1.0)
         return self.cp * (self.p - 1.0) * body + body * np.exp(arg) * (
             self.p - 1.0 + self.gamma * arg
         )
@@ -181,14 +201,16 @@ class NonlinearitySpec:
         X = alpha0 T^gamma (DLMF 8.5, 13.2).  The T^p/p prefactor keeps tiny
         T representable.  Where X <= eps/4 the factor 1F1(a; a+1; X) =
         1 + a X/(a+1) + ... rounds to 1, so it is evaluated only above that
-        bound (see _kummer).
+        bound (see _kummer), and not at all when no |t| passes _exact_peak.
         """
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
-        arg = np.asarray(self._guarded_exp_arg(at))
+        arg = self._tail_arg(at)
         at_p = at**self.p
         power_part = self.cp * at_p / self.p
-        tail = np.array(at_p / self.p)
+        if arg is None:
+            return power_part + at_p / self.p
+        arg, tail = np.asarray(arg), np.array(at_p / self.p)
         big = arg > _UNIT_FACTOR_BOUND
         if big.any():
             tail[big] *= _kummer(self.p / self.gamma, arg[big])

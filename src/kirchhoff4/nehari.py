@@ -88,7 +88,12 @@ def _scale_search(fiber: FiberMap, row: int):
     power term alone cancels the Kirchhoff head g0 t S and, for an affine
     g of slope a > 0 and e > 4, the slope term a t^3 S^2.  Both scale as
     1/c under u -> c u, so the start does not depend on the scale of the
-    problem.  It doubles or halves until d changes sign, then takes Newton
+    problem.  Until d changes sign it steps toward the root: up to three
+    Newton probes from the start, each taken only where it lies strictly
+    between the current scale and the doubling (or halving) step, a probe
+    shorter than one ulp lengthened to one ulp; from the first probe that
+    is not taken, it doubles or halves.  The start usually lies so close
+    to the root that the first probe brackets it.  Then it takes Newton
     steps from the bracket end with the smaller |d| until the bracket holds
     adjacent floats, and returns the end with the smaller |d|.  It bisects
     when a step leaves the bracket or the bracket has not halved in three
@@ -112,6 +117,7 @@ def _scale_search(fiber: FiberMap, row: int):
     d_lo, d_hi = math.inf, -math.inf
     slope_lo = slope_hi = math.nan
     nudge = stalls = 0
+    probes = 3  # Newton probes left before the bracket
     width = math.inf  # bracket width when it last halved
     t = float(np.exp(min(logs)))
     while True:
@@ -127,7 +133,13 @@ def _scale_search(fiber: FiberMap, row: int):
         else:
             hi, d_hi, slope_hi = t, v, slope
         if hi == math.inf or lo == 0.0:
-            t = 2.0 * lo if hi == math.inf else 0.5 * hi
+            far = 2.0 * lo if hi == math.inf else 0.5 * hi  # t is the end the root lies beyond
+            step = _newton_step(v, slope) if probes else math.nan
+            probe = math.nextafter(t, far) if abs(step) < math.ulp(t) else t + step
+            if min(t, far) < probe < max(t, far):
+                t, probes = probe, probes - 1
+            else:  # no more probes once it doubles or halves
+                t, probes = far, 0
             continue
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket holds adjacent floats
@@ -137,11 +149,16 @@ def _scale_search(fiber: FiberMap, row: int):
         else:
             stalls += 1
         t, v, slope = (lo, d_lo, slope_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi, slope_hi)
-        step = -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+        step = _newton_step(v, slope)
         nudge = nudge + 1 if abs(step) < math.ulp(t) else 0
         if nudge:
             step = math.copysign(math.ulp(t) * 2.0 ** (nudge - 1), mid - t)
         t = t + step if stalls < 3 and lo < t + step < hi else mid
+
+
+def _newton_step(v: float, slope: float) -> float:
+    """The Newton step -v / slope, NaN where the slope gives none."""
+    return -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
 
 
 def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:

@@ -346,6 +346,38 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     assert np.all(np.isfinite(fiber.derivs(0.9 * limit)))
 
 
+def test_fiber_map_tail_matches_exp_reference(spectral64, params_cp2, resolved_default, ground_default):
+    # the tail of derivs, pure power wherever every exp rounds to 1, agrees to
+    # rounding with the node-by-node exp sum on sweeps from 1e-6 t_u to 1e3 t_u:
+    # all pure power at the resolved cp (the default minimizer and a random
+    # direction), and crossing from pure power to the full tail and past the
+    # guard (-inf) at cp = 2.  A map with no moments and g = 1e-300 holds the
+    # tail alone: d = -tail and d^2 = -tail' to rounding
+    params = resolved_default[0]
+    for u, prm in (
+        (ground_default.minimizer, params),
+        (unit_profile(spectral64, 0.5, 23), params),
+        (unit_profile(spectral64, 0.5, 23), params_cp2),
+    ):
+        nl, vol = prm.nonlinearity, weighted_rule(u.grid, prm.beta).vol
+        t_u = k4.project_scale(FiberMap.full(u, prm))
+        ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 400)
+        tail = FiberMap(KirchhoffSpec.affine(1e-300, 0.0), 1.0, (), nl, u.values[None], vol)
+        d, d2 = tail.derivs(ts)
+        av = np.abs(u.values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = nl.alpha0 * (ts[:, None] * av) ** nl.gamma
+            body = np.exp(arg) * (vol * av**nl.p)
+            want = ts ** (nl.p - 1.0) * body.sum(axis=1)
+            want2 = ts ** (nl.p - 2.0) * (body * (nl.p - 1.0 + nl.gamma * arg)).sum(axis=1)
+        inside = arg.max(axis=1) <= 700.0
+        assert np.all(d[~inside] == -np.inf) and np.all(d2[~inside] == -np.inf)
+        for got, ref in ((-d, want), (-d2, want2)):
+            assert np.all(np.abs(got[inside] / ref[inside] - 1.0) <= 1e-14), prm.cp
+        exact = ts * av.max() <= nl._exact_peak
+        assert exact.all() if prm is params else 0 < exact.sum() < inside.sum() < len(ts)
+
+
 def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
     # derivs shares one pass between both outputs; its first is deriv bit for
     # bit, on stacks of 1, 9 and 200 rows, at one scale per row and on sweeps

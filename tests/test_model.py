@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from kirchhoff4.model import (
     KirchhoffSpec,
     NonlinearitySpec,
     RangeOverflowError,
+    _kummer,
     params_from_dict,
     params_to_dict,
 )
@@ -175,6 +177,67 @@ def test_overflow_guard():
         spec.f(edge * 1.01)
     with pytest.raises(RangeOverflowError):
         spec.F(edge * 1.01)
+
+
+def _general_tail(spec, t):
+    """(F, f, f_prime) through their exponential expressions, every exp and
+    every 1F1 factor above eps/4 taken."""
+    at = np.abs(t)
+    arg = spec.alpha0 * at**spec.gamma
+    head, body = at ** (spec.p - 2.0) * t, at ** (spec.p - 2.0)
+    factor = np.ones_like(arg)
+    big = arg > np.finfo(float).eps / 4.0
+    if big.any():
+        factor[big] = _kummer(spec.p / spec.gamma, arg[big])
+    at_p = at**spec.p
+    return (
+        spec.cp * at_p / spec.p + at_p / spec.p * factor,
+        spec.cp * head + head * np.exp(arg),
+        spec.cp * (spec.p - 1.0) * body + body * np.exp(arg) * (spec.p - 1.0 + spec.gamma * arg),
+    )
+
+
+@pytest.mark.parametrize("cp, beta", [(2.0, 0.5), (5.7e77, 0.5), (2.0, 0.9), (2.0, 0.99)])
+def test_pure_power_tail_is_the_general_expression(cp, beta):
+    # where the largest argument is at most eps / (4 max(1, gamma)), F, f and f_prime
+    # skip the exponential: bit for bit the general expressions, on stacks
+    # whose peak lies below, at and just above the bound, and on a stack of
+    # tiny rows with one O(1) row
+    spec = NonlinearitySpec(cp=cp, p=6.0, alpha0=1.0, gamma=k4.growth_exponent(beta))
+    bound = np.finfo(float).eps / (4.0 * max(1.0, spec.gamma))
+
+    at = spec._exact_peak  # the peak whose argument is the bound, to rounding
+    assert abs(spec.alpha0 * at**spec.gamma / bound - 1.0) <= 1e-12
+    rng = np.random.default_rng(3)
+    stacks = []
+    for peak in (1e-3 * at, 0.5 * at, at, np.nextafter(at, 1.0), 1.01 * at):
+        rows = peak * rng.uniform(-1.0, 1.0, (3, 20))
+        rows[1, 7] = -peak
+        stacks.append(rows)
+    mixed = 1e-20 * rng.uniform(-1.0, 1.0, (4, 20))
+    mixed[2] = rng.uniform(-1.0, 1.0, 20) * spec.guard_scale()
+    stacks += [mixed, np.array(0.5 * at), np.zeros((2, 5))]
+    for rows in stacks:
+        peak = np.abs(rows).max(initial=0.0)
+        assert (spec._tail_arg(np.abs(rows)) is None) == (peak <= at)
+        for got, want in zip((spec.F(rows), spec.f(rows), spec.f_prime(rows)), _general_tail(spec, rows)):
+            assert np.array_equal(got, want), (peak, got - want)
+    assert spec._tail_arg(np.array([at])) is None and spec._tail_arg(np.array([np.nextafter(at, 1.0)])) is not None
+
+
+def test_tail_peak_past_the_guard_raises_at_steep_growth():
+    # gamma = 200: the peak's power overflows a double from |t| = 35 on; the
+    # peak test reads that as past the guard, a RangeOverflowError and no
+    # OverflowError, and inside the guard no warning
+    spec = NonlinearitySpec(cp=2.0, p=6.0, alpha0=1.0, gamma=k4.growth_exponent(0.99))
+    inside = np.array([0.5, -0.99]) * spec.guard_scale()
+    for kernel in (spec.F, spec.f, spec.f_prime):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(kernel(inside)))
+        for t in (1.01 * spec.guard_scale(), 40.0, 1e300, np.inf):
+            with pytest.raises(RangeOverflowError), np.errstate(over="ignore"):
+                kernel(np.array([0.1, -t]))
 
 
 def test_adams_constant():

@@ -30,8 +30,9 @@ def test_projection_quartic_oracle():
     assert abs(root - 1.2720196) < 1e-7
 
 
-def _counting_search(searches):
-    """_scale_search that appends the list of scales each search asks for."""
+def _counting_search(searches, most=math.inf):
+    """_scale_search that appends the list of scales each search asks for,
+    and fails once a search asks for more than most."""
 
     def search(fiber, row):
         inner, asked = _scale_search(fiber, row), []
@@ -39,6 +40,7 @@ def _counting_search(searches):
         t = next(inner)
         while True:
             asked.append(t)
+            assert len(asked) <= most, f"the search asked for more than {most} scales"
             try:
                 t = inner.send((yield t))
             except StopIteration as stop:
@@ -64,20 +66,21 @@ def test_projection_pure_power_closed_form(monkeypatch):
         (1.0, 1.0, 1e72, 6.0),
         (1.0, 1.0, 1e-60, 6.0),
     ):
-        check(FiberMap(KirchhoffSpec.affine(g0, 0.0), s, ((p, moment),)), (g0 * s / moment) ** (1.0 / (p - 2.0)), 4)
+        check(FiberMap(KirchhoffSpec.affine(g0, 0.0), s, ((p, moment),)), (g0 * s / moment) ** (1.0 / (p - 2.0)), 3)
     # g(s) = g0 + a s with e = 6: M t^4 - a S^2 t^2 - g0 S = 0.  A start off
     # by orders of magnitude would take a doubling per factor 2; the start is
-    # the larger balance of g0 t S and a t^3 S^2 with the moment, so where
-    # either dominates the search asks for at most 6 scales (roots near
-    # 1e-18, 1 and 1e15).  Where the two are comparable the start sits
-    # within a factor 2 below the root, and the one-sided Newton steps from
-    # the concave side stall into bisection: up to 10 scales.
+    # the larger balance of g0 t S and a t^3 S^2 with the moment, and a
+    # Newton probe from it brackets the root, so where either dominates the
+    # search asks for at most 5 scales (roots near 1e-18, 1 and 1e15).
+    # Where the two are comparable the start sits within a factor 2 below
+    # the root, and the one-sided Newton steps from the concave side stall
+    # into bisection: up to 10 scales.
     for g0, a, s, moment, most in (
-        (1.0, 1.0, 1.0, 1e72, 6),
-        (1.0, 1.0, 1e40, 1e116, 6),
-        (1e-6, 1.0, 1.0, 1.0, 6),
-        (0.2, 7.0, 3.0, 0.5, 6),
-        (1.0, 1.0, 1.0, 1e-30, 6),
+        (1.0, 1.0, 1.0, 1e72, 5),
+        (1.0, 1.0, 1e40, 1e116, 5),
+        (1e-6, 1.0, 1.0, 1.0, 5),
+        (0.2, 7.0, 3.0, 0.5, 5),
+        (1.0, 1.0, 1.0, 1e-30, 5),
         (1.0, 1.0, 1.0, 1.0, 10),
         (1.0, 1.0, 1e36, 1e108, 10),
         (1.0, 1.0, 1e-30, 1e-90, 10),
@@ -88,27 +91,38 @@ def test_projection_pure_power_closed_form(monkeypatch):
     # no start, and the balance g0 S / M is within 1% of the root but for
     # M = 3 a S^2
     for g0, a, s, moment, most in (
-        (1.0, 1.0, 1.0, 100.0, 6),
-        (2.0, 0.5, 1e-20, 1e-38, 6),
-        (1.0, 1.0, 1e10, 1e22, 6),
+        (1.0, 1.0, 1.0, 100.0, 5),
+        (2.0, 0.5, 1e-20, 1e-38, 5),
+        (1.0, 1.0, 1e10, 1e22, 5),
         (1.0, 1.0, 1.0, 3.0, 10),
     ):
         check(FiberMap(KirchhoffSpec.affine(g0, a), s, ((4.0, moment),)), math.sqrt(g0 * s / (moment - a * s * s)), most)
     assert len(searches) == 17
 
 
-def test_projection_bisects_when_newton_creeps():
-    # a slope that makes every Newton step 1e-12 of the scale: the bracket
-    # stops halving and bisection takes over (the quartic oracle's root)
-    fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
-    derivs = fiber.derivs
+def test_projection_bisects_when_newton_creeps(monkeypatch):
+    # a slope that makes every Newton step 1e-12 of the scale: the probes
+    # before the bracket stop after three, the bracket stops halving and
+    # bisection takes over.  The quartic oracle's root, and the same map
+    # stretched by 1e12 and 1e-12, where the creep starts a doubling or a
+    # halving per factor 2 below or above the root; a search past 400
+    # scales fails instead of creeping on
+    searches = []
+    monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches, 400))
+    root = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
+    for stretch in (1.0, 1e12, 1e-12):
+        fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
+        derivs = fiber.derivs
 
-    def creeping(t):
-        d = derivs(t)[0]
-        return d, -abs(d) / (1e-12 * t)
+        def creeping(t, stretch=stretch):
+            d = derivs(t / stretch)[0]
+            return d, -abs(d) / (1e-12 * t)
 
-    fiber.derivs = creeping
-    assert abs(k4.project_scale(fiber) - math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)) < 1e-12
+        fiber.derivs = creeping
+        assert abs(k4.project_scale(fiber) - stretch * root) < 1e-12 * stretch, stretch
+        asked = searches[-1]  # three creeping probes, then a doubling or a halving
+        assert all(abs(b / a - 1.0) < 1e-11 for a, b in zip(asked[:3], asked[1:4])), asked[:5]
+        assert asked[4] == (2.0 if stretch >= 1.0 else 0.5) * asked[3], asked[:5]
 
 
 def test_projection_needs_positive_moment():
@@ -617,12 +631,13 @@ def test_published_minimizers_are_polished(spectral64, resolved_default, ground_
 def test_aux_searches_start_near_their_roots(spectral64, params_cp2, search_default, monkeypatch):
     # the aux solve projects its 8 starts, then its polished winner.  Each
     # search starts at the balance of the Kirchhoff slope a t^3 S^2 with the
-    # moment, near the root; from the balance of g0 t S alone each took
-    # 15-18 scales
+    # moment, near the root, and a Newton probe from it brackets the root;
+    # from the balance of g0 t S alone each took 15-18 scales, and with a
+    # doubling or halving for the second scale up to 5
     searches = []
     monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
     k4.aux_ground_state(spectral64, params_cp2, search_default)
-    assert len(searches) == 9 and max(map(len, searches)) <= 6, [len(x) for x in searches]
+    assert len(searches) == 9 and max(map(len, searches)) <= 4, [len(x) for x in searches]
 
 
 def test_aux_starved_starts_are_polished(spectral32, params_cp2):
