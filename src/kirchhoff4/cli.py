@@ -8,7 +8,7 @@ Commands:
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (non-converged solve, failed verification check, or a failed Nehari
-projection or exponential overflow, reported in one line naming the command).
+projection or an overflow, reported in one line naming the command).
 """
 
 from __future__ import annotations

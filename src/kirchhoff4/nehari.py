@@ -2,10 +2,10 @@
 
 Every nonzero direction u admits a unique scale t_u > 0 at which
 d/dt J(t u) = 0; the map u -> t_u u retracts directions onto the Nehari
-set.  One bracket-and-Newton root search (_scale_search) locates t_u,
-and one driver (_drive) runs the searches of a stack of directions in
-lockstep on a stacked FiberMap: on the moment form of the derivative in
-the descent, and on the measured residual in project.  The ground level
+set.  One bracket-and-Newton root search (_scale_search) locates t_u on
+the moment form of the derivative, and one driver (_drive) runs the
+searches of a stack of directions in lockstep on a stacked FiberMap, for
+project and the descent alike.  The ground level
 
     m = inf { J(w) : <J'(w), w> = 0, w != 0 }
 
@@ -88,7 +88,9 @@ def _scale_search(fiber: FiberMap, row: int):
     power term alone cancels the Kirchhoff head g0 t S and, for an affine
     g of slope a > 0 and e > 4, the slope term a t^3 S^2.  Both scale as
     1/c under u -> c u, so the start does not depend on the scale of the
-    problem.  Until d changes sign it steps toward the root: up to three
+    problem.  With an exponential tail it starts no higher than the guard,
+    guard_scale / vmax, above which d = -inf only says the root is lower.
+    Until d changes sign it steps toward the root: up to three
     Newton probes from the start, each taken only where it lies strictly
     between the current scale and the doubling (or halving) step, a probe
     shorter than one ulp lengthened to one ulp; from the first probe that
@@ -120,6 +122,8 @@ def _scale_search(fiber: FiberMap, row: int):
     probes = 3  # Newton probes left before the bracket
     width = math.inf  # bracket width when it last halved
     t = float(np.exp(min(logs)))
+    if fiber.tail_spec is not None:
+        t = min(t, fiber.tail_spec.guard_scale() / float(fiber.vmax[row]))
     while True:
         if not 0.0 < t < math.inf:
             raise ProjectionError("the fibering derivative keeps its sign at every representable scale")
@@ -161,19 +165,15 @@ def _newton_step(v: float, slope: float) -> float:
     return -v / slope if math.isfinite(slope) and slope != 0.0 else math.nan
 
 
-def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:
+def _drive(fiber: FiberMap, strict: bool = True) -> np.ndarray:
     """The roots of every row of a fibering map, their searches in lockstep.
 
-    Each round calls measure(rows, ts) once for all pending rows, at the
-    scales ts they ask for, and sends each search its pair (d, slope); the
-    default measure is the moment form, FiberMap.derivs.  A search that
-    fails raises ProjectionError naming its row when strict, and leaves NaN
-    as its root otherwise; no other row notices either way.
+    Each round evaluates the moment form, FiberMap.derivs, once for all
+    pending rows at the scales ts they ask for, and sends each search its
+    pair (d, slope).  A search that fails raises ProjectionError naming its
+    row when strict, and leaves NaN as its root otherwise; no other row
+    notices either way.
     """
-    if measure is None:
-        def measure(rows, ts):
-            return (fiber if len(rows) == len(fiber) else fiber.take(rows)).derivs(ts)
-
     searches = [_scale_search(fiber, i) for i in range(len(fiber))]
     roots = np.full(len(searches), math.nan)
     pending = {}  # row -> the scale its search asks for next, in row order
@@ -195,7 +195,7 @@ def _drive(fiber: FiberMap, measure=None, strict: bool = True) -> np.ndarray:
             rows = np.fromiter(pending, dtype=int, count=len(pending))
             ts = np.fromiter(pending.values(), dtype=float, count=len(pending))
             pending.clear()
-            d, slope = measure(rows, ts)
+            d, slope = (fiber if len(rows) == len(fiber) else fiber.take(rows)).derivs(ts)
             for i, sent in zip(rows.tolist(), zip(d.tolist(), slope.tolist())):
                 advance(i, sent)
     return roots
@@ -214,16 +214,16 @@ def project(u, params: ModelParams):
     The root is located for the unit-norm direction and rescaled, which
     keeps the per-ulp granularity of the residual proportional to the
     projected point rather than to the raw direction scale, and makes the
-    scaling law t(c u) = t(u)/c hold by construction.  The root finder runs
-    on the measured residual <J'(t u), t u> / t itself, so the reported
-    residual sits at its own rounding floor; the moment form supplies the
-    slope and the starting balance.  The searches of a sequence run in
-    lockstep: every round measures the residuals of all pending
-    directions in one stacked kernel.  Alone or in a sequence of up to 16,
-    a direction gets the arithmetic of the single-profile kernels (energy,
-    nehari_residual) bit for bit (radial.rowwise); in a longer sequence its
-    row differs from that by about 1e-14 relative, as the BLAS product of a
-    tall stack rounds differently.  An error names the row it comes from.
+    scaling law t(c u) = t(u)/c hold by construction.  The root is that of
+    the moment form (_drive on FiberMap.full), the one root function of
+    every projection; the searches of a sequence run in lockstep.  The
+    reported energy and residual <J'(w), w> are measured at the root, so
+    the residual shows how far the moment root is from a measured Nehari
+    point.  Alone or in a sequence of up to 16, a direction gets the
+    arithmetic of the single-profile kernels (energy, nehari_residual) bit
+    for bit (radial.rowwise); in a longer sequence its row differs from
+    that by about 1e-14 relative, as the BLAS product of a tall stack
+    rounds differently.  An error names the row it comes from.
     """
     if isinstance(u, RadialFunction):
         return _project_rows([u], params)[0]
@@ -251,12 +251,7 @@ def _project_rows(rows: list, params: ModelParams) -> list:
     norms = np.sqrt(ops.rule.form(shapes))
     _reject_rows(~(norms > 0.0), "direction has zero weighted norm")
     units = shapes / norms[:, None]
-    fiber = FiberMap.full(units, params, grid)
-
-    def measure(idx, ts):  # the measured residual; the moment form gives the slope
-        return _nehari_residuals(ops, ts[:, None] * units[idx], params) / ts, fiber.take(idx).derivs(ts)[1]
-
-    roots = _drive(fiber, measure)
+    roots = _drive(FiberMap.full(units, params, grid))
     with np.errstate(over="ignore"):
         t_u = roots / (peaks * norms)
     _reject_rows(
@@ -637,30 +632,25 @@ def ground_state(
 
     extra_starts supplies additional start directions (the bounds pipeline
     passes the auxiliary minimizer, whose projection certifies the level
-    caps).  Identical (grid, params, search) inputs reproduce the result
+    caps).  It publishes the winner's own record point, as aux_ground_state
+    does.  Identical (grid, params, search) inputs reproduce the result
     bit for bit.
     """
     func = _Functional(grid, params, pure_power=False)
     records, best_vals, best, min_norm, coer_margin = _minimize(
         func, search, tuple(extra_starts), _descend_main
     )
-    # report the winner through the full projection so the residual of the
-    # published minimizer sits at its rounding floor (projection acts on
-    # the normalized direction; the minimizer itself may be tiny)
-    best_norm = func.ops.rule.norm(best_vals)
-    point = project(RadialFunction(grid, best_vals / best_norm), params)
-    minimizer = point.projected
     return GroundStateResult(
-        minimizer=minimizer,
-        m=point.energy,
-        gradient_norm=func.ops.rule.norm(func.gradient(minimizer.values)),
+        minimizer=RadialFunction(grid, best_vals),
+        m=best.energy,
+        gradient_norm=best.gradient_norm,
         starts=len(records),
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
-        residual=point.residual,
-        minimizer_norm=func.ops.rule.norm(minimizer.values),
-        min_nehari_norm=min(min_norm, func.ops.rule.norm(minimizer.values)),
+        residual=float(_nehari_residuals(func.ops, best_vals[None], params)[0]),
+        minimizer_norm=best.norm,
+        min_nehari_norm=min(min_norm, best.norm),
         coercivity_margin=coer_margin,
     )
 
@@ -697,30 +687,34 @@ def power_envelope_max(a: float, c: float, p: float) -> float:
     return a * (2.0 * a / c) ** (2.0 / (p - 2.0)) * (p - 2.0) / p
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _tau_pair(m_p: float, params: ModelParams) -> tuple:
     """Two published variants of the quadratic cap coefficient.
 
     tau_threshold enters the admissibility threshold for cp;
     tau_cap is the variant consistent with the cap derivation from the
-    auxiliary norm bound (always the larger of the two for q > 4).
+    auxiliary norm bound (always the larger of the two for q > 4); inf
+    where the arithmetic overflows (g0^2 can underflow to 0).
     """
-    g0 = params.kirchhoff.g0
+    g0 = np.float64(params.kirchhoff.g0)
     g1 = float(params.kirchhoff.g(1.0))
     p, q = params.p, params.q
     tau_threshold = g1 / (2.0 * g0) + (g1 / g0**2) * (p / (p - 4.0)) * m_p
     tau_cap = g1 / (2.0 * g0) + (g1 / (4.0 * g0**2)) * (p * q / (p - q)) * m_p
-    return tau_threshold, tau_cap
+    return float(tau_threshold), float(tau_cap)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cp_threshold(tau: float, m_p: float, params: ModelParams) -> float:
     """Admissibility threshold: cp must exceed
     max{1, 2 tau^(p/2) (4 q^2 (p-2) m_p / (g0 (q-4)(p-q)) *
-        (2 (alpha0 + delta)/alpha_adams)^(1-beta))^((p-2)/2)}."""
+        (2 (alpha0 + delta)/alpha_adams)^(1-beta))^((p-2)/2)};
+    inf where the arithmetic overflows, NaN where it has no value."""
     p, q = params.p, params.q
-    g0 = params.kirchhoff.g0
+    g0 = np.float64(params.kirchhoff.g0)
     budget = (2.0 * (params.alpha0 + params.delta) / adams_constant(params.beta)) ** (1.0 - params.beta)
     inner = 4.0 * q**2 * (p - 2.0) * m_p / (g0 * (q - 4.0) * (p - q)) * budget
-    return max(1.0, 2.0 * tau ** (p / 2.0) * inner ** ((p - 2.0) / 2.0))
+    return float(np.maximum(1.0, 2.0 * np.float64(tau) ** (p / 2.0) * inner ** ((p - 2.0) / 2.0)))
 
 
 def min_admissible_cp(aux: AuxResult, params: ModelParams) -> float:
@@ -729,9 +723,12 @@ def min_admissible_cp(aux: AuxResult, params: ModelParams) -> float:
     Both published variants of the cap coefficient are honored (the larger
     of the two thresholds is taken), so the existence hypothesis holds
     under either reading and the closed-form level cap is guaranteed by the
-    comparison chain.
+    comparison chain.  RangeOverflowError where either is not finite.
     """
-    return max(_cp_threshold(tau, aux.m_p, params) for tau in _tau_pair(aux.m_p, params))
+    thresholds = [_cp_threshold(tau, aux.m_p, params) for tau in _tau_pair(aux.m_p, params)]
+    if not all(map(math.isfinite, thresholds)):
+        raise RangeOverflowError(f"the admissibility thresholds for cp are not finite: {thresholds}")
+    return max(thresholds)
 
 
 def resolve_auto_cp(grid: RadialGrid, params: ModelParams, search: SearchConfig):

@@ -256,10 +256,11 @@ def _representable_scale(nl: NonlinearitySpec, guard: float) -> float:
 def check_hypotheses(params: ModelParams, sample_count: int = 200) -> SuiteReport:
     """Sample-based verification of every structural hypothesis on g and f.
 
-    Samples are log-spaced on (0, t_max] with t_max set by the overflow
-    guard.  Failures are reported, never raised; each check, named
-    hyp-..., records the worst margin (negative means violated beyond
-    slack) and its witness.
+    Samples are log-spaced on [max(1e-6, tiny^(1/p)), t_max]: above t_max
+    (_representable_scale) the largest term leaves the double range, and
+    below tiny^(1/p), tiny the smallest normal float, F does.  Failures
+    are reported, never raised; each check, named hyp-..., records the
+    worst margin (negative means violated beyond slack) and its witness.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -268,7 +269,7 @@ def check_hypotheses(params: ModelParams, sample_count: int = 200) -> SuiteRepor
     q, p = params.q, params.p
     t_max = nl.guard_scale()
     t_max = 10.0 if math.isinf(t_max) else 0.999 * _representable_scale(nl, t_max)
-    ts = np.geomspace(1e-6, t_max, sample_count)
+    ts = np.geomspace(max(1e-6, np.finfo(float).tiny ** (1.0 / p)), t_max, sample_count)
 
     checks = []
 

@@ -241,6 +241,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["aux", "bounds", "verify"])
+@pytest.mark.parametrize("flag, value", [("--g0", "1e-300"), ("--alpha0", "1e300"), ("--delta", "1e300")])
+def test_threshold_overflow_is_numerical_failure(tmp_path, capsys, command, flag, value):
+    # valid configurations whose admissibility threshold for cp overflows
+    # (g0^2 underflows to 0, or a power of alpha0 + delta overflows)
+    rc = cli.main([command, flag, value, "--n", "16", "--starts", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bounds_command(tmp_path):
     rc = cli.main(["bounds", *SMALL, "--out", str(tmp_path)])
     assert rc == 0

@@ -310,6 +310,31 @@ def test_hypotheses_detect_weakened_cp(params_cp2):
     assert report["hyp-f-dominates-cp-power"].status == "fail"
 
 
+class _ZeroAtOneSample(NonlinearitySpec):
+    """F that reads 0 at one interior sample of an array of magnitudes."""
+
+    def F(self, t):
+        out = np.array(super().F(t))
+        if out.ndim:
+            out[out.size // 2] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("p", [54.0, 60.0])
+def test_hypotheses_pass_at_large_p(p):
+    # from p = 52 on, F(1e-6) = (cp + 1) 1e-6^p / p underflows to 0; the
+    # samples start at tiny^(1/p), where F is still positive
+    params = k4.ModelParams.create(0.5, 5.0, p, 2.0, 1.0, 0.1, KirchhoffSpec.affine(1.0, 1.0))
+    report = check_hypotheses(params, 200)
+    assert report.overall, [c.name for c in report.failed()]
+    # a zero of F inside the sampled range still fails the check
+    broken = k4.ModelParams(
+        beta=0.5, q=5.0, p=p, delta=0.1, kirchhoff=params.kirchhoff,
+        nonlinearity=_ZeroAtOneSample(cp=2.0, p=p, alpha0=1.0, gamma=4.0),
+    )
+    assert check_hypotheses(broken, 200)["hyp-F-positive"].status == "fail"
+
+
 def test_hypotheses_sample_count_guard(params_cp2):
     with pytest.raises(ValueError):
         check_hypotheses(params_cp2, 50)

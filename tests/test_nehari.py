@@ -229,28 +229,30 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
     assert np.isnan(roots[1])
     for i in (0, 2, 3):
         assert roots[i] == k4.project_scale(FiberMap(kirchhoff, 1.0, ((6.0, moments[i]),))), i
-    # in the measure of project, on grid directions: the residual of row 3,
-    # the only one that starts negative, reads NaN
+    # in project, on grid directions: the moment form of row 3 reads NaN.  The
+    # row is told by its q-moment, which every stack taken from it keeps; the
+    # first stack driven is the whole one
     dirs = [unit_profile(spectral64, 0.5, [68, k]) for k in range(6)]
-    dirs = [u.scaled(np.sign(u.values[0]) * (-1.0 if k == 3 else 1.0)) for k, u in enumerate(dirs)]
-    real = nehari._nehari_residuals
+    real_derivs, marks = FiberMap.derivs, []
 
-    def nan_row(ops, values, params):
-        res = real(ops, values, params)
-        res[values[:, 0] < 0.0] = np.nan
-        return res
+    def nan_row(fib, t):
+        d, slope = real_derivs(fib, t)
+        moment = fib.power_moments[0][1]
+        if not marks:
+            marks.append(moment[3])
+        return np.where(moment == marks[0], np.nan, d), slope
 
-    monkeypatch.setattr(nehari, "_nehari_residuals", nan_row)
+    monkeypatch.setattr(FiberMap, "derivs", nan_row)
     with pytest.raises(ProjectionError, match="row 3: fibering derivative is NaN"):
         k4.project(dirs, params_cp2)
-    # and in the descent's measure (the moment form), at the automatic cp,
-    # where every first trial is accepted: row 2 of the first trial stack
-    # comes back NaN and is rejected, so that row backtracks alone while
-    # the other rows go on as they would
+    monkeypatch.setattr(FiberMap, "derivs", real_derivs)
+    # and in the descent, at the automatic cp, where every first trial is
+    # accepted: row 2 of the first trial stack comes back NaN and is
+    # rejected, so that row backtracks alone while the other rows go on as
+    # they would
     func = _Functional(spectral64, resolved_default[0], pure_power=False)
     cfg = k4.SearchConfig(starts=4)
     starts = _start_stack(func, cfg)
-    monkeypatch.setattr(nehari, "_nehari_residuals", real)
     real_search, real_drive = nehari._scale_search, nehari._drive
 
     def run(fail):
@@ -259,9 +261,9 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
         def search(fib, row):
             return _failing_search() if fail and len(sizes) == 2 and row == 2 else real_search(fib, row)
 
-        def drive(fib, measure=None, strict=True):
+        def drive(fib, strict=True):
             sizes.append(len(fib))
-            roots = real_drive(fib, measure, strict)
+            roots = real_drive(fib, strict)
             if fail and len(sizes) == 2:
                 assert np.isnan(roots[2]) and np.all(np.isfinite(np.delete(roots, 2)))
             return roots
@@ -277,6 +279,45 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
         assert hit[k] == plain[k], k
         assert np.array_equal(hit_w[k], plain_w[k]), k
     assert hit[2].trace[1] != plain[2].trace[1]
+
+
+def _ulps_around(t: float, k: int) -> np.ndarray:
+    """The 2k + 1 floats from k below t to k above it."""
+    below, above = [t], [t]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_moment_root_is_one_sign_change(spectral64, params_cp2):
+    # the moment form, the one root function, changes sign exactly once
+    # (from + to -) within 32 ulps of each root the driver returns, so which
+    # float a search returns does not hang on the path it takes
+    dirs = np.array([unit_profile(spectral64, 0.5, [72, k]).values for k in range(40)])
+    fiber = FiberMap.full(dirs, params_cp2, spectral64)
+    for i, root in enumerate(_drive(fiber)):
+        signs = np.sign(fiber.take([i]).derivs(_ulps_around(root, 32))[0])
+        signs = signs[signs != 0.0]
+        assert signs[0] > 0.0 and np.count_nonzero(signs[1:] != signs[:-1]) == 1, i
+
+
+def test_search_starts_under_the_guard(spectral64, params_cp2, monkeypatch):
+    # above guard_scale / vmax the derivative is -inf and each step only
+    # halves; the first scale each search asks for is the balance start
+    # capped there, and on these cp = 2 directions the cap is what acts
+    searches = []
+    monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
+    dirs = np.array([unit_profile(spectral64, 0.5, [73, k]).values for k in range(8)])
+    fiber = FiberMap.full(dirs, params_cp2, spectral64)
+    roots = _drive(fiber)
+    _drive(FiberMap(fiber.kirchhoff, fiber.norm_sq, fiber.power_moments))  # no tail: no cap
+    cap = params_cp2.nonlinearity.guard_scale() / fiber.vmax
+    assert len(searches) == 16
+    for i in range(8):
+        start, balance = searches[i][0], searches[8 + i][0]
+        assert start == min(balance, cap[i]) and start < balance, i
+        assert 0.0 < roots[i] < cap[i], i
 
 
 def test_t_leq_one_stack(spectral64, params_cp2):
@@ -448,6 +489,21 @@ def test_ground_state_default_quality(ground_default, resolved_default, search_d
         assert rec.converged and rec.stop_reason == "converged", rec.index
         if rec.index < search_default.starts:  # random starts, not the seeded aux minimizer
             assert rec.iterations > 1, rec.index
+
+
+def test_ground_state_publishes_winner_record(spectral64, ground_default, resolved_default):
+    # the published point is the winner's own record point, not a second
+    # projection of it: the same m, gradient norm and norm, bit for bit
+    gs, params = ground_default, resolved_default[0]
+    best = gs.per_start[_winner(gs.per_start)]
+    func = _Functional(spectral64, params, pure_power=False)
+    values = gs.minimizer.values
+    assert (gs.m, gs.gradient_norm, gs.minimizer_norm) == (best.energy, best.gradient_norm, best.norm)
+    assert func.value(values) == best.energy
+    assert func.ops.rule.norm(func.gradient(values)) == best.gradient_norm
+    assert func.ops.rule.norm(values) == best.norm
+    assert gs.min_nehari_norm <= best.norm
+    assert gs.residual == k4.nehari_residual(gs.minimizer, params)
 
 
 def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
