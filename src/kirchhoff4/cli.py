@@ -6,9 +6,9 @@ Commands:
   bounds   auxiliary + main solve and every level-bound inequality
   verify   the full property-verification suite; writes suite.json
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(non-converged solve, failed verification check, or a failed Nehari
-projection or an overflow, reported in one line naming the command).
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (a non-converged
+solve, failed level bound, failed Nehari projection or overflow, each named in one
+stderr line with the command, or a failed verification check, named in suite.json).
 """
 
 from __future__ import annotations
@@ -200,6 +200,20 @@ def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, pr
 # ---------------------------------------------------------------------------
 
 
+def _unconverged(stage: str, result, tol: float) -> list:
+    """The failure of a solve whose published start did not converge; none if it converged or did not run."""
+    if result is None or result.converged:
+        return []
+    return [f"the {stage} solve did not converge: relative gradient {result.relative_gradient:.3g} > tol {tol:g}"]
+
+
+def _exit_code(command: str, failures: list) -> int:
+    """0, or 2 after one stderr line naming every failure."""
+    if failures:
+        print(f"{command}: numerical failure: {'; '.join(failures)}", file=sys.stderr)
+    return 2 if failures else 0
+
+
 def cmd_solve(config: RunConfig) -> int:
     params, aux, threshold = config.resolve()
     extras = (aux.w_p,) if aux is not None else ()
@@ -208,7 +222,8 @@ def cmd_solve(config: RunConfig) -> int:
     if threshold is not None:
         payload.update(cp_threshold=threshold, auxiliary_level=aux.m_p)
     _emit("solve", config, params, payload, result.minimizer)
-    return 0 if result.converged else 2
+    # automatic cp rests on the auxiliary level, so its solve is judged too, as in bounds
+    return _exit_code("solve", _unconverged("aux", aux, config.tol) + _unconverged("main", result, config.tol))
 
 
 def cmd_aux(config: RunConfig) -> int:
@@ -218,7 +233,7 @@ def cmd_aux(config: RunConfig) -> int:
     payload = _payload(result)
     payload.update(pnorm_cap=cap, pnorm_below_cap=below_cap, min_admissible_cp=min_admissible_cp(result, params))
     _emit("aux", config, params, payload, result.w_p)
-    return 0 if result.converged else 2
+    return _exit_code("aux", _unconverged("aux", result, config.tol))
 
 
 def cmd_bounds(config: RunConfig) -> int:
@@ -241,8 +256,10 @@ def cmd_bounds(config: RunConfig) -> int:
         "all_passed": bounds.all_passed,
     }
     _emit("bounds", config, params, payload, result.minimizer)
-    ok = result.converged and aux.converged and bounds.all_passed
-    return 0 if ok else 2
+    failures = _unconverged("aux", aux, config.tol) + _unconverged("main", result, config.tol)
+    if bounds.failed:
+        failures.append(f"the bounds check failed: {', '.join(bounds.failed)}")
+    return _exit_code("bounds", failures)
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -182,17 +182,6 @@ class NonlinearitySpec:
             return self.cp * head + head
         return self.cp * head + head * np.exp(arg)
 
-    def f_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        at = np.abs(t)
-        arg = self._tail_arg(at)
-        body = at ** (self.p - 2.0)
-        if arg is None:
-            return self.cp * (self.p - 1.0) * body + body * (self.p - 1.0)
-        return self.cp * (self.p - 1.0) * body + body * np.exp(arg) * (
-            self.p - 1.0 + self.gamma * arg
-        )
-
     def F(self, t):
         """Antiderivative with F(0) = 0; even in t.
 

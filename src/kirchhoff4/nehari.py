@@ -20,8 +20,8 @@ sphere for the descent, gives the level m_p of the pure-power functional
     J_p(u) = (1/2) G(||u||^2) - (1/p) |u|_p^p
 
 that calibrates the admissible range of the power coefficient cp and the
-closed-form cap on m.  Newton polish runs only on each solve's published
-winner and on starts the descent left above the tolerance.
+closed-form cap on m.  A solve publishes its winning start's point as the
+descent or ascent left it, projected back onto the Nehari set.
 """
 
 from __future__ import annotations
@@ -298,7 +298,6 @@ class StartRecord:
     iterations: int
     converged: bool
     stop_reason: str  # converged, line-search-stalled, max-iter; aux: moment-floor, max-iter
-    polished: bool = False  # whether the Newton polish ran on this start
     # in iteration order: the accepted projected energies of the main
     # descent, or the moments vol |u|^p of the auxiliary power iterates
     trace: tuple = ()
@@ -312,6 +311,7 @@ class GroundStateResult:
     minimizer: RadialFunction
     m: float
     gradient_norm: float
+    relative_gradient: float
     starts: int
     per_start_energies: list
     converged: bool
@@ -328,6 +328,7 @@ class AuxResult:
     m_p: float
     p_norm_p: float
     gradient_norm: float
+    relative_gradient: float
     starts: int
     per_start_energies: list
     converged: bool
@@ -352,13 +353,6 @@ class _Functional:
         out = _energies(self.ops, np.atleast_2d(values), self.params)
         return out if values.ndim == 2 else float(out[0])
 
-    def _nodal_stiffness(self, values: np.ndarray) -> np.ndarray:
-        if self.pure_power:
-            p = self.params.p
-            return (p - 1.0) * np.abs(values) ** (p - 2.0)
-        q = self.params.q
-        return (q - 1.0) * np.abs(values) ** (q - 2.0) + self.params.nonlinearity.f_prime(values)
-
     def load(self, values: np.ndarray) -> np.ndarray:
         params = self.params
         force = np.abs(values) ** (params.p - 2.0) * values if self.pure_power else _nodal_force(values, params)
@@ -377,49 +371,6 @@ class _Functional:
         scale = self.params.kirchhoff.g(nrm**2) * nrm
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(scale > 0.0, grad_norm / scale, np.inf)
-
-    def hessian_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Second derivative of the energy on the clamped basis."""
-        s = self.ops.rule.form(values)
-        g_val = float(self.params.kirchhoff.g(s))
-        g_slope = float(self.params.kirchhoff.g_prime(s))
-        basis = self.ops.basis
-        b = basis.T @ (self.ops.gram @ values)
-        stiff = self.ops.rule.vol * self._nodal_stiffness(values)
-        return g_val * self.ops.a + 2.0 * g_slope * np.outer(b, b) - (basis.T * stiff) @ basis
-
-
-def _newton_polish(func: _Functional, values: np.ndarray, steps: int = 8):
-    """Newton iteration on the critical-point system J'(w) = 0.
-
-    Started at a descent iterate near the minimum, each step solves the
-    reduced Hessian system on the clamped basis and is accepted only if
-    the gradient norm decreases, so the polish can only improve the
-    stationarity of the reported minimizer.
-    """
-    basis = func.ops.basis
-    gn = func.ops.rule.norm(func.gradient(values))
-    for _ in range(steps):
-        try:
-            hess = func.hessian_matrix(values)
-            rhs = -(basis.T @ func.load(values))
-            delta = basis @ np.linalg.solve(hess, rhs)
-        except (RangeOverflowError, np.linalg.LinAlgError):
-            break
-        scale, improved = 1.0, False
-        for _ in range(12):
-            trial = values + scale * delta
-            try:
-                gn_try = func.ops.rule.norm(func.gradient(trial))
-            except RangeOverflowError:
-                gn_try = math.inf
-            if gn_try < gn:
-                values, gn, improved = trial, gn_try, True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return values, gn
 
 
 # The main descent's line search.  Energy comparisons near a minimum sit on
@@ -454,14 +405,14 @@ def _scales(func: _Functional, units: np.ndarray, strict: bool = True) -> np.nda
     return _drive(fiber, strict=strict)
 
 
-def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, drafts, polished: bool = False):
+def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, drafts):
     """Restore feasibility of the final points w (k, n) and judge convergence.
 
     drafts holds the (index, iterations, stop_reason, trace) of each row.
     Each row is projected back onto the Nehari set along its own ray (a
-    near-identity step after a descent or a polish), so every reported
-    level is the energy of a genuine constrained point.  A start has
-    converged when its relative gradient is at most the tolerance.
+    near-identity step after a descent), so every reported level is the
+    energy of a genuine constrained point, the one a solve publishes.  A
+    start has converged when its relative gradient there is at most tol.
     """
     units = w / func.ops.rule.norm(w)[:, None]
     w = _scales(func, units)[:, None] * units
@@ -469,7 +420,7 @@ def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, draft
     rel_grad = func.relative_gradient(w, grad_norm)
     columns = (x.tolist() for x in (func.value(w), grad_norm, rel_grad, func.ops.rule.norm(w)))
     records = [
-        StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, polished, tuple(trace))
+        StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, tuple(trace))
         for (index, iterations, reason, trace), energy, gnorm, rel, norm in zip(drafts, *columns)
     ]
     return records, w
@@ -578,7 +529,9 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
     active = np.arange(len(u))
     for it in range(1, search.max_iter + 1):
         iterations[active] = it
-        v = ops.riesz(ops.rule.vol * (np.abs(u[active]) ** (p - 2.0) * u[active]))
+        # v/||v|| is blind to the scale of a row: at max|u| = 1 nothing underflows at large p
+        peaked = u[active] / np.abs(u[active]).max(axis=1)[:, None]
+        v = ops.riesz(ops.rule.vol * (np.abs(peaked) ** (p - 2.0) * peaked))
         u_next = v / ops.rule.norm(v)[:, None]
         m_next = rowwise(ops.rule.vol, np.abs(u_next) ** p)
         rise = m_next > moment[active] * (1.0 + _MOMENT_RISE)  # above the rounding floor
@@ -604,21 +557,7 @@ def _winner(records: list) -> int:
 
 def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, descend):
     records, w, min_norm, coer_margin = descend(func, _start_stack(func, search, extra_starts), search)
-
-    # Newton polish runs on every start the descent left above tol and on
-    # the winner; the other starts keep their descent iterates
-    def polish(rows):
-        vals = np.array([_newton_polish(func, w[i])[0] for i in rows])
-        drafts = [(records[i].index, records[i].iterations, records[i].stop_reason, records[i].trace) for i in rows]
-        polished, w[rows] = _finish_starts(func, vals, search, drafts, polished=True)
-        for i, rec in zip(rows, polished):
-            records[i] = rec
-
-    if unconverged := [i for i, r in enumerate(records) if not r.converged]:
-        polish(unconverged)
     best = _winner(records)
-    if not records[best].polished:
-        polish([best])
     return records, w[best], records[best], min_norm, coer_margin
 
 
@@ -644,6 +583,7 @@ def ground_state(
         minimizer=RadialFunction(grid, best_vals),
         m=best.energy,
         gradient_norm=best.gradient_norm,
+        relative_gradient=best.relative_gradient,
         starts=len(records),
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
@@ -668,6 +608,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
         m_p=best.energy,
         p_norm_p=p_norm_p,
         gradient_norm=best.gradient_norm,
+        relative_gradient=best.relative_gradient,
         starts=len(records),
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
@@ -775,11 +716,14 @@ class BoundsReport:
         return dict(self.__dict__)
 
     @property
+    def failed(self) -> list:
+        """The names of the pass flags that are False, in field order."""
+        flags = ("aux_pnorm_ok", "level_below_aux_cap", "level_below_closed_form")
+        return [name for name in flags if getattr(self, name) is False]
+
+    @property
     def all_passed(self) -> bool:
-        flags = [self.aux_pnorm_ok, self.level_below_aux_cap]
-        if self.level_below_closed_form is not None:
-            flags.append(self.level_below_closed_form)
-        return all(flags)
+        return not self.failed
 
 
 def _below(x: float, cap: float) -> bool:

@@ -98,14 +98,6 @@ def test_F_prime_is_f():
         assert abs(fd - spec.f(t)) < 1e-6 * (1 + abs(fd))
 
 
-def test_f_prime_matches_difference():
-    spec = NonlinearitySpec(cp=2.0, p=6.0, alpha0=1.0, gamma=4.0)
-    for t in np.geomspace(0.05, 3.0, 40):
-        h = 1e-6 * (1 + t)
-        fd = (spec.f(t + h) - spec.f(t - h)) / (2 * h)
-        assert abs(fd - float(spec.f_prime(t))) < 1e-5 * (1 + abs(fd))
-
-
 def test_exp_primitive_vector_matches_scalar_quadrature():
     spec = NonlinearitySpec(cp=2.0, p=6.0, alpha0=1.0, gamma=4.0)
     ts = np.array([1e-3, 0.2, 0.8, 1.9, 3.1, 4.4])
@@ -180,11 +172,11 @@ def test_overflow_guard():
 
 
 def _general_tail(spec, t):
-    """(F, f, f_prime) through their exponential expressions, every exp and
-    every 1F1 factor above eps/4 taken."""
+    """(F, f) through their exponential expressions, every exp and every
+    1F1 factor above eps/4 taken."""
     at = np.abs(t)
     arg = spec.alpha0 * at**spec.gamma
-    head, body = at ** (spec.p - 2.0) * t, at ** (spec.p - 2.0)
+    head = at ** (spec.p - 2.0) * t
     factor = np.ones_like(arg)
     big = arg > np.finfo(float).eps / 4.0
     if big.any():
@@ -193,13 +185,12 @@ def _general_tail(spec, t):
     return (
         spec.cp * at_p / spec.p + at_p / spec.p * factor,
         spec.cp * head + head * np.exp(arg),
-        spec.cp * (spec.p - 1.0) * body + body * np.exp(arg) * (spec.p - 1.0 + spec.gamma * arg),
     )
 
 
 @pytest.mark.parametrize("cp, beta", [(2.0, 0.5), (5.7e77, 0.5), (2.0, 0.9), (2.0, 0.99)])
 def test_pure_power_tail_is_the_general_expression(cp, beta):
-    # where the largest argument is at most eps / (4 max(1, gamma)), F, f and f_prime
+    # where the largest argument is at most eps / (4 max(1, gamma)), F and f
     # skip the exponential: bit for bit the general expressions, on stacks
     # whose peak lies below, at and just above the bound, and on a stack of
     # tiny rows with one O(1) row
@@ -220,7 +211,7 @@ def test_pure_power_tail_is_the_general_expression(cp, beta):
     for rows in stacks:
         peak = np.abs(rows).max(initial=0.0)
         assert (spec._tail_arg(np.abs(rows)) is None) == (peak <= at)
-        for got, want in zip((spec.F(rows), spec.f(rows), spec.f_prime(rows)), _general_tail(spec, rows)):
+        for got, want in zip((spec.F(rows), spec.f(rows)), _general_tail(spec, rows)):
             assert np.array_equal(got, want), (peak, got - want)
     assert spec._tail_arg(np.array([at])) is None and spec._tail_arg(np.array([np.nextafter(at, 1.0)])) is not None
 
@@ -231,7 +222,7 @@ def test_tail_peak_past_the_guard_raises_at_steep_growth():
     # OverflowError, and inside the guard no warning
     spec = NonlinearitySpec(cp=2.0, p=6.0, alpha0=1.0, gamma=k4.growth_exponent(0.99))
     inside = np.array([0.5, -0.99]) * spec.guard_scale()
-    for kernel in (spec.F, spec.f, spec.f_prime):
+    for kernel in (spec.F, spec.f):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(np.isfinite(kernel(inside)))
