@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .model import KirchhoffSpec, ModelParams, RangeOverflowError, params_to_dict
 from .nehari import (
     ProjectionError,
@@ -143,18 +145,18 @@ class RunConfig:
         return build_grid(self.n, self.scheme)
 
     def resolve(self):
-        """Return (params, aux_result_or_None, threshold_or_None).
+        """Return (params, aux_result, threshold_or_None).
 
-        With cp unset the admissibility threshold is computed from an
-        auxiliary solve on the configured grid and cp = 1.1 x threshold;
-        the auxiliary minimizer then also seeds the main solve.
+        The auxiliary solve runs on the configured grid at every cp; its
+        final directions start the main solve.  With cp unset the
+        admissibility threshold is computed from it and cp = 1.1 x
+        threshold; with cp set the threshold is None.
         """
-        grid = self.grid()
-        if self.cp is not None:
-            return self.base_params(self.cp), None, None
-        seed_params = self.base_params(cp=2.0)  # cp is irrelevant to the auxiliary problem
-        params, aux, threshold = resolve_auto_cp(grid, seed_params, self.search())
-        return params, aux, threshold
+        grid, search = self.grid(), self.search()
+        if self.cp is None:  # cp is irrelevant to the auxiliary problem
+            return resolve_auto_cp(grid, self.base_params(cp=2.0), search)
+        params = self.base_params(self.cp)
+        return params, aux_ground_state(grid, params, search), None
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +170,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _payload(result) -> dict:
     """Every field of a result dataclass but its profile, which goes to
-    minimizer.csv; the start records without their traces."""
+    minimizer.csv, and its arrays (the aux start directions); the start
+    records without their traces."""
     payload = {}
     for field in dataclasses.fields(result):
         value = getattr(result, field.name)
         if field.name == "per_start":
             value = [r.to_dict() for r in value]
-        if not isinstance(value, RadialFunction):
+        if not isinstance(value, (RadialFunction, np.ndarray)):
             payload[field.name] = value
     return payload
 
@@ -216,14 +219,15 @@ def _exit_code(command: str, failures: list) -> int:
 
 def cmd_solve(config: RunConfig) -> int:
     params, aux, threshold = config.resolve()
-    extras = (aux.w_p,) if aux is not None else ()
-    result = ground_state(config.grid(), params, config.search(), extra_starts=extras)
+    result = ground_state(config.grid(), params, config.search(), aux.directions)
     payload = _payload(result)
+    failures = _unconverged("main", result, config.tol)
     if threshold is not None:
         payload.update(cp_threshold=threshold, auxiliary_level=aux.m_p)
+        # automatic cp rests on the auxiliary level, so its solve is judged too, as in bounds
+        failures = _unconverged("aux", aux, config.tol) + failures
     _emit("solve", config, params, payload, result.minimizer)
-    # automatic cp rests on the auxiliary level, so its solve is judged too, as in bounds
-    return _exit_code("solve", _unconverged("aux", aux, config.tol) + _unconverged("main", result, config.tol))
+    return _exit_code("solve", failures)
 
 
 def cmd_aux(config: RunConfig) -> int:
@@ -237,17 +241,12 @@ def cmd_aux(config: RunConfig) -> int:
 
 
 def cmd_bounds(config: RunConfig) -> int:
-    params, aux, threshold = config.resolve()
-    grid = config.grid()
-    search = config.search()
-    if aux is None:  # explicit cp still needs the auxiliary level
-        aux = aux_ground_state(grid, config.base_params(cp=params.cp), search)
-        threshold = min_admissible_cp(aux, params)
-    result = ground_state(grid, params, search, extra_starts=(aux.w_p,))
+    params, aux, _ = config.resolve()
+    result = ground_state(config.grid(), params, config.search(), aux.directions)
     bounds = level_bounds(result.m, aux, params)
     payload = {
         "bounds": bounds.to_dict(),
-        "cp_threshold_stated": threshold,
+        "cp_threshold_stated": min_admissible_cp(aux, params),  # at any cp: it does not read cp
         "cp_used": params.cp,
         "m": result.m,
         "m_p": aux.m_p,
@@ -263,10 +262,12 @@ def cmd_bounds(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    params, _, _ = config.resolve()
+    # an explicit cp needs no auxiliary solve
+    params, aux, _ = config.resolve() if config.cp is None else (config.base_params(config.cp), None, None)
     suite = run_suite(params, grid=config.grid(), seed=config.seed)
     _emit("verify", config, params, suite.to_dict())
-    return 0 if suite.overall else 2
+    # automatic cp rests on the auxiliary level, so its solve is judged, as in solve and bounds
+    return _exit_code("verify", _unconverged("aux", aux, config.tol)) or (0 if suite.overall else 2)
 
 
 # ---------------------------------------------------------------------------

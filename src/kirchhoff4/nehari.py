@@ -9,25 +9,27 @@ project and the descent alike.  The ground level
 
     m = inf { J(w) : <J'(w), w> = 0, w != 0 }
 
-is approximated by multi-start projected descent: each start draws a
-random smooth clamped profile, and every iteration takes a Sobolev
-gradient step at the current projected point, renormalizes, reprojects
-and backtracks on the projected energy.  The starts of a solve advance in
-lockstep as one (k, n) stack, each row with its own step and stop.  The
-same multi-start frame, with a power-method ascent of |u|_p^p on the unit
-sphere for the descent, gives the level m_p of the pure-power functional
+is approximated by multi-start projected descent: every iteration takes
+a Sobolev gradient step at the current projected point, renormalizes,
+reprojects and backtracks on the projected energy.  The starts of a solve
+advance in lockstep as one (k, n) stack, each row with its own step and
+stop.  The same multi-start frame, with a power-method ascent of |u|_p^p
+on the unit sphere for the descent, gives the level m_p of the pure-power
+functional
 
     J_p(u) = (1/2) G(||u||^2) - (1/p) |u|_p^p
 
 that calibrates the admissible range of the power coefficient cp and the
-closed-form cap on m.  A solve publishes its winning start's point as the
-descent or ascent left it, projected back onto the Nehari set.
+closed-form cap on m.  Each auxiliary start draws a random smooth clamped
+profile; main start k starts where auxiliary start k ended.  A solve
+publishes its winning start's point as the descent or ascent left it,
+projected back onto the Nehari set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -333,6 +335,8 @@ class AuxResult:
     per_start_energies: list
     converged: bool
     per_start: list
+    # (k, n): row k the unit direction of start k's final point; the main solve starts there
+    directions: np.ndarray = field(repr=False, compare=False)
 
 
 class _Functional:
@@ -386,11 +390,11 @@ _MOMENT_RISE = 1e-15  # the aux ascent stops at this relative moment gain
 _ENERGY_TIE = 1e-10
 
 
-def _start_stack(func: _Functional, search: SearchConfig, extra_starts: tuple = ()) -> np.ndarray:
-    """The unit-norm start directions of a solve, one row each: the
-    search.starts random profiles, then the extra starts."""
+def _start_stack(func: _Functional, search: SearchConfig) -> np.ndarray:
+    """The unit-norm random start directions of the auxiliary ascent, one
+    row each: a random clamped profile from the rng [search.seed, k]."""
     rngs = (np.random.default_rng([search.seed, k]) for k in range(search.starts))
-    starts = np.array([random_clamped_profile(func.grid, r).values for r in rngs] + [u.values for u in extra_starts])
+    starts = np.array([random_clamped_profile(func.grid, r).values for r in rngs])
     nrm = func.ops.rule.norm(starts)
     if np.any(nrm <= 0.0):
         raise ProjectionError("start direction is numerically zero")
@@ -555,30 +559,22 @@ def _winner(records: list) -> int:
     return next(k for k in pool if records[k].energy <= low + _ENERGY_TIE * abs(low))
 
 
-def _minimize(func: _Functional, search: SearchConfig, extra_starts: tuple, descend):
-    records, w, min_norm, coer_margin = descend(func, _start_stack(func, search, extra_starts), search)
-    best = _winner(records)
-    return records, w[best], records[best], min_norm, coer_margin
+def ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig, starts: np.ndarray) -> GroundStateResult:
+    """Multi-start minimization of the projected energy over directions from
+    each row of starts, a (k, n) stack of unit-norm directions on the grid.
 
-
-def ground_state(
-    grid: RadialGrid,
-    params: ModelParams,
-    search: SearchConfig,
-    extra_starts: tuple = (),
-) -> GroundStateResult:
-    """Multi-start minimization of the projected energy over directions.
-
-    extra_starts supplies additional start directions (the bounds pipeline
-    passes the auxiliary minimizer, whose projection certifies the level
-    caps).  It publishes the winner's own record point, as aux_ground_state
-    does.  Identical (grid, params, search) inputs reproduce the result
-    bit for bit.
+    The command line passes the auxiliary ascent's final directions
+    (AuxResult.directions), carrying each start from the pure-power problem
+    to the full one instead of restarting it (numerical continuation:
+    Allgower & Georg, SIAM 2003).  At the automatic cp the reaction is the
+    pure power to rounding, so each such start converges at its first
+    gradient check.  It publishes the winner's own record point, as
+    aux_ground_state does; identical inputs give the result bit for bit.
     """
     func = _Functional(grid, params, pure_power=False)
-    records, best_vals, best, min_norm, coer_margin = _minimize(
-        func, search, tuple(extra_starts), _descend_main
-    )
+    records, w, min_norm, coer_margin = _descend_main(func, starts, search)
+    k = _winner(records)
+    best, best_vals = records[k], w[k]
     return GroundStateResult(
         minimizer=RadialFunction(grid, best_vals),
         m=best.energy,
@@ -600,7 +596,9 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     if params.p <= 4.0:
         raise ValueError(f"auxiliary problem needs p > 4, got {params.p}")
     func = _Functional(grid, params, pure_power=True)
-    records, best_vals, best, _, _ = _minimize(func, search, (), _descend_aux)
+    records, w, _, _ = _descend_aux(func, _start_stack(func, search), search)
+    k = _winner(records)
+    best, best_vals = records[k], w[k]
     w_p = RadialFunction(grid, best_vals)
     p_norm_p = float(func.ops.rule.vol @ np.abs(best_vals) ** params.p)
     return AuxResult(
@@ -613,6 +611,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
+        directions=w / func.ops.rule.norm(w)[:, None],
     )
 
 
@@ -675,11 +674,11 @@ def min_admissible_cp(aux: AuxResult, params: ModelParams) -> float:
 def resolve_auto_cp(grid: RadialGrid, params: ModelParams, search: SearchConfig):
     """Solve the auxiliary problem and fix cp = 1.1 x min_admissible_cp.
 
-    Returns the resolved parameters together with the auxiliary result,
-    whose minimizer should seed the main solve: its projection certifies
-    the level caps and, in the resolved regime, the reaction term is
-    dominated by the pure power, so the auxiliary extremal is also the
-    best available start direction.
+    Returns the resolved parameters, the auxiliary result and the
+    threshold.  The final directions of the auxiliary starts
+    (AuxResult.directions) start the main solve: in the resolved regime
+    the pure power dominates the reaction term, so the auxiliary extremal
+    is the main one to rounding.
     """
     aux = aux_ground_state(grid, params, search)
     thr = min_admissible_cp(aux, params)

@@ -3,7 +3,7 @@ import pytest
 
 import kirchhoff4 as k4
 from kirchhoff4.energy import operator_cache
-from kirchhoff4.nehari import _Functional
+from kirchhoff4.nehari import _Functional, _start_stack
 from kirchhoff4.verify import _residual_limit
 
 
@@ -43,7 +43,17 @@ def resolved_default(spectral64, params_cp2, search_default):
 @pytest.fixture(scope="session")
 def ground_default(spectral64, resolved_default, search_default):
     params, aux, _ = resolved_default
-    return k4.ground_state(spectral64, params, search_default, extra_starts=(aux.w_p,))
+    return k4.ground_state(spectral64, params, search_default, aux.directions)
+
+
+def chained_ground_state(grid, params, search):
+    """The main solve started where the aux ascent's starts end, as the CLI runs it."""
+    return k4.ground_state(grid, params, search, k4.aux_ground_state(grid, params, search).directions)
+
+
+def random_starts(grid, params, search):
+    """The random unit-norm start directions of the aux ascent, one per start."""
+    return _start_stack(_Functional(grid, params, pure_power=False), search)
 
 
 def minimizer_gates(gs, params):

@@ -18,7 +18,7 @@ from kirchhoff4.energy import FiberMap
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4.verify import check_hypotheses, run_suite
 
-from conftest import WeakenedNonlinearity, minimizer_gates
+from conftest import WeakenedNonlinearity, chained_ground_state, minimizer_gates
 
 
 def _verdict(ok: bool, label: str, detail: str = ""):
@@ -92,7 +92,7 @@ def test_criterion_04_nehari_invariants(suite_default):
 def fd_solution(resolved_default, params_cp2, search_default, fd400):
     params, _, _ = resolved_default
     aux_fd = k4.aux_ground_state(fd400, params_cp2, search_default)
-    return k4.ground_state(fd400, params, search_default, extra_starts=(aux_fd.w_p,))
+    return k4.ground_state(fd400, params, search_default, aux_fd.directions)
 
 
 def test_criterion_05_ground_state_quality(ground_default, fd_solution, resolved_default):
@@ -162,8 +162,8 @@ def test_criterion_09_adams_sampling(suite_default):
 
 def test_criterion_10_determinism(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=2, max_iter=80, tol=1e-6, seed=17)
-    a = k4.ground_state(spectral32, params_cp2, cfg)
-    b = k4.ground_state(spectral32, params_cp2, cfg)
+    a = chained_ground_state(spectral32, params_cp2, cfg)
+    b = chained_ground_state(spectral32, params_cp2, cfg)
     same = (
         a.m == b.m
         and a.gradient_norm == b.gradient_norm

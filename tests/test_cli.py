@@ -109,14 +109,15 @@ def test_every_config_key_is_a_flag():
 
 
 def test_report_keys_are_result_fields(tmp_path):
-    # the solve and aux payloads are their result dataclasses minus the profile
+    # the solve and aux payloads are their result dataclasses minus the
+    # profile and the aux start directions
     assert cli.main(["solve", *SMALL, "--out", str(tmp_path / "solve")]) == 0
     assert cli.main(["aux", *SMALL, "--out", str(tmp_path / "aux")]) == 0
     solve = _load(tmp_path / "solve" / "report.json")["result"]
     aux = _load(tmp_path / "aux" / "report.json")["result"]
     fields = {f.name for f in dataclasses.fields(k4.GroundStateResult)} - {"minimizer"}
     assert set(solve) == fields | {"cp_threshold", "auxiliary_level"}
-    fields = {f.name for f in dataclasses.fields(k4.AuxResult)} - {"w_p"}
+    fields = {f.name for f in dataclasses.fields(k4.AuxResult)} - {"w_p", "directions"}
     assert set(aux) == fields | {"pnorm_cap", "pnorm_below_cap", "min_admissible_cp"}
     assert set(solve["per_start"][0]) == {f.name for f in dataclasses.fields(k4.nehari.StartRecord)} - {"trace"}
     # each start says why its descent stopped
@@ -294,6 +295,53 @@ def test_verify_command_small(tmp_path):
     names = {c["name"] for c in report["result"]["checks"]}
     assert "adams-critical-sampling" in names
     assert any(n.startswith("hyp-") for n in names)
+
+
+def test_verify_judges_the_aux_solve_behind_auto_cp(tmp_path, capsys):
+    # automatic cp rests on the auxiliary level, so a starved aux solve fails
+    # verify in one stderr line, as in solve and bounds, although every check passes
+    rc = cli.main(["verify", "--n", "32", "--max-iter", "5", "--out", str(tmp_path)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verify: numerical failure: the aux solve did not converge"), lines
+    assert _load(tmp_path / "suite.json")["result"]["overall"] is True
+
+
+def test_verify_explicit_cp_runs_no_aux_solve(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify --cp ran an aux solve")
+
+    monkeypatch.setattr(cli, "aux_ground_state", refuse)
+    monkeypatch.setattr(k4.nehari, "aux_ground_state", refuse)
+    assert cli.main(["verify", "--cp", "2", "--n", "16", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("cp", [[], ["--cp", "2"]])
+def test_bounds_main_starts_continue_the_aux_starts(tmp_path, monkeypatch, cp):
+    # at either cp the main descent starts from the aux starts' final unit
+    # directions, one row per start, and a start follows the same path in
+    # a stack of 8 as alone: start 0 of --starts 8 is that of --starts 1
+    seen, auxes, real_resolve = [], [], cli.RunConfig.resolve
+
+    def resolve(config):
+        resolved = real_resolve(config)
+        auxes.append(resolved[1])
+        return resolved
+
+    def spy(grid, params, search, starts):
+        result = k4.ground_state(grid, params, search, starts)
+        seen.append((starts, result))
+        return result
+
+    monkeypatch.setattr(cli.RunConfig, "resolve", resolve)
+    monkeypatch.setattr(cli, "ground_state", spy)
+    for starts in ("8", "1"):
+        assert cli.main(["bounds", *cp, "--starts", starts, "--out", str(tmp_path / starts)]) == 0
+    assert all(starts is aux.directions for (starts, _), aux in zip(seen, auxes))
+    (wide_starts, wide), (one_starts, one) = seen
+    assert wide_starts.shape == (8, 64) and len(wide.per_start) == 8 and len(one.per_start) == 1
+    assert np.array_equal(wide_starts[:1], one_starts)
+    assert wide.per_start[0] == one.per_start[0]
 
 
 def test_verify_detects_mutated_laplacian(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from kirchhoff4.nehari import _scale_search, _start_stack, _winner
 from kirchhoff4 import verify
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
-from conftest import minimizer_gates, unit_profile
+from conftest import chained_ground_state, minimizer_gates, random_starts, unit_profile
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +482,44 @@ def test_ground_state_default_quality(ground_default, resolved_default, search_d
     assert rel_grad <= 1e-6
     assert abs(gs.residual) <= resid_limit
     assert gs.m <= min(gs.per_start_energies) + 1e-12 * abs(gs.m)
+    # one main start per aux start, each begun where its aux start ended:
+    # at the automatic cp that is a critical point of the main functional
+    # to rounding, so every start converges at its first gradient check
+    assert len(gs.per_start) == search_default.starts
     for rec in gs.per_start:
         assert rec.converged == (rec.relative_gradient <= search_default.tol), rec.index
-        # every start descends to its own critical point: none stalls after
-        # one step on the tiny Nehari norms of the automatic cp
+        assert rec.converged and rec.stop_reason == "converged" and rec.iterations == 1, rec.index
+
+
+@pytest.mark.parametrize("auto_cp", [True, False])
+def test_random_starts_descend_to_convergence(spectral64, resolved_default, params_cp2, search_default, auto_cp):
+    # from random profiles every start descends to its own critical point:
+    # none stalls after one step, on the tiny Nehari norms of the automatic
+    # cp (about 3e-18) or at cp = 2
+    params = resolved_default[0] if auto_cp else params_cp2
+    func = _Functional(spectral64, params, pure_power=False)
+    records, _, _, _ = _descend_main(func, random_starts(spectral64, params, search_default), search_default)
+    for rec in records:
         assert rec.converged and rec.stop_reason == "converged", rec.index
-        if rec.index < search_default.starts:  # random starts, not the seeded aux minimizer
-            assert rec.iterations > 1, rec.index
+        assert rec.iterations > 1, rec.index
+
+
+def test_main_starts_where_the_aux_starts_end(spectral64, resolved_default, ground_default):
+    # row k of AuxResult.directions is the unit direction of aux start k's
+    # final point: the winner's row is w_p over its norm, bit for bit, and
+    # each row projects back to its own start's level
+    params, aux, _ = resolved_default
+    func = _Functional(spectral64, params, pure_power=True)
+    assert aux.directions.shape == (len(aux.per_start), spectral64.n)
+    best = aux.w_p.values
+    assert np.array_equal(aux.directions[_winner(aux.per_start)], best / func.ops.rule.norm(best))
+    w = nehari._scales(func, aux.directions)[:, None] * aux.directions
+    levels = np.array([r.energy for r in aux.per_start])
+    assert np.all(np.abs(func.value(w) - levels) <= 1e-11 * levels)  # measured: at most 2.9e-13
+    # the main start from row k projects to main start k's first energy
+    main = _Functional(spectral64, params, pure_power=False)
+    w = nehari._scales(main, aux.directions)[:, None] * aux.directions
+    assert main.value(w).tolist() == [rec.trace[0] for rec in ground_default.per_start]
 
 
 def test_ground_state_publishes_winner_record(spectral64, ground_default, resolved_default):
@@ -508,7 +539,7 @@ def test_ground_state_publishes_winner_record(spectral64, ground_default, resolv
 
 def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=3, max_iter=120, tol=1e-6, seed=3)
-    gs = k4.ground_state(spectral32, params_cp2, cfg)
+    gs = k4.ground_state(spectral32, params_cp2, cfg, random_starts(spectral32, params_cp2, cfg))
     for rec in gs.per_start:
         trace = np.array(rec.trace)
         slack = 1e-13 * (1.0 + np.abs(trace[:-1]))
@@ -517,7 +548,7 @@ def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
 
 def test_ground_state_starved_starts_stop_at_max_iter(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=3, max_iter=2, tol=1e-6, seed=3)
-    gs = k4.ground_state(spectral32, params_cp2, cfg)
+    gs = k4.ground_state(spectral32, params_cp2, cfg, random_starts(spectral32, params_cp2, cfg))
     for rec in gs.per_start:
         assert rec.stop_reason == "max-iter" and rec.iterations == 2, rec.index
         assert len(rec.trace) == 3, rec.index
@@ -595,14 +626,14 @@ def test_ground_state_coercivity(ground_default, resolved_default):
 
 def test_ground_state_deterministic(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=2, max_iter=60, tol=1e-6, seed=9)
-    a = k4.ground_state(spectral32, params_cp2, cfg)
-    b = k4.ground_state(spectral32, params_cp2, cfg)
+    a = chained_ground_state(spectral32, params_cp2, cfg)
+    b = chained_ground_state(spectral32, params_cp2, cfg)
     assert a.m == b.m
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 def test_ground_state_concrete_cp_converges(spectral64, params_cp2, search_default):
-    gs = k4.ground_state(spectral64, params_cp2, search_default)
+    gs = chained_ground_state(spectral64, params_cp2, search_default)
     assert gs.converged
     assert minimizer_gates(gs, params_cp2)[0] <= 1e-6
     assert gs.m > 0
@@ -775,7 +806,7 @@ def test_level_bounds_gate_is_relative(spectral64, resolved_default, search_defa
     # slack would pass a level inflated by 1e60
     params, aux, _ = resolved_default
     params = params.with_cp(1e150)
-    gs = k4.ground_state(spectral64, params, search_default, extra_starts=(aux.w_p,))
+    gs = k4.ground_state(spectral64, params, search_default, aux.directions)
     assert k4.level_bounds(gs.m, aux, params).all_passed
     inflated = k4.level_bounds(1e60 * gs.m, aux, params)
     assert inflated.m < 1e-8
@@ -803,7 +834,7 @@ def test_resolved_cp_exceeds_threshold(resolved_default):
 def test_solver_log_type_kirchhoff(spectral32):
     params = k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.log_type())
     cfg = k4.SearchConfig(starts=2, max_iter=150, tol=1e-6, seed=2)
-    gs = k4.ground_state(spectral32, params, cfg)
+    gs = chained_ground_state(spectral32, params, cfg)
     assert gs.m > 0
     assert gs.converged
     assert abs(gs.residual) <= minimizer_gates(gs, params)[1]
@@ -814,7 +845,7 @@ def test_solver_other_beta(spectral32):
     params = k4.ModelParams.create(0.3, 4.6, 6.2, 2.0, 0.8, 0.2, KirchhoffSpec.affine(1.5, 0.5))
     assert abs(params.gamma - 2.0 / 0.7) < 1e-15
     cfg = k4.SearchConfig(starts=2, max_iter=150, tol=1e-6, seed=4)
-    gs = k4.ground_state(spectral32, params, cfg)
+    gs = chained_ground_state(spectral32, params, cfg)
     assert gs.m > 0
     assert gs.converged
     u = unit_profile(spectral32, params.beta, 22)
