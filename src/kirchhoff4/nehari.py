@@ -22,8 +22,9 @@ functional
 that calibrates the admissible range of the power coefficient cp and the
 closed-form cap on m.  Each auxiliary start draws a random smooth clamped
 profile; main start k starts where auxiliary start k ended.  A solve
-publishes its winning start's point as the descent or ascent left it,
-projected back onto the Nehari set.
+publishes its winning start's point: the main descent's where it stopped,
+already on the Nehari set, and the ascent's final direction projected
+onto the Nehari set of the pure-power functional.
 """
 
 from __future__ import annotations
@@ -409,25 +410,19 @@ def _scales(func: _Functional, units: np.ndarray, strict: bool = True) -> np.nda
     return _drive(fiber, strict=strict)
 
 
-def _finish_starts(func: _Functional, w: np.ndarray, search: SearchConfig, drafts):
-    """Restore feasibility of the final points w (k, n) and judge convergence.
+def _finish_starts(func: _Functional, w: np.ndarray, energies, grad_norm, search: SearchConfig, drafts):
+    """The records of the final points w (k, n), each on the Nehari set, at
+    the energies and gradient norms measured there.
 
     drafts holds the (index, iterations, stop_reason, trace) of each row.
-    Each row is projected back onto the Nehari set along its own ray (a
-    near-identity step after a descent), so every reported level is the
-    energy of a genuine constrained point, the one a solve publishes.  A
-    start has converged when its relative gradient there is at most tol.
+    A start has converged when its relative gradient is at most tol.
     """
-    units = w / func.ops.rule.norm(w)[:, None]
-    w = _scales(func, units)[:, None] * units
-    grad_norm = func.ops.rule.norm(func.gradient(w))
     rel_grad = func.relative_gradient(w, grad_norm)
-    columns = (x.tolist() for x in (func.value(w), grad_norm, rel_grad, func.ops.rule.norm(w)))
-    records = [
+    columns = (x.tolist() for x in (energies, grad_norm, rel_grad, func.ops.rule.norm(w)))
+    return [
         StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, tuple(trace))
         for (index, iterations, reason, trace), energy, gnorm, rel, norm in zip(drafts, *columns)
     ]
-    return records, w
 
 
 def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
@@ -441,6 +436,12 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     lockstep (_scales).  A trial whose energy is not finite is rejected:
     NaN when it finds no scale, -inf past the overflow guard.
 
+    Every accepted point is the projection of its own direction, so a start
+    is judged where its descent stopped, with no second projection: its
+    accepted energy, and the gradient norm of its last convergence check.
+    Only a start stopped at max_iter has stepped since that check, and only
+    its gradient is evaluated again.
+
     Returns (records, final points, min observed Nehari norm, worst
     coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
     projected points: relative, as levels can be ~1e-36).
@@ -452,7 +453,7 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     e = func.value(w)
     pn = norm(w)
     min_norm, coer_margin = pn.min(), np.min(e / (coer * pn**2) - 1.0)
-    step = np.ones(k)
+    step, last_grad_norm = np.ones(k), np.full(k, math.nan)
     prev_w, prev_grad = np.empty_like(w), np.empty_like(w)
     iterations = np.zeros(k, dtype=int)
     reasons = np.full(k, "max-iter", dtype=object)
@@ -461,7 +462,7 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     for it in range(1, search.max_iter + 1):
         iterations[active] = it
         grad = func.gradient(w[active])
-        grad_norm = norm(grad)
+        grad_norm = last_grad_norm[active] = norm(grad)
         done = func.relative_gradient(w[active], grad_norm) <= search.tol
         reasons[active[done]] = "converged"
         active, grad, grad_norm = active[~done], grad[~done], grad_norm[~done]
@@ -500,9 +501,9 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
         min_norm = min(min_norm, pn.min(initial=math.inf))
         coer_margin = min(coer_margin, np.min(e[active] / (coer * pn**2) - 1.0, initial=math.inf))
 
-    records, w = _finish_starts(func, w, search, zip(range(k), iterations, reasons, traces))
-    min_norm = min(min_norm, *(r.norm for r in records))
-    coer_margin = min(coer_margin, *(r.energy / (coer * r.norm**2) - 1.0 for r in records))
+    if active.size:  # the max-iter rows: accepted a step after their last check
+        last_grad_norm[active] = norm(func.gradient(w[active]))
+    records = _finish_starts(func, w, e, last_grad_norm, search, zip(range(k), iterations, reasons, traces))
     return records, w, min_norm, coer_margin
 
 
@@ -521,7 +522,9 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
     Richtarik & Sepulchre, JMLR 11, 2010, sec. 2).  The rows step in
     lockstep, one stacked Riesz product per step, and each row stops once
     its moment rises by no more than its rounding floor.  The ascent visits
-    no Nehari point, so it reports no path norms or margins (inf, inf).
+    no Nehari point, so it reports no path norms or margins (inf, inf); each
+    final direction is projected onto the Nehari set of the pure-power
+    functional, and the start judged there.
     """
     p = func.params.p
     ops = func.ops
@@ -546,8 +549,11 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
             traces[i].append(moment[i])
         if not active.size:
             break
-    records, u = _finish_starts(func, u, search, zip(range(len(u)), iterations, reasons, traces))
-    return records, u, math.inf, math.inf
+    units = u / ops.rule.norm(u)[:, None]
+    w = _scales(func, units)[:, None] * units
+    grad_norm = ops.rule.norm(func.gradient(w))
+    records = _finish_starts(func, w, func.value(w), grad_norm, search, zip(range(len(w)), iterations, reasons, traces))
+    return records, w, math.inf, math.inf
 
 
 def _winner(records: list) -> int:
@@ -586,7 +592,7 @@ def ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig, st
         per_start=records,
         residual=float(_nehari_residuals(func.ops, best_vals[None], params)[0]),
         minimizer_norm=best.norm,
-        min_nehari_norm=min(min_norm, best.norm),
+        min_nehari_norm=min_norm,
         coercivity_margin=coer_margin,
     )
 

@@ -395,22 +395,17 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     ops = operator_cache(grid, params.beta)
     dir_values = np.array([u.values for u in dirs])
     fibers = FiberMap.full(dir_values, params, grid)
-    peaks = _energies(ops, np.array([pt.t_u for pt in pts])[:, None] * dir_values, params)
-    sign_changes = []
+    t_u = np.array([pt.t_u for pt in pts])
+    peaks = _energies(ops, t_u[:, None] * dir_values, params)
+    sign_changes = _sign_changes(fibers, t_u, grid.n)
     max_gaps = []
     for k, (u, pt) in enumerate(zip(dirs, pts)):
-        # unique sign change of the derivative (-inf past the guard) over a wide
-        # log grid, a row of the stacked map at a time (all at once: 51 MB)
-        ts = np.geomspace(1e-6 * pt.t_u, 1e3 * pt.t_u, 500)
-        signs = np.sign(fibers.take([k]).deriv(ts))
-        signs = signs[signs != 0.0]
-        sign_changes.append(int(np.sum(signs[1:] != signs[:-1])))
         # the fibering maximum is attained at the projection scale, up to a
         # slack relative to it (levels can be ~1e-36); past the guard the
         # map is -inf, far below its maximum
         sweep = fibering(u, np.linspace(0.0, 3.0 * pt.t_u, 200), params)
         max_gaps.append((peaks[k] - sweep.max()) / abs(peaks[k]))
-    bad = [k for k, c in enumerate(sign_changes) if c != 1]  # the witness is the first of them
+    bad = np.flatnonzero(sign_changes != 1).tolist()  # the witness is the first of them
     checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
     checks.append(_worst("projection-fibering-max", np.array(max_gaps), range(count)))
     # scale-below-one criterion on the doubled points inside the Nehari set
@@ -430,6 +425,28 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     resid = np.abs([pt.residual for pt in pts])
     checks.append(_floor_check("projection-residual", resid, _residual_limit(ops, projected, params)))
     return checks
+
+
+_SWEEP_SCALES = 500
+_SWEEP_DOUBLES = 2**18  # the (rows, scales, n) exp body of one block of the sign sweep
+
+
+def _sign_changes(fibers: FiberMap, t_u: np.ndarray, n: int) -> np.ndarray:
+    """The sign changes of each row's fibering derivative (-inf past the
+    guard, zeros skipped) over a log grid from 1e-6 t_u to 1e3 t_u of its
+    scale, n the nodes of a row.  It sweeps a block of rows per call, sized
+    so that the exp body holds about _SWEEP_DOUBLES doubles (8 rows at
+    n = 64, 1 at n = 400; all 200 rows at once: 51 MB); each row gets the
+    arithmetic of its sweep alone."""
+    block = max(1, _SWEEP_DOUBLES // (_SWEEP_SCALES * n))
+    changes = np.empty(len(t_u), dtype=int)
+    for start in range(0, len(t_u), block):
+        rows = np.arange(start, min(start + block, len(t_u)))
+        ts = np.geomspace(1e-6 * t_u[rows], 1e3 * t_u[rows], _SWEEP_SCALES, axis=1)
+        for k, signs in zip(rows, np.sign(fibers.take(rows).deriv(ts))):
+            signs = signs[signs != 0.0]
+            changes[k] = np.count_nonzero(signs[1:] != signs[:-1])
+    return changes
 
 
 def _residual_limit(ops, values: np.ndarray, params: ModelParams):

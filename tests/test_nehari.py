@@ -537,6 +537,52 @@ def test_ground_state_publishes_winner_record(spectral64, ground_default, resolv
     assert gs.residual == k4.nehari_residual(gs.minimizer, params)
 
 
+def test_default_solve_projects_its_starts_once(spectral64, resolved_default, search_default, monkeypatch):
+    # every main start converges at its first gradient check at the
+    # automatic cp, and every accepted point is already on the Nehari set:
+    # the solve builds one FiberMap.full and runs one _drive, for its starts
+    params, aux, _ = resolved_default
+    builds, drives = [], []
+    real_full, real_drive = FiberMap.full, nehari._drive
+
+    def full(*args, **kwargs):
+        builds.append(len(args[0]))
+        return real_full(*args, **kwargs)
+
+    def drive(fiber, strict=True):
+        drives.append(len(fiber))
+        return real_drive(fiber, strict)
+
+    monkeypatch.setattr(FiberMap, "full", staticmethod(full))
+    monkeypatch.setattr(nehari, "_drive", drive)
+    gs = k4.ground_state(spectral64, params, search_default, aux.directions)
+    assert builds == drives == [search_default.starts]
+    assert all(rec.energy == rec.trace[0] for rec in gs.per_start)
+
+
+@pytest.mark.parametrize("starved", [False, True])
+def test_start_records_are_measured_at_their_points(spectral32, resolved_default, params_cp2, starved):
+    # each record's energy, gradient norm and relative gradient are those of
+    # a fresh evaluation at its final point, bit for bit: at the defaults
+    # every start converges, and starved at cp = 2 every start steps after
+    # its last gradient check (max-iter), so its gradient is evaluated there
+    params = params_cp2 if starved else resolved_default[0]
+    cfg = k4.SearchConfig(starts=4, max_iter=2 if starved else 300, tol=1e-6, seed=5)
+    starts = k4.aux_ground_state(spectral32, params, cfg).directions
+    func = _Functional(spectral32, params, pure_power=False)
+    records, w, _, _ = _descend_main(func, starts, cfg)
+    assert {rec.stop_reason for rec in records} == {"max-iter" if starved else "converged"}
+    for rec, row in zip(records, w):
+        grad_norm = func.ops.rule.norm(func.gradient(row))
+        fresh = (func.value(row), grad_norm, float(func.relative_gradient(row, grad_norm)), func.ops.rule.norm(row))
+        assert (rec.energy, rec.gradient_norm, rec.relative_gradient, rec.norm) == fresh, rec.index
+        assert rec.energy == rec.trace[-1] and rec.converged is not starved, rec.index
+    gs = k4.ground_state(spectral32, params, cfg, starts)
+    best = records[_winner(records)]
+    assert np.array_equal(gs.minimizer.values, w[_winner(records)])
+    assert (gs.m, gs.gradient_norm, gs.relative_gradient) == (best.energy, best.gradient_norm, best.relative_gradient)
+
+
 def test_ground_state_energy_traces_monotone(spectral32, params_cp2):
     cfg = k4.SearchConfig(starts=3, max_iter=120, tol=1e-6, seed=3)
     gs = k4.ground_state(spectral32, params_cp2, cfg, random_starts(spectral32, params_cp2, cfg))
@@ -864,3 +910,27 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
         signs = np.sign(fiber.deriv(ts))  # -inf past the guard
         signs = signs[signs != 0]
         assert int(np.sum(signs[1:] != signs[:-1])) == 1, k
+
+
+@pytest.mark.parametrize("auto_cp", [True, False])
+def test_sign_sweep_blocks_match_single_rows(spectral64, resolved_default, params_cp2, auto_cp):
+    # verify sweeps the fibering derivative 8 rows a call at n = 64; on 20
+    # rows (the last block holds 4) each count equals that of the row's
+    # sweep alone.  Every third sweep ends below its root and counts no
+    # change, so a count read from another row shows.  At the automatic cp
+    # every exp of the tail rounds to 1 and is skipped; at cp = 2 the exp
+    # body is formed
+    params = resolved_default[0] if auto_cp else params_cp2
+    dirs = np.array([unit_profile(spectral64, 0.5, [92, k]).values for k in range(20)])
+    fibers = FiberMap.full(dirs, params, spectral64)
+    t_u = _drive(fibers)
+    t_u[::3] *= 1e-4
+    exact = 1e3 * t_u * fibers.vmax <= params.nonlinearity._exact_peak
+    assert np.all(exact) if auto_cp else not np.any(exact)
+    single = []
+    for k in range(20):
+        signs = np.sign(fibers.take([k]).deriv(np.geomspace(1e-6 * t_u[k], 1e3 * t_u[k], 500)))
+        signs = signs[signs != 0.0]
+        single.append(np.count_nonzero(signs[1:] != signs[:-1]))
+    assert single == [0 if k % 3 == 0 else 1 for k in range(20)]
+    assert verify._sign_changes(fibers, t_u, spectral64.n).tolist() == single
