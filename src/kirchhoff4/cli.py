@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache  # built on first use, not at import; a parse leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     """One flag per RunConfig field, typed by its default; flags left out stay None."""
     parser = _Parser(prog="kirchhoff4", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -318,6 +320,7 @@ _M_TRIM_THRESHOLD = -1  # glibc mallopt parameters (malloc.h)
 _M_MMAP_THRESHOLD = -3
 
 
+@cache  # the thresholds hold for the rest of the process
 def _retain_freed_memory() -> None:
     """Let the C heap keep freed memory for reuse (glibc; elsewhere a no-op).
 

@@ -342,7 +342,7 @@ def weight_values(grid: RadialGrid, beta: float) -> np.ndarray:
     return (1.0 - np.log(grid.nodes)) ** beta
 
 
-_ROWWISE_MAX = 16  # the multi-start stacks: starts + 1 rows, 9 at the defaults
+_ROWWISE_MAX = 16  # the multi-start stacks: starts rows, 8 at the defaults
 
 
 def rowwise(a: np.ndarray, x: np.ndarray):

@@ -108,6 +108,31 @@ def test_every_config_key_is_a_flag():
     assert exc.value.code == 0
 
 
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    # one parser serves every main() of a process; no call leaves a flag,
+    # a config file or an error behind for the next
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["solve", *SMALL, "--cp", "2", "--out", str(tmp_path / "cp2")]) == 0
+    assert cli.main(["solve", *SMALL, "--out", str(tmp_path / "auto")]) == 0
+    assert _load(tmp_path / "cp2" / "report.json")["config"]["cp"] == 2.0
+    assert _load(tmp_path / "auto" / "report.json")["config"]["cp"] is None
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": 16, "starts": 1, "seed": 9}))
+    assert cli.main(["aux", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+    assert cli.main(["aux", *SMALL, "--out", str(tmp_path / "flags")]) == 0
+    config = _load(tmp_path / "flags" / "report.json")["config"]
+    assert (config["n"], config["starts"], config["seed"]) == (32, 2, 1)
+    capsys.readouterr()
+    for argv, needle in ((["solve", "--auto-cp", "--cp", "2"], "--auto-cp"), (["solve", "--n", "abc"], "--n")):
+        assert cli.main([*argv, "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1 and needle in err, err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert cli.main(["aux", "--n", "16", "--starts", "1", "--out", str(tmp_path / "after")]) == 0
+
+
 def test_report_keys_are_result_fields(tmp_path):
     # the solve and aux payloads are their result dataclasses minus the
     # profile and the aux start directions
