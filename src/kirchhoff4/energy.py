@@ -119,13 +119,23 @@ def energy(u: RadialFunction, params: ModelParams) -> EnergyBreakdown:
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
 
 
-def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
+def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
-    (n,) or a stack of profiles of shape (k, n)."""
-    kirch = 0.5 * params.kirchhoff.G(ops.rule.form(values))
+    (n,) or a stack of profiles of shape (k, n).
+
+    With scales t, (m,) for a profile or (k, m) for a stack, the terms of
+    J(t u) for each row u at each of its scales: S = ||u||^2 and the
+    q-moment Q are taken once per row, the Kirchhoff term is (1/2) G(t^2 S)
+    and the power term t^q Q, and only the reaction is evaluated per scale
+    and node.  At t = 1 each term is the unscaled one bit for bit.
+    """
+    s = ops.rule.form(values)
     power = rowwise(ops.rule.vol, np.abs(values) ** params.q) / params.q
-    reaction = rowwise(ops.rule.vol, params.nonlinearity.F(values))
-    return kirch, power, reaction
+    if t is None:
+        return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
+    kirch = 0.5 * params.kirchhoff.G(t * t * s[..., None])
+    reaction = params.nonlinearity.F(t[..., None] * values[..., None, :]) @ ops.rule.vol
+    return kirch, t**params.q * power[..., None], reaction
 
 
 def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> float:
@@ -348,12 +358,18 @@ class FiberMap:
 
 
 def fibering(u: RadialFunction, t, params: ModelParams):
-    """J(t u) at a scale or an array of scales, evaluated as the stack of
-    scaled profiles (_energies), so that fibering(c u, t) and
-    fibering(u, c t) follow the same computation; -inf past the guard.
+    """J(t u) at a scale or an array of scales, from the scale form of the
+    one energy kernel (_energy_terms): ||u||^2 and the q-moment once, the
+    reaction per scale.  A scale past the guard gives -inf; its guard peak
+    t max|u| is max|t u| bit for bit, as rounding is monotone.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("fibering scale must be nonnegative")
-    out = _energies(operator_cache(u.grid, params.beta), np.multiply.outer(np.atleast_1d(t), u.values), params)
+    ts = np.atleast_1d(t)
+    with np.errstate(over="ignore"):
+        inside = _inside_guard(params.nonlinearity, ts * np.abs(u.values).max())
+    out = np.full(ts.shape, -np.inf)
+    kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), u.values, params, ts[inside])
+    out[inside] = kirch - power - reaction
     return float(out[0]) if not t.ndim else out

@@ -459,11 +459,15 @@ def enforce_clamped(u: RadialFunction) -> RadialFunction:
     r^2 - 1 (which vanishes at r = 1) to zero the boundary derivative;
     both corrections are even polynomials, so smoothness is preserved.
     """
-    grid = u.grid
-    vals = u.values - u.values[-1]
-    slope = float(grid.d1[-1] @ vals)
-    vals = vals - 0.5 * slope * (grid.nodes**2 - 1.0)
-    return RadialFunction(grid, vals)
+    return RadialFunction(u.grid, _clamp(u.grid, u.values[None])[0])
+
+
+def _clamp(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """enforce_clamped on each row of a stack (k, n), with a product per row:
+    a row gets the arithmetic of its profile alone, bit for bit."""
+    vals = values - values[:, -1:]
+    slope = np.matmul(grid.d1[-1], vals[..., None])
+    return vals - 0.5 * slope * (grid.nodes**2 - 1.0)
 
 
 def clamped_even_basis(x: np.ndarray, count: int) -> np.ndarray:
@@ -486,9 +490,17 @@ def random_clamped_profile(grid: RadialGrid, rng: np.random.Generator, modes: in
     variable 2 r^2 - 1, so the same (seeded) draw represents the same
     underlying function on every grid scheme.
     """
+    return RadialFunction(grid, _random_clamped_rows(grid, [rng], modes=modes)[0])
+
+
+def _random_clamped_rows(grid: RadialGrid, rngs, draws: int = 1, modes: int | None = None) -> np.ndarray:
+    """Nodal values (len(rngs) * draws, n) of random_clamped_profile: draws
+    profiles from each rng in turn, each row by products of its own, so
+    bit for bit the profile that rng draw gives alone."""
     count = min(modes if modes is not None else 24, grid.n - 2)
-    coeffs = rng.standard_normal(count) / (1.0 + np.arange(count) ** 2)
-    return enforce_clamped(RadialFunction(grid, _profile_basis(grid, count) @ coeffs))
+    decay = 1.0 + np.arange(count) ** 2
+    coeffs = np.array([rng.standard_normal(count) / decay for rng in rngs for _ in range(draws)])
+    return _clamp(grid, np.matmul(_profile_basis(grid, count), coeffs[..., None])[..., 0])
 
 
 @lru_cache(maxsize=32)

@@ -45,9 +45,11 @@ from .radial import (
     lebesgue_norm,
     laplacian4,
     pointwise_bound_coeff,
+    _random_clamped_rows,
     random_clamped_profile,
     w_inner,
     w_norm,
+    weighted_rule,
 )
 
 __all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite", "t_leq_one_check"]
@@ -218,9 +220,15 @@ def _worst(name, values, witnesses, strict=False):
     return _check(name, margin > 0.0 if strict else margin >= -_REL_SLACK, margin, wit)
 
 
-def _unit_profile(grid: RadialGrid, rng, beta: float) -> RadialFunction:
-    u = random_clamped_profile(grid, rng)
-    return RadialFunction(grid, u.values / w_norm(u, beta))
+def _unit_profiles(grid: RadialGrid, beta: float, seed: int, first: int, count: int, draws: int = 1) -> np.ndarray:
+    """Unit-norm random clamped profiles, a stack (count * draws, n): draws
+    rows from each rng [seed, first + k], k < count, in draw order.  Each row
+    is normalized by w_norm's products taken for it alone (rowwise would take
+    one BLAS product above 16 rows), so it is its one-profile draw bit for bit."""
+    rngs = [np.random.default_rng([seed, first + k]) for k in range(count)]
+    values = _random_clamped_rows(grid, rngs, draws)
+    lap = np.matmul(grid.lap, values[..., None])
+    return values / np.sqrt(np.matmul(weighted_rule(grid, beta).wvol, lap * lap))
 
 
 def _monotone_check(name, ts, vals):
@@ -339,17 +347,15 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     # truncation error up to ~1e-6 on some random directions
     eps = 1e-5
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * eps
-    stack, wa = [], []
-    for k in range(50):
-        rng = np.random.default_rng([seed, 200 + k])
-        u, phi = _unit_profile(grid, rng, params.beta), _unit_profile(grid, rng, params.beta)
-        stack.append(u.values + shifts[:, None] * phi.values)
-        wa.append(weak_action(u, phi, params))
-    j = _energies(ops, np.concatenate(stack), params).reshape(-1, 4)  # the 200 energies as one stack
+    pairs = _unit_profiles(grid, params.beta, seed, 200, 50, draws=2)
+    us, phis = pairs[0::2], pairs[1::2]
+    wa = [weak_action(RadialFunction(grid, u), RadialFunction(grid, phi), params) for u, phi in zip(us, phis)]
+    stack = us[:, None, :] + shifts[:, None] * phis[:, None, :]
+    j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)  # the 200 energies as one stack
     fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * eps)
     checks.append(_bound("weak-action-fd", float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa)))), 1e-6))
 
-    u = _unit_profile(grid, np.random.default_rng([seed, 300]), params.beta)
+    u = RadialFunction(grid, _unit_profiles(grid, params.beta, seed, 300, 1)[0])
     t_u = project(u, params).t_u
     checks.append(_bound("fibering-deriv-fd", _fibering_fd_gap(u, params, t_u), 1e-7))
 
@@ -390,10 +396,10 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
         worst = max(worst, abs(pt.t_u * lam - base.t_u) / base.t_u)
     checks.append(_bound("projection-scaling-law", worst, 1e-9))
 
-    dirs = [_unit_profile(grid, np.random.default_rng([seed, 500 + k]), params.beta) for k in range(count)]
+    dir_values = _unit_profiles(grid, params.beta, seed, 500, count)
+    dirs = [RadialFunction(grid, v) for v in dir_values]
     pts = project(dirs, params)
     ops = operator_cache(grid, params.beta)
-    dir_values = np.array([u.values for u in dirs])
     fibers = FiberMap.full(dir_values, params, grid)
     t_u = np.array([pt.t_u for pt in pts])
     peaks = _energies(ops, t_u[:, None] * dir_values, params)
@@ -505,11 +511,10 @@ def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -
     vol = operator_cache(grid, params.beta).rule.vol
     sup = 0.0
     finite = True
-    for k in range(count):
-        u = _unit_profile(grid, np.random.default_rng([seed, 900 + k]), params.beta)
+    for u in _unit_profiles(grid, params.beta, seed, 900, count):
         with np.errstate(over="raise"):
             try:
-                val = float(vol @ np.exp(alpha * np.abs(u.values) ** gamma))
+                val = float(vol @ np.exp(alpha * np.abs(u) ** gamma))
             except FloatingPointError:
                 finite = False
                 break

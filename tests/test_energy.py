@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import FiberMap, operator_cache, _energies, _nehari_residuals, _nodal_force, _residual_load
+from kirchhoff4.energy import FiberMap, operator_cache, _energies, _energy_terms, _inside_guard
+from kirchhoff4.energy import _nehari_residuals, _nodal_force, _residual_load
 from kirchhoff4.model import KirchhoffSpec, RangeOverflowError
 from kirchhoff4.nehari import _Functional
 from kirchhoff4.radial import weighted_rule
@@ -167,7 +169,7 @@ def test_weighted_rule_has_one_home(spectral64, params_cp2, monkeypatch):
 def test_fibering_endpoints(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 10)
     assert k4.fibering(u, 0.0, params_cp2) == 0.0
-    assert abs(k4.fibering(u, 1.0, params_cp2) - k4.energy(u, params_cp2).total) < 1e-14
+    assert k4.fibering(u, 1.0, params_cp2) == k4.energy(u, params_cp2).total
     with pytest.raises(ValueError):
         k4.fibering(u, -0.3, params_cp2)
 
@@ -398,6 +400,35 @@ def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
                 assert np.all(fiber.derivs(sweep)[0][:, -1] == -np.inf)
         one = FiberMap.full(values[0], params, spectral64)
         assert one.derivs(t_u[0])[0] == one.deriv(t_u[0])
+
+
+def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolved_default):
+    # fibering takes ||u||^2 and the q-moment once and F per scale; the stack
+    # of scaled profiles forms lap(t u) and |t u|^q per scale.  The power and
+    # reaction terms agree to rounding; the Kirchhoff term differs by the
+    # rounding of the form, ||t u||^2 against t^2 ||u||^2 (up to 1.4e-13
+    # relative on 30 directions at beta = 0.9), so the value is compared
+    # against the magnitude of its terms
+    log_type = replace(params_cp2, kirchhoff=KirchhoffSpec.log_type())
+    configs = (resolved_default[0], params_cp2, replace(params_cp2, beta=0.9), log_type)
+    for params in configs:
+        u = unit_profile(spectral64, params.beta, 19)
+        ops = operator_cache(spectral64, params.beta)
+        ts = np.linspace(0.0, 3.0 * k4.project(u, params).t_u, 200)
+        stack = np.outer(ts, u.values)
+        value = k4.fibering(u, ts, params)
+        reference = _energies(ops, stack, params)
+        with np.errstate(over="ignore"):
+            inside = _inside_guard(params.nonlinearity, np.abs(stack).max(axis=1))
+        assert np.array_equal(value == -np.inf, ~inside) and np.array_equal(reference == -np.inf, ~inside)
+        if params is not resolved_default[0]:
+            assert 0 < np.count_nonzero(~inside) < len(ts)  # partly past the guard: -inf exactly there
+        terms = _energy_terms(ops, stack[inside], params)
+        scaled = _energy_terms(ops, u.values, params, ts[inside])
+        for term, (a, b) in zip(("power", "reaction"), zip(terms[1:], scaled[1:])):
+            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a)), (params, term)
+        magnitude = sum(np.abs(x) for x in terms)
+        assert np.all(np.abs(value[inside] - reference[inside]) <= 1e-12 * magnitude), params
 
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,29 @@ def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatc
     monkeypatch.setattr(verify, "project", misplaced)
     check = fibering_max()
     assert check.status == "fail" and check.margin < 0.0
+
+
+@pytest.mark.parametrize("factor", [1.05, 0.95])
+def test_fibering_max_check_fails_a_mutated_reaction(spectral64, resolved_default, monkeypatch, factor):
+    # the sweep and the peaks share the one energy kernel: a reaction term
+    # scaled either way moves the maximum of J(tu) off the projection scale
+    # (which the moment form still finds), so the check fails.  A sweep with
+    # a kernel of its own, left unmutated, let the factor 0.95 pass
+    energy_module = sys.modules[FiberMap.__module__]  # kirchhoff4.energy; the package exports a function of that name
+    real = energy_module._energy_terms
+
+    def mutated(ops, values, params, t=None):
+        kirch, power, reaction = real(ops, values, params, t)
+        return kirch, power, factor * reaction
+
+    def fibering_max():
+        checks = _projection_checks(spectral64, resolved_default[0], 40, 1)
+        return next(c for c in checks if c.name == "projection-fibering-max")
+
+    assert fibering_max().status == "pass"
+    monkeypatch.setattr(energy_module, "_energy_terms", mutated)
+    check = fibering_max()
+    assert check.status == "fail" and check.margin < 0.0, check
 
 
 def test_projection_residual_check_names_worst_row(spectral64, resolved_default, monkeypatch):

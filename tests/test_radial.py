@@ -255,6 +255,35 @@ def test_random_profile_same_function_across_schemes(spectral64, fd400):
     assert np.abs(c_s - c_f).max() < 1e-4
 
 
+def _drawn_unit_profile(grid, rng, beta):
+    """The one-direction draw written out: random_clamped_profile's
+    arithmetic, then division by w_norm."""
+    count = min(24, grid.n - 2)
+    coeffs = rng.standard_normal(count) / (1.0 + np.arange(count) ** 2)
+    vals = clamped_even_basis(2.0 * grid.nodes**2 - 1.0, count) @ coeffs
+    vals = vals - vals[-1]
+    vals = vals - 0.5 * float(grid.d1[-1] @ vals) * (grid.nodes**2 - 1.0)
+    return vals / k4.w_norm(k4.RadialFunction(grid, vals), beta)
+
+
+def test_stacked_unit_draws_match_one_direction_draws(spectral64, fd400):
+    # verify draws its directions as one stack, row k from the rng [seed,
+    # first + k] (two consecutive rows per rng when draws = 2); each row is
+    # its one-direction draw bit for bit, at any stack height, so suite.json
+    # does not depend on how the draws are stacked
+    from kirchhoff4.verify import _unit_profiles
+
+    for grid in (spectral64, fd400):
+        for beta, draws in ((0.5, 1), (0.9, 2)):
+            stack = _unit_profiles(grid, beta, 3, 500, 40, draws)
+            rngs = [np.random.default_rng([3, 500 + k]) for k in range(40)]
+            reference = [_drawn_unit_profile(grid, rng, beta) for rng in rngs for _ in range(draws)]
+            assert np.array_equal(stack, np.array(reference)), (grid.n, draws)
+            assert np.array_equal(_unit_profiles(grid, beta, 3, 539, 1, draws), stack[-draws:])
+        one = k4.random_clamped_profile(grid, np.random.default_rng([3, 500]))
+        assert np.array_equal(one.values / k4.w_norm(one, 0.5), _unit_profiles(grid, 0.5, 3, 500, 1)[0])
+
+
 def test_profile_csv_roundtrip(tmp_path, spectral64):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(21))
     path = tmp_path / "profile.csv"
