@@ -14,7 +14,6 @@ from .radial import (
     lebesgue_norm,
     full_sobolev_norm,
     pointwise_bound_coeff,
-    enforce_clamped,
     random_clamped_profile,
     write_profile_csv,
     read_profile_csv,
@@ -28,7 +27,6 @@ from .model import (
     growth_exponent,
     default_params,
     params_to_dict,
-    params_from_dict,
 )
 from .energy import (
     EnergyBreakdown,
@@ -37,7 +35,6 @@ from .energy import (
     weak_action,
     sobolev_gradient,
     fibering,
-    nehari_residual,
 )
 from .nehari import (
     ProjectionError,
@@ -55,6 +52,6 @@ from .nehari import (
     resolve_auto_cp,
     power_envelope_max,
 )
-from .verify import SuiteReport, check_hypotheses, run_suite, t_leq_one_check
+from .verify import SuiteReport, check_hypotheses, run_suite
 
 __version__ = "0.1.0"

@@ -128,6 +128,8 @@ class RunConfig:
             raise ConfigError(f"max_iter must be positive, got {self.max_iter}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def base_params(self, cp: float) -> ModelParams:
         if self.kirchhoff_kind == "affine":
@@ -186,7 +188,6 @@ def _payload(result) -> dict:
 def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, profile=None) -> None:
     """Write report.json (suite.json for verify) and the profile's minimizer.csv."""
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
@@ -194,9 +195,13 @@ def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, pr
         "params": params_to_dict(params),
         "result": result,
     }
-    _write_json(out / ("suite.json" if command == "verify" else "report.json"), report)
-    if profile is not None:
-        write_profile_csv(profile, out / "minimizer.csv")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / ("suite.json" if command == "verify" else "report.json"), report)
+        if profile is not None:
+            write_profile_csv(profile, out / "minimizer.csv")
+    except OSError as exc:
+        raise ConfigError(f"out cannot be written: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

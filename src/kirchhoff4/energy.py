@@ -30,7 +30,6 @@ __all__ = [
     "weak_action",
     "sobolev_gradient",
     "fibering",
-    "nehari_residual",
     "FiberMap",
     "operator_cache",
 ]
@@ -168,11 +167,6 @@ def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, fo
     for a stack (k, n) of profiles and forces."""
     g_val = params.kirchhoff.g(ops.rule.form(values))[..., None]
     return g_val * rowwise(ops.gram, values) - ops.rule.vol * force
-
-
-def nehari_residual(u: RadialFunction, params: ModelParams) -> float:
-    """<J'(u), u>: zero precisely on the Nehari set; -inf past the guard."""
-    return float(_nehari_residuals(operator_cache(u.grid, params.beta), u.values[None], params)[0])
 
 
 def _inside_guard(nl, peaks):

@@ -29,7 +29,6 @@ __all__ = [
     "growth_exponent",
     "default_params",
     "params_to_dict",
-    "params_from_dict",
 ]
 
 EXP_GUARD = 700.0  # natural-log overflow guard for exp arguments
@@ -363,9 +362,6 @@ def default_params(cp: float = 2.0) -> ModelParams:
     )
 
 
-_PARAM_KEYS = ("beta", "q", "p", "Cp", "alpha0", "delta", "kirchhoff.kind", "kirchhoff.g0", "kirchhoff.a")
-
-
 def params_to_dict(params: ModelParams) -> dict:
     """Flat key-value form used by config files and reports."""
     return {
@@ -379,23 +375,3 @@ def params_to_dict(params: ModelParams) -> dict:
         "kirchhoff.g0": params.kirchhoff.g0,
         "kirchhoff.a": params.kirchhoff.a,
     }
-
-
-def params_from_dict(data: dict) -> ModelParams:
-    missing = [k for k in _PARAM_KEYS if k not in data]
-    if missing:
-        raise KeyError(f"missing parameter keys: {missing}")
-    kirchhoff = KirchhoffSpec(
-        kind=data["kirchhoff.kind"],
-        g0=float(data["kirchhoff.g0"]),
-        a=float(data["kirchhoff.a"]),
-    )
-    return ModelParams.create(
-        beta=float(data["beta"]),
-        q=float(data["q"]),
-        p=float(data["p"]),
-        cp=float(data["Cp"]),
-        alpha0=float(data["alpha0"]),
-        delta=float(data["delta"]),
-        kirchhoff=kirchhoff,
-    )

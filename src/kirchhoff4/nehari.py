@@ -223,7 +223,7 @@ def project(u, params: ModelParams):
     reported energy and residual <J'(w), w> are measured at the root, so
     the residual shows how far the moment root is from a measured Nehari
     point.  Alone or in a sequence of up to 16, a direction gets the
-    arithmetic of the single-profile kernels (energy, nehari_residual) bit
+    arithmetic of the single-profile kernels (energy, weak_action(w, w)) bit
     for bit (radial.rowwise); in a longer sequence its row differs from
     that by about 1e-14 relative, as the BLAS product of a tall stack
     rounds differently.  An error names the row it comes from.

@@ -52,7 +52,6 @@ __all__ = [
     "lebesgue_norm",
     "full_sobolev_norm",
     "pointwise_bound_coeff",
-    "enforce_clamped",
     "random_clamped_profile",
     "clamped_even_basis",
     "write_profile_csv",
@@ -111,18 +110,6 @@ class RadialFunction:
 
     def scaled(self, t: float) -> "RadialFunction":
         return RadialFunction(self.grid, t * self.values)
-
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        self._check_same_grid(other)
-        return RadialFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "RadialFunction") -> "RadialFunction":
-        self._check_same_grid(other)
-        return RadialFunction(self.grid, self.values - other.values)
-
-    def _check_same_grid(self, other: "RadialFunction"):
-        if other.grid is not self.grid:
-            raise ValueError("operands live on different grids")
 
     def __repr__(self):
         return f"RadialFunction(n={self.grid.n}, max|u|={np.abs(self.values).max():.3g})"
@@ -452,19 +439,15 @@ def pointwise_bound_coeff(r: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def enforce_clamped(u: RadialFunction) -> RadialFunction:
-    """Project nodal values onto the clamped subspace u(1) = u'(1) = 0.
+def _clamp(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Project each row of a stack (k, n) of nodal values onto the clamped
+    subspace u(1) = u'(1) = 0, with a product per row: a row gets the
+    arithmetic of its profile alone, bit for bit.
 
     Subtracts a constant to zero the boundary value and a multiple of
     r^2 - 1 (which vanishes at r = 1) to zero the boundary derivative;
     both corrections are even polynomials, so smoothness is preserved.
     """
-    return RadialFunction(u.grid, _clamp(u.grid, u.values[None])[0])
-
-
-def _clamp(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """enforce_clamped on each row of a stack (k, n), with a product per row:
-    a row gets the arithmetic of its profile alone, bit for bit."""
     vals = values - values[:, -1:]
     slope = np.matmul(grid.d1[-1], vals[..., None])
     return vals - 0.5 * slope * (grid.nodes**2 - 1.0)

@@ -52,7 +52,7 @@ from .radial import (
     weighted_rule,
 )
 
-__all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite", "t_leq_one_check"]
+__all__ = ["SuiteCheck", "SuiteReport", "check_hypotheses", "run_suite"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -465,15 +465,6 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams):
     head = 2.0 * g_val * ((np.abs(values @ lap.T) * (np.abs(values) @ np.abs(lap).T)) @ rule.wvol)
     tail = np.abs(_nodal_force(values, params) * values) @ rule.vol
     return 4.0 * _EPS * (head + tail)
-
-
-def t_leq_one_check(u, params: ModelParams) -> bool:
-    """For directions on or inside the Nehari set (residual <= 0, up to its
-    rounding bound), the projection scale cannot exceed one.  u is one
-    direction or a sequence of them on one grid; the check holds when it
-    holds for each."""
-    rows = [u] if isinstance(u, RadialFunction) else list(u)
-    return bool(np.all(_scales_inside(rows, params) <= 1.0 + 1e-10))
 
 
 def _scales_inside(rows: list, params: ModelParams) -> np.ndarray:

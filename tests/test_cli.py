@@ -48,6 +48,7 @@ def test_run_config_rejects_unknown_keys():
         ({"starts": 0}, "starts"),
         ({"max_iter": 0}, "max_iter"),
         ({"tol": 0.0}, "tol"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_validation_names_offending_key(overrides, needle):
@@ -66,6 +67,8 @@ def test_validation_names_offending_key(overrides, needle):
         (["solve", "--cp", "2", "--auto-cp"], "--auto-cp"),
         ([], "command"),
         (["aux", "--q", "nan"], "q must be a finite number"),
+        # the seed draws the start directions: numpy takes no negative one
+        (["aux", "--seed", "-1"], "seed must be nonnegative"),
     ],
 )
 def test_malformed_command_line_is_config_error(tmp_path, capsys, argv, needle):
@@ -247,6 +250,18 @@ def test_aux_command(tmp_path):
     # the published level is the energy of one of the starts
     per_start = report["result"]["per_start"]
     assert any(s["energy"] == report["result"]["m_p"] for s in per_start)
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    # out lies under a regular file: the outputs cannot be written once the
+    # computation is done, and the run ends with one line naming out
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main(["aux", "--n", "16", "--starts", "2", "--out", str(blocker / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: out ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_aux_rejects_p_below_4(tmp_path, capsys):

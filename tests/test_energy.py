@@ -80,15 +80,17 @@ def test_weak_action_finite_difference(spectral64, params_cp2):
     for k in range(50):
         u = unit_profile(spectral64, 0.5, [41, k])
         phi = unit_profile(spectral64, 0.5, [42, k])
-        plus = k4.energy(u + phi.scaled(eps), params_cp2).total
-        minus = k4.energy(u - phi.scaled(eps), params_cp2).total
+        plus = k4.energy(k4.RadialFunction(spectral64, u.values + eps * phi.values), params_cp2).total
+        minus = k4.energy(k4.RadialFunction(spectral64, u.values - eps * phi.values), params_cp2).total
         wa = k4.weak_action(u, phi, params_cp2)
         assert abs((plus - minus) / (2 * eps) - wa) <= 1e-6 * (1 + abs(wa)), k
 
 
 def test_weak_action_equals_residual(spectral64, params_cp2):
+    # the single-profile path and the stacked kernel on a stack of one
     u = unit_profile(spectral64, 0.5, 8)
-    assert k4.weak_action(u, u, params_cp2) == k4.nehari_residual(u, params_cp2)
+    ops = operator_cache(spectral64, 0.5)
+    assert k4.weak_action(u, u, params_cp2) == _nehari_residuals(ops, u.values[None], params_cp2)[0]
 
 
 def test_stacked_residuals_match_single(spectral64, params_cp2):
@@ -99,7 +101,7 @@ def test_stacked_residuals_match_single(spectral64, params_cp2):
     stack = np.array([u.values for u in rows])
     out = _nehari_residuals(ops, stack, params_cp2)
     for u, res in zip(rows, out):
-        single = k4.nehari_residual(u, params_cp2)
+        single = k4.weak_action(u, u, params_cp2)
         assert abs(res - single) <= 1e-13 * abs(single)
     past = 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(stack[0]).max()
     out = _nehari_residuals(ops, np.array([stack[1], past * stack[0]]), params_cp2)
@@ -237,7 +239,6 @@ def test_fibering_overflow_propagates(spectral64, params_cp2):
 _VALUE_KERNELS = {
     "fibering": lambda u, ts, params: np.array([k4.fibering(u, t, params) for t in ts]),
     "fibering-array": lambda u, ts, params: k4.fibering(u, ts, params),
-    "nehari_residual": lambda u, ts, params: np.array([k4.nehari_residual(u.scaled(t), params) for t in ts]),
     "_energies": lambda u, ts, params: _energies(operator_cache(u.grid, params.beta), np.outer(ts, u.values), params),
     "_nehari_residuals": lambda u, ts, params: _nehari_residuals(
         operator_cache(u.grid, params.beta), np.outer(ts, u.values), params
@@ -282,13 +283,15 @@ def test_breakdowns_and_gradients_raise_past_the_guard(kernel, spectral64, param
 
 def test_residual_sign_window(spectral64, params_cp2):
     guard = params_cp2.nonlinearity.guard_scale()
+    ops = operator_cache(spectral64, 0.5)
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [51, k])
         t_u = k4.project(u, params_cp2).t_u
-        assert k4.nehari_residual(u.scaled(0.05 * t_u), params_cp2) > 0.0
         big = min(2.5 * t_u, 0.9 * guard / np.abs(u.values).max())
         assert big > t_u
-        assert k4.nehari_residual(u.scaled(big), params_cp2) < 0.0
+        small_res, big_res = _nehari_residuals(ops, np.outer([0.05 * t_u, big], u.values), params_cp2)
+        assert small_res > 0.0
+        assert big_res < 0.0
 
 
 def test_fiber_map_saturated_signs(spectral64, params_cp2):

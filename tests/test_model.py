@@ -13,7 +13,6 @@ from kirchhoff4.model import (
     NonlinearitySpec,
     RangeOverflowError,
     _kummer,
-    params_from_dict,
     params_to_dict,
 )
 from kirchhoff4.verify import check_hypotheses
@@ -263,15 +262,12 @@ def test_params_validation():
     assert p.theta == p.p
 
 
-def test_params_roundtrip():
-    p = k4.default_params(cp=3.7)
-    d = params_to_dict(p)
+def test_params_to_dict_keys():
+    d = params_to_dict(k4.default_params(cp=3.7))
     assert set(d) == {
         "beta", "q", "p", "Cp", "alpha0", "delta",
         "kirchhoff.kind", "kirchhoff.g0", "kirchhoff.a",
     }
-    q = params_from_dict(d)
-    assert q == p
 
 
 def test_hypotheses_default_pass(params_cp2):

@@ -12,7 +12,8 @@ from kirchhoff4 import nehari
 from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive, _Functional
 from kirchhoff4.nehari import _scale_search, _start_stack, _winner
 from kirchhoff4 import verify
-from kirchhoff4.verify import _projection_checks, _residual_limit
+from kirchhoff4.energy import _nehari_residuals
+from kirchhoff4.verify import _projection_checks, _residual_limit, _scales_inside
 
 from conftest import chained_ground_state, minimizer_gates, random_starts, unit_profile
 
@@ -200,7 +201,7 @@ def test_stack_of_one_equals_single(spectral64, params_cp2, resolved_default):
             assert (pt.t_u, pt.energy, pt.residual) == (single.t_u, single.energy, single.residual)
             assert np.array_equal(pt.projected.values, single.projected.values)
             assert pt.energy == k4.energy(pt.projected, params).total, k
-            assert pt.residual == k4.nehari_residual(pt.projected, params), k
+            assert pt.residual == k4.weak_action(pt.projected, pt.projected, params), k
     assert k4.project([], params_cp2) == []
 
 
@@ -325,11 +326,11 @@ def test_t_leq_one_stack(spectral64, params_cp2):
     # every doubled point lies inside the Nehari set and projects at 1/2
     pts = k4.project([unit_profile(spectral64, 0.5, [66, k]) for k in range(8)], params_cp2)
     doubled = [pt.projected.scaled(2.0) for pt in pts]
-    assert k4.t_leq_one_check(doubled, params_cp2)
+    assert np.all(_scales_inside(doubled, params_cp2) <= 1.0 + 1e-10)
     assert all(abs(pt.t_u - 0.5) < 1e-13 for pt in k4.project(doubled, params_cp2))
     doubled[5] = pts[5].projected.scaled(0.5)  # residual > 0 here
     with pytest.raises(ValueError, match="row 5"):
-        k4.t_leq_one_check(doubled, params_cp2)
+        _scales_inside(doubled, params_cp2)
 
 
 def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
@@ -447,8 +448,8 @@ def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolve
         for k in range(10):
             pt = k4.project(unit_profile(spectral64, 0.5, [62, k]), params)
             assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params), k
-            moved = pt.projected.scaled(1.0 + 1e-9)
-            assert abs(k4.nehari_residual(moved, params)) > _residual_limit(ops, moved.values, params), k
+            moved = pt.projected.scaled(1.0 + 1e-9).values[None]
+            assert abs(_nehari_residuals(ops, moved, params)[0]) > _residual_limit(ops, moved, params)[0], k
 
 
 def test_projection_residual_scale_of_minimizer(ground_default, resolved_default):
@@ -468,8 +469,8 @@ def test_t_leq_one(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
     pt = k4.project(u, params_cp2)
     doubled = pt.projected.scaled(2.0)
-    assert k4.nehari_residual(doubled, params_cp2) < 0.0
-    assert k4.t_leq_one_check(doubled, params_cp2)
+    assert k4.weak_action(doubled, doubled, params_cp2) < 0.0
+    assert _scales_inside([doubled], params_cp2)[0] <= 1.0 + 1e-10
     t2 = k4.project(doubled, params_cp2).t_u
     assert abs(t2 - 0.5) < 1e-9
 
@@ -479,7 +480,7 @@ def test_t_leq_one_precondition(spectral64, params_cp2):
     pt = k4.project(u, params_cp2)
     shrunk = pt.projected.scaled(0.5)  # residual > 0 here
     with pytest.raises(ValueError):
-        k4.t_leq_one_check(shrunk, params_cp2)
+        _scales_inside([shrunk], params_cp2)
 
 
 def test_t_leq_one_randomized(spectral64, params_cp2):
@@ -489,8 +490,8 @@ def test_t_leq_one_randomized(spectral64, params_cp2):
         pt = k4.project(u, params_cp2)
         factor = min(1.0 + 3.0 * (k % 5 + 1) / 5.0, 0.9 * guard / np.abs(pt.projected.values).max())
         beyond = pt.projected.scaled(factor)
-        if k4.nehari_residual(beyond, params_cp2) <= 0.0:
-            assert k4.t_leq_one_check(beyond, params_cp2), k
+        if k4.weak_action(beyond, beyond, params_cp2) <= 0.0:
+            assert _scales_inside([beyond], params_cp2)[0] <= 1.0 + 1e-10, k
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +559,7 @@ def test_ground_state_publishes_winner_record(spectral64, ground_default, resolv
     assert func.ops.rule.norm(func.gradient(values)) == best.gradient_norm
     assert func.ops.rule.norm(values) == best.norm
     assert gs.min_nehari_norm <= best.norm
-    assert gs.residual == k4.nehari_residual(gs.minimizer, params)
+    assert gs.residual == k4.weak_action(gs.minimizer, gs.minimizer, params)
 
 
 def test_default_solve_projects_its_starts_once(spectral64, resolved_default, search_default, monkeypatch):
