@@ -33,18 +33,15 @@ from .energy import (
     FiberMap,
     energy,
     weak_action,
-    sobolev_gradient,
     fibering,
 )
 from .nehari import (
     ProjectionError,
-    NehariPoint,
     SearchConfig,
     GroundStateResult,
     AuxResult,
     BoundsReport,
     project,
-    project_scale,
     ground_state,
     aux_ground_state,
     level_bounds,

@@ -28,7 +28,6 @@ __all__ = [
     "EnergyBreakdown",
     "energy",
     "weak_action",
-    "sobolev_gradient",
     "fibering",
     "FiberMap",
     "operator_cache",
@@ -150,15 +149,6 @@ def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
     """Pointwise force |u|^(q-2) u + f(u) of the lower-order terms of J."""
     return np.abs(values) ** (params.q - 2.0) * values + params.nonlinearity.f(values)
-
-
-def sobolev_gradient(u: RadialFunction, params: ModelParams) -> RadialFunction:
-    """Riesz representative v of J'(u): w_inner(v, phi) = <J'(u), phi>
-    for every phi in the discrete clamped subspace; v = 0 exactly at
-    discrete critical points."""
-    ops = operator_cache(u.grid, params.beta)
-    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
-    return RadialFunction(u.grid, ops.riesz(load))
 
 
 def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, force: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ d/dt J(t u) = 0; the map u -> t_u u retracts directions onto the Nehari
 set.  One bracket-and-Newton root search (_scale_search) locates t_u on
 the moment form of the derivative, and one driver (_drive) runs the
 searches of a stack of directions in lockstep on a stacked FiberMap, for
-project and the descent alike.  The ground level
+project and the descent alike; project maps a (k, n) stack of directions
+to the arrays of their scales, projected points, energies and Nehari
+residuals.  The ground level
 
     m = inf { J(w) : <J'(w), w> = 0, w != 0 }
 
@@ -37,18 +39,16 @@ import numpy as np
 from .energy import FiberMap, energy, operator_cache  # energy: unused here; perfbench tests rebind it
 from .energy import _energies, _nehari_residuals, _nodal_force, _residual_load
 from .model import ModelParams, RangeOverflowError, adams_constant
-from .radial import RadialFunction, RadialGrid, random_clamped_profile, rowwise
+from .radial import RadialFunction, RadialGrid, _random_clamped_rows, rowwise
 
 __all__ = [
     "ProjectionError",
-    "NehariPoint",
     "SearchConfig",
     "StartRecord",
     "GroundStateResult",
     "AuxResult",
     "BoundsReport",
     "project",
-    "project_scale",
     "ground_state",
     "aux_ground_state",
     "level_bounds",
@@ -61,17 +61,6 @@ __all__ = [
 
 class ProjectionError(RuntimeError):
     """Raised when no Nehari projection scale can be bracketed."""
-
-
-@dataclass(frozen=True)
-class NehariPoint:
-    """A direction with its unique projection onto the Nehari set."""
-
-    direction: RadialFunction
-    t_u: float
-    projected: RadialFunction
-    energy: float
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -204,50 +193,32 @@ def _drive(fiber: FiberMap, strict: bool = True) -> np.ndarray:
     return roots
 
 
-def project_scale(fiber: FiberMap) -> float:
-    """Root of the fibering derivative on (0, inf) for a map of one row
-    (_scale_search), measured with fiber.derivs."""
-    return float(_drive(fiber)[0])
-
-
-def project(u, params: ModelParams):
-    """Unique Nehari projection of a nonzero direction, or of each direction
-    of a sequence of them on one grid (a list of NehariPoints, in order).
-
-    The root is located for the unit-norm direction and rescaled, which
-    keeps the per-ulp granularity of the residual proportional to the
-    projected point rather than to the raw direction scale, and makes the
-    scaling law t(c u) = t(u)/c hold by construction.  The root is that of
-    the moment form (_drive on FiberMap.full), the one root function of
-    every projection; the searches of a sequence run in lockstep.  The
-    reported energy and residual <J'(w), w> are measured at the root, so
-    the residual shows how far the moment root is from a measured Nehari
-    point.  Alone or in a sequence of up to 16, a direction gets the
-    arithmetic of the single-profile kernels (energy, weak_action(w, w)) bit
-    for bit (radial.rowwise); in a longer sequence its row differs from
-    that by about 1e-14 relative, as the BLAS product of a tall stack
-    rounds differently.  An error names the row it comes from.
-    """
-    if isinstance(u, RadialFunction):
-        return _project_rows([u], params)[0]
-    return _project_rows(list(u), params)
-
-
 def _reject_rows(bad: np.ndarray, message: str) -> None:
     rows = np.flatnonzero(bad)
     if rows.size:
         raise ProjectionError(f"row {rows[0]}: {message}")
 
 
-def _project_rows(rows: list, params: ModelParams) -> list:
-    """project on each of a list of directions, with the searches in lockstep."""
-    if not rows:
-        return []
-    grid = rows[0].grid
-    if any(r.grid is not grid for r in rows):
-        raise ValueError("directions live on different grids")
+def project(values: np.ndarray, params: ModelParams, grid: RadialGrid):
+    """Unique Nehari projection of each row of a stack (k, n) of nonzero
+    directions on grid, the searches in lockstep: the arrays (t_u, w,
+    energy, residual), row i the scale t_u, the projected point w = t_u u,
+    J(w) and <J'(w), w> of direction i.
+
+    The root is located for the unit-norm direction and rescaled, which
+    keeps the per-ulp granularity of the residual proportional to the
+    projected point rather than to the raw direction scale, and makes the
+    scaling law t(c u) = t(u)/c hold by construction.  The root is that of
+    the moment form (_drive on FiberMap.full), the one root function of
+    every projection.  The reported energy and residual are measured at the
+    root, so the residual shows how far the moment root is from a measured
+    Nehari point.  In a stack of up to 16 rows, a direction gets the
+    arithmetic of the single-profile kernels (energy, weak_action(w, w)) bit
+    for bit (radial.rowwise); in a taller stack its row differs from that
+    by about 1e-14 relative, as the BLAS product of a tall stack rounds
+    differently.  An error names the row it comes from.
+    """
     ops = operator_cache(grid, params.beta)
-    values = np.array([r.values for r in rows])
     peaks = np.abs(values).max(axis=1)
     _reject_rows(~((0.0 < peaks) & (peaks < math.inf)), "direction is zero or not finite")
     shapes = values / peaks[:, None]
@@ -262,9 +233,7 @@ def _project_rows(rows: list, params: ModelParams) -> list:
         "the weighted norm of the direction leaves no representable projection scale",
     )
     w = roots[:, None] * units
-    energies, residuals = _energies(ops, w, params), _nehari_residuals(ops, w, params)
-    columns = zip(rows, t_u.tolist(), w, energies.tolist(), residuals.tolist())
-    return [NehariPoint(r, t, RadialFunction(grid, wr), e, res) for r, t, wr, e, res in columns]
+    return t_u, w, _energies(ops, w, params), _nehari_residuals(ops, w, params)
 
 
 # ---------------------------------------------------------------------------
@@ -340,42 +309,16 @@ class AuxResult:
     directions: np.ndarray = field(repr=False, compare=False)
 
 
-class _Functional:
-    """Adapter between the descent loop and the two energies it minimizes;
-    value, load and the gradients take (n,) or a stack (k, n), a row a start."""
+def _relative_gradient(ops, params: ModelParams, w: np.ndarray, grad_norm):
+    """||J'(w)|| / (g(S) ||w||) with S = ||w||^2, row by row of a stack (k, n).
 
-    def __init__(self, grid: RadialGrid, params: ModelParams, pure_power: bool):
-        self.grid = grid
-        self.params = params
-        self.pure_power = pure_power
-        self.ops = operator_cache(grid, params.beta)
-
-    def value(self, values: np.ndarray):
-        """The energy; -inf for a row past the exponential overflow guard."""
-        if self.pure_power:
-            i_p = rowwise(self.ops.rule.vol, np.abs(values) ** self.params.p)
-            return 0.5 * self.params.kirchhoff.G(self.ops.rule.form(values)) - i_p / self.params.p
-        out = _energies(self.ops, np.atleast_2d(values), self.params)
-        return out if values.ndim == 2 else float(out[0])
-
-    def load(self, values: np.ndarray) -> np.ndarray:
-        params = self.params
-        force = np.abs(values) ** (params.p - 2.0) * values if self.pure_power else _nodal_force(values, params)
-        return _residual_load(self.ops, values, params, force)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        return self.ops.riesz(self.load(values))
-
-    def relative_gradient(self, values: np.ndarray, grad_norm):
-        """||J'(w)|| / (g(S) ||w||) with S = ||w||^2.
-
-        At a critical point the gradient is the difference of g(S) w and
-        the Riesz image of the force, so this is the gradient relative to
-        the terms it cancels: the same for both functionals at any cp."""
-        nrm = self.ops.rule.norm(values)
-        scale = self.params.kirchhoff.g(nrm**2) * nrm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(scale > 0.0, grad_norm / scale, np.inf)
+    At a critical point the gradient is the difference of g(S) w and the
+    Riesz image of the force, so this is the gradient relative to the terms
+    it cancels: the same for the full and the pure-power functional at any cp."""
+    nrm = ops.rule.norm(w)
+    scale = params.kirchhoff.g(nrm**2) * nrm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale > 0.0, grad_norm / scale, np.inf)
 
 
 # The main descent's line search.  Energy comparisons near a minimum sit on
@@ -391,41 +334,32 @@ _MOMENT_RISE = 1e-15  # the aux ascent stops at this relative moment gain
 _ENERGY_TIE = 1e-10
 
 
-def _start_stack(func: _Functional, search: SearchConfig) -> np.ndarray:
+def _start_stack(grid: RadialGrid, ops, search: SearchConfig) -> np.ndarray:
     """The unit-norm random start directions of the auxiliary ascent, one
     row each: a random clamped profile from the rng [search.seed, k]."""
-    rngs = (np.random.default_rng([search.seed, k]) for k in range(search.starts))
-    starts = np.array([random_clamped_profile(func.grid, r).values for r in rngs])
-    nrm = func.ops.rule.norm(starts)
+    starts = _random_clamped_rows(grid, [np.random.default_rng([search.seed, k]) for k in range(search.starts)])
+    nrm = ops.rule.norm(starts)
     if np.any(nrm <= 0.0):
         raise ProjectionError("start direction is numerically zero")
     return starts / nrm[:, None]
 
 
-def _scales(func: _Functional, units: np.ndarray, strict: bool = True) -> np.ndarray:
-    """Projection scale of each row of a stack of directions, on the moment
-    form of the fibering derivative (_drive; NaN for a failed row unless strict)."""
-    build = FiberMap.pure_power if func.pure_power else FiberMap.full
-    fiber = build(units, func.params, func.grid)
-    return _drive(fiber, strict=strict)
-
-
-def _finish_starts(func: _Functional, w: np.ndarray, energies, grad_norm, search: SearchConfig, drafts):
+def _finish_starts(ops, params: ModelParams, w: np.ndarray, energies, grad_norm, search: SearchConfig, drafts):
     """The records of the final points w (k, n), each on the Nehari set, at
     the energies and gradient norms measured there.
 
     drafts holds the (index, iterations, stop_reason, trace) of each row.
     A start has converged when its relative gradient is at most tol.
     """
-    rel_grad = func.relative_gradient(w, grad_norm)
-    columns = (x.tolist() for x in (energies, grad_norm, rel_grad, func.ops.rule.norm(w)))
+    rel_grad = _relative_gradient(ops, params, w, grad_norm)
+    columns = (x.tolist() for x in (energies, grad_norm, rel_grad, ops.rule.norm(w)))
     return [
         StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, tuple(trace))
         for (index, iterations, reason, trace), energy, gnorm, rel, norm in zip(drafts, *columns)
     ]
 
 
-def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
+def _descend_main(grid: RadialGrid, params: ModelParams, units: np.ndarray, search: SearchConfig):
     """Projected Sobolev-gradient descent from each row of a stack (k, n) of
     unit-norm start directions, all rows in lockstep.
 
@@ -433,7 +367,7 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     backtracking and stop.  A round evaluates the gradients, norms, BB
     forms, trial points and projected energies of all pending rows in one
     stacked call each; the trial rows share one FiberMap and project in
-    lockstep (_scales).  A trial whose energy is not finite is rejected:
+    lockstep (_drive).  A trial whose energy is not finite is rejected:
     NaN when it finds no scale, -inf past the overflow guard.
 
     Every accepted point is the projection of its own direction, so a start
@@ -446,11 +380,16 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     coercivity margin E / ((1/4 - 1/q) g0 ||w||^2) - 1 across accepted
     projected points: relative, as levels can be ~1e-36).
     """
-    norm, form = func.ops.rule.norm, func.ops.rule.form
-    coer = (0.25 - 1.0 / func.params.q) * func.params.kirchhoff.g0
+    ops = operator_cache(grid, params.beta)
+    norm, form = ops.rule.norm, ops.rule.form
+
+    def gradient(v):
+        return ops.riesz(_residual_load(ops, v, params, _nodal_force(v, params)))
+
+    coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
     k = len(units)
-    w = _scales(func, units)[:, None] * units
-    e = func.value(w)
+    w = _drive(FiberMap.full(units, params, grid))[:, None] * units
+    e = _energies(ops, w, params)
     pn = norm(w)
     min_norm, coer_margin = pn.min(), np.min(e / (coer * pn**2) - 1.0)
     step, last_grad_norm = np.ones(k), np.full(k, math.nan)
@@ -461,9 +400,9 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
     active = np.arange(k)
     for it in range(1, search.max_iter + 1):
         iterations[active] = it
-        grad = func.gradient(w[active])
+        grad = gradient(w[active])
         grad_norm = last_grad_norm[active] = norm(grad)
-        done = func.relative_gradient(w[active], grad_norm) <= search.tol
+        done = _relative_gradient(ops, params, w[active], grad_norm) <= search.tol
         reasons[active[done]] = "converged"
         active, grad, grad_norm = active[~done], grad[~done], grad_norm[~done]
         if not active.size:
@@ -484,8 +423,8 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
             trial = w[rows] - a[pending, None] * grad[pending]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero or overflowing trial finds no scale
                 u_try = trial / norm(trial)[:, None]
-            w_try = _scales(func, u_try, strict=False)[:, None] * u_try
-            e_try, e_row = func.value(w_try), e[rows]
+            w_try = _drive(FiberMap.full(u_try, params, grid), strict=False)[:, None] * u_try
+            e_try, e_row = _energies(ops, w_try, params), e[rows]
             decrease = _ARMIJO * a[pending] * grad_norm[pending] ** 2
             ok = np.isfinite(e_try) & (e_try <= e_row - decrease + _ENERGY_NOISE * np.abs(e_row))
             accepted[pending[ok]] = True
@@ -502,12 +441,13 @@ def _descend_main(func: _Functional, units: np.ndarray, search: SearchConfig):
         coer_margin = min(coer_margin, np.min(e[active] / (coer * pn**2) - 1.0, initial=math.inf))
 
     if active.size:  # the max-iter rows: accepted a step after their last check
-        last_grad_norm[active] = norm(func.gradient(w[active]))
-    records = _finish_starts(func, w, e, last_grad_norm, search, zip(range(k), iterations, reasons, traces))
+        last_grad_norm[active] = norm(gradient(w[active]))
+    drafts = zip(range(k), iterations, reasons, traces)
+    records = _finish_starts(ops, params, w, e, last_grad_norm, search, drafts)
     return records, w, min_norm, coer_margin
 
 
-def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
+def _descend_aux(grid: RadialGrid, params: ModelParams, u: np.ndarray, search: SearchConfig):
     """Constrained minimization of the pure-power functional from each row
     of a stack (k, n) of unit-norm starts.
 
@@ -526,8 +466,8 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
     final direction is projected onto the Nehari set of the pure-power
     functional, and the start judged there.
     """
-    p = func.params.p
-    ops = func.ops
+    p = params.p
+    ops = operator_cache(grid, params.beta)
     u = u.copy()
     moment = rowwise(ops.rule.vol, np.abs(u) ** p)
     traces = [[m] for m in moment.tolist()]
@@ -550,9 +490,11 @@ def _descend_aux(func: _Functional, u: np.ndarray, search: SearchConfig):
         if not active.size:
             break
     units = u / ops.rule.norm(u)[:, None]
-    w = _scales(func, units)[:, None] * units
-    grad_norm = ops.rule.norm(func.gradient(w))
-    records = _finish_starts(func, w, func.value(w), grad_norm, search, zip(range(len(w)), iterations, reasons, traces))
+    w = _drive(FiberMap.pure_power(units, params, grid))[:, None] * units
+    grad_norm = ops.rule.norm(ops.riesz(_residual_load(ops, w, params, np.abs(w) ** (p - 2.0) * w)))
+    value = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - rowwise(ops.rule.vol, np.abs(w) ** p) / p
+    drafts = zip(range(len(w)), iterations, reasons, traces)
+    records = _finish_starts(ops, params, w, value, grad_norm, search, drafts)
     return records, w, math.inf, math.inf
 
 
@@ -577,8 +519,7 @@ def ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig, st
     gradient check.  It publishes the winner's own record point, as
     aux_ground_state does; identical inputs give the result bit for bit.
     """
-    func = _Functional(grid, params, pure_power=False)
-    records, w, min_norm, coer_margin = _descend_main(func, starts, search)
+    records, w, min_norm, coer_margin = _descend_main(grid, params, starts, search)
     k = _winner(records)
     best, best_vals = records[k], w[k]
     return GroundStateResult(
@@ -590,7 +531,7 @@ def ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig, st
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
-        residual=float(_nehari_residuals(func.ops, best_vals[None], params)[0]),
+        residual=float(_nehari_residuals(operator_cache(grid, params.beta), best_vals[None], params)[0]),
         minimizer_norm=best.norm,
         min_nehari_norm=min_norm,
         coercivity_margin=coer_margin,
@@ -601,12 +542,12 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     """Ground level of the pure-power functional (no q-term, no reaction)."""
     if params.p <= 4.0:
         raise ValueError(f"auxiliary problem needs p > 4, got {params.p}")
-    func = _Functional(grid, params, pure_power=True)
-    records, w, _, _ = _descend_aux(func, _start_stack(func, search), search)
+    ops = operator_cache(grid, params.beta)
+    records, w, _, _ = _descend_aux(grid, params, _start_stack(grid, ops, search), search)
     k = _winner(records)
     best, best_vals = records[k], w[k]
     w_p = RadialFunction(grid, best_vals)
-    p_norm_p = float(func.ops.rule.vol @ np.abs(best_vals) ** params.p)
+    p_norm_p = float(ops.rule.vol @ np.abs(best_vals) ** params.p)
     return AuxResult(
         w_p=w_p,
         m_p=best.energy,
@@ -617,7 +558,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
         per_start_energies=[r.energy for r in records],
         converged=best.converged,
         per_start=records,
-        directions=w / func.ops.rule.norm(w)[:, None],
+        directions=w / ops.rule.norm(w)[:, None],
     )
 
 

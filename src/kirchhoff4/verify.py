@@ -27,7 +27,6 @@ from .energy import (  # energy: unused here; perfbench tests rebind it
     energy,
     fibering,
     operator_cache,
-    sobolev_gradient,
     weak_action,
 )
 from .model import (
@@ -37,7 +36,7 @@ from .model import (
     NonlinearitySpec,
     adams_constant,
 )
-from .nehari import project, project_scale
+from .nehari import _drive, project
 from .radial import (
     RadialFunction,
     RadialGrid,
@@ -356,7 +355,7 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     checks.append(_bound("weak-action-fd", float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa)))), 1e-6))
 
     u = RadialFunction(grid, _unit_profiles(grid, params.beta, seed, 300, 1)[0])
-    t_u = project(u, params).t_u
+    t_u = project(u.values[None], params, grid)[0].item()
     checks.append(_bound("fibering-deriv-fd", _fibering_fd_gap(u, params, t_u), 1e-7))
 
     lam, t_probe = 1.7, 0.6 * t_u
@@ -368,8 +367,8 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     gap = abs(residual - FiberMap.full(u, params).deriv(1.0))
     checks.append(_bound("weak-action-residual-identity", gap, 1e-12 * (1.0 + abs(residual))))
 
-    v = sobolev_gradient(u, params).values
     load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
+    v = ops.riesz(load)
     bt = ops.basis.T
     # the residual of B^T G v = B^T load, v = R load through the explicit Riesz
     # matrix R, node by node against 16 eps (|B^T| |G| |R| |load| + |B^T| |load|)_i,
@@ -383,53 +382,47 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
 def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:
     checks = []
     quartic = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
-    root = project_scale(quartic)
+    root = _drive(quartic)[0]
     checks.append(_bound("projection-quartic-oracle", abs(root - math.sqrt((1 + math.sqrt(5.0)) / 2.0)), 1e-9))
     power = FiberMap(KirchhoffSpec.affine(2.0, 0.0), 3.0, ((6.0, 5.0),))
-    checks.append(_bound("projection-power-oracle", abs(project_scale(power) - (2.0 * 3.0 / 5.0) ** 0.25), 1e-10))
+    checks.append(_bound("projection-power-oracle", abs(_drive(power)[0] - (2.0 * 3.0 / 5.0) ** 0.25), 1e-10))
 
     u = random_clamped_profile(grid, np.random.default_rng([seed, 400]))
-    base = project(u, params)
-    worst = 0.0
-    for lam in (0.5, 2.0, 10.0):
-        pt = project(u.scaled(lam), params)
-        worst = max(worst, abs(pt.t_u * lam - base.t_u) / base.t_u)
+    lams = np.array([1.0, 0.5, 2.0, 10.0])
+    t_u = project(lams[:, None] * u.values, params, grid)[0]
+    worst = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0]) / t_u[0]))
     checks.append(_bound("projection-scaling-law", worst, 1e-9))
 
     dir_values = _unit_profiles(grid, params.beta, seed, 500, count)
-    dirs = [RadialFunction(grid, v) for v in dir_values]
-    pts = project(dirs, params)
+    t_u, projected, energies, residuals = project(dir_values, params, grid)
     ops = operator_cache(grid, params.beta)
     fibers = FiberMap.full(dir_values, params, grid)
-    t_u = np.array([pt.t_u for pt in pts])
     peaks = _energies(ops, t_u[:, None] * dir_values, params)
     sign_changes = _sign_changes(fibers, t_u, grid.n)
     max_gaps = []
-    for k, (u, pt) in enumerate(zip(dirs, pts)):
+    for k, v in enumerate(dir_values):
         # the fibering maximum is attained at the projection scale, up to a
         # slack relative to it (levels can be ~1e-36); past the guard the
         # map is -inf, far below its maximum
-        sweep = fibering(u, np.linspace(0.0, 3.0 * pt.t_u, 200), params)
+        sweep = fibering(RadialFunction(grid, v), np.linspace(0.0, 3.0 * t_u[k], 200), params)
         max_gaps.append((peaks[k] - sweep.max()) / abs(peaks[k]))
     bad = np.flatnonzero(sign_changes != 1).tolist()  # the witness is the first of them
     checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
     checks.append(_worst("projection-fibering-max", np.array(max_gaps), range(count)))
     # scale-below-one criterion on the doubled points inside the Nehari set
-    projected = np.array([pt.projected.values for pt in pts])
     doubled = 2.0 * projected
     inside = np.flatnonzero(_nehari_residuals(ops, doubled, params) <= 0.0)
-    t_u = np.full(count, -math.inf)  # a point outside the set is not tested
-    t_u[inside] = _scales_inside([RadialFunction(grid, v) for v in doubled[inside]], params)
-    worst = int(np.argmax(t_u))  # the margin is the headroom of the largest scale
-    headroom = 1.0 + 1e-10 - t_u[worst]
+    scales = np.full(count, -math.inf)  # a point outside the set is not tested
+    scales[inside] = _scales_inside(doubled[inside], params, grid)
+    worst = int(np.argmax(scales))  # the margin is the headroom of the largest scale
+    headroom = 1.0 + 1e-10 - scales[worst]
     checks.append(_check("projection-scale-below-one", headroom >= 0.0, headroom, worst))
     # relative to the coercivity level: energies can be ~1e-36
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
-    margins = [pt.energy / (coer * w_norm(pt.projected, params.beta) ** 2) - 1.0 for pt in pts]
+    margins = [e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected)]
     worst_margin = min(margins)
     checks.append(_check("projection-coercivity", worst_margin >= -1e-9, worst_margin + 1e-9))
-    resid = np.abs([pt.residual for pt in pts])
-    checks.append(_floor_check("projection-residual", resid, _residual_limit(ops, projected, params)))
+    checks.append(_floor_check("projection-residual", np.abs(residuals), _residual_limit(ops, projected, params)))
     return checks
 
 
@@ -467,20 +460,18 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams):
     return 4.0 * _EPS * (head + tail)
 
 
-def _scales_inside(rows: list, params: ModelParams) -> np.ndarray:
-    """Projection scales of directions on or inside the Nehari set; a
-    ValueError names the first row whose residual exceeds its rounding bound."""
-    if not rows:
-        return np.empty(0)
-    ops = operator_cache(rows[0].grid, params.beta)
-    values = np.array([r.values for r in rows])
+def _scales_inside(values: np.ndarray, params: ModelParams, grid: RadialGrid) -> np.ndarray:
+    """Projection scales of a stack (k, n) of directions on or inside the
+    Nehari set; a ValueError names the first row whose residual exceeds its
+    rounding bound."""
+    ops = operator_cache(grid, params.beta)
     res = _nehari_residuals(ops, values, params)
     pos = np.flatnonzero(res > 0.0)
     over = pos[res[pos] > _residual_limit(ops, values[pos], params)]
     if over.size:
         i = over[0]
         raise ValueError(f"precondition violated: Nehari residual {res[i]:.3g} of row {i} is positive")
-    return np.array([pt.t_u for pt in project(rows, params)])
+    return project(values, params, grid)[0]
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
-from kirchhoff4.energy import operator_cache
-from kirchhoff4.nehari import _Functional, _start_stack
+from kirchhoff4.energy import _nodal_force, _residual_load, operator_cache
+from kirchhoff4.nehari import _relative_gradient, _start_stack
 from kirchhoff4.verify import _residual_limit
 
 
@@ -53,15 +53,27 @@ def chained_ground_state(grid, params, search):
 
 def random_starts(grid, params, search):
     """The random unit-norm start directions of the aux ascent, one per start."""
-    return _start_stack(_Functional(grid, params, pure_power=False), search)
+    return _start_stack(grid, operator_cache(grid, params.beta), search)
 
 
 def minimizer_gates(gs, params):
     """Relative gradient ||J'(w)|| / (g(S) ||w||) of a published minimizer and
     the rounding bound of its Nehari residual: both follow the problem's scale."""
     values = gs.minimizer.values
-    rel = _Functional(gs.minimizer.grid, params, pure_power=False).relative_gradient(values, gs.gradient_norm)
-    return rel, _residual_limit(operator_cache(gs.minimizer.grid, params.beta), values, params)
+    ops = operator_cache(gs.minimizer.grid, params.beta)
+    return _relative_gradient(ops, params, values, gs.gradient_norm), _residual_limit(ops, values, params)
+
+
+def project_one(u, params):
+    """project on the stack of the one direction u: its (t_u, w, energy, residual)."""
+    t_u, w, energies, residuals = k4.project(u.values[None], params, u.grid)
+    return t_u[0], w[0], energies[0], residuals[0]
+
+
+def sobolev_gradient(ops, values, params):
+    """The Riesz image of J'(u) of nodal values (n,) or of each row of a stack
+    (k, n), as the main descent forms it."""
+    return ops.riesz(_residual_load(ops, values, params, _nodal_force(values, params)))
 
 
 def unit_profile(grid, beta, seed):

@@ -8,11 +8,11 @@ import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache, _energies, _energy_terms, _inside_guard
 from kirchhoff4.energy import _nehari_residuals, _nodal_force, _residual_load
 from kirchhoff4.model import KirchhoffSpec, RangeOverflowError
-from kirchhoff4.nehari import _Functional
+from kirchhoff4.nehari import _drive
 from kirchhoff4.radial import weighted_rule
 from kirchhoff4.verify import _residual_limit
 
-from conftest import unit_profile
+from conftest import project_one, sobolev_gradient, unit_profile
 
 
 def test_energy_zero(spectral64, params_cp2):
@@ -109,9 +109,8 @@ def test_stacked_residuals_match_single(spectral64, params_cp2):
 
 
 def test_sobolev_gradient_zero(spectral64, params_cp2):
-    zero = k4.RadialFunction(spectral64, np.zeros(64))
-    v = k4.sobolev_gradient(zero, params_cp2)
-    assert np.abs(v.values).max() < 1e-14
+    v = sobolev_gradient(operator_cache(spectral64, 0.5), np.zeros(64), params_cp2)
+    assert np.abs(v).max() < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -128,8 +127,8 @@ def test_sobolev_gradient_defining_equations(n, scheme, params_cp2):
     grid = k4.build_grid(n, scheme)
     ops = operator_cache(grid, 0.5)
     u = unit_profile(grid, 0.5, 9)
-    v = k4.sobolev_gradient(u, params_cp2)
-    lhs = (grid.lap @ ops.basis).T @ (ops.rule.wvol * (grid.lap @ v.values))
+    v = sobolev_gradient(ops, u.values, params_cp2)
+    lhs = (grid.lap @ ops.basis).T @ (ops.rule.wvol * (grid.lap @ v))
     resid = lhs - ops.basis.T @ _residual_load(ops, u.values, params_cp2, _nodal_force(u.values, params_cp2))
     assert np.abs(resid).max() < 1e-9
 
@@ -180,8 +179,7 @@ def test_fibering_deriv_finite_difference(spectral64, params_cp2):
     from kirchhoff4.verify import _fibering_fd_gap
 
     u = unit_profile(spectral64, 0.5, 11)
-    t_u = k4.project(u, params_cp2).t_u
-    assert _fibering_fd_gap(u, params_cp2, t_u) <= 1e-7
+    assert _fibering_fd_gap(u, params_cp2, project_one(u, params_cp2)[0]) <= 1e-7
 
 
 def _fiber_scales(fiber, params):
@@ -243,11 +241,8 @@ _VALUE_KERNELS = {
     "_nehari_residuals": lambda u, ts, params: _nehari_residuals(
         operator_cache(u.grid, params.beta), np.outer(ts, u.values), params
     ),
-    "_Functional.value": lambda u, ts, params: _Functional(u.grid, params, pure_power=False).value(
-        np.outer(ts, u.values)
-    ),
-    "_Functional.value-row": lambda u, ts, params: np.array(
-        [_Functional(u.grid, params, pure_power=False).value(t * u.values) for t in ts]
+    "_energies-row": lambda u, ts, params: np.array(
+        [_energies(operator_cache(u.grid, params.beta), t * u.values[None], params)[0] for t in ts]
     ),
     "FiberMap.deriv": lambda u, ts, params: FiberMap.full(u, params).deriv(ts),
     "FiberMap.derivs": lambda u, ts, params: FiberMap.full(u, params).derivs(ts),
@@ -267,8 +262,10 @@ def test_value_kernels_give_minus_inf_past_the_guard(kernel, spectral64, params_
 _RAISING_KERNELS = {
     "energy": lambda w, phi, params: k4.energy(w, params),
     "weak_action": lambda w, phi, params: k4.weak_action(w, phi, params),
-    "sobolev_gradient": lambda w, phi, params: k4.sobolev_gradient(w, params),
-    "_Functional.load": lambda w, phi, params: _Functional(w.grid, params, pure_power=False).load(w.values),
+    "sobolev_gradient": lambda w, phi, params: sobolev_gradient(operator_cache(w.grid, params.beta), w.values, params),
+    "_residual_load": lambda w, phi, params: _residual_load(
+        operator_cache(w.grid, params.beta), w.values, params, _nodal_force(w.values, params)
+    ),
 }
 
 
@@ -286,7 +283,7 @@ def test_residual_sign_window(spectral64, params_cp2):
     ops = operator_cache(spectral64, 0.5)
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [51, k])
-        t_u = k4.project(u, params_cp2).t_u
+        t_u = project_one(u, params_cp2)[0]
         big = min(2.5 * t_u, 0.9 * guard / np.abs(u.values).max())
         assert big > t_u
         small_res, big_res = _nehari_residuals(ops, np.outer([0.05 * t_u, big], u.values), params_cp2)
@@ -297,7 +294,7 @@ def test_residual_sign_window(spectral64, params_cp2):
 def test_fiber_map_saturated_signs(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 15)
     fiber = FiberMap.full(u, params_cp2)
-    t_u = k4.project(u, params_cp2).t_u
+    t_u = project_one(u, params_cp2)[0]
     assert fiber.deriv(1e6 * t_u) == -np.inf  # far past the guard
 
 
@@ -308,7 +305,7 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     for params in (params_cp2, resolved_default[0], steep):
         u = unit_profile(spectral64, 0.5, 17)
         fiber = FiberMap.full(u, params)
-        t_u = k4.project_scale(fiber)
+        t_u = _drive(fiber)[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
         batch = fiber.deriv(ts)
         single = np.array([fiber.deriv(t) for t in ts])
@@ -336,7 +333,7 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     for params in (params_cp2, resolved_default[0], steep):
         values = np.array([unit_profile(spectral64, 0.5, [17, k]).values for k in range(200)])
         alone = [FiberMap.full(k4.RadialFunction(spectral64, v), params) for v in values]
-        t_u = np.array([k4.project_scale(f) for f in alone])
+        t_u = np.array([_drive(f)[0] for f in alone])
         for k, tol in ((9, 0.0), (200, 1e-12)):
             stack = FiberMap.full(values[:k], params, spectral64)
             sweep = t_u[:k, None] * np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
@@ -365,7 +362,7 @@ def test_fiber_map_tail_matches_exp_reference(spectral64, params_cp2, resolved_d
         (unit_profile(spectral64, 0.5, 23), params_cp2),
     ):
         nl, vol = prm.nonlinearity, weighted_rule(u.grid, prm.beta).vol
-        t_u = k4.project_scale(FiberMap.full(u, prm))
+        t_u = _drive(FiberMap.full(u, prm))[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 400)
         tail = FiberMap(KirchhoffSpec.affine(1e-300, 0.0), 1.0, (), nl, u.values[None], vol)
         d, d2 = tail.derivs(ts)
@@ -392,7 +389,7 @@ def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
     for params in (params_cp2, resolved_default[0], steep):
         for k in (1, 9, 200):
             fiber = FiberMap.full(values[:k], params, spectral64)
-            t_u = np.array([k4.project_scale(fiber.take([i])) for i in range(k)])
+            t_u = np.array([_drive(fiber.take([i]))[0] for i in range(k)])
             sweep = t_u[:, None] * np.array([1e-3, 0.5, 1.0, 2.0, 10.0, 1e3])
             for ts in (sweep, sweep[:, 2], sweep[:, 4]):
                 d, d2 = fiber.derivs(ts)
@@ -417,7 +414,7 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
     for params in configs:
         u = unit_profile(spectral64, params.beta, 19)
         ops = operator_cache(spectral64, params.beta)
-        ts = np.linspace(0.0, 3.0 * k4.project(u, params).t_u, 200)
+        ts = np.linspace(0.0, 3.0 * project_one(u, params)[0], 200)
         stack = np.outer(ts, u.values)
         value = k4.fibering(u, ts, params)
         reference = _energies(ops, stack, params)
@@ -484,7 +481,7 @@ def test_gradient_gate_catches_perturbed_riesz_matrix(spectral64, resolved_defau
     u = k4.random_clamped_profile(spectral64, np.random.default_rng([1, 300]))  # the check's direction
     u = k4.RadialFunction(spectral64, u.values / k4.w_norm(u, params.beta))
     load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
-    resid = ops.basis.T @ (ops.gram @ k4.sobolev_gradient(u, params).values) - ops.basis.T @ load
+    resid = ops.basis.T @ (ops.gram @ ops.riesz(load)) - ops.basis.T @ load
     assert np.abs(resid).max() / (1.0 + np.abs(ops.basis.T @ np.abs(load)).max()) < 1e-9
 
 

@@ -9,13 +9,13 @@ import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4 import nehari
-from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive, _Functional
-from kirchhoff4.nehari import _scale_search, _start_stack, _winner
+from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive
+from kirchhoff4.nehari import _relative_gradient, _scale_search, _winner
 from kirchhoff4 import verify
-from kirchhoff4.energy import _nehari_residuals
+from kirchhoff4.energy import _energies, _nehari_residuals, _residual_load
 from kirchhoff4.verify import _projection_checks, _residual_limit, _scales_inside
 
-from conftest import chained_ground_state, minimizer_gates, random_starts, unit_profile
+from conftest import chained_ground_state, minimizer_gates, project_one, random_starts, sobolev_gradient, unit_profile
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_projection_quartic_oracle():
     # synthetic moments: affine(1,1) Kirchhoff, unit norm, unit 6th moment;
     # the scale solves t^4 - t^2 - 1 = 0, the square root of the golden ratio
     fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 1.0),))
-    root = k4.project_scale(fiber)
+    root = _drive(fiber)[0]
     assert abs(root - math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)) < 1e-9
     assert abs(root - 1.2720196) < 1e-7
 
@@ -56,7 +56,7 @@ def test_projection_pure_power_closed_form(monkeypatch):
     monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
 
     def check(fiber, expect, most):
-        assert abs(k4.project_scale(fiber) - expect) <= 1e-12 * expect
+        assert abs(_drive(fiber)[0] - expect) <= 1e-12 * expect
         assert len(searches[-1]) <= most, len(searches[-1])
 
     # g(s) = g0: t^(e-2) = g0 S / M, the start itself; the last two roots
@@ -121,7 +121,7 @@ def test_projection_bisects_when_newton_creeps(monkeypatch):
             return d, -abs(d) / (1e-12 * t)
 
         fiber.derivs = creeping
-        assert abs(k4.project_scale(fiber) - stretch * root) < 1e-12 * stretch, stretch
+        assert abs(_drive(fiber)[0] - stretch * root) < 1e-12 * stretch, stretch
         asked = searches[-1]  # three creeping probes, then a doubling or a halving
         assert all(abs(b / a - 1.0) < 1e-11 for a, b in zip(asked[:3], asked[1:4])), asked[:5]
         assert asked[4] == (2.0 if stretch >= 1.0 else 0.5) * asked[3], asked[:5]
@@ -131,27 +131,27 @@ def test_projection_needs_positive_moment():
     # d(t) = t S g0 > 0 for every t: no root, and no balance scale to start from
     fiber = FiberMap(KirchhoffSpec.affine(1.0, 0.0), 1.0, ((6.0, 0.0),))
     with pytest.raises(ProjectionError):
-        k4.project_scale(fiber)
+        _drive(fiber)
     # nor from a squared weighted norm that is not positive and finite
     for norm_sq in (0.0, -1.0, math.nan, math.inf):
         fiber = FiberMap(KirchhoffSpec.affine(1.0, 1.0), norm_sq, ((6.0, 1.0),))
         with pytest.raises(ProjectionError, match="weighted norm"):
-            k4.project_scale(fiber)
+            _drive(fiber)
 
 
 def test_projection_scaling_law(spectral64, params_cp2):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(101))
-    base = k4.project(u, params_cp2)
     # the extreme scales must neither read as zero nor overflow the norm
-    for lam in (0.5, 2.0, 10.0, 1e-150, 1e-300, 1e150):
-        pt = k4.project(u.scaled(lam), params_cp2)
-        assert abs(pt.t_u * lam / base.t_u - 1.0) < 1e-12, lam
-        assert np.abs(pt.projected.values - base.projected.values).max() < 1e-9
+    lams = np.array([1.0, 0.5, 2.0, 10.0, 1e-150, 1e-300, 1e150])
+    t_u, w, _, _ = k4.project(lams[:, None] * u.values, params_cp2, spectral64)
+    for k, lam in enumerate(lams[1:], 1):
+        assert abs(t_u[k] * lam / t_u[0] - 1.0) < 1e-12, lam
+        assert np.abs(w[k] - w[0]).max() < 1e-9
 
 
 def test_projection_rejects_zero(spectral64, params_cp2):
     with pytest.raises(ProjectionError):
-        k4.project(k4.RadialFunction(spectral64, np.zeros(64)), params_cp2)
+        k4.project(np.zeros((1, 64)), params_cp2, spectral64)
 
 
 def test_projection_overflow_diagnostic(spectral64, params_cp2):
@@ -160,18 +160,18 @@ def test_projection_overflow_diagnostic(spectral64, params_cp2):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(5))
     for peak in (1e307, 1e-320):
         with pytest.raises(ProjectionError):
-            k4.project(u.scaled(peak / np.abs(u.values).max()), params_cp2)
+            k4.project(peak / np.abs(u.values).max() * u.values[None], params_cp2, spectral64)
 
 
 def test_projection_point_invariants(spectral64, params_cp2):
     ops = operator_cache(spectral64, 0.5)
     for k in range(25):
         u = unit_profile(spectral64, 0.5, [61, k])
-        pt = k4.project(u, params_cp2)
-        s = k4.w_norm(pt.projected, 0.5) ** 2
-        assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params_cp2), k
+        _, w, energy, residual = project_one(u, params_cp2)
+        s = ops.rule.norm(w) ** 2
+        assert abs(residual) <= _residual_limit(ops, w, params_cp2), k
         coer = (0.25 - 1.0 / params_cp2.q) * params_cp2.kirchhoff.g0
-        assert pt.energy >= coer * s - 1e-9
+        assert energy >= coer * s - 1e-9
 
 
 def test_stacked_projection_matches_single(spectral64, params_cp2, resolved_default):
@@ -179,38 +179,41 @@ def test_stacked_projection_matches_single(spectral64, params_cp2, resolved_defa
     # projections, by ~1e-14
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
-        dirs = [k4.random_clamped_profile(spectral64, np.random.default_rng([63, k])) for k in range(40)]
-        dirs[3] = dirs[3].scaled(1e-200)  # the scale of a row does not matter
-        stack = k4.project(dirs, params)
-        assert len(stack) == len(dirs)
-        for k, (u, pt) in enumerate(zip(dirs, stack)):
-            single = k4.project(u, params)
-            assert pt.direction is u
-            assert abs(pt.t_u / single.t_u - 1.0) <= 1e-13, k
-            assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params), k
-            assert abs(pt.energy / single.energy - 1.0) <= 1e-12, k
+        rngs = [np.random.default_rng([63, k]) for k in range(40)]
+        dirs = np.array([k4.random_clamped_profile(spectral64, rng).values for rng in rngs])
+        dirs[3] *= 1e-200  # the scale of a row does not matter
+        t_u, w, energy, residual = k4.project(dirs, params, spectral64)
+        assert t_u.shape == energy.shape == residual.shape == (len(dirs),) and w.shape == dirs.shape
+        for k in range(len(dirs)):
+            single_t, _, single_e, _ = k4.project(dirs[k : k + 1], params, spectral64)
+            assert abs(t_u[k] / single_t[0] - 1.0) <= 1e-13, k
+            assert abs(residual[k]) <= _residual_limit(ops, w[k], params), k
+            assert abs(energy[k] / single_e[0] - 1.0) <= 1e-12, k
 
 
 def test_stack_of_one_equals_single(spectral64, params_cp2, resolved_default):
-    # alone, a direction gets the arithmetic of the single-profile kernels
+    # alone, a direction gets the arithmetic of the single-profile kernels,
+    # and in a stack of up to 16 its row is the stack of one, bit for bit
     for params in (params_cp2, resolved_default[0]):
+        dirs = np.array([unit_profile(spectral64, 0.5, [64, k]).values for k in range(10)])
+        stack = k4.project(dirs, params, spectral64)
         for k in range(10):
-            u = unit_profile(spectral64, 0.5, [64, k])
-            (pt,) = k4.project([u], params)
-            single = k4.project(u, params)
-            assert (pt.t_u, pt.energy, pt.residual) == (single.t_u, single.energy, single.residual)
-            assert np.array_equal(pt.projected.values, single.projected.values)
-            assert pt.energy == k4.energy(pt.projected, params).total, k
-            assert pt.residual == k4.weak_action(pt.projected, pt.projected, params), k
-    assert k4.project([], params_cp2) == []
+            single = k4.project(dirs[k : k + 1], params, spectral64)
+            for got, want in zip(stack, single):
+                assert np.array_equal(got[k], want[0]), k
+            w = k4.RadialFunction(spectral64, single[1][0])
+            assert single[2][0] == k4.energy(w, params).total, k
+            assert single[3][0] == k4.weak_action(w, w, params), k
+    empty = k4.project(np.empty((0, 64)), params_cp2, spectral64)
+    assert [x.shape for x in empty] == [(0,), (0, 64), (0,), (0,)]
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_stacked_projection_names_bad_row(spectral64, params_cp2, bad):
-    dirs = [unit_profile(spectral64, 0.5, [65, k]) for k in range(4)]
-    dirs[2] = k4.RadialFunction(spectral64, np.full(64, bad))
+    dirs = np.array([unit_profile(spectral64, 0.5, [65, k]).values for k in range(4)])
+    dirs[2] = bad
     with pytest.raises(ProjectionError, match="row 2"):
-        k4.project(dirs, params_cp2)
+        k4.project(dirs, params_cp2, spectral64)
 
 
 def _failing_search():
@@ -230,11 +233,11 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
     roots = _drive(fiber, strict=False)
     assert np.isnan(roots[1])
     for i in (0, 2, 3):
-        assert roots[i] == k4.project_scale(FiberMap(kirchhoff, 1.0, ((6.0, moments[i]),))), i
+        assert roots[i] == _drive(FiberMap(kirchhoff, 1.0, ((6.0, moments[i]),)))[0], i
     # in project, on grid directions: the moment form of row 3 reads NaN.  The
     # row is told by its q-moment, which every stack taken from it keeps; the
     # first stack driven is the whole one
-    dirs = [unit_profile(spectral64, 0.5, [68, k]) for k in range(6)]
+    dirs = np.array([unit_profile(spectral64, 0.5, [68, k]).values for k in range(6)])
     real_derivs, marks = FiberMap.derivs, []
 
     def nan_row(fib, t):
@@ -246,15 +249,15 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
 
     monkeypatch.setattr(FiberMap, "derivs", nan_row)
     with pytest.raises(ProjectionError, match="row 3: fibering derivative is NaN"):
-        k4.project(dirs, params_cp2)
+        k4.project(dirs, params_cp2, spectral64)
     monkeypatch.setattr(FiberMap, "derivs", real_derivs)
     # and in the descent, at the automatic cp, where every first trial is
     # accepted: row 2 of the first trial stack comes back NaN and is
     # rejected, so that row backtracks alone while the other rows go on as
     # they would
-    func = _Functional(spectral64, resolved_default[0], pure_power=False)
+    params = resolved_default[0]
     cfg = k4.SearchConfig(starts=4)
-    starts = _start_stack(func, cfg)
+    starts = random_starts(spectral64, params, cfg)
     real_search, real_drive = nehari._scale_search, nehari._drive
 
     def run(fail):
@@ -272,7 +275,7 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
 
         monkeypatch.setattr(nehari, "_scale_search", search)
         monkeypatch.setattr(nehari, "_drive", drive)
-        return _descend_main(func, starts, cfg), sizes
+        return _descend_main(spectral64, params, starts, cfg), sizes
 
     (plain, plain_w, _, _), plain_sizes = run(False)
     (hit, hit_w, _, _), hit_sizes = run(True)
@@ -324,13 +327,15 @@ def test_search_starts_under_the_guard(spectral64, params_cp2, monkeypatch):
 
 def test_t_leq_one_stack(spectral64, params_cp2):
     # every doubled point lies inside the Nehari set and projects at 1/2
-    pts = k4.project([unit_profile(spectral64, 0.5, [66, k]) for k in range(8)], params_cp2)
-    doubled = [pt.projected.scaled(2.0) for pt in pts]
-    assert np.all(_scales_inside(doubled, params_cp2) <= 1.0 + 1e-10)
-    assert all(abs(pt.t_u - 0.5) < 1e-13 for pt in k4.project(doubled, params_cp2))
-    doubled[5] = pts[5].projected.scaled(0.5)  # residual > 0 here
+    dirs = np.array([unit_profile(spectral64, 0.5, [66, k]).values for k in range(8)])
+    _, w, _, _ = k4.project(dirs, params_cp2, spectral64)
+    doubled = 2.0 * w
+    assert np.all(_scales_inside(doubled, params_cp2, spectral64) <= 1.0 + 1e-10)
+    assert np.all(np.abs(k4.project(doubled, params_cp2, spectral64)[0] - 0.5) < 1e-13)
+    doubled[5] = 0.5 * w[5]  # residual > 0 here
     with pytest.raises(ValueError, match="row 5"):
-        _scales_inside(doubled, params_cp2)
+        _scales_inside(doubled, params_cp2, spectral64)
+    assert _scales_inside(doubled[:0], params_cp2, spectral64).shape == (0,)
 
 
 def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
@@ -345,9 +350,9 @@ def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatc
     # root must still fail the check (an absolute slack of 1e-9 passed it)
     real = verify.project
 
-    def misplaced(u, params):
-        pts = real(u, params)
-        return pts if isinstance(u, k4.RadialFunction) else [replace(pt, t_u=1.01 * pt.t_u) for pt in pts]
+    def misplaced(values, params, grid):
+        t_u, *rest = real(values, params, grid)
+        return (1.01 * t_u, *rest)
 
     def fibering_max():
         checks = _projection_checks(spectral64, resolved_default[0], 20, 1)
@@ -389,12 +394,11 @@ def test_projection_residual_check_names_worst_row(spectral64, resolved_default,
     ops = operator_cache(spectral64, params.beta)
     real = verify.project
 
-    def offset(u, params):
-        pts = real(u, params)
-        if isinstance(u, k4.RadialFunction):
-            return pts
-        pts[7] = replace(pts[7], residual=2.0 * _residual_limit(ops, pts[7].projected.values, params))
-        return pts
+    def offset(values, params, grid):  # in the stack of 20 directions
+        t_u, w, energy, residual = real(values, params, grid)
+        if len(values) == 20:
+            residual[7] = 2.0 * _residual_limit(ops, w[7], params)
+        return t_u, w, energy, residual
 
     def residual_check():
         checks = _projection_checks(spectral64, params, 20, 1)
@@ -415,11 +419,11 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
     params = resolved_default[0]
     real_project, real_residuals = verify.project, verify._nehari_residuals
 
-    def overshoot(u, params):
-        pts = real_project(u, params)
-        if not isinstance(u, k4.RadialFunction):
-            pts[6] = replace(pts[6], t_u=1.5)  # among the doubled points: direction 7
-        return pts
+    def overshoot(values, params, grid):  # the 20 directions and their doubled points
+        t_u, *rest = real_project(values, params, grid)
+        if len(values) > 6:
+            t_u[6] = 1.5  # among the doubled points: direction 7
+        return (t_u, *rest)
 
     def outside(ops, values, params):
         res = real_residuals(ops, values, params)
@@ -446,9 +450,9 @@ def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolve
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
         for k in range(10):
-            pt = k4.project(unit_profile(spectral64, 0.5, [62, k]), params)
-            assert abs(pt.residual) <= _residual_limit(ops, pt.projected.values, params), k
-            moved = pt.projected.scaled(1.0 + 1e-9).values[None]
+            _, w, _, residual = project_one(unit_profile(spectral64, 0.5, [62, k]), params)
+            assert abs(residual) <= _residual_limit(ops, w, params), k
+            moved = (1.0 + 1e-9) * w[None]
             assert abs(_nehari_residuals(ops, moved, params)[0]) > _residual_limit(ops, moved, params)[0], k
 
 
@@ -460,38 +464,36 @@ def test_projection_residual_scale_of_minimizer(ground_default, resolved_default
 
 def test_reprojection_of_nehari_point(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 17)
-    pt = k4.project(u, params_cp2)
-    again = k4.project(pt.projected, params_cp2)
-    assert abs(again.t_u - 1.0) < 1e-9
+    w = project_one(u, params_cp2)[1]
+    again = k4.project(w[None], params_cp2, spectral64)[0]
+    assert abs(again[0] - 1.0) < 1e-9
 
 
 def test_t_leq_one(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
-    pt = k4.project(u, params_cp2)
-    doubled = pt.projected.scaled(2.0)
+    doubled = k4.RadialFunction(spectral64, 2.0 * project_one(u, params_cp2)[1])
     assert k4.weak_action(doubled, doubled, params_cp2) < 0.0
-    assert _scales_inside([doubled], params_cp2)[0] <= 1.0 + 1e-10
-    t2 = k4.project(doubled, params_cp2).t_u
+    assert _scales_inside(doubled.values[None], params_cp2, spectral64)[0] <= 1.0 + 1e-10
+    t2 = project_one(doubled, params_cp2)[0]
     assert abs(t2 - 0.5) < 1e-9
 
 
 def test_t_leq_one_precondition(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 19)
-    pt = k4.project(u, params_cp2)
-    shrunk = pt.projected.scaled(0.5)  # residual > 0 here
+    shrunk = 0.5 * project_one(u, params_cp2)[1]  # residual > 0 here
     with pytest.raises(ValueError):
-        _scales_inside([shrunk], params_cp2)
+        _scales_inside(shrunk[None], params_cp2, spectral64)
 
 
 def test_t_leq_one_randomized(spectral64, params_cp2):
     guard = params_cp2.nonlinearity.guard_scale()
     for k in range(100):
         u = unit_profile(spectral64, 0.5, [71, k])
-        pt = k4.project(u, params_cp2)
-        factor = min(1.0 + 3.0 * (k % 5 + 1) / 5.0, 0.9 * guard / np.abs(pt.projected.values).max())
-        beyond = pt.projected.scaled(factor)
+        w = project_one(u, params_cp2)[1]
+        factor = min(1.0 + 3.0 * (k % 5 + 1) / 5.0, 0.9 * guard / np.abs(w).max())
+        beyond = k4.RadialFunction(spectral64, factor * w)
         if k4.weak_action(beyond, beyond, params_cp2) <= 0.0:
-            assert _scales_inside([beyond], params_cp2)[0] <= 1.0 + 1e-10, k
+            assert _scales_inside(beyond.values[None], params_cp2, spectral64)[0] <= 1.0 + 1e-10, k
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +524,8 @@ def test_random_starts_descend_to_convergence(spectral64, resolved_default, para
     # none stalls after one step, on the tiny Nehari norms of the automatic
     # cp (about 3e-18) or at cp = 2
     params = resolved_default[0] if auto_cp else params_cp2
-    func = _Functional(spectral64, params, pure_power=False)
-    records, _, _, _ = _descend_main(func, random_starts(spectral64, params, search_default), search_default)
+    starts = random_starts(spectral64, params, search_default)
+    records, _, _, _ = _descend_main(spectral64, params, starts, search_default)
     for rec in records:
         assert rec.converged and rec.stop_reason == "converged", rec.index
         assert rec.iterations > 1, rec.index
@@ -534,17 +536,17 @@ def test_main_starts_where_the_aux_starts_end(spectral64, resolved_default, grou
     # final point: the winner's row is w_p over its norm, bit for bit, and
     # each row projects back to its own start's level
     params, aux, _ = resolved_default
-    func = _Functional(spectral64, params, pure_power=True)
+    ops = operator_cache(spectral64, params.beta)
     assert aux.directions.shape == (len(aux.per_start), spectral64.n)
     best = aux.w_p.values
-    assert np.array_equal(aux.directions[_winner(aux.per_start)], best / func.ops.rule.norm(best))
-    w = nehari._scales(func, aux.directions)[:, None] * aux.directions
+    assert np.array_equal(aux.directions[_winner(aux.per_start)], best / ops.rule.norm(best))
+    w = _drive(FiberMap.pure_power(aux.directions, params, spectral64))[:, None] * aux.directions
+    value = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - np.abs(w) ** params.p @ ops.rule.vol / params.p
     levels = np.array([r.energy for r in aux.per_start])
-    assert np.all(np.abs(func.value(w) - levels) <= 1e-11 * levels)  # measured: at most 2.9e-13
+    assert np.all(np.abs(value - levels) <= 1e-11 * levels)  # measured: at most 2.9e-13
     # the main start from row k projects to main start k's first energy
-    main = _Functional(spectral64, params, pure_power=False)
-    w = nehari._scales(main, aux.directions)[:, None] * aux.directions
-    assert main.value(w).tolist() == [rec.trace[0] for rec in ground_default.per_start]
+    w = _drive(FiberMap.full(aux.directions, params, spectral64))[:, None] * aux.directions
+    assert _energies(ops, w, params).tolist() == [rec.trace[0] for rec in ground_default.per_start]
 
 
 def test_ground_state_publishes_winner_record(spectral64, ground_default, resolved_default):
@@ -552,12 +554,12 @@ def test_ground_state_publishes_winner_record(spectral64, ground_default, resolv
     # projection of it: the same m, gradient norm and norm, bit for bit
     gs, params = ground_default, resolved_default[0]
     best = gs.per_start[_winner(gs.per_start)]
-    func = _Functional(spectral64, params, pure_power=False)
+    ops = operator_cache(spectral64, params.beta)
     values = gs.minimizer.values
     assert (gs.m, gs.gradient_norm, gs.minimizer_norm) == (best.energy, best.gradient_norm, best.norm)
-    assert func.value(values) == best.energy
-    assert func.ops.rule.norm(func.gradient(values)) == best.gradient_norm
-    assert func.ops.rule.norm(values) == best.norm
+    assert _energies(ops, values[None], params)[0] == best.energy
+    assert ops.rule.norm(sobolev_gradient(ops, values, params)) == best.gradient_norm
+    assert ops.rule.norm(values) == best.norm
     assert gs.min_nehari_norm <= best.norm
     assert gs.residual == k4.weak_action(gs.minimizer, gs.minimizer, params)
 
@@ -594,12 +596,13 @@ def test_start_records_are_measured_at_their_points(spectral32, resolved_default
     params = params_cp2 if starved else resolved_default[0]
     cfg = k4.SearchConfig(starts=4, max_iter=2 if starved else 300, tol=1e-6, seed=5)
     starts = k4.aux_ground_state(spectral32, params, cfg).directions
-    func = _Functional(spectral32, params, pure_power=False)
-    records, w, _, _ = _descend_main(func, starts, cfg)
+    ops = operator_cache(spectral32, params.beta)
+    records, w, _, _ = _descend_main(spectral32, params, starts, cfg)
     assert {rec.stop_reason for rec in records} == {"max-iter" if starved else "converged"}
     for rec, row in zip(records, w):
-        grad_norm = func.ops.rule.norm(func.gradient(row))
-        fresh = (func.value(row), grad_norm, float(func.relative_gradient(row, grad_norm)), func.ops.rule.norm(row))
+        grad_norm = ops.rule.norm(sobolev_gradient(ops, row, params))
+        energy = _energies(ops, row[None], params)[0]
+        fresh = (energy, grad_norm, float(_relative_gradient(ops, params, row, grad_norm)), ops.rule.norm(row))
         assert (rec.energy, rec.gradient_norm, rec.relative_gradient, rec.norm) == fresh, rec.index
         assert rec.energy == rec.trace[-1] and rec.converged is not starved, rec.index
     gs = k4.ground_state(spectral32, params, cfg, starts)
@@ -625,45 +628,45 @@ def test_ground_state_starved_starts_stop_at_max_iter(spectral32, params_cp2):
         assert len(rec.trace) == 3, rec.index
 
 
-@pytest.mark.parametrize("descend, pure_power", [(_descend_main, False), (_descend_aux, True)])
-def test_stacked_rows_are_independent(spectral64, resolved_default, descend, pure_power):
+@pytest.mark.parametrize("descend", [_descend_main, _descend_aux], ids=lambda descend: descend.__name__)
+def test_stacked_rows_are_independent(spectral64, resolved_default, descend):
     # a start follows the same path alone as in a stack of 8, to the bit:
     # every row has matrix-vector products of its own, and no row reads
     # another's step size, curvature pair, mask or stop
-    func = _Functional(spectral64, resolved_default[0], pure_power=pure_power)
-    starts = _start_stack(func, k4.SearchConfig(starts=8))
-    wide, wide_vals, _, _ = descend(func, starts, k4.SearchConfig(starts=8))
+    params = resolved_default[0]
+    starts = random_starts(spectral64, params, k4.SearchConfig(starts=8))
+    wide, wide_vals, _, _ = descend(spectral64, params, starts, k4.SearchConfig(starts=8))
     assert len(wide) == 8
     for k in (0, 5):
-        (alone,), vals, _, _ = descend(func, starts[k : k + 1], k4.SearchConfig(starts=1))
+        (alone,), vals, _, _ = descend(spectral64, params, starts[k : k + 1], k4.SearchConfig(starts=1))
         assert alone.iterations > 1 and len(alone.trace) > 2, k
         assert replace(alone, index=k) == wide[k], k
         assert np.array_equal(vals[0], wide_vals[k]), k
 
 
-def test_overflow_row_does_not_spoil_the_stack(spectral64, params_cp2):
+def test_overflow_row_does_not_spoil_the_stack(spectral64, params_cp2, monkeypatch):
     # a row past the exponential overflow guard gets energy -inf; its
     # neighbours keep their energies and nothing raises
-    func = _Functional(spectral64, params_cp2, pure_power=False)
-    rows = np.array([k4.project(unit_profile(spectral64, 0.5, [67, k]), params_cp2).projected.values for k in range(4)])
+    ops = operator_cache(spectral64, params_cp2.beta)
+    rows = np.array([project_one(unit_profile(spectral64, 0.5, [67, k]), params_cp2)[1] for k in range(4)])
     rows[2] *= 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(rows[2]).max()
-    values = func.value(rows)
+    values = _energies(ops, rows, params_cp2)
     assert values[2] == -math.inf
     for k in (0, 1, 3):
-        assert values[k] == func.value(rows[k]), k
+        assert values[k] == _energies(ops, rows[k : k + 1], params_cp2)[0], k
     with pytest.raises(k4.RangeOverflowError):
         k4.energy(k4.RadialFunction(spectral64, rows[2]), params_cp2)
     # the descent rejects a trial whose energy is -inf, although it is lower
     # than any: with every trial past the guard each start stalls in place
-    value, calls = func.value, []
+    calls = []
 
-    def past_guard(v):  # the start energies, then every trial past the guard
+    def past_guard(ops, v, params):  # the start energies, then every trial past the guard
         calls.append(v)
-        return value(v) if len(calls) == 1 else np.full(len(v), -np.inf)
+        return _energies(ops, v, params) if len(calls) == 1 else np.full(len(v), -np.inf)
 
-    func.value = past_guard
-    units = _start_stack(func, k4.SearchConfig(starts=2))
-    records, w, _, _ = _descend_main(func, units, k4.SearchConfig(starts=2, max_iter=5))
+    monkeypatch.setattr(nehari, "_energies", past_guard)
+    units = random_starts(spectral64, params_cp2, k4.SearchConfig(starts=2))
+    records, w, _, _ = _descend_main(spectral64, params_cp2, units, k4.SearchConfig(starts=2, max_iter=5))
     assert [(r.stop_reason, r.iterations, len(r.trace)) for r in records] == [("line-search-stalled", 1, 1)] * 2
 
 
@@ -739,10 +742,10 @@ def test_aux_result_invariants(resolved_default, params_cp2, search_default):
         assert rec.stop_reason == "moment-floor", rec.index
 
 
-def _solver_start(func, search, k):
+def _solver_start(grid, ops, search, k):
     """The unit-norm start direction k of a multi-start solve."""
-    u = k4.random_clamped_profile(func.grid, np.random.default_rng([search.seed, k])).values
-    return u / func.ops.rule.norm(u)
+    u = k4.random_clamped_profile(grid, np.random.default_rng([search.seed, k])).values
+    return u / ops.rule.norm(u)
 
 
 @pytest.mark.parametrize("scheme, n", [("spectral-even", 32), ("uniform-fd", 100)])
@@ -753,15 +756,14 @@ def test_aux_moment_traces_monotone(params_cp2, scheme, n):
     grid = k4.build_grid(n, scheme)
     cfg = k4.SearchConfig(starts=3, max_iter=300, tol=1e-6, seed=3)
     aux = k4.aux_ground_state(grid, params_cp2, cfg)
-    func = _Functional(grid, params_cp2, pure_power=True)
-    ops, p = func.ops, params_cp2.p
+    ops, p = operator_cache(grid, params_cp2.beta), params_cp2.p
     for rec in aux.per_start:
-        u = _solver_start(func, cfg, rec.index)
+        u = _solver_start(grid, ops, cfg, rec.index)
         moments = []
         for _ in range(40):
             moments.append(float(ops.rule.vol @ np.abs(u) ** p))
             v = ops.riesz(ops.rule.vol * (np.abs(u) ** (p - 2.0) * u))
-            u = v / func.ops.rule.norm(v)
+            u = v / ops.rule.norm(v)
         floor = 1e-12 * moments[-1]
         assert np.all(np.diff(moments) >= -floor), rec.index
         trace = np.array(rec.trace)
@@ -781,8 +783,9 @@ def test_every_start_converges_at_the_defaults(spectral64, resolved_default, gro
         for rec in result.per_start:
             assert rec.converged and rec.relative_gradient <= tol, (rec.index, rec.relative_gradient)
         assert result.per_start[_winner(result.per_start)].energy == level
-    func = _Functional(spectral64, params, pure_power=True)
-    rel_aux = func.relative_gradient(aux.w_p.values, func.ops.rule.norm(func.gradient(aux.w_p.values)))
+    ops, w_p, p = operator_cache(spectral64, params.beta), aux.w_p.values, params.p
+    grad = ops.riesz(_residual_load(ops, w_p, params, np.abs(w_p) ** (p - 2.0) * w_p))
+    rel_aux = _relative_gradient(ops, params, w_p, ops.rule.norm(grad))
     assert rel_aux <= tol
     assert minimizer_gates(ground_default, params)[0] <= tol
 
@@ -805,8 +808,7 @@ def test_aux_starved_starts_are_published_as_left(spectral32, params_cp2):
     # ascent left it, bit for bit its _descend_aux record, and unconverged
     cfg = k4.SearchConfig(starts=4, max_iter=2, tol=1e-6, seed=5)
     aux = k4.aux_ground_state(spectral32, params_cp2, cfg)
-    func = _Functional(spectral32, params_cp2, pure_power=True)
-    raw, u, _, _ = _descend_aux(func, _start_stack(func, cfg), cfg)
+    raw, u, _, _ = _descend_aux(spectral32, params_cp2, random_starts(spectral32, params_cp2, cfg), cfg)
     assert aux.per_start == raw
     for rec in aux.per_start:
         assert rec.stop_reason == "max-iter" and rec.converged is False, rec.index
@@ -819,12 +821,11 @@ def test_aux_projected_energy_closed_form(spectral64, search_default):
     # constant Kirchhoff: for each direction the projected level is
     # (1/2 - 1/p) g0^(p/(p-2)) |u|_p^(-2p/(p-2)) at unit weighted norm
     params = k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.affine(2.0, 0.0))
-    func = _Functional(spectral64, params, pure_power=True)
-    p = params.p
+    ops, p = operator_cache(spectral64, params.beta), params.p
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [81, k])
-        t = k4.project_scale(FiberMap.pure_power(u, params))
-        level = func.value(t * u.values)
+        w = _drive(FiberMap.pure_power(u, params))[0] * u.values
+        level = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - ops.rule.vol @ np.abs(w) ** p / p
         pnorm = k4.lebesgue_norm(u, p)
         expect = (0.5 - 1.0 / p) * 2.0 ** (p / (p - 2.0)) * pnorm ** (-2.0 * p / (p - 2.0))
         assert abs(level - expect) <= 1e-9 * (1 + abs(expect)), k
@@ -920,9 +921,9 @@ def test_solver_other_beta(spectral32):
     assert gs.m > 0
     assert gs.converged
     u = unit_profile(spectral32, params.beta, 22)
-    pt = k4.project(u, params)
-    assert pt.t_u > 0
-    assert k4.fibering(u, pt.t_u, params) >= k4.fibering(u, 0.9 * pt.t_u, params)
+    t_u = project_one(u, params)[0]
+    assert t_u > 0
+    assert k4.fibering(u, t_u, params) >= k4.fibering(u, 0.9 * t_u, params)
 
 
 def test_projection_unique_sign_change(spectral64, resolved_default):
@@ -930,7 +931,7 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
     for k in range(25):
         u = unit_profile(spectral64, 0.5, [91, k])
         fiber = FiberMap.full(u, params)
-        t_u = k4.project_scale(fiber)
+        t_u = _drive(fiber)[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
         signs = np.sign(fiber.deriv(ts))  # -inf past the guard
         signs = signs[signs != 0]
