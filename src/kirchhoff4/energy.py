@@ -124,16 +124,35 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=N
     With scales t, (m,) for a profile or (k, m) for a stack, the terms of
     J(t u) for each row u at each of its scales: S = ||u||^2 and the
     q-moment Q are taken once per row, the Kirchhoff term is (1/2) G(t^2 S)
-    and the power term t^q Q, and only the reaction is evaluated per scale
-    and node.  At t = 1 each term is the unscaled one bit for bit.
+    and the power term t^q Q, and the reaction is _scaled_reaction's.  At
+    t = 1 the Kirchhoff and power terms are the unscaled ones bit for bit.
     """
     s = ops.rule.form(values)
     power = rowwise(ops.rule.vol, np.abs(values) ** params.q) / params.q
     if t is None:
         return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
     kirch = 0.5 * params.kirchhoff.G(t * t * s[..., None])
-    reaction = params.nonlinearity.F(t[..., None] * values[..., None, :]) @ ops.rule.vol
-    return kirch, t**params.q * power[..., None], reaction
+    return kirch, t**params.q * power[..., None], _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t)
+
+
+def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t):
+    """vol . F(t u) for each row u of values at each of its scales t, shaped
+    as in _energy_terms.
+
+    Where every t max|u| is at most nl._exact_peak, F(t u) is the pure power
+    (cp + 1) |t u|^p / p at every node, and the reaction is t^p (cp + 1) P / p
+    from the p-moment P = vol . |u|^p of each row (F node by node agrees to
+    about 1e-16 relative).  Otherwise each row goes alone, and a row past
+    that peak takes F on its own (m, n) body: a stacked body would gather
+    the Kummer coefficients of every row at once.  Up to _ROWWISE_MAX rows,
+    a row's reaction is thus its own bit for bit.
+    """
+    av = np.abs(values)
+    if np.max(t * av.max(axis=-1, keepdims=True), initial=0.0) <= nl._exact_peak:
+        return t**nl.p * (rowwise(vol, av**nl.p) * ((nl.cp + 1.0) / nl.p))[..., None]
+    if values.ndim == 1:
+        return nl.F(t[..., None] * values) @ vol
+    return np.array([_scaled_reaction(vol, v, nl, tr) for v, tr in zip(values, t)])
 
 
 def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> float:
@@ -341,19 +360,33 @@ class FiberMap:
         return t.reshape(len(self), -1), t.shape
 
 
-def fibering(u: RadialFunction, t, params: ModelParams):
-    """J(t u) at a scale or an array of scales, from the scale form of the
-    one energy kernel (_energy_terms): ||u||^2 and the q-moment once, the
-    reaction per scale.  A scale past the guard gives -inf; its guard peak
-    t max|u| is max|t u| bit for bit, as rounding is monotone.
+def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
+    """J(t u) at a scale or an array of scales (m,) of a profile u, or at
+    the scales (k, m) of each row of nodal values (k, n) on grid, from the
+    scale form of the one energy kernel (_energy_terms): ||u||^2 and the
+    q-moment once per row, and the reaction per scale or, within the exact
+    pure-power tail, from the p-moment.  Up to _ROWWISE_MAX rows, each row
+    evaluates as it would alone, bit for bit.  A scale past the guard gives
+    -inf; its guard peak t max|u| is max|t u| bit for bit, as rounding is
+    monotone.
     """
+    grid, values = _nodal(u, grid)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("fibering scale must be nonnegative")
+    if values.ndim == 2 and (t.ndim != 2 or len(t) != len(values)):
+        raise ValueError(f"need the scales (k, m) of {len(values)} rows, got shape {t.shape}")
     ts = np.atleast_1d(t)
     with np.errstate(over="ignore"):
-        inside = _inside_guard(params.nonlinearity, ts * np.abs(u.values).max())
-    out = np.full(ts.shape, -np.inf)
-    kirch, power, reaction = _energy_terms(operator_cache(u.grid, params.beta), u.values, params, ts[inside])
-    out[inside] = kirch - power - reaction
+        inside = _inside_guard(params.nonlinearity, ts * np.abs(values).max(axis=-1, keepdims=True))
+    ops = operator_cache(grid, params.beta)
+    if inside.all():
+        kirch, power, reaction = _energy_terms(ops, values, params, ts)
+        out = kirch - power - reaction
+    elif values.ndim == 2:
+        out = np.array([fibering(v, tr, params, grid) for v, tr in zip(values, ts)])
+    else:
+        out = np.full(ts.shape, -np.inf)
+        kirch, power, reaction = _energy_terms(ops, values, params, ts[inside])
+        out[inside] = kirch - power - reaction
     return float(out[0]) if not t.ndim else out

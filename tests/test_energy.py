@@ -431,6 +431,49 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
         assert np.all(np.abs(value[inside] - reference[inside]) <= 1e-12 * magnitude), params
 
 
+def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_default):
+    # a stack (k, n) with scales (k, m) gives each row its sweep alone, bit
+    # for bit, with -inf past the guard at the same places.  Rows 0 and 3
+    # stay within the exact pure-power tail, so at cp = 2 the stack mixes
+    # exact and general rows; at the automatic cp every row is exact
+    log_type = replace(params_cp2, kirchhoff=KirchhoffSpec.log_type())
+    configs = (resolved_default[0], params_cp2, log_type, replace(params_cp2, beta=0.9))
+    for params in configs:
+        nl = params.nonlinearity
+        dirs = np.array([unit_profile(spectral64, params.beta, [19, k]).values for k in range(6)])
+        vmax = np.abs(dirs).max(axis=1)
+        t_u = k4.project(dirs, params, spectral64)[0]
+        sweep = np.linspace(0.0, 3.0 * t_u, 200, axis=1)
+        sweep[::3] = np.linspace(0.0, 0.5 * nl._exact_peak / vmax[::3], 200, axis=1)
+        exact = sweep.max(axis=1) * vmax <= nl._exact_peak
+        auto = params is resolved_default[0]
+        assert exact.all() if auto else exact.tolist() == [True, False, False, True, False, False]
+        # the whole stack, partly past the guard off the automatic cp; and,
+        # with rows 2 and 5 short of it, a mixed stack wholly inside
+        inside = np.array([0, 2, 3, 5])
+        sweep[2::3] = np.linspace(0.0, 0.9 * t_u[2::3], 200, axis=1)
+        for rows, past in ((np.arange(6), not auto), (inside, False)):
+            value = k4.fibering(dirs[rows], sweep[rows], params, spectral64)
+            assert value.shape == (len(rows), 200) and np.any(value == -np.inf) == past, params
+            for k, row in zip(rows, value):
+                alone = k4.fibering(k4.RadialFunction(spectral64, dirs[k]), sweep[k], params)
+                assert np.array_equal(row, alone), (params, k)
+        # so do the terms of the mixed stack, where the Kirchhoff term hides
+        # the reaction's rounding in the value
+        ops = operator_cache(spectral64, params.beta)
+        terms = _energy_terms(ops, dirs[inside], params, sweep[inside])
+        for k, *row in zip(inside, *terms):
+            for a, b in zip(row, _energy_terms(ops, dirs[k], params, sweep[k])):
+                assert np.array_equal(a, b), (params, k)
+        # the exact tail from the p-moment against F(t u) at every node
+        exact_rows = np.flatnonzero(exact)
+        moment = _energy_terms(ops, dirs[exact_rows], params, sweep[exact_rows])[2]
+        body = nl.F(sweep[exact_rows][..., None] * dirs[exact_rows][:, None, :]) @ ops.rule.vol
+        assert np.all(np.abs(moment - body) <= 1e-14 * np.abs(body)), params
+    with pytest.raises(ValueError, match="scales"):
+        k4.fibering(dirs, sweep[0], params, spectral64)
+
+
 def test_fibering_array_matches_scalar(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
     limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()

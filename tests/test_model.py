@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -320,6 +321,33 @@ def test_hypotheses_pass_at_large_p(p):
         nonlinearity=_ZeroAtOneSample(cp=2.0, p=p, alpha0=1.0, gamma=4.0),
     )
     assert check_hypotheses(broken, 200)["hyp-F-positive"].status == "fail"
+
+
+class _CubicKirchhoff(KirchhoffSpec):
+    """g(t) = g0 + a t^2: h = G/2 - g t/4 = g0 t/4 - a t^3/12 decreases from
+    t = sqrt(g0/a) on and is negative past sqrt(3 g0/a)."""
+
+    def g(self, t):
+        return self.g0 + self.a * np.asarray(t, dtype=float) ** 2
+
+    def G(self, t):
+        t = np.asarray(t, dtype=float)
+        return self.g0 * t + self.a * t**3 / 3.0
+
+
+@pytest.mark.parametrize("alpha0", [1.0, 1e-300])
+def test_hypotheses_half_G_minus_quarter_gt_at_its_rounding_floor(alpha0):
+    # alpha0 = 1e-300 samples the Kirchhoff side up to ~3e50; from t ~ 1/(a eps)
+    # on, h = G/2 - g t/4 = g0 t/4 of affine g is below the rounding of its
+    # two terms, which read -1 and 0 as plain margins (witness 2.7e16)
+    params = k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, alpha0, 0.1, KirchhoffSpec.affine(1.0, 1.0))
+    report = check_hypotheses(params, 200)
+    assert report.overall, [c.name for c in report.failed()]
+    # a g whose h decreases and turns negative fails both, at either range
+    broken = replace(params, kirchhoff=_CubicKirchhoff.affine(1.0, 1.0))
+    report = check_hypotheses(broken, 200)
+    for name in ("hyp-half-G-minus-quarter-gt-nondecreasing", "hyp-half-G-minus-quarter-gt-positive"):
+        assert report[name].status == "fail" and report[name].margin < 0.0, report[name]
 
 
 def test_hypotheses_sample_count_guard(params_cp2):

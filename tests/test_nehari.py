@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -910,6 +911,45 @@ def test_solver_log_type_kirchhoff(spectral32):
     assert gs.m > 0
     assert gs.converged
     assert abs(gs.residual) <= minimizer_gates(gs, params)[1]
+
+
+def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypatch):
+    # at cp = 2 no block of the sweep stays within the exact tail, and a
+    # 16-row reaction body (with the Kummer coefficients it gathers) would
+    # hold ~16 times the memory of one direction's: each call of the sweep
+    # peaks within 10% of the largest of its rows swept alone.  Every row
+    # of the sweep passes the guard; a block short of it goes through the
+    # reaction kernel as one stack, and is held to the same bound
+    real = verify.fibering
+    peaks = []
+
+    def traced_peak(call):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - base, out
+
+    def measured(values, t, params, grid):
+        stacked, out = traced_peak(lambda: real(values, t, params, grid))
+        alone = max(traced_peak(lambda: real(v, tr, params, grid))[0] for v, tr in zip(values, t))
+        peaks.append((len(values), stacked, alone))
+        return out
+
+    monkeypatch.setattr(verify, "fibering", measured)
+    tracemalloc.start()
+    try:
+        _projection_checks(spectral64, params_cp2, 40, 1)
+    finally:
+        tracemalloc.stop()
+    dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 16)
+    short = np.linspace(0.0, k4.project(dirs, params_cp2, spectral64)[0], 200, axis=1)
+    tracemalloc.start()
+    try:
+        assert np.all(np.isfinite(measured(dirs, short, params_cp2, spectral64)))
+    finally:
+        tracemalloc.stop()
+    assert [k for k, _, _ in peaks] == [16, 16, 8, 16]
+    assert all(stacked <= 1.1 * alone for _, stacked, alone in peaks), peaks
 
 
 def test_solver_other_beta(spectral32):

@@ -305,3 +305,24 @@ def test_profile_csv_grid_mismatch(tmp_path, spectral64, spectral32):
 def test_grid_immutable(spectral64):
     with pytest.raises(ValueError):
         spectral64.nodes[0] = 0.5
+
+
+@pytest.mark.parametrize("scheme, n, beta", [("spectral-even", 64, 0.5), ("uniform-fd", 400, 0.9)])
+def test_profile_checks_match_one_profile_at_a_time(scheme, n, beta):
+    # the 100 profiles are drawn as one stack, each row's norms by products
+    # of its own: both margins equal those of the profiles drawn and
+    # measured one at a time, bit for bit
+    from kirchhoff4.verify import _profile_checks
+
+    grid, seed = build_grid(n, scheme), 3
+    coeffs = np.array([k4.pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
+    gaps, ratios = [], []
+    for k in range(100):
+        u = k4.random_clamped_profile(grid, np.random.default_rng([seed, 100 + k]))
+        nw = k4.w_norm(u, beta)
+        gaps.append(float(np.max(np.abs(u.values[:-1]) - coeffs * nw)))
+        ratios.append(k4.full_sobolev_norm(u, beta) / nw)
+    checks = {c.name: c for c in _profile_checks(grid, beta, 100, seed)}
+    assert checks["pointwise-bound"].margin == 1e-7 - max(gaps)
+    assert checks["norm-equivalence-ratio"].status == "pass"
+    assert checks["norm-equivalence-ratio"].margin == max(ratios)
