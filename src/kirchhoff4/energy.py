@@ -15,9 +15,10 @@ costs O(n) per point.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -123,12 +124,14 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=N
 
     With scales t, (m,) for a profile or (k, m) for a stack, the terms of
     J(t u) for each row u at each of its scales: S = ||u||^2 and the
-    q-moment Q are taken once per row, the Kirchhoff term is (1/2) G(t^2 S)
-    and the power term t^q Q, and the reaction is _scaled_reaction's.  At
-    t = 1 the Kirchhoff and power terms are the unscaled ones bit for bit.
+    q-moment Q are taken once per row, by products of the row's own at any
+    height, the Kirchhoff term is (1/2) G(t^2 S) and the power term t^q Q,
+    and the reaction is _scaled_reaction's.  At t = 1 the Kirchhoff and
+    power terms are those of the row alone bit for bit.
     """
-    s = ops.rule.form(values)
-    power = rowwise(ops.rule.vol, np.abs(values) ** params.q) / params.q
+    alone = t is not None
+    s = ops.rule.form(values, alone=alone)
+    power = rowwise(ops.rule.vol, np.abs(values) ** params.q, alone) / params.q
     if t is None:
         return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
     kirch = 0.5 * params.kirchhoff.G(t * t * s[..., None])
@@ -141,15 +144,15 @@ def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t):
 
     Where every t max|u| is at most nl._exact_peak, F(t u) is the pure power
     (cp + 1) |t u|^p / p at every node, and the reaction is t^p (cp + 1) P / p
-    from the p-moment P = vol . |u|^p of each row (F node by node agrees to
-    about 1e-16 relative).  Otherwise each row goes alone, and a row past
-    that peak takes F on its own (m, n) body: a stacked body would gather
-    the Kummer coefficients of every row at once.  Up to _ROWWISE_MAX rows,
-    a row's reaction is thus its own bit for bit.
+    from the p-moment P = vol . |u|^p of each row, by products of the row's
+    own (F node by node agrees to about 1e-16 relative).  Otherwise each
+    row goes alone, and a row past that peak takes F on its own (m, n)
+    body: a stacked body would gather the Kummer coefficients of every row
+    at once.  At any height a row's reaction is thus its own bit for bit.
     """
     av = np.abs(values)
     if np.max(t * av.max(axis=-1, keepdims=True), initial=0.0) <= nl._exact_peak:
-        return t**nl.p * (rowwise(vol, av**nl.p) * ((nl.cp + 1.0) / nl.p))[..., None]
+        return t**nl.p * (rowwise(vol, av**nl.p, alone=True) * ((nl.cp + 1.0) / nl.p))[..., None]
     if values.ndim == 1:
         return nl.F(t[..., None] * values) @ vol
     return np.array([_scaled_reaction(vol, v, nl, tr) for v, tr in zip(values, t)])
@@ -236,6 +239,7 @@ class FiberMap:
     t vmax is at most the nonlinearity's _exact_peak, every exp rounds to 1
     and the tail is t^(p-1) times the row's weight_sum, taken once too.
     Each row has reductions of its own, so it evaluates as it would alone.
+    start holds the scale each row's root search starts from (_starts).
     Synthetic moment sets (scalars: a stack of one) exercise the
     projection root finder without any grid.
     """
@@ -254,6 +258,7 @@ class FiberMap:
                 # rates relative to the largest node of the row: (t vmax)^gamma
                 # stays finite up to the guard however large gamma is
                 self.rate = tail_spec.alpha0 * (av / self.vmax[:, None]) ** tail_spec.gamma
+        self.start = self._starts()
 
     # --- builders -------------------------------------------------------
 
@@ -286,10 +291,44 @@ class FiberMap:
         sub = copy.copy(self)
         sub.norm_sq = self.norm_sq[rows]
         sub.power_moments = tuple((e, m[rows]) for e, m in self.power_moments)
+        sub.start = self.start[rows]
         if self.tail_spec is not None:
             for name in ("vmax", "weight", "weight_sum", "rate"):
                 setattr(sub, name, getattr(self, name)[rows])
         return sub
+
+    def _starts(self) -> np.ndarray:
+        """The start of each row's root search (nehari._scale_search), all
+        rows at once: min_e max((g0 S / M_e)^(1/(e-2)), (a S^2 /
+        M_e)^(1/(e-4))) over the moments M_e > 0 of the row, the larger for
+        each moment of the scales where its power term alone cancels the
+        Kirchhoff head g0 t S and, for an affine g of slope a > 0 and e > 4,
+        the slope term a t^3 S^2.  Both scale as 1/c under u -> c u, so the
+        start does not depend on the scale of the problem.  With an
+        exponential tail it is at most the guard, guard_scale / vmax, above
+        which the derivative is -inf.  NaN where no moment is positive; a
+        row whose S is not positive and finite has no meaningful start.
+
+        Each start is the row's alone, bit for bit: the logs are math.log's,
+        element by element (numpy's vectorized log can differ from it in the
+        last bit), and the rest is elementwise arithmetic and numpy's exp.
+        """
+        def log(x):  # NaN where x is not positive
+            return np.array([math.log(v) if v > 0.0 else math.nan for v in x])
+
+        s = self.norm_sq.tolist()
+        heads = [(2.0, log([self.kirchhoff.g0 * v for v in s]))]  # (k, log c) of each head term c t^(k-1)
+        if self.kirchhoff.a > 0.0:
+            heads.append((4.0, math.log(self.kirchhoff.a) + 2.0 * log(s)))
+        start = np.full(len(s), np.nan)  # NaN until a positive moment gives one
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for e, m in self.power_moments:  # a moment that is not positive balances NaN, which fmin skips
+                log_m = log(m.tolist())
+                start = np.fmin(start, reduce(np.maximum, [(h - log_m) / (e - k) for k, h in heads if e > k]))
+            start = np.exp(start)
+            if self.tail_spec is not None:
+                start = np.minimum(start, self.tail_spec.guard_scale() / self.vmax)
+        return start
 
     # --- derivative and curvature ----------------------------------------
 
@@ -365,8 +404,8 @@ def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
     the scales (k, m) of each row of nodal values (k, n) on grid, from the
     scale form of the one energy kernel (_energy_terms): ||u||^2 and the
     q-moment once per row, and the reaction per scale or, within the exact
-    pure-power tail, from the p-moment.  Up to _ROWWISE_MAX rows, each row
-    evaluates as it would alone, bit for bit.  A scale past the guard gives
+    pure-power tail, from the p-moment.  At any height each row evaluates
+    as it would alone, bit for bit.  A scale past the guard gives
     -inf; its guard peak t max|u| is max|t u| bit for bit, as rounding is
     monotone.
     """

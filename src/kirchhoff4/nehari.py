@@ -75,37 +75,27 @@ def _scale_search(fiber: FiberMap, row: int):
 
     d is positive below the root and negative above it, and -inf past the
     overflow guard, where the reaction tail certainly dominates.  The
-    search starts at min_e max((g0 S / M_e)^(1/(e-2)), (a S^2 /
-    M_e)^(1/(e-4))): for each moment, the larger of the scales where its
-    power term alone cancels the Kirchhoff head g0 t S and, for an affine
-    g of slope a > 0 and e > 4, the slope term a t^3 S^2.  Both scale as
-    1/c under u -> c u, so the start does not depend on the scale of the
-    problem.  With an exponential tail it starts no higher than the guard,
-    guard_scale / vmax, above which d = -inf only says the root is lower.
-    Until d changes sign it steps toward the root: up to three
-    Newton probes from the start, each taken only where it lies strictly
-    between the current scale and the doubling (or halving) step, a probe
-    shorter than one ulp lengthened to one ulp; from the first probe that
-    is not taken, it doubles or halves.  The start usually lies so close
-    to the root that the first probe brackets it.  Then it takes Newton
-    steps from the bracket end with the smaller |d| until the bracket holds
-    adjacent floats, and returns the end with the smaller |d|.  It bisects
-    when a step leaves the bracket or the bracket has not halved in three
-    steps (slow convergence, or a slope that does not match d).  A step
-    shorter than the float spacing is lengthened to cross the root,
-    doubling while it fails to.
+    search starts at the row's FiberMap.start, which the map computes for
+    all rows at once: the smallest over the moments M_e of the scale where
+    M_e balances the Kirchhoff head, at most the guard, above which d =
+    -inf only says the root is lower.  Until d changes sign it steps toward
+    the root: up to three Newton probes from the start, each taken only
+    where it lies strictly between the current scale and the doubling (or
+    halving) step, a probe shorter than one ulp lengthened to one ulp; from
+    the first probe that is not taken, it doubles or halves.  The start
+    usually lies so close to the root that the first probe brackets it.
+    Then it takes Newton steps from the bracket end with the smaller |d|
+    until the bracket holds adjacent floats, and returns the end with the
+    smaller |d|.  It bisects when a step leaves the bracket or the bracket
+    has not halved in three steps (slow convergence, or a slope that does
+    not match d).  A step shorter than the float spacing is lengthened to
+    cross the root, doubling while it fails to.
     """
     norm_sq = float(fiber.norm_sq[row])
     if not 0.0 < norm_sq < math.inf:
         raise ProjectionError(f"the squared weighted norm {norm_sq:.3g} is not positive and finite")
-    # (k, log c) of each head term c t^(k-1): it meets t^(e-1) M_e at t^(e-k) = c / M_e
-    heads = [(2.0, math.log(fiber.kirchhoff.g0 * norm_sq))]
-    if fiber.kirchhoff.a > 0.0:
-        heads.append((4.0, math.log(fiber.kirchhoff.a) + 2.0 * math.log(norm_sq)))
-    logs = [
-        max((h - math.log(m[row])) / (e - k) for k, h in heads if e > k) for e, m in fiber.power_moments if m[row] > 0.0
-    ]
-    if not logs:
+    t = float(fiber.start[row])
+    if math.isnan(t) and not any(m[row] > 0.0 for _, m in fiber.power_moments):
         raise ProjectionError("no positive moment of the direction balances the Kirchhoff term")
     lo, hi = 0.0, math.inf  # d(lo) > 0 >= d(hi) once both are sampled
     d_lo, d_hi = math.inf, -math.inf
@@ -113,9 +103,6 @@ def _scale_search(fiber: FiberMap, row: int):
     nudge = stalls = 0
     probes = 3  # Newton probes left before the bracket
     width = math.inf  # bracket width when it last halved
-    t = float(np.exp(min(logs)))
-    if fiber.tail_spec is not None:
-        t = min(t, fiber.tail_spec.guard_scale() / float(fiber.vmax[row]))
     while True:
         if not 0.0 < t < math.inf:
             raise ProjectionError("the fibering derivative keeps its sign at every representable scale")
@@ -336,8 +323,8 @@ _ENERGY_TIE = 1e-10
 
 def _start_stack(grid: RadialGrid, ops, search: SearchConfig) -> np.ndarray:
     """The unit-norm random start directions of the auxiliary ascent, one
-    row each: a random clamped profile from the rng [search.seed, k]."""
-    starts = _random_clamped_rows(grid, [np.random.default_rng([search.seed, k]) for k in range(search.starts)])
+    row each: the random clamped profile of the rng [search.seed, k]."""
+    starts = _random_clamped_rows(grid, search.seed, range(search.starts))
     nrm = ops.rule.norm(starts)
     if np.any(nrm <= 0.0):
         raise ProjectionError("start direction is numerically zero")

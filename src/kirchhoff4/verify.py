@@ -38,7 +38,6 @@ from .model import (
 )
 from .nehari import _drive, project
 from .radial import (
-    _ROWWISE_MAX,
     SURFACE_3SPHERE,
     RadialFunction,
     RadialGrid,
@@ -47,7 +46,7 @@ from .radial import (
     laplacian4,
     pointwise_bound_coeff,
     _random_clamped_rows,
-    random_clamped_profile,
+    rowwise,
     w_inner,
     w_norm,
     weighted_rule,
@@ -183,13 +182,12 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     coeffs = np.array([pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
     # profile k from the rng [seed, 100 + k]; each row's norms by products
     # of its own, as w_norm and full_sobolev_norm take them for it alone
-    values = _random_clamped_rows(grid, (np.random.default_rng([seed, 100 + k]) for k in range(count)))
-    lap = np.matmul(grid.lap, values[..., None])
-    s = np.matmul(weighted_rule(grid, beta).wvol, lap * lap)[:, 0]
+    values = _random_clamped_rows(grid, seed, range(100, 100 + count))
+    s = weighted_rule(grid, beta).form(values, alone=True)
     nw = np.sqrt(s)
     worst_gap = float(np.max(np.abs(values[:, :-1]) - coeffs * nw[:, None]))
-    du = np.matmul(grid.d1, values[..., None])
-    low = SURFACE_3SPHERE * np.matmul(grid.quad_weights, values[..., None] ** 2 + du**2)[:, 0]
+    du = rowwise(grid.d1, values, alone=True)
+    low = SURFACE_3SPHERE * rowwise(grid.quad_weights, values**2 + du**2, alone=True)
     full = np.sqrt(np.maximum(low, 0.0) + np.maximum(s, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nw > 0.0, full / nw, math.inf)
@@ -198,10 +196,7 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     checks.append(_bound("pointwise-bound", worst_gap, 1e-7))
     checks.append(_check("norm-equivalence-ratio", ratio_ok, worst_ratio, worst_ratio))
 
-    rng = np.random.default_rng([seed, 7])
-    u = random_clamped_profile(grid, rng)
-    v = random_clamped_profile(grid, rng)
-    z = random_clamped_profile(grid, rng)
+    u, v, z = (RadialFunction(grid, x) for x in _random_clamped_rows(grid, seed, [7], draws=3))
     a_coef, b_coef = 0.7, -1.3
     combo = RadialFunction(grid, a_coef * u.values + b_coef * v.values)
     lin_gap = abs(
@@ -226,13 +221,12 @@ def _worst(name, values, witnesses, strict=False):
 
 def _unit_profiles(grid: RadialGrid, beta: float, seed: int, first: int, count: int, draws: int = 1) -> np.ndarray:
     """Unit-norm random clamped profiles, a stack (count * draws, n): draws
-    rows from each rng [seed, first + k], k < count, in draw order.  Each row
-    is normalized by w_norm's products taken for it alone (rowwise would take
-    one BLAS product above 16 rows), so it is its one-profile draw bit for bit."""
-    rngs = [np.random.default_rng([seed, first + k]) for k in range(count)]
-    values = _random_clamped_rows(grid, rngs, draws)
-    lap = np.matmul(grid.lap, values[..., None])
-    return values / np.sqrt(np.matmul(weighted_rule(grid, beta).wvol, lap * lap))
+    rows from each rng [seed, first + k], k < count, in draw order, all keys
+    seeded at once (radial._random_clamped_rows).  Each row is normalized by
+    its own norm (WeightedRule.form alone), so it is its one-profile draw
+    bit for bit."""
+    values = _random_clamped_rows(grid, seed, range(first, first + count), draws)
+    return values / np.sqrt(weighted_rule(grid, beta).form(values, alone=True))[:, None]
 
 
 def _monotone_check(name, ts, vals):
@@ -359,7 +353,10 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * eps
     pairs = _unit_profiles(grid, params.beta, seed, 200, 50, draws=2)
     us, phis = pairs[0::2], pairs[1::2]
-    wa = [weak_action(RadialFunction(grid, u), RadialFunction(grid, phi), params) for u, phi in zip(us, phis)]
+    # weak_action of each pair, g(S) form(u, phi) - vol.(force(u) phi), by
+    # products of the pair's own: bit for bit weak_action of the pair alone
+    head = params.kirchhoff.g(ops.rule.form(us, alone=True)) * ops.rule.form(us, phis, alone=True)
+    wa = head - rowwise(ops.rule.vol, _nodal_force(us, params) * phis, alone=True)
     stack = us[:, None, :] + shifts[:, None] * phis[:, None, :]
     j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)  # the 200 energies as one stack
     fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * eps)
@@ -398,9 +395,9 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     power = FiberMap(KirchhoffSpec.affine(2.0, 0.0), 3.0, ((6.0, 5.0),))
     checks.append(_bound("projection-power-oracle", abs(_drive(power)[0] - (2.0 * 3.0 / 5.0) ** 0.25), 1e-10))
 
-    u = random_clamped_profile(grid, np.random.default_rng([seed, 400]))
+    u = _random_clamped_rows(grid, seed, [400])[0]
     lams = np.array([1.0, 0.5, 2.0, 10.0])
-    t_u = project(lams[:, None] * u.values, params, grid)[0]
+    t_u = project(lams[:, None] * u, params, grid)[0]
     worst = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0]) / t_u[0]))
     checks.append(_bound("projection-scaling-law", worst, 1e-9))
 
@@ -412,11 +409,11 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     sign_changes = _sign_changes(fibers, t_u, grid.n)
     # the fibering maximum is attained at the projection scale, up to a
     # slack relative to it (levels can be ~1e-36); past the guard the map
-    # is -inf, far below its maximum.  The sweep goes _ROWWISE_MAX rows a
-    # call, so each row's is its sweep alone
+    # is -inf, far below its maximum.  The sweep goes _FIBER_BLOCK rows a
+    # call, and each row's is its sweep alone (fibering at any height)
     sweep_max = np.empty(count)
-    for start in range(0, count, _ROWWISE_MAX):
-        rows = slice(start, start + _ROWWISE_MAX)
+    for start in range(0, count, _FIBER_BLOCK):
+        rows = slice(start, start + _FIBER_BLOCK)
         sweep = np.linspace(0.0, 3.0 * t_u[rows], 200, axis=1)
         sweep_max[rows] = fibering(dir_values[rows], sweep, params, grid).max(axis=1)
     max_gaps = (peaks - sweep_max) / np.abs(peaks)
@@ -433,32 +430,44 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     checks.append(_check("projection-scale-below-one", headroom >= 0.0, headroom, worst))
     # relative to the coercivity level: energies can be ~1e-36
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
-    margins = [e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected)]
+    norms = np.sqrt(ops.rule.form(projected, alone=True))  # ops.rule.norm of each row alone, bit for bit
+    margins = [e / (coer * r**2) - 1.0 for e, r in zip(energies.tolist(), norms.tolist())]
     worst_margin = min(margins)
     checks.append(_check("projection-coercivity", worst_margin >= -1e-9, worst_margin + 1e-9))
     checks.append(_floor_check("projection-residual", np.abs(residuals), _residual_limit(ops, projected, params)))
     return checks
 
 
+_FIBER_BLOCK = 50  # rows of one call of the fibering-maximum sweep
 _SWEEP_SCALES = 500
+_SIGN_BLOCK = 40  # rows of one block of the sign sweep within the exact tail
 _SWEEP_DOUBLES = 2**18  # the (rows, scales, n) exp body of one block of the sign sweep
 
 
 def _sign_changes(fibers: FiberMap, t_u: np.ndarray, n: int) -> np.ndarray:
     """The sign changes of each row's fibering derivative (-inf past the
     guard, zeros skipped) over a log grid from 1e-6 t_u to 1e3 t_u of its
-    scale, n the nodes of a row.  It sweeps a block of rows per call, sized
-    so that the exp body holds about _SWEEP_DOUBLES doubles (8 rows at
-    n = 64, 1 at n = 400; all 200 rows at once: 51 MB); each row gets the
-    arithmetic of its sweep alone."""
-    block = max(1, _SWEEP_DOUBLES // (_SWEEP_SCALES * n))
+    scale, n the nodes of a row; each row gets the arithmetic of its sweep
+    alone.  A row whose sweep stays within the exact pure-power tail (1e3
+    t_u vmax at most _exact_peak, or no tail) forms no exp body: those rows
+    go _SIGN_BLOCK a call, a block's (rows, scales) arrays peaking at about
+    1.3 MB (all 200 rows in one call raise the peak RSS of verify by about
+    5 MB).  The other rows go in blocks sized so that the exp body holds
+    about _SWEEP_DOUBLES doubles (8 rows at n = 64, 1 at n = 400)."""
+    exact = np.ones(len(t_u), dtype=bool)
+    if fibers.tail_spec is not None:
+        exact = 1e3 * t_u * fibers.vmax <= fibers.tail_spec._exact_peak
+    wide = max(1, _SWEEP_DOUBLES // (_SWEEP_SCALES * n))
     changes = np.empty(len(t_u), dtype=int)
-    for start in range(0, len(t_u), block):
-        rows = np.arange(start, min(start + block, len(t_u)))
-        ts = np.geomspace(1e-6 * t_u[rows], 1e3 * t_u[rows], _SWEEP_SCALES, axis=1)
-        for k, signs in zip(rows, np.sign(fibers.take(rows).deriv(ts))):
-            signs = signs[signs != 0.0]
-            changes[k] = np.count_nonzero(signs[1:] != signs[:-1])
+    for rows, block in ((np.flatnonzero(exact), _SIGN_BLOCK), (np.flatnonzero(~exact), wide)):
+        for start in range(0, len(rows), block):
+            sub = rows[start : start + block]
+            ts = np.geomspace(1e-6 * t_u[sub], 1e3 * t_u[sub], _SWEEP_SCALES, axis=1)
+            signs = np.sign(fibers.take(sub).deriv(ts))
+            changes[sub] = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
+            for k in np.flatnonzero((signs == 0.0).any(axis=1)):  # recount without the zeros
+                kept = signs[k][signs[k] != 0.0]
+                changes[sub[k]] = np.count_nonzero(kept[1:] != kept[:-1])
     return changes
 
 
@@ -505,17 +514,14 @@ def _adams_check(grid: RadialGrid, params: ModelParams, count: int, seed: int) -
     alpha = adams_constant(params.beta)
     gamma = params.gamma
     vol = operator_cache(grid, params.beta).rule.vol
-    sup = 0.0
-    finite = True
-    for u in _unit_profiles(grid, params.beta, seed, 900, count):
-        with np.errstate(over="raise"):
-            try:
-                val = float(vol @ np.exp(alpha * np.abs(u) ** gamma))
-            except FloatingPointError:
-                finite = False
-                break
-        sup = max(sup, val)
-    return [_check("adams-critical-sampling", finite and math.isfinite(sup), sup, sup)]
+    with np.errstate(over="ignore"):  # an overflow is the failure the check reports
+        body = np.exp(alpha * np.abs(_unit_profiles(grid, params.beta, seed, 900, count)) ** gamma)
+    # the sup over the profiles before the first that overflows, each
+    # integral by a product of its own (vol @ its row)
+    finite = np.isfinite(body).all(axis=1)
+    first = len(body) if finite.all() else int(np.argmin(finite))
+    sup = max(0.0, float(rowwise(vol, body[:first], alone=True).max(initial=0.0)))
+    return [_check("adams-critical-sampling", first == len(body) and math.isfinite(sup), sup, sup)]
 
 
 def run_suite(

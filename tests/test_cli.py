@@ -203,6 +203,18 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-3:] == ["[]", "0", "0"], proc.stdout
 
 
+def test_cli_import_loads_no_numpy_random():
+    # the keyed draws import numpy.random (10-18 ms) on their first call and
+    # build their generator per call: importing the CLI does neither
+    env = dict(os.environ)
+    src = str(Path(k4.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys\nimport kirchhoff4.cli\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_solve_writes_report_and_profile(tmp_path):
     rc = cli.main(["solve", *SMALL, "--out", str(tmp_path)])
     assert rc == 0

@@ -52,6 +52,60 @@ def _counting_search(searches, most=math.inf):
     return search
 
 
+def _scalar_start(fiber, row):
+    """The start of a row's root search, taken for that row alone as the
+    search once took it: NaN where no moment is positive."""
+    norm_sq = float(fiber.norm_sq[row])
+    heads = [(2.0, math.log(fiber.kirchhoff.g0 * norm_sq))]
+    if fiber.kirchhoff.a > 0.0:
+        heads.append((4.0, math.log(fiber.kirchhoff.a) + 2.0 * math.log(norm_sq)))
+    logs = [
+        max((h - math.log(m[row])) / (e - k) for k, h in heads if e > k) for e, m in fiber.power_moments if m[row] > 0.0
+    ]
+    if not logs:
+        return math.nan
+    t = float(np.exp(min(logs)))
+    if fiber.tail_spec is not None:
+        t = min(t, fiber.tail_spec.guard_scale() / float(fiber.vmax[row]))
+    return t
+
+
+def test_fiber_starts_match_one_row_at_a_time(spectral64, params_cp2, resolved_default):
+    # FiberMap computes every row's search start as one array; each equals
+    # the start taken for the row alone, bit for bit, also after take: with
+    # the slope term of affine g and without it (a = 0, log-type g), at the
+    # automatic cp (no start capped), where the guard caps every start
+    # (alpha0 = 1e8), for the pure-power maps, where a moment is zero or
+    # none is positive, and on 20000 synthetic rows, where numpy's
+    # vectorized log would differ from math.log
+    dirs = np.array([unit_profile(spectral64, 0.5, [93, k]).values for k in range(30)])
+    dirs *= np.geomspace(1e-30, 1e30, 30)[:, None]
+    base = params_cp2
+    variants = [
+        base,
+        resolved_default[0],
+        k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.affine(1.0, 0.0)),
+        k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.log_type()),
+        k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1e8, 0.1, KirchhoffSpec.affine(1.0, 1.0)),
+    ]
+    fibers = [FiberMap.full(dirs, params, spectral64) for params in variants]
+    fibers.append(FiberMap.pure_power(dirs, base, spectral64))
+    zero_moments = ((5.0, [0.0, 1.0, 2.0]), (6.0, [3.0, 0.0, 0.0]))
+    fibers.append(FiberMap(KirchhoffSpec.affine(1.0, 1.0), np.ones(3), zero_moments))
+    fibers.append(FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 0.0),)))
+    rng = np.random.default_rng(94)
+    norm_sq, m_q, m_p = 10.0 ** rng.uniform(-30.0, 30.0, (3, 20000))
+    fibers.append(FiberMap(KirchhoffSpec.affine(0.7, 1.3), norm_sq, ((5.0, m_q), (6.0, m_p))))
+    for i, fiber in enumerate(fibers):
+        scalar = [_scalar_start(fiber, row) for row in range(len(fiber))]
+        assert np.array_equal(fiber.start, scalar, equal_nan=True), i
+        rows = np.arange(len(fiber))[::-2]
+        assert np.array_equal(fiber.take(rows).start, np.array(scalar)[rows], equal_nan=True), i
+    guards = [params.nonlinearity.guard_scale() / fiber.vmax for params, fiber in zip(variants, fibers)]
+    assert np.all(fibers[4].start == guards[4]) and not np.any(fibers[1].start == guards[1])
+    assert np.isnan(fibers[-2].start[0]) and np.isnan(fibers[-3].start).tolist() == [False, False, False]
+
+
 def test_projection_pure_power_closed_form(monkeypatch):
     searches = []
     monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
@@ -948,7 +1002,7 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
         assert np.all(np.isfinite(measured(dirs, short, params_cp2, spectral64)))
     finally:
         tracemalloc.stop()
-    assert [k for k, _, _ in peaks] == [16, 16, 8, 16]
+    assert [k for k, _, _ in peaks] == [40, 16]
     assert all(stacked <= 1.1 * alone for _, stacked, alone in peaks), peaks
 
 
@@ -978,25 +1032,143 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
         assert int(np.sum(signs[1:] != signs[:-1])) == 1, k
 
 
-@pytest.mark.parametrize("auto_cp", [True, False])
-def test_sign_sweep_blocks_match_single_rows(spectral64, resolved_default, params_cp2, auto_cp):
-    # verify sweeps the fibering derivative 8 rows a call at n = 64; on 20
-    # rows (the last block holds 4) each count equals that of the row's
-    # sweep alone.  Every third sweep ends below its root and counts no
-    # change, so a count read from another row shows.  At the automatic cp
-    # every exp of the tail rounds to 1 and is skipped; at cp = 2 the exp
-    # body is formed
-    params = resolved_default[0] if auto_cp else params_cp2
-    dirs = np.array([unit_profile(spectral64, 0.5, [92, k]).values for k in range(20)])
-    fibers = FiberMap.full(dirs, params, spectral64)
-    t_u = _drive(fibers)
-    t_u[::3] *= 1e-4
-    exact = 1e3 * t_u * fibers.vmax <= params.nonlinearity._exact_peak
-    assert np.all(exact) if auto_cp else not np.any(exact)
+def _sign_sweep_fixture(grid, params, t_scale):
+    """A stacked map of 50 directions, the roots scaled by t_scale, and each
+    row's sign changes swept alone."""
+    dirs = np.array([unit_profile(grid, 0.5, [92, k]).values for k in range(50)])
+    fibers = FiberMap.full(dirs, params, grid)
+    t_u = _drive(fibers) * t_scale
     single = []
-    for k in range(20):
+    for k in range(50):
         signs = np.sign(fibers.take([k]).deriv(np.geomspace(1e-6 * t_u[k], 1e3 * t_u[k], 500)))
         signs = signs[signs != 0.0]
         single.append(np.count_nonzero(signs[1:] != signs[:-1]))
-    assert single == [0 if k % 3 == 0 else 1 for k in range(20)]
+    return fibers, t_u, single
+
+
+@pytest.mark.parametrize("auto_cp", [True, False])
+def test_sign_sweep_blocks_match_single_rows(spectral64, resolved_default, params_cp2, auto_cp):
+    # verify sweeps the fibering derivative 40 rows a call where the sweep
+    # stays within the exact pure-power tail, and 8 rows a call past it at
+    # n = 64; on 50 rows each count equals that of the row's sweep alone.
+    # Every third sweep ends below its root and counts no change, so a count
+    # read from another row shows.  At the automatic cp every exp of the
+    # tail rounds to 1 and is skipped (blocks of 40 and 10); at cp = 2 the
+    # exp body is formed (blocks of 8)
+    params = resolved_default[0] if auto_cp else params_cp2
+    fibers, t_u, single = _sign_sweep_fixture(spectral64, params, np.where(np.arange(50) % 3 == 0, 1e-4, 1.0))
+    exact = 1e3 * t_u * fibers.vmax <= params.nonlinearity._exact_peak
+    assert np.all(exact) if auto_cp else not np.any(exact)
+    assert single == [0 if k % 3 == 0 else 1 for k in range(50)]
     assert verify._sign_changes(fibers, t_u, spectral64.n).tolist() == single
+
+
+def test_sign_sweep_splits_rows_past_the_exact_tail(spectral64, resolved_default):
+    # at the automatic cp every fifth sweep starts 1e10 past its root and
+    # ends past the guard, beyond the exact tail: those 10 rows go 8 a call
+    # with the exp body and the other 40 in one block, and every count
+    # still equals that of the row's sweep alone
+    params = resolved_default[0]
+    past = np.arange(50) % 5 == 1
+    fibers, t_u, single = _sign_sweep_fixture(spectral64, params, np.where(past, 1e16, 1.0))
+    assert np.array_equal(1e3 * t_u * fibers.vmax > params.nonlinearity._exact_peak, past)
+    assert single == [0 if k % 5 == 1 else 1 for k in range(50)]
+    assert verify._sign_changes(fibers, t_u, spectral64.n).tolist() == single
+
+
+def test_adams_check_stops_at_the_first_overflow(spectral64, params_cp2, monkeypatch):
+    # with alpha raised until about half the profiles overflow exp, the
+    # check fails with the sup over the profiles before the first that
+    # overflows, as the loop below (a profile at a time, stopping at the
+    # first overflow) reports it
+    units = verify._unit_profiles(spectral64, 0.5, 1, 900, 50)
+    alpha = 720.0 / np.median(np.abs(units).max(axis=1) ** params_cp2.gamma)
+    vol = operator_cache(spectral64, 0.5).rule.vol
+    sup, stopped = 0.0, None
+    for k, u in enumerate(units):
+        with np.errstate(over="raise"):
+            try:
+                val = float(vol @ np.exp(alpha * np.abs(u) ** params_cp2.gamma))
+            except FloatingPointError:
+                stopped = k
+                break
+        sup = max(sup, val)
+    assert stopped and 0.0 < sup < math.inf
+    monkeypatch.setattr(verify, "adams_constant", lambda beta: alpha)
+    check = verify._adams_check(spectral64, params_cp2, 50, 1)[0]
+    assert check.status == "fail" and check.margin == sup and check.witness == sup
+
+
+def test_sign_sweep_skips_zeros():
+    # d(t) = t S (1 - (t/r)^4) with S = 1e-310: below about 1e-14 t S
+    # underflows to 0, so row 0's sweep opens on zeros, then changes sign
+    # once, at its root r = 1e-10; a count of raw neighbours would take the
+    # zeros for a change.  Row 1's root lies past its sweep: no change
+    fibers = FiberMap(KirchhoffSpec.affine(1.0, 0.0), [1e-310, 1.0], ((6.0, [1e-270, 1e-40]),))
+    t_u = np.array([1e-10, 1e-13])
+    signs = np.sign(fibers.deriv(np.geomspace(1e-6 * t_u, 1e3 * t_u, 500, axis=1)))
+    assert np.any(signs[0] == 0.0) and not np.any(signs[1] == 0.0)
+    assert verify._sign_changes(fibers, t_u, 64).tolist() == [1, 0]
+
+
+def test_sign_sweep_block_memory(spectral64, resolved_default, monkeypatch):
+    # within the exact tail the sign sweep goes 40 rows a call: on verify's
+    # 200 directions its traced peak is that of one block, 1.3 MB (about
+    # eight (40, 500) arrays of doubles), under a bound of 1.6 MB that
+    # blocks of 80 rows (2.4 MB) and one call over the 200 rows (6.0 MB)
+    # exceed
+    dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 200)
+    fibers = FiberMap.full(dirs, resolved_default[0], spectral64)
+    t_u = _drive(fibers)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            counts = verify._sign_changes(fibers, t_u, spectral64.n)
+            return tracemalloc.get_traced_memory()[1], counts
+        finally:
+            tracemalloc.stop()
+
+    peak, counts = traced()
+    assert counts.tolist() == [1] * 200
+    assert peak <= 1.6e6, peak
+    for block in (80, 200):
+        monkeypatch.setattr(verify, "_SIGN_BLOCK", block)
+        wider, again = traced()
+        assert np.array_equal(again, counts) and wider > 1.6e6, (block, wider)
+
+
+@pytest.mark.parametrize("auto_cp", [True, False])
+def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_default, params_cp2, auto_cp):
+    # weak-action-fd, projection-fibering-max, projection-coercivity and
+    # adams-critical-sampling take their stacks by products of each row's
+    # own: each margin equals the one taken a profile at a time, with
+    # weak_action, fibering, ops.rule.norm and vol @ exp
+    params = resolved_default[0] if auto_cp else params_cp2
+    grid, seed, ops = spectral64, 5, operator_cache(spectral64, 0.5)
+    pairs = verify._unit_profiles(grid, 0.5, seed, 200, 50, draws=2)
+    wa = np.array([k4.weak_action(k4.RadialFunction(grid, u), k4.RadialFunction(grid, phi), params)
+                   for u, phi in zip(pairs[0::2], pairs[1::2])])
+    shifts = np.array([2.0, 1.0, -1.0, -2.0]) * 1e-5
+    stack = pairs[0::2, None, :] + shifts[:, None] * pairs[1::2, None, :]
+    j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)
+    fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * 1e-5)
+    checks = {c.name: c for c in verify._energy_checks(grid, params, seed)}
+    assert checks["weak-action-fd"].margin == 1e-6 - float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa))))
+
+    dirs = verify._unit_profiles(grid, 0.5, seed, 500, 200)
+    t_u, projected, energies, _ = k4.project(dirs, params, grid)
+    peaks = _energies(ops, t_u[:, None] * dirs, params)
+    sweep_max = [k4.fibering(k4.RadialFunction(grid, u), np.linspace(0.0, 3.0 * t, 200), params).max()
+                 for u, t in zip(dirs, t_u)]
+    coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
+    margin = min(e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected))
+    checks = {c.name: c for c in _projection_checks(grid, params, 200, seed)}
+    assert checks["projection-fibering-max"].margin == float(np.min((peaks - sweep_max) / np.abs(peaks)))
+    assert checks["projection-coercivity"].margin == margin + 1e-9
+
+    alpha = k4.adams_constant(0.5)
+    sup = max(float(ops.rule.vol @ np.exp(alpha * np.abs(u) ** params.gamma))
+              for u in verify._unit_profiles(grid, 0.5, seed, 900, 50))
+    check = verify._adams_check(grid, params, 50, seed)[0]
+    assert check.status == "pass" and check.margin == sup

@@ -284,6 +284,26 @@ def test_stacked_unit_draws_match_one_direction_draws(spectral64, fd400):
         assert np.array_equal(one.values / k4.w_norm(one, 0.5), _unit_profiles(grid, 0.5, 3, 500, 1)[0])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32, 2**64 + 5, 2**128 + 3])
+def test_keyed_draws_match_default_rng(spectral64, seed):
+    # the SeedSequence hash, run for all keys at once, seeds the PCG64 of
+    # each key k as np.random.default_rng([seed, k]) does, for seeds of one,
+    # two, three and five 32-bit words (five pass the pool of four); and on
+    # the key ranges of the start stack and of verify's draws (two and
+    # three draws per key included) every profile is that generator's
+    from kirchhoff4.radial import _pcg64_states, _random_clamped_rows
+
+    keys = [*range(8), *range(100, 301), 400, *range(500, 700), *range(900, 950), 2**32 - 1]
+    for k, (state, inc) in zip(keys, _pcg64_states(seed, keys)):
+        assert np.random.default_rng([seed, k]).bit_generator.state["state"] == {"state": state, "inc": inc}, k
+    for first, count, draws in ((0, 8, 1), (7, 1, 3), (100, 100, 1), (200, 50, 2), (300, 1, 1), (500, 200, 1)):
+        keys = range(first, first + count)
+        stack = _random_clamped_rows(spectral64, seed, keys, draws)
+        rngs = [np.random.default_rng([seed, k]) for k in keys]
+        reference = [k4.random_clamped_profile(spectral64, rng).values for rng in rngs for _ in range(draws)]
+        assert np.array_equal(stack, np.array(reference)), (first, draws)
+
+
 def test_profile_csv_roundtrip(tmp_path, spectral64):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(21))
     path = tmp_path / "profile.csv"
