@@ -205,6 +205,14 @@ def project(values: np.ndarray, params: ModelParams, grid: RadialGrid):
     by about 1e-14 relative, as the BLAS product of a tall stack rounds
     differently.  An error names the row it comes from.
     """
+    t_u, w = _projection(values, params, grid)
+    ops = operator_cache(grid, params.beta)
+    return t_u, w, _energies(ops, w, params), _nehari_residuals(ops, w, params)
+
+
+def _projection(values: np.ndarray, params: ModelParams, grid: RadialGrid):
+    """The scales t_u and projected points w of project, without their
+    energies and residuals."""
     ops = operator_cache(grid, params.beta)
     peaks = np.abs(values).max(axis=1)
     _reject_rows(~((0.0 < peaks) & (peaks < math.inf)), "direction is zero or not finite")
@@ -219,8 +227,7 @@ def project(values: np.ndarray, params: ModelParams, grid: RadialGrid):
         ~((0.0 < t_u) & (t_u < math.inf)),
         "the weighted norm of the direction leaves no representable projection scale",
     )
-    w = roots[:, None] * units
-    return t_u, w, _energies(ops, w, params), _nehari_residuals(ops, w, params)
+    return t_u, roots[:, None] * units
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ _ENERGY_TIE = 1e-10
 def _start_stack(grid: RadialGrid, ops, search: SearchConfig) -> np.ndarray:
     """The unit-norm random start directions of the auxiliary ascent, one
     row each: the random clamped profile of the rng [search.seed, k]."""
-    starts = _random_clamped_rows(grid, search.seed, range(search.starts))
+    starts = _random_clamped_rows(grid, search.seed, range(search.starts), 1)
     nrm = ops.rule.norm(starts)
     if np.any(nrm <= 0.0):
         raise ProjectionError("start direction is numerically zero")

@@ -28,7 +28,6 @@ v, int_B v dx = |S^3| * int_0^1 v(r) r^3 dr with |S^3| = 2 pi^2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -492,124 +491,15 @@ def _clamped_rows(grid: RadialGrid, normals: np.ndarray) -> np.ndarray:
     return _clamp(grid, np.matmul(basis, (normals / decay)[..., None])[..., 0])
 
 
-def _random_clamped_rows(grid: RadialGrid, seed: int, keys, draws: int = 1) -> np.ndarray:
+def _random_clamped_rows(grid: RadialGrid, seed: int, keys, draws: int) -> np.ndarray:
     """Nodal values (len(keys) * draws, n): for each key k in turn, the
     draws profiles that random_clamped_profile draws in a row from the
-    generator np.random.default_rng([seed, k]), bit for bit.
-
-    From _BATCHED_KEYS keys on (verify's 50 to 200), no generator is built
-    per key (_keyed_generators); fewer keys (the multi-start stacks, 8 at
-    the defaults) build theirs, which costs less than the batched
-    seeding's fixed part.  numpy.random is imported on the first call, not
-    with the module.
-    """
-    count = min(_PROFILE_MODES, grid.n - 2)
-    normals = np.empty((len(keys) * draws, count))
-    rows = iter(normals)
-    if len(keys) < _BATCHED_KEYS:
-        rngs = (np.random.default_rng([seed, k]) for k in keys)
-    else:
-        rngs = _keyed_generators(seed, keys)
-    for rng in rngs:
-        for _ in range(draws):
-            rng.standard_normal(out=next(rows))
-    return _clamped_rows(grid, normals)
-
-
-_BATCHED_KEYS = 16  # from this many keys on, the batched seeding beats a generator per key
-
-
-def _keyed_generators(seed: int, keys):
-    """For each key k in turn, one generator set to the state that
-    np.random.default_rng([seed, k]) starts from.  The SeedSequence hash
-    of every [seed, k] runs at once (_pcg64_states), and the one generator
-    of the call takes each key's PCG64 state in turn; numpy keeps both
-    streams fixed across versions (NEP 19)."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(seed, keys):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
-# numpy's SeedSequence (a pool of four 32-bit words) and the PCG64 multiplier
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@lru_cache(maxsize=8)
-def _hash_multipliers(init: int, mult: int, count: int) -> np.ndarray:
-    """The running multipliers c_0 = init, c_(i+1) = c_i mult mod 2^32 of
-    SeedSequence's hashes, as a read-only column (count, 1) of uint32."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    column = np.array(out, dtype=np.uint32)[:, None]
-    column.setflags(write=False)
-    return column
-
-
-def _pcg64_states(seed: int, keys) -> list:
-    """The (state, inc) of the PCG64 of np.random.default_rng([seed, k]) for
-    each key k below 2^32, as Python ints.
-
-    numpy's SeedSequence (numpy/random/bit_generator.pyx) runs in uint32
-    arrays over the keys, on the entropy words: the 32-bit little-endian
-    words of seed (0 is one word), then the word of k.  The i-th hash of a
-    word v is ((v ^ c_i) c_(i+1)) ^ (that >> 16), with the running
-    multipliers c_i.  The first four words, zeros past the entropy, are
-    hashed into a pool of four; each pool word then mixes a hash of itself
-    into each of the other three, and each further entropy word a hash of
-    itself into all four.  generate_state(4, uint64) hashes the pool, in
-    cycle, out into eight words, the four 64-bit words w.  A pool word's
-    updates depend only on it and the word mixed in, so each step runs on
-    the pool rows at once.  PCG64 then seeds with seed = w0 2^64 + w1 and
-    seq = w2 2^64 + w3: inc = 2 seq + 1 and state = (inc + seed) M + inc,
-    both mod 2^128 (O'Neill, PCG, HMC-CS-2014-0905, 2014).
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    keys = np.asarray(keys, dtype=np.uint32)  # a key past the range raises OverflowError
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(4, len(words) + 1), len(keys)), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = keys
-    mult = _hash_multipliers(_HASH_INIT_A, _HASH_MULT_A, 4 * len(entropy) + 1)
-    used = 0
-
-    def hashmix(value, count):
-        nonlocal used
-        value = (value ^ mult[used : used + count]) * mult[used + 1 : used + count + 1]
-        used += count
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y  # uint32, wrapping
-        return out ^ out >> 16
-
-    pool = hashmix(entropy[:4], 4)
-    for src in range(4):
-        others = [dst for dst in range(4) if dst != src]
-        pool[others] = mix(pool[others], hashmix(pool[src], 3))
-    for word in entropy[4:]:
-        pool = mix(pool, hashmix(word, 4))
-    mult = _hash_multipliers(_HASH_INIT_B, _HASH_MULT_B, 9)
-    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ mult[:8]) * mult[1:]
-    out = (out ^ out >> 16).astype(np.uint64)
-    w0, w1, w2, w3 = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    states = []
-    for high, low, seq_high, seq_low in zip(w0, w1, w2, w3):
-        inc = (2 * (seq_high << 64 | seq_low) + 1) & _MASK128
-        states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    generator np.random.default_rng([seed, k]), bit for bit, in one call of
+    that generator, so a key's first rows are the same at any draws.
+    numpy.random is imported on the first call, not with the module."""
+    modes = min(_PROFILE_MODES, grid.n - 2)
+    normals = [np.random.default_rng([seed, k]).standard_normal((draws, modes)) for k in keys]
+    return _clamped_rows(grid, np.concatenate(normals))
 
 
 @lru_cache(maxsize=32)

@@ -36,7 +36,7 @@ from .model import (
     NonlinearitySpec,
     adams_constant,
 )
-from .nehari import _drive, project
+from .nehari import _drive, _projection, project
 from .radial import (
     SURFACE_3SPHERE,
     RadialFunction,
@@ -180,9 +180,9 @@ def _grid_checks(grid: RadialGrid) -> list:
 def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> list:
     checks = []
     coeffs = np.array([pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
-    # profile k from the rng [seed, 100 + k]; each row's norms by products
-    # of its own, as w_norm and full_sobolev_norm take them for it alone
-    values = _random_clamped_rows(grid, seed, range(100, 100 + count))
+    # the profiles drawn in a row from the rng [seed, 100]; each row's norms
+    # by products of its own, as w_norm and full_sobolev_norm take them for it alone
+    values = _random_clamped_rows(grid, seed, [100], count)
     s = weighted_rule(grid, beta).form(values, alone=True)
     nw = np.sqrt(s)
     worst_gap = float(np.max(np.abs(values[:, :-1]) - coeffs * nw[:, None]))
@@ -196,7 +196,7 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     checks.append(_bound("pointwise-bound", worst_gap, 1e-7))
     checks.append(_check("norm-equivalence-ratio", ratio_ok, worst_ratio, worst_ratio))
 
-    u, v, z = (RadialFunction(grid, x) for x in _random_clamped_rows(grid, seed, [7], draws=3))
+    u, v, z = (RadialFunction(grid, x) for x in _random_clamped_rows(grid, seed, [7], 3))
     a_coef, b_coef = 0.7, -1.3
     combo = RadialFunction(grid, a_coef * u.values + b_coef * v.values)
     lin_gap = abs(
@@ -219,13 +219,12 @@ def _worst(name, values, witnesses, strict=False):
     return _check(name, margin > 0.0 if strict else margin >= -_REL_SLACK, margin, wit)
 
 
-def _unit_profiles(grid: RadialGrid, beta: float, seed: int, first: int, count: int, draws: int = 1) -> np.ndarray:
-    """Unit-norm random clamped profiles, a stack (count * draws, n): draws
-    rows from each rng [seed, first + k], k < count, in draw order, all keys
-    seeded at once (radial._random_clamped_rows).  Each row is normalized by
-    its own norm (WeightedRule.form alone), so it is its one-profile draw
-    bit for bit."""
-    values = _random_clamped_rows(grid, seed, range(first, first + count), draws)
+def _unit_profiles(grid: RadialGrid, beta: float, seed: int, tag: int, count: int) -> np.ndarray:
+    """Unit-norm random clamped profiles, a stack (count, n): the profiles
+    drawn in a row from the rng [seed, tag] (radial._random_clamped_rows),
+    each normalized by its own norm (WeightedRule.form alone), so a row is
+    its one-profile draw bit for bit."""
+    values = _random_clamped_rows(grid, seed, [tag], count)
     return values / np.sqrt(weighted_rule(grid, beta).form(values, alone=True))[:, None]
 
 
@@ -351,7 +350,7 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     # truncation error up to ~1e-6 on some random directions
     eps = 1e-5
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * eps
-    pairs = _unit_profiles(grid, params.beta, seed, 200, 50, draws=2)
+    pairs = _unit_profiles(grid, params.beta, seed, 200, 100)
     us, phis = pairs[0::2], pairs[1::2]
     # weak_action of each pair, g(S) form(u, phi) - vol.(force(u) phi), by
     # products of the pair's own: bit for bit weak_action of the pair alone
@@ -395,7 +394,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     power = FiberMap(KirchhoffSpec.affine(2.0, 0.0), 3.0, ((6.0, 5.0),))
     checks.append(_bound("projection-power-oracle", abs(_drive(power)[0] - (2.0 * 3.0 / 5.0) ** 0.25), 1e-10))
 
-    u = _random_clamped_rows(grid, seed, [400])[0]
+    u = _random_clamped_rows(grid, seed, [400], 1)[0]
     lams = np.array([1.0, 0.5, 2.0, 10.0])
     t_u = project(lams[:, None] * u, params, grid)[0]
     worst = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0]) / t_u[0]))
@@ -494,7 +493,7 @@ def _scales_inside(values: np.ndarray, params: ModelParams, grid: RadialGrid) ->
     if over.size:
         i = over[0]
         raise ValueError(f"precondition violated: Nehari residual {res[i]:.3g} of row {i} is positive")
-    return project(values, params, grid)[0]
+    return _projection(values, params, grid)[0]
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:

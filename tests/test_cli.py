@@ -204,8 +204,8 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_numpy_random():
-    # the keyed draws import numpy.random (10-18 ms) on their first call and
-    # build their generator per call: importing the CLI does neither
+    # the random draws import numpy.random (10-18 ms) on their first call
+    # and build their generators there: importing the CLI does neither
     env = dict(os.environ)
     src = str(Path(k4.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

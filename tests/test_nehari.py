@@ -472,13 +472,12 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
     # point's direction, also when an earlier direction is left out as
     # lying outside the Nehari set
     params = resolved_default[0]
-    real_project, real_residuals = verify.project, verify._nehari_residuals
+    real_projection, real_residuals = verify._projection, verify._nehari_residuals
 
-    def overshoot(values, params, grid):  # the 20 directions and their doubled points
-        t_u, *rest = real_project(values, params, grid)
-        if len(values) > 6:
-            t_u[6] = 1.5  # among the doubled points: direction 7
-        return (t_u, *rest)
+    def overshoot(values, params, grid):  # the scales of the doubled points
+        t_u, w = real_projection(values, params, grid)
+        t_u[6] = 1.5  # among the doubled points: direction 7
+        return t_u, w
 
     def outside(ops, values, params):
         res = real_residuals(ops, values, params)
@@ -492,7 +491,7 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
 
     check = scale_check()
     assert check.status == "pass" and abs(check.margin - 0.5) < 1e-9 and 0 <= check.witness < 20
-    monkeypatch.setattr(verify, "project", overshoot)
+    monkeypatch.setattr(verify, "_projection", overshoot)
     monkeypatch.setattr(verify, "_nehari_residuals", outside)
     check = scale_check()
     assert check.status == "fail" and check.witness == 7
@@ -1146,7 +1145,7 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
     # weak_action, fibering, ops.rule.norm and vol @ exp
     params = resolved_default[0] if auto_cp else params_cp2
     grid, seed, ops = spectral64, 5, operator_cache(spectral64, 0.5)
-    pairs = verify._unit_profiles(grid, 0.5, seed, 200, 50, draws=2)
+    pairs = verify._unit_profiles(grid, 0.5, seed, 200, 100)
     wa = np.array([k4.weak_action(k4.RadialFunction(grid, u), k4.RadialFunction(grid, phi), params)
                    for u, phi in zip(pairs[0::2], pairs[1::2])])
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * 1e-5

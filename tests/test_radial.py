@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import kirchhoff4 as k4
+from kirchhoff4.energy import operator_cache
+from kirchhoff4.nehari import _start_stack
 from kirchhoff4.radial import _clamp, _radau_rule, build_grid, clamped_even_basis
 
 
@@ -267,41 +269,36 @@ def _drawn_unit_profile(grid, rng, beta):
 
 
 def test_stacked_unit_draws_match_one_direction_draws(spectral64, fd400):
-    # verify draws its directions as one stack, row k from the rng [seed,
-    # first + k] (two consecutive rows per rng when draws = 2); each row is
-    # its one-direction draw bit for bit, at any stack height, so suite.json
-    # does not depend on how the draws are stacked
+    # verify draws each sample as one stack from one rng [seed, tag]: row k
+    # is the k-th one-direction draw from that rng bit for bit, and a shorter
+    # stack is the head of a taller one, so suite.json does not depend on how
+    # the draws are stacked
     from kirchhoff4.verify import _unit_profiles
 
-    for grid in (spectral64, fd400):
-        for beta, draws in ((0.5, 1), (0.9, 2)):
-            stack = _unit_profiles(grid, beta, 3, 500, 40, draws)
-            rngs = [np.random.default_rng([3, 500 + k]) for k in range(40)]
-            reference = [_drawn_unit_profile(grid, rng, beta) for rng in rngs for _ in range(draws)]
-            assert np.array_equal(stack, np.array(reference)), (grid.n, draws)
-            assert np.array_equal(_unit_profiles(grid, beta, 3, 539, 1, draws), stack[-draws:])
-        one = k4.random_clamped_profile(grid, np.random.default_rng([3, 500]))
-        assert np.array_equal(one.values / k4.w_norm(one, 0.5), _unit_profiles(grid, 0.5, 3, 500, 1)[0])
+    for seed in (1, 7, 2**40 + 3):
+        for grid in (spectral64, fd400):
+            for beta in (0.5, 0.9):
+                stack = _unit_profiles(grid, beta, seed, 500, 40)
+                rng = np.random.default_rng([seed, 500])
+                reference = [_drawn_unit_profile(grid, rng, beta) for _ in range(40)]
+                assert np.array_equal(stack, np.array(reference)), (seed, grid.n, beta)
+                assert np.array_equal(_unit_profiles(grid, beta, seed, 500, 7), stack[:7])
+            one = k4.random_clamped_profile(grid, np.random.default_rng([seed, 500]))
+            assert np.array_equal(one.values / k4.w_norm(one, 0.5), _unit_profiles(grid, 0.5, seed, 500, 1)[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32, 2**64 + 5, 2**128 + 3])
 def test_keyed_draws_match_default_rng(spectral64, seed):
-    # the SeedSequence hash, run for all keys at once, seeds the PCG64 of
-    # each key k as np.random.default_rng([seed, k]) does, for seeds of one,
-    # two, three and five 32-bit words (five pass the pool of four); and on
-    # the key ranges of the start stack and of verify's draws (two and
-    # three draws per key included) every profile is that generator's
-    from kirchhoff4.radial import _pcg64_states, _random_clamped_rows
-
-    keys = [*range(8), *range(100, 301), 400, *range(500, 700), *range(900, 950), 2**32 - 1]
-    for k, (state, inc) in zip(keys, _pcg64_states(seed, keys)):
-        assert np.random.default_rng([seed, k]).bit_generator.state["state"] == {"state": state, "inc": inc}, k
-    for first, count, draws in ((0, 8, 1), (7, 1, 3), (100, 100, 1), (200, 50, 2), (300, 1, 1), (500, 200, 1)):
-        keys = range(first, first + count)
-        stack = _random_clamped_rows(spectral64, seed, keys, draws)
-        rngs = [np.random.default_rng([seed, k]) for k in keys]
-        reference = [k4.random_clamped_profile(spectral64, rng).values for rng in rngs for _ in range(draws)]
-        assert np.array_equal(stack, np.array(reference)), (first, draws)
+    # start k of a multi-start solve is the random clamped profile of its own
+    # generator np.random.default_rng([seed, k]), normalized, for seeds of
+    # one to five 32-bit words and at every stack height (32 starts the
+    # widest the CI runs)
+    ops = operator_cache(spectral64, 0.5)
+    for starts in (1, 8, 32):
+        stack = _start_stack(spectral64, ops, k4.SearchConfig(starts=starts, seed=seed))
+        rngs = [np.random.default_rng([seed, k]) for k in range(starts)]
+        rows = np.array([k4.random_clamped_profile(spectral64, rng).values for rng in rngs])
+        assert np.array_equal(stack, rows / ops.rule.norm(rows)[:, None]), starts
 
 
 def test_profile_csv_roundtrip(tmp_path, spectral64):
@@ -329,16 +326,17 @@ def test_grid_immutable(spectral64):
 
 @pytest.mark.parametrize("scheme, n, beta", [("spectral-even", 64, 0.5), ("uniform-fd", 400, 0.9)])
 def test_profile_checks_match_one_profile_at_a_time(scheme, n, beta):
-    # the 100 profiles are drawn as one stack, each row's norms by products
-    # of its own: both margins equal those of the profiles drawn and
-    # measured one at a time, bit for bit
+    # the 100 profiles are drawn as one stack from the rng [seed, 100], each
+    # row's norms by products of its own: both margins equal those of the
+    # profiles drawn from that rng and measured one at a time, bit for bit
     from kirchhoff4.verify import _profile_checks
 
     grid, seed = build_grid(n, scheme), 3
     coeffs = np.array([k4.pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
     gaps, ratios = [], []
-    for k in range(100):
-        u = k4.random_clamped_profile(grid, np.random.default_rng([seed, 100 + k]))
+    rng = np.random.default_rng([seed, 100])
+    for _ in range(100):
+        u = k4.random_clamped_profile(grid, rng)
         nw = k4.w_norm(u, beta)
         gaps.append(float(np.max(np.abs(u.values[:-1]) - coeffs * nw)))
         ratios.append(k4.full_sobolev_norm(u, beta) / nw)

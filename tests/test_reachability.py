@@ -22,7 +22,7 @@ EXEMPT = {
     "default_params": "the reference parameter set of the tests",
     "log_weight": "the paper's weight in scalar form",
     "read_profile_csv": "reads minimizer.csv back",
-    "random_clamped_profile": "draws from a caller's own generator; the commands draw keyed rows",
+    "random_clamped_profile": "draws from a caller's own generator; the commands draw stacks of its profiles",
     "RangeOverflowError": "an exception class: raised only on failure",
     "ProjectionError": "an exception class: raised only on failure",
 }
