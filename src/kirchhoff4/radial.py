@@ -17,9 +17,11 @@ conditions u(1) = u'(1) = 0.  Two grid schemes are provided:
     on smooth data.
 
 ``uniform-fd``
-    Nodes i/n with five-point finite-difference stencils and a composite
-    piecewise-quadratic quadrature whose r^3 moments are integrated
-    exactly.  Kept as an independent cross-check of the spectral scheme.
+    Nodes i/n.  Five-point finite-difference stencils and a composite
+    quadrature that integrates, panel by panel, the quartic through five
+    neighboring nodes against exact r^3 moments: both are exact on
+    polynomials of degree <= 4 in r.  Kept as an independent cross-check of
+    the spectral scheme.
 
 Quadrature weights target radial volume integrals: for a radial integrand
 v, int_B v dx = |S^3| * int_0^1 v(r) r^3 dr with |S^3| = 2 pi^2.
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from numpy.polynomial import chebyshev as ncheb
 
 __all__ = [
@@ -206,82 +207,55 @@ def _build_spectral(n: int):
     return r, quad, d1, lap
 
 
-def _fd_stencil_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for derivatives 0..m at z from nodes x
-    (Fornberg's recursion)."""
-    n = len(x)
-    w = np.zeros((m + 1, n))
-    c1, c4 = 1.0, x[0] - z
-    w[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((x[i] - z) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (x[i] - z) * w[0, j] / c3
-        c1 = c2
-    return w
+def _exact_weights(y: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Weights (..., m, c) of the rules on the nodes y (..., m) with
+    sum_j w_j y_j^k = moments[k] for k < m, one rule per column of moments
+    (..., m, c): each is exact on polynomials of degree < m (the transposed
+    Vandermonde system)."""
+    return np.linalg.solve(y[..., None, :] ** np.arange(y.shape[-1])[:, None], moments)
 
 
 def _build_uniform(n: int):
+    # Five-node rules exact on quartics, each in the variable y = (x - c)/h
+    # about its own center c, with h = 1/n the spacing.
+    h = 1.0 / n
     r = np.arange(1, n + 1) / float(n)
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    width = min(5, n)
-    half = width // 2
-    for i in range(n):
-        if i < half:
-            # profiles are even in r: reflect nodes through the origin so
-            # the stencil stays centered (one-sided differences would lose
-            # most of their accuracy against the amplified (3/r) u' term)
-            signed = np.concatenate([-r[half - 1 - i :: -1], r[: i + half + 1]])
-            fold = np.concatenate(
-                [np.arange(half - 1 - i, -1, -1), np.arange(0, i + half + 1)]
-            )
-            w = _fd_stencil_weights(r[i], signed, 2)
-            for j, owner in enumerate(fold):
-                d1[i, owner] += w[1, j]
-                d2[i, owner] += w[2, j]
-        else:
-            lo = min(i - half, n - width)
-            idx = np.arange(lo, lo + width)
-            w = _fd_stencil_weights(r[i], r[idx], 2)
-            d1[i, idx] = w[1]
-            d2[i, idx] = w[2]
-    for mat in (d1, d2):  # constants must differentiate to exactly zero
-        mat[np.arange(n), np.arange(n)] -= mat.sum(axis=1)
-    lap = d2 + (3.0 / r)[:, None] * d1
+    rows = np.arange(n)
 
-    # Composite interpolatory quadrature: on each panel integrate the
-    # quartic through five neighboring nodes against exact r^3 moments,
-    # in a panel-centered variable to avoid cancellation.  The leading
-    # panel [0, r_0] carries no node and uses the extrapolated quartic.
+    # Stencil of row i, centered at c = r_i: the moments of u'(c) and of
+    # u''(c) + (3/c) u'(c) on y^k.  Profiles are even in r, so rows 0 and 1
+    # reflect their missing nodes through the origin and fold those weights
+    # onto the owner nodes: the stencil stays centered (one-sided
+    # differences would lose most of their accuracy against the amplified
+    # (3/r) u' term).  The last two rows are one-sided.
+    idx = np.minimum(rows - 2, n - 5)[:, None] + np.arange(5)
+    owners = np.where(idx < 0, -idx - 1, idx)
+    y = (np.where(idx < 0, -r[owners], r[owners]) - r[:, None]) / h
+    moments = np.zeros((n, 5, 2))
+    moments[:, 1, 0] = 1.0 / h  # y' = 1/h
+    moments[:, 1, 1] = 3.0 / (r * h)
+    moments[:, 2, 1] = 2.0 / h**2  # (y^2)'' = 2/h^2
+    weights = _exact_weights(y, moments)
+    d1 = np.zeros((n, n))
+    lap = np.zeros((n, n))
+    for mat, w in ((d1, weights[..., 0]), (lap, weights[..., 1])):
+        np.add.at(mat, (rows[:, None], owners), w)
+        mat[rows, rows] -= mat.sum(axis=1)  # constants must differentiate to exactly zero
+
+    # Composite quadrature: panel p, [a, b] = [r_{p-1}, r_p] with r_{-1} = 0,
+    # integrates the quartic through five neighboring nodes against the
+    # exact moments int_a^b y^k r^3 dr = h^4 int y^k (C + y)^3 dy, C = c/h,
+    # c = (a + b)/2.  The leading panel [0, r_0] carries no node and uses
+    # the extrapolated quartic.
+    idx = np.clip(rows - 2, 0, n - 5)[:, None] + np.arange(5)
+    left = np.concatenate([[0.0], r[:-1]])
+    c = 0.5 * (left + r)
+    ya, yb = ((left - c) / h)[:, None, None], ((r - c) / h)[:, None, None]
+    m = np.arange(4)  # (C + y)^3 = sum_m binom(3, m) C^(3-m) y^m
+    j = np.arange(5)[:, None] + m + 1
+    moments = (np.array([1.0, 3.0, 3.0, 1.0]) * (c / h)[:, None, None] ** (3 - m) * (yb**j - ya**j) / j).sum(axis=-1)
     quad = np.zeros(n)
-    stencil = min(5, n)
-    panels = [(0.0, r[0], tuple(range(stencil)))]
-    for j in range(n - 1):
-        lo = min(max(j - stencil // 2 + 1, 0), n - stencil)
-        panels.append((r[j], r[j + 1], tuple(range(lo, lo + stencil))))
-    for a, b, idx in panels:
-        xs = r[list(idx)]
-        c = 0.5 * (a + b)
-        rcubed = npoly.polypow([c, 1.0], 3)
-        for loc, i in enumerate(idx):
-            others = [xs[k] for k in range(len(idx)) if k != loc]
-            num = [1.0]
-            den = 1.0
-            for o in others:
-                num = npoly.polymul(num, [c - o, 1.0])
-                den *= xs[loc] - o
-            anti = npoly.polyint(npoly.polymul(num, rcubed))
-            quad[i] += (npoly.polyval(b - c, anti) - npoly.polyval(a - c, anti)) / den
+    np.add.at(quad, idx, h**4 * _exact_weights((r[idx] - c[:, None]) / h, moments[..., None])[..., 0])
     return r, quad, d1, lap
 
 

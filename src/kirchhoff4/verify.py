@@ -119,27 +119,25 @@ def _grid_checks(grid: RadialGrid) -> list:
     r = grid.nodes
     n = grid.n
 
-    # quadrature exactness on even monomials (the representation is even)
-    degrees = [k for k in range(0, 2 * n, 2)]
+    # quadrature exactness, with the worst degree as witness
+    if grid.scheme == "spectral-even":  # on even monomials: the representation is even
+        name, degrees = "quadrature-even-monomials", range(0, 2 * n, 2)
+    else:  # the uniform rule is exact through degree 4 in r
+        name, degrees = "quadrature-low-degree", range(5)
     errs = [abs(float(grid.quad_weights @ r**k) - 1.0 / (k + 4.0)) for k in degrees]
-    if grid.scheme == "spectral-even":
-        worst = int(np.argmax(errs))
-        checks.append(_bound("quadrature-even-monomials", max(errs), 1e-12, degrees[worst]))
-    else:
-        errs_low = [abs(float(grid.quad_weights @ r**k) - 1.0 / (k + 4.0)) for k in (0, 1, 2)]
-        checks.append(_bound("quadrature-low-degree", max(errs_low), 1e-12))
+    worst = int(np.argmax(errs))
+    checks.append(_bound(name, errs[worst], 1e-12, degrees[worst]))
 
     checks.append(_bound("d1-constant", float(np.abs(grid.d1 @ np.ones(n)).max()), 1e-11))
 
     dome = RadialFunction(grid, (1.0 - r**2) ** 2)
     lap_err = np.abs(laplacian4(dome).values - (-16.0 + 24.0 * r**2))
-    if grid.scheme == "spectral-even":
-        # node by node against 4 n eps (|lap| dome)_i, the rounding floor of the
-        # product (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-        # sec. 3.5); the worst ratio on the grids n = 8..160 is 1.69 n eps
-        checks.append(_floor_check("laplacian-oracle", lap_err, 4.0 * n * _EPS * (np.abs(grid.lap) @ dome.values)))
-    else:
-        checks.append(_bound("laplacian-oracle-fd", float(lap_err.max()), 1e-6))
+    # both schemes are exact on the quartic dome, so node by node against
+    # 4 n eps (|lap| dome)_i, the rounding floor of the product (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5); the
+    # worst ratio is 1.69 n eps on the spectral grids n = 8..160 and 0.11 n eps
+    # on the uniform grids n = 8..800
+    checks.append(_floor_check("laplacian-oracle", lap_err, 4.0 * n * _EPS * (np.abs(grid.lap) @ dome.values)))
     # rounding floor of applying the operator to profiles that do not
     # vanish at the boundary (where the large rows live): differences of
     # summation order scale with the absolute row mass
@@ -160,8 +158,7 @@ def _grid_checks(grid: RadialGrid) -> list:
         )
     )
 
-    wn_tol = 1e-8 if grid.scheme == "spectral-even" else 1e-3
-    checks.append(_bound("wnorm-dome-unweighted", abs(w_norm(dome, 0.0) - 4.0 * np.pi), wn_tol))
+    checks.append(_bound("wnorm-dome-unweighted", abs(w_norm(dome, 0.0) - 4.0 * np.pi), 1e-8))
     checks.append(
         _bound(
             "ball-volume",

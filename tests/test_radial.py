@@ -93,6 +93,38 @@ def test_fd_quadrature_quartic_exactness():
         assert abs(g.quad_weights @ g.nodes**k - 1.0 / (k + 4)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 9, 50, 400])
+def test_uniform_fd_rules_match_textbook_and_quartic_moments(n):
+    # oracles independent of the build: the centered fourth-order
+    # difference quotients and the exact moments of monomials
+    g = build_grid(n, "uniform-fd")
+    r, h, eps = g.nodes, 1.0 / n, np.finfo(float).eps
+    inner = np.arange(2, n - 2)
+    band = inner[:, None] + np.arange(-2, 3)
+    second = g.lap - (3.0 / r)[:, None] * g.d1  # u''
+    in_band = np.zeros((len(inner), n), dtype=bool)
+    in_band[np.arange(len(inner))[:, None], band] = True
+    textbook = ((g.d1, [1, -8, 0, 8, -1], 12 * h), (second, [-1, 16, -30, 16, -1], 12 * h**2))
+    for mat, numerators, denominator in textbook:
+        rows = mat[inner]
+        expected = np.array(numerators) / denominator
+        assert np.abs(rows[in_band].reshape(-1, 5) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.all(rows[~in_band] == 0.0)
+
+    def defect(mat, k, exact):  # in units of the rounding floor of mat @ r^k
+        v = r**k
+        return np.abs(mat @ v - exact) / (eps * (np.abs(mat) @ v))
+
+    for k in range(5):
+        d1_exact = k * r ** (k - 1) if k else np.zeros(n)
+        lap_exact = k * (k + 2) * r ** (k - 2) if k else np.zeros(n)
+        # rows 0 and 1 fold the reflected nodes: exact on even polynomials
+        rows = slice(2, None) if k % 2 else slice(None)
+        assert defect(g.d1, k, d1_exact)[rows].max() <= 8.0, ("d1", k)
+        assert defect(g.lap, k, lap_exact)[rows].max() <= 8.0, ("lap", k)
+        assert abs(g.quad_weights @ r**k - 1.0 / (k + 4)) <= 1e-15, ("quad", k)
+
+
 @pytest.mark.parametrize("scheme,n,tol", [("spectral-even", 64, 1e-11), ("uniform-fd", 400, 1e-11)])
 def test_d1_annihilates_constants(scheme, n, tol):
     g = build_grid(n, scheme)
@@ -154,13 +186,11 @@ def test_w_norm_closed_form(spectral64):
 
 
 def test_w_norm_convergence_invariant():
-    for n in (32, 64):
-        g = build_grid(n, "spectral-even")
+    # both schemes are exact on the dome: (lap dome)^2 r^3 is within the
+    # degree each quadrature integrates exactly
+    for g in (build_grid(32, "spectral-even"), build_grid(64, "spectral-even"), build_grid(400, "uniform-fd")):
         dome = k4.RadialFunction(g, (1 - g.nodes**2) ** 2)
         assert abs(k4.w_norm(dome, 0.0) - 4 * np.pi) < 1e-8
-    g = build_grid(400, "uniform-fd")
-    dome = k4.RadialFunction(g, (1 - g.nodes**2) ** 2)
-    assert abs(k4.w_norm(dome, 0.0) - 4 * np.pi) < 1e-3
 
 
 def test_w_inner_consistency(spectral64):
