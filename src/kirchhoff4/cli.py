@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -93,7 +92,8 @@ class RunConfig:
             if value is None and fields[key].default is None:
                 continue
             wrong_type = isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
-            if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
+            # a float key takes no nan, no inf and no int past the float range
+            if wrong_type or (kind is float and not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         return cls(**data)
 

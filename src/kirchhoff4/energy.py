@@ -134,8 +134,8 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=N
     power = rowwise(ops.rule.vol, np.abs(values) ** params.q, alone) / params.q
     if t is None:
         return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
-    kirch = 0.5 * params.kirchhoff.G(t * t * s[..., None])
-    return kirch, t**params.q * power[..., None], _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t)
+    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t)  # first, while no (k, m) term is held
+    return 0.5 * params.kirchhoff.G(t * t * s[..., None]), t**params.q * power[..., None], reaction
 
 
 def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t):
@@ -405,9 +405,9 @@ def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
     scale form of the one energy kernel (_energy_terms): ||u||^2 and the
     q-moment once per row, and the reaction per scale or, within the exact
     pure-power tail, from the p-moment.  At any height each row evaluates
-    as it would alone, bit for bit.  A scale past the guard gives
-    -inf; its guard peak t max|u| is max|t u| bit for bit, as rounding is
-    monotone.
+    as it would alone, bit for bit.  A scale past the guard is evaluated
+    as 0 and gives -inf; its guard peak t max|u| is max|t u| bit for bit,
+    as rounding is monotone.
     """
     grid, values = _nodal(u, grid)
     t = np.asarray(t, dtype=float)
@@ -418,14 +418,7 @@ def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
     ts = np.atleast_1d(t)
     with np.errstate(over="ignore"):
         inside = _inside_guard(params.nonlinearity, ts * np.abs(values).max(axis=-1, keepdims=True))
-    ops = operator_cache(grid, params.beta)
-    if inside.all():
-        kirch, power, reaction = _energy_terms(ops, values, params, ts)
-        out = kirch - power - reaction
-    elif values.ndim == 2:
-        out = np.array([fibering(v, tr, params, grid) for v, tr in zip(values, ts)])
-    else:
-        out = np.full(ts.shape, -np.inf)
-        kirch, power, reaction = _energy_terms(ops, values, params, ts[inside])
-        out[inside] = kirch - power - reaction
+    scales = ts if inside.all() else np.where(inside, ts, 0.0)  # no (k, m) copy where none is past the guard
+    kirch, power, reaction = _energy_terms(operator_cache(grid, params.beta), values, params, scales)
+    out = np.where(inside, kirch - power - reaction, -np.inf)
     return float(out[0]) if not t.ndim else out

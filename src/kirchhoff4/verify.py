@@ -359,7 +359,7 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     checks.append(_bound("weak-action-fd", float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa)))), 1e-6))
 
     u = RadialFunction(grid, _unit_profiles(grid, params.beta, seed, 300, 1)[0])
-    t_u = project(u.values[None], params, grid)[0].item()
+    t_u = _projection(u.values[None], params, grid)[0].item()
     checks.append(_bound("fibering-deriv-fd", _fibering_fd_gap(u, params, t_u), 1e-7))
 
     lam, t_probe = 1.7, 0.6 * t_u
@@ -393,7 +393,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
 
     u = _random_clamped_rows(grid, seed, [400], 1)[0]
     lams = np.array([1.0, 0.5, 2.0, 10.0])
-    t_u = project(lams[:, None] * u, params, grid)[0]
+    t_u = _projection(lams[:, None] * u, params, grid)[0]
     worst = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0]) / t_u[0]))
     checks.append(_bound("projection-scaling-law", worst, 1e-9))
 
@@ -420,15 +420,14 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     doubled = 2.0 * projected
     inside = np.flatnonzero(_nehari_residuals(ops, doubled, params) <= 0.0)
     scales = np.full(count, -math.inf)  # a point outside the set is not tested
-    scales[inside] = _scales_inside(doubled[inside], params, grid)
+    scales[inside] = _projection(doubled[inside], params, grid)[0]
     worst = int(np.argmax(scales))  # the margin is the headroom of the largest scale
     headroom = 1.0 + 1e-10 - scales[worst]
     checks.append(_check("projection-scale-below-one", headroom >= 0.0, headroom, worst))
     # relative to the coercivity level: energies can be ~1e-36
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
     norms = np.sqrt(ops.rule.form(projected, alone=True))  # ops.rule.norm of each row alone, bit for bit
-    margins = [e / (coer * r**2) - 1.0 for e, r in zip(energies.tolist(), norms.tolist())]
-    worst_margin = min(margins)
+    worst_margin = float(np.min(energies / (coer * norms**2) - 1.0))
     checks.append(_check("projection-coercivity", worst_margin >= -1e-9, worst_margin + 1e-9))
     checks.append(_floor_check("projection-residual", np.abs(residuals), _residual_limit(ops, projected, params)))
     return checks
@@ -477,20 +476,6 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams):
     head = 2.0 * g_val * ((np.abs(values @ lap.T) * (np.abs(values) @ np.abs(lap).T)) @ rule.wvol)
     tail = np.abs(_nodal_force(values, params) * values) @ rule.vol
     return 4.0 * _EPS * (head + tail)
-
-
-def _scales_inside(values: np.ndarray, params: ModelParams, grid: RadialGrid) -> np.ndarray:
-    """Projection scales of a stack (k, n) of directions on or inside the
-    Nehari set; a ValueError names the first row whose residual exceeds its
-    rounding bound."""
-    ops = operator_cache(grid, params.beta)
-    res = _nehari_residuals(ops, values, params)
-    pos = np.flatnonzero(res > 0.0)
-    over = pos[res[pos] > _residual_limit(ops, values[pos], params)]
-    if over.size:
-        i = over[0]
-        raise ValueError(f"precondition violated: Nehari residual {res[i]:.3g} of row {i} is positive")
-    return _projection(values, params, grid)[0]
 
 
 def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:

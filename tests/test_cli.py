@@ -82,7 +82,9 @@ def test_malformed_command_line_is_config_error(tmp_path, capsys, argv, needle):
 @pytest.mark.parametrize(
     "data,key",
     [({"n": "64"}, "n"), ({"beta": None}, "beta"), ({"n": 16.0}, "n"), ({"starts": True}, "starts"),
-     ({"tol": "1e-6"}, "tol"), ({"cp": float("inf")}, "cp")],
+     ({"tol": "1e-6"}, "tol"), ({"cp": float("inf")}, "cp"),
+     # an int past the float range is not a finite number
+     ({"p": 10**400}, "p"), ({"a": 10**400}, "a")],
 )
 def test_malformed_config_value_is_config_error(tmp_path, capsys, data, key):
     cfg_path = tmp_path / "run.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -472,6 +473,34 @@ def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_defaul
         assert np.all(np.abs(moment - body) <= 1e-14 * np.abs(body)), params
     with pytest.raises(ValueError, match="scales"):
         k4.fibering(dirs, sweep[0], params, spectral64)
+
+
+def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
+    # scales past the guard are evaluated as 0 and masked to -inf in one
+    # call: a (4, 50) stack at cp = 2 with row 1 wholly past the guard and
+    # row 2 past it from its 17th scale on, rows 0 and 3 inside it (row 3
+    # within the exact pure-power tail).  Each row is its own call bit for
+    # bit, and no overflow or invalid operation warns
+    nl = params_cp2.nonlinearity
+    dirs = np.array([unit_profile(spectral64, 0.5, [23, k]).values for k in range(4)])
+    vmax = np.abs(dirs).max(axis=1)
+    limit = nl.guard_scale() / vmax
+    sweep = np.stack([
+        np.linspace(0.0, 0.9 * limit[0], 50),
+        np.linspace(1.1 * limit[1], 3.0 * limit[1], 50),
+        np.linspace(0.0, 3.0 * limit[2], 50),
+        np.linspace(0.0, 0.5 * nl._exact_peak / vmax[3], 50),
+    ])
+    with np.errstate(over="ignore"):
+        past = ~_inside_guard(nl, sweep * vmax[:, None])
+    assert np.count_nonzero(past, axis=1).tolist() == [0, 50, 33, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = k4.fibering(dirs, sweep, params_cp2, spectral64)
+        alone = [k4.fibering(k4.RadialFunction(spectral64, d), t, params_cp2) for d, t in zip(dirs, sweep)]
+    assert np.array_equal(value == -np.inf, past) and np.all(np.isfinite(value[~past]))
+    for k in range(4):
+        assert np.array_equal(value[k], alone[k]), k
 
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):

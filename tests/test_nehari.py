@@ -11,10 +11,10 @@ from kirchhoff4.energy import FiberMap, operator_cache
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4 import nehari
 from kirchhoff4.nehari import ProjectionError, StartRecord, _descend_aux, _descend_main, _drive
-from kirchhoff4.nehari import _relative_gradient, _scale_search, _winner
+from kirchhoff4.nehari import _projection, _relative_gradient, _scale_search, _winner
 from kirchhoff4 import verify
 from kirchhoff4.energy import _energies, _nehari_residuals, _residual_load
-from kirchhoff4.verify import _projection_checks, _residual_limit, _scales_inside
+from kirchhoff4.verify import _projection_checks, _residual_limit
 
 from conftest import chained_ground_state, minimizer_gates, project_one, random_starts, sobolev_gradient, unit_profile
 
@@ -385,12 +385,15 @@ def test_t_leq_one_stack(spectral64, params_cp2):
     dirs = np.array([unit_profile(spectral64, 0.5, [66, k]).values for k in range(8)])
     _, w, _, _ = k4.project(dirs, params_cp2, spectral64)
     doubled = 2.0 * w
-    assert np.all(_scales_inside(doubled, params_cp2, spectral64) <= 1.0 + 1e-10)
+    assert np.all(_projection(doubled, params_cp2, spectral64)[0] <= 1.0 + 1e-10)
     assert np.all(np.abs(k4.project(doubled, params_cp2, spectral64)[0] - 0.5) < 1e-13)
-    doubled[5] = 0.5 * w[5]  # residual > 0 here
-    with pytest.raises(ValueError, match="row 5"):
-        _scales_inside(doubled, params_cp2, spectral64)
-    assert _scales_inside(doubled[:0], params_cp2, spectral64).shape == (0,)
+    # the halved points break the criterion's premise: they lie outside the
+    # set (residual > 0) and project at scales above 1, so verify tests the
+    # doubled points only where their residual is not positive
+    halved = 0.5 * w
+    assert np.all(_nehari_residuals(operator_cache(spectral64, 0.5), halved, params_cp2) > 0.0)
+    assert np.all(_projection(halved, params_cp2, spectral64)[0] > 1.0)
+    assert _projection(doubled[:0], params_cp2, spectral64)[0].shape == (0,)
 
 
 def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
@@ -474,9 +477,10 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
     params = resolved_default[0]
     real_projection, real_residuals = verify._projection, verify._nehari_residuals
 
-    def overshoot(values, params, grid):  # the scales of the doubled points
+    def overshoot(values, params, grid):
         t_u, w = real_projection(values, params, grid)
-        t_u[6] = 1.5  # among the doubled points: direction 7
+        if len(values) == 19:  # the doubled points of the 19 directions left in the set
+            t_u[6] = 1.5  # among them: direction 7
         return t_u, w
 
     def outside(ops, values, params):
@@ -527,16 +531,18 @@ def test_t_leq_one(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
     doubled = k4.RadialFunction(spectral64, 2.0 * project_one(u, params_cp2)[1])
     assert k4.weak_action(doubled, doubled, params_cp2) < 0.0
-    assert _scales_inside(doubled.values[None], params_cp2, spectral64)[0] <= 1.0 + 1e-10
+    assert _projection(doubled.values[None], params_cp2, spectral64)[0][0] <= 1.0 + 1e-10
     t2 = project_one(doubled, params_cp2)[0]
     assert abs(t2 - 0.5) < 1e-9
 
 
 def test_t_leq_one_precondition(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 19)
-    shrunk = 0.5 * project_one(u, params_cp2)[1]  # residual > 0 here
-    with pytest.raises(ValueError):
-        _scales_inside(shrunk[None], params_cp2, spectral64)
+    shrunk = 0.5 * project_one(u, params_cp2)[1]
+    # outside the Nehari set the criterion fails: the residual is positive
+    # and the point projects at a scale above 1
+    assert _nehari_residuals(operator_cache(spectral64, 0.5), shrunk[None], params_cp2)[0] > 0.0
+    assert _projection(shrunk[None], params_cp2, spectral64)[0][0] > 1.0
 
 
 def test_t_leq_one_randomized(spectral64, params_cp2):
@@ -547,7 +553,7 @@ def test_t_leq_one_randomized(spectral64, params_cp2):
         factor = min(1.0 + 3.0 * (k % 5 + 1) / 5.0, 0.9 * guard / np.abs(w).max())
         beyond = k4.RadialFunction(spectral64, factor * w)
         if k4.weak_action(beyond, beyond, params_cp2) <= 0.0:
-            assert _scales_inside(beyond.values[None], params_cp2, spectral64)[0] <= 1.0 + 1e-10, k
+            assert _projection(beyond.values[None], params_cp2, spectral64)[0][0] <= 1.0 + 1e-10, k
 
 
 # ---------------------------------------------------------------------------
@@ -971,8 +977,8 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
     # 16-row reaction body (with the Kummer coefficients it gathers) would
     # hold ~16 times the memory of one direction's: each call of the sweep
     # peaks within 10% of the largest of its rows swept alone.  Every row
-    # of the sweep passes the guard; a block short of it goes through the
-    # reaction kernel as one stack, and is held to the same bound
+    # of the sweep passes the guard, and a block short of it is held to the
+    # same bound; either goes through the energy kernel as one stack
     real = verify.fibering
     peaks = []
 
