@@ -236,6 +236,16 @@ def _kummer_tables(a: float):
     return coef, asym, switch, a / (a + k) * inv_fact
 
 
+def _horner(coef, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k by Horner's rule, in numpy's polyval order; each
+    coef[k] is a scalar or an array shaped like x."""
+    acc = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _kummer(a: float, x: np.ndarray) -> np.ndarray:
     """1F1(a; a+1; x) = e^x 1F1(1; a+1; -x) for x > 0, to a few ulps."""
     coef, asym, switch, series = _kummer_tables(a)
@@ -246,26 +256,16 @@ def _kummer(a: float, x: np.ndarray) -> np.ndarray:
         cut = 2
         while series[cut] * top**cut > _EPS / 32:
             cut += 1
-        acc = np.full_like(x, series[cut - 1])
-        for c in series[cut - 2 :: -1]:
-            acc *= x
-            acc += c
-        return acc
+        return _horner(series[:cut], x)
     out = np.empty_like(x)
     low = x < switch
     xl = x[low] * _KUMMER_BINS
     j = xl.astype(np.intp)
-    h = (xl - j - 0.5) / _KUMMER_BINS
-    c = coef[:, j]
-    acc = c[-1].copy()
-    for row in c[-2::-1]:
-        acc *= h
-        acc += row
-    out[low] = acc
+    out[low] = _horner(coef[:, j], (xl - j - 0.5) / _KUMMER_BINS)
     if top >= switch:
         xh = x[~low]
         inv = 1.0 / xh
-        out[~low] = a * np.exp(xh) * inv * np.polynomial.polynomial.polyval(switch * inv, asym)
+        out[~low] = a * np.exp(xh) * inv * _horner(asym, switch * inv)
     return out
 
 

@@ -46,6 +46,18 @@ def ground_default(spectral64, resolved_default, search_default):
     return k4.ground_state(spectral64, params, search_default, aux.directions)
 
 
+def dome_gate_ratio(grid):
+    """Node by node, |lap dome - (-16 + 24 r^2)| of the quartic dome
+    (1 - r^2)^2 over its gate max(1e-10, 8 eps (|lap| dome)_i): the
+    rounding floor of each row's product, and 1e-10 wherever that floor is
+    smaller.  Both schemes are exact on the dome, so the gate is met when
+    every ratio is at most 1."""
+    r = grid.nodes
+    dome = k4.RadialFunction(grid, (1 - r**2) ** 2)
+    err = np.abs(k4.laplacian4(dome).values - (-16 + 24 * r**2))
+    return err / np.maximum(1e-10, 8 * np.finfo(float).eps * (np.abs(grid.lap) @ dome.values))
+
+
 def chained_ground_state(grid, params, search):
     """The main solve started where the aux ascent's starts end, as the CLI runs it."""
     return k4.ground_state(grid, params, search, k4.aux_ground_state(grid, params, search).directions)

@@ -207,14 +207,15 @@ def test_cli_runs_without_scipy(tmp_path):
 
 def test_cli_import_loads_no_numpy_random():
     # the random draws import numpy.random (10-18 ms) on their first call
-    # and build their generators there: importing the CLI does neither
+    # and build their generators there: importing the CLI does neither; and
+    # no module imports numpy.polynomial
     env = dict(os.environ)
     src = str(Path(k4.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys\nimport kirchhoff4.cli\nprint('numpy.random' in sys.modules)\n"
+    code = "import sys\nimport kirchhoff4.cli\nprint('numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_solve_writes_report_and_profile(tmp_path):

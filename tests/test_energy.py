@@ -566,3 +566,19 @@ def test_laplacian_gate_catches_perturbed_operator(spectral64):
     noise = 1.0 + 1e-13 * np.random.default_rng(2).standard_normal(spectral64.lap.shape)
     check = {c.name: c for c in _grid_checks(replace(spectral64, lap=spectral64.lap * noise))}["laplacian-oracle"]
     assert check.status == "fail" and 4.0 * (1.0 - check.margin) > 8.0  # in units of n eps
+
+
+@pytest.mark.parametrize(
+    "scheme,n", [("spectral-even", 16), ("spectral-even", 64), ("spectral-even", 256), ("uniform-fd", 16), ("uniform-fd", 400)]
+)
+def test_d1_constant_gate_catches_moved_entry(scheme, n):
+    from kirchhoff4.verify import _grid_checks
+
+    grid = k4.build_grid(n, scheme)
+    assert {c.name: c for c in _grid_checks(grid)}["d1-constant"].status == "pass"
+    mass = np.abs(grid.d1).sum(axis=1)
+    for row in (int(np.argmin(mass)), n // 2, n - 1):  # the lightest row, an inner one, the boundary's
+        d1 = grid.d1.copy()
+        d1[row, (row + 1) % n] += 1e-9 * mass[row]
+        check = {c.name: c for c in _grid_checks(replace(grid, d1=d1))}["d1-constant"]
+        assert check.status == "fail" and check.witness == row, (row, check)

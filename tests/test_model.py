@@ -14,6 +14,7 @@ from kirchhoff4.model import (
     NonlinearitySpec,
     RangeOverflowError,
     _kummer,
+    _kummer_tables,
     params_to_dict,
 )
 from kirchhoff4.verify import check_hypotheses
@@ -159,6 +160,17 @@ def test_kummer_factor_matches_mpmath(a):
     for factor in (alone, together):
         err = np.abs(factor / ref - 1.0)
         assert err.max() <= 1e-13, (xs[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("a", [0.25, 1.2, 5.0, 60.0])
+def test_kummer_asymptotic_series_matches_numpy_polyval(a):
+    # the Horner loop in numpy's own order: bit for bit its polyval
+    _, asym, switch, _ = _kummer_tables(a)
+    x = np.random.default_rng(3).uniform(switch, 15.0 * switch, 400)
+    with np.errstate(over="ignore"):
+        inv = 1.0 / x
+        ref = a * np.exp(x) * inv * np.polynomial.polynomial.polyval(switch * inv, asym)
+        assert np.array_equal(_kummer(a, x), ref)
 
 
 def test_overflow_guard():

@@ -9,6 +9,8 @@ from kirchhoff4.energy import operator_cache
 from kirchhoff4.nehari import _start_stack
 from kirchhoff4.radial import _clamp, _radau_rule, build_grid, clamped_even_basis
 
+from conftest import dome_gate_ratio
+
 
 def test_build_grid_contract():
     g = build_grid(8, "uniform-fd")
@@ -141,16 +143,66 @@ def test_laplacian_oracles(spectral64):
     assert np.abs(k4.laplacian4(quadratic).values - 8.0).max() < max(1e-9, op_floor)
     constant = k4.RadialFunction(g, np.ones(g.n))
     assert np.abs(k4.laplacian4(constant).values).max() < max(1e-10, op_floor)
-    dome = k4.RadialFunction(g, (1 - r**2) ** 2)
-    assert np.abs(k4.laplacian4(dome).values - (-16 + 24 * r**2)).max() < 1e-10
+    assert dome_gate_ratio(g).max() <= 1.0
 
 
 def test_laplacian_oracle_small_grids():
     for n in (16, 24, 32):
-        g = build_grid(n, "spectral-even")
-        r = g.nodes
-        dome = k4.RadialFunction(g, (1 - r**2) ** 2)
-        assert np.abs(k4.laplacian4(dome).values - (-16 + 24 * r**2)).max() < 1e-10, n
+        assert dome_gate_ratio(build_grid(n, "spectral-even")).max() <= 1.0, n
+
+
+# every 4th n, the first grid where a fixed 1e-10 gate falls below the
+# boundary row's rounding floor (52), the default (64), and the grids with
+# the largest ratios of former builds (116, 179, 254)
+@pytest.mark.parametrize("n", sorted({*range(8, 257, 4), 52, 64, 116, 179, 254}))
+def test_laplacian_oracle_dome_gate_sweep(n):
+    assert dome_gate_ratio(build_grid(n, "spectral-even")).max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_spectral_matrices_match_mpmath_lagrange(n):
+    # 40-digit reference by the product rule on the Lagrange basis of the
+    # build's own nodes s_j = (x_j + 1)/2, x_j those of _radau_rule (r_j^2 is
+    # rounded and misses s_j by an ulp, which alone moves the entries by up
+    # to 1e2 eps of their row's mass at n = 32): for l_j = c_j prod_k (s - s_k),
+    # l_j'(s_i) = c_j prod_{k != i, j} (s_i - s_k) and
+    # l_j''(s_i) = 2 l_j'(s_i) sum_{m != i, j} 1/(s_i - s_m) off the diagonal,
+    # and from the sums of 1/(s_j - s_k) on it; then d1 = 2 r U' and
+    # lap = 4 s U'' + 8 U'
+    g = build_grid(n, "spectral-even")
+    x, _ = _radau_rule(n)
+    d1_ref, lap_ref = np.empty((n, n)), np.empty((n, n))
+    with mpmath.workdps(40):
+        s = [(mpmath.mpf(float(v)) + 1) / 2 for v in x]
+        for j in range(n):
+            c = 1 / mpmath.fprod(s[j] - s[k] for k in range(n) if k != j)
+            for i in range(n):
+                if i == j:
+                    inv = [1 / (s[j] - s[k]) for k in range(n) if k != j]
+                    du = mpmath.fsum(inv)
+                    ddu = du**2 - mpmath.fsum(v * v for v in inv)
+                else:
+                    du = c * mpmath.fprod(s[i] - s[k] for k in range(n) if k not in (i, j))
+                    ddu = 2 * du * mpmath.fsum(1 / (s[i] - s[m]) for m in range(n) if m not in (i, j))
+                d1_ref[i, j] = 2 * mpmath.mpf(float(g.nodes[i])) * du
+                lap_ref[i, j] = 4 * s[i] * ddu + 8 * du
+    eps = np.finfo(float).eps
+    for mat, ref in ((g.d1, d1_ref), (g.lap, lap_ref)):
+        # in units of eps times the row's absolute sum; 0.41 at most measured
+        assert (np.abs(mat - ref) / (eps * np.abs(mat).sum(axis=1, keepdims=True))).max() <= 2.0
+
+
+def test_clamped_even_basis_matches_numpy_chebvander():
+    # the recurrence in numpy's own order: bit for bit its Vandermonde matrix
+    from numpy.polynomial import chebyshev
+
+    rng = np.random.default_rng(5)
+    for count in range(6, 127):
+        x = rng.uniform(-1.0, 1.0, count + 3)
+        k = np.arange(count)
+        a, b = -4.0 * (k + 1.0) / (2.0 * k + 3.0), (2.0 * k + 1.0) / (2.0 * k + 3.0)
+        t = chebyshev.chebvander(x, count + 1)
+        assert np.array_equal(clamped_even_basis(x, count), t[:, :count] + a * t[:, 1:-1] + b * t[:, 2:]), count
 
 
 def test_log_weight_values():
