@@ -4,13 +4,9 @@ suite for every constant and inequality the construction relies on."""
 
 from .radial import (
     RadialGrid,
-    RadialFunction,
     build_grid,
-    laplacian4,
     log_weight,
     ball_integral,
-    w_inner,
-    w_norm,
     lebesgue_norm,
     full_sobolev_norm,
     pointwise_bound_coeff,
@@ -32,7 +28,6 @@ from .energy import (
     EnergyBreakdown,
     FiberMap,
     energy,
-    weak_action,
     fibering,
 )
 from .nehari import (

@@ -35,7 +35,7 @@ from .nehari import (
     min_admissible_cp,
     resolve_auto_cp,
 )
-from .radial import RadialFunction, build_grid, write_profile_csv
+from .radial import build_grid, write_profile_csv
 from .verify import run_suite
 
 __all__ = ["RunConfig", "ConfigError", "main", "console_main"]
@@ -172,21 +172,21 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _payload(result) -> dict:
-    """Every field of a result dataclass but its profile, which goes to
-    minimizer.csv, and its arrays (the aux start directions); the start
-    records without their traces."""
+    """Every field of a result dataclass but its arrays: its profile, which
+    goes to minimizer.csv, and the aux start directions; the start records
+    without their traces."""
     payload = {}
     for field in dataclasses.fields(result):
         value = getattr(result, field.name)
         if field.name == "per_start":
             value = [r.to_dict() for r in value]
-        if not isinstance(value, (RadialFunction, np.ndarray)):
+        if not isinstance(value, np.ndarray):
             payload[field.name] = value
     return payload
 
 
 def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, profile=None) -> None:
-    """Write report.json (suite.json for verify) and the profile's minimizer.csv."""
+    """Write report.json (suite.json for verify) and minimizer.csv of the profile, nodal values on the run's grid."""
     out = Path(config.out)
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -199,7 +199,7 @@ def _emit(command: str, config: RunConfig, params: ModelParams, result: dict, pr
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / ("suite.json" if command == "verify" else "report.json"), report)
         if profile is not None:
-            write_profile_csv(profile, out / "minimizer.csv")
+            write_profile_csv(config.grid(), profile, out / "minimizer.csv")
     except OSError as exc:
         raise ConfigError(f"out cannot be written: {exc}") from exc
 

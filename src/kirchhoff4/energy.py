@@ -23,12 +23,11 @@ from functools import lru_cache, reduce, wraps
 import numpy as np
 
 from .model import EXP_GUARD, KirchhoffSpec, ModelParams
-from .radial import RadialFunction, RadialGrid, _nodal, clamped_even_basis, rowwise, weighted_rule
+from .radial import RadialGrid, clamped_even_basis, rowwise, weighted_rule
 
 __all__ = [
     "EnergyBreakdown",
     "energy",
-    "weak_action",
     "fibering",
     "FiberMap",
     "operator_cache",
@@ -96,7 +95,7 @@ class _WOperators:
         return basis
 
     def riesz(self, load: np.ndarray) -> np.ndarray:
-        """Solve w_inner(v, phi) = <load, phi> over the clamped subspace, for
+        """Solve rule.form(v, phi) = <load, phi> over the clamped subspace, for
         a load (n,) or row by row of a stack (k, n)."""
         return rowwise(self.riesz_matrix, load)
 
@@ -111,10 +110,10 @@ def operator_cache(grid: RadialGrid, beta: float) -> _WOperators:
 # ---------------------------------------------------------------------------
 
 
-def energy(u: RadialFunction, params: ModelParams) -> EnergyBreakdown:
-    """Evaluate J(u) term by term."""
-    ops = operator_cache(u.grid, params.beta)
-    kirch, power, reaction = (float(x) for x in _energy_terms(ops, u.values, params))
+def energy(grid: RadialGrid, values: np.ndarray, params: ModelParams) -> EnergyBreakdown:
+    """Evaluate J(u) of nodal values (n,) term by term."""
+    ops = operator_cache(grid, params.beta)
+    kirch, power, reaction = (float(x) for x in _energy_terms(ops, values, params))
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
 
 
@@ -156,16 +155,6 @@ def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t):
     if values.ndim == 1:
         return nl.F(t[..., None] * values) @ vol
     return np.array([_scaled_reaction(vol, v, nl, tr) for v, tr in zip(values, t)])
-
-
-def weak_action(u: RadialFunction, phi: RadialFunction, params: ModelParams) -> float:
-    """Directional derivative <J'(u), phi>; linear in phi."""
-    if u.grid is not phi.grid:
-        raise ValueError("operands live on different grids")
-    rule = weighted_rule(u.grid, params.beta)
-    g_val = float(params.kirchhoff.g(rule.form(u.values)))
-    head = g_val * float(rule.form(u.values, phi.values))
-    return head - float(rule.vol @ (_nodal_force(u.values, params) * phi.values))
 
 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -263,11 +252,10 @@ class FiberMap:
     # --- builders -------------------------------------------------------
 
     @classmethod
-    def full(cls, u, params: ModelParams, grid: RadialGrid | None = None) -> "FiberMap":
-        """Fibering maps of the full energy J along a direction u, or along
-        each row of nodal values (k, n) on grid."""
-        grid, vals = _nodal(u, grid)
-        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(vals)
+    def full(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams) -> "FiberMap":
+        """Fibering maps of the full energy J along a direction of nodal
+        values (n,), or along each row of a stack (k, n)."""
+        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
         nl = params.nonlinearity
         i_q = rowwise(rule.vol, np.abs(vals) ** params.q)
         i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
@@ -276,10 +264,9 @@ class FiberMap:
         return cls(params.kirchhoff, rule.form(vals), moments, tail, vals, rule.vol)
 
     @classmethod
-    def pure_power(cls, u, params: ModelParams, grid: RadialGrid | None = None) -> "FiberMap":
-        """Fibering maps of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p; u as for full."""
-        grid, vals = _nodal(u, grid)
-        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(vals)
+    def pure_power(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams) -> "FiberMap":
+        """Fibering maps of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p; values as for full."""
+        rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
         i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
         return cls(params.kirchhoff, rule.form(vals), ((params.p, i_p),))
 
@@ -399,9 +386,9 @@ class FiberMap:
         return t.reshape(len(self), -1), t.shape
 
 
-def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
-    """J(t u) at a scale or an array of scales (m,) of a profile u, or at
-    the scales (k, m) of each row of nodal values (k, n) on grid, from the
+def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams):
+    """J(t u) at a scale or an array of scales (m,) of nodal values u (n,),
+    or at the scales (k, m) of each row u of a stack (k, n), from the
     scale form of the one energy kernel (_energy_terms): ||u||^2 and the
     q-moment once per row, and the reaction per scale or, within the exact
     pure-power tail, from the p-moment.  At any height each row evaluates
@@ -409,7 +396,6 @@ def fibering(u, t, params: ModelParams, grid: RadialGrid | None = None):
     as 0 and gives -inf; its guard peak t max|u| is max|t u| bit for bit,
     as rounding is monotone.
     """
-    grid, values = _nodal(u, grid)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("fibering scale must be nonnegative")

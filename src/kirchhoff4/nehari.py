@@ -39,7 +39,7 @@ import numpy as np
 from .energy import FiberMap, energy, operator_cache  # energy: unused here; perfbench tests rebind it
 from .energy import _energies, _nehari_residuals, _nodal_force, _residual_load
 from .model import ModelParams, RangeOverflowError, adams_constant
-from .radial import RadialFunction, RadialGrid, _random_clamped_rows, rowwise
+from .radial import RadialGrid, _random_clamped_rows, _read_only, rowwise
 
 __all__ = [
     "ProjectionError",
@@ -186,7 +186,7 @@ def _reject_rows(bad: np.ndarray, message: str) -> None:
         raise ProjectionError(f"row {rows[0]}: {message}")
 
 
-def project(values: np.ndarray, params: ModelParams, grid: RadialGrid):
+def project(grid: RadialGrid, values: np.ndarray, params: ModelParams):
     """Unique Nehari projection of each row of a stack (k, n) of nonzero
     directions on grid, the searches in lockstep: the arrays (t_u, w,
     energy, residual), row i the scale t_u, the projected point w = t_u u,
@@ -200,17 +200,17 @@ def project(values: np.ndarray, params: ModelParams, grid: RadialGrid):
     every projection.  The reported energy and residual are measured at the
     root, so the residual shows how far the moment root is from a measured
     Nehari point.  In a stack of up to 16 rows, a direction gets the
-    arithmetic of the single-profile kernels (energy, weak_action(w, w)) bit
-    for bit (radial.rowwise); in a taller stack its row differs from that
-    by about 1e-14 relative, as the BLAS product of a tall stack rounds
-    differently.  An error names the row it comes from.
+    arithmetic of its nodal values (n,) alone (energy, and <J'(w), w>
+    written out) bit for bit (radial.rowwise); in a taller stack its row
+    differs from that by about 1e-14 relative, as the BLAS product of a
+    tall stack rounds differently.  An error names the row it comes from.
     """
-    t_u, w = _projection(values, params, grid)
+    t_u, w = _projection(grid, values, params)
     ops = operator_cache(grid, params.beta)
     return t_u, w, _energies(ops, w, params), _nehari_residuals(ops, w, params)
 
 
-def _projection(values: np.ndarray, params: ModelParams, grid: RadialGrid):
+def _projection(grid: RadialGrid, values: np.ndarray, params: ModelParams):
     """The scales t_u and projected points w of project, without their
     energies and residuals."""
     ops = operator_cache(grid, params.beta)
@@ -220,7 +220,7 @@ def _projection(values: np.ndarray, params: ModelParams, grid: RadialGrid):
     norms = np.sqrt(ops.rule.form(shapes))
     _reject_rows(~(norms > 0.0), "direction has zero weighted norm")
     units = shapes / norms[:, None]
-    roots = _drive(FiberMap.full(units, params, grid))
+    roots = _drive(FiberMap.full(grid, units, params))
     with np.errstate(over="ignore"):
         t_u = roots / (peaks * norms)
     _reject_rows(
@@ -274,7 +274,7 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    minimizer: RadialFunction
+    minimizer: np.ndarray  # read-only nodal values (n,)
     m: float
     gradient_norm: float
     relative_gradient: float
@@ -290,7 +290,7 @@ class GroundStateResult:
 
 @dataclass(frozen=True)
 class AuxResult:
-    w_p: RadialFunction
+    w_p: np.ndarray  # read-only nodal values (n,)
     m_p: float
     p_norm_p: float
     gradient_norm: float
@@ -303,7 +303,7 @@ class AuxResult:
     directions: np.ndarray = field(repr=False, compare=False)
 
 
-def _relative_gradient(ops, params: ModelParams, w: np.ndarray, grad_norm):
+def _relative_gradient(ops, w: np.ndarray, params: ModelParams, grad_norm):
     """||J'(w)|| / (g(S) ||w||) with S = ||w||^2, row by row of a stack (k, n).
 
     At a critical point the gradient is the difference of g(S) w and the
@@ -338,14 +338,14 @@ def _start_stack(grid: RadialGrid, ops, search: SearchConfig) -> np.ndarray:
     return starts / nrm[:, None]
 
 
-def _finish_starts(ops, params: ModelParams, w: np.ndarray, energies, grad_norm, search: SearchConfig, drafts):
+def _finish_starts(ops, w: np.ndarray, params: ModelParams, energies, grad_norm, search: SearchConfig, drafts):
     """The records of the final points w (k, n), each on the Nehari set, at
     the energies and gradient norms measured there.
 
     drafts holds the (index, iterations, stop_reason, trace) of each row.
     A start has converged when its relative gradient is at most tol.
     """
-    rel_grad = _relative_gradient(ops, params, w, grad_norm)
+    rel_grad = _relative_gradient(ops, w, params, grad_norm)
     columns = (x.tolist() for x in (energies, grad_norm, rel_grad, ops.rule.norm(w)))
     return [
         StartRecord(index, energy, gnorm, rel, norm, int(iterations), rel <= search.tol, reason, tuple(trace))
@@ -382,7 +382,7 @@ def _descend_main(grid: RadialGrid, params: ModelParams, units: np.ndarray, sear
 
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
     k = len(units)
-    w = _drive(FiberMap.full(units, params, grid))[:, None] * units
+    w = _drive(FiberMap.full(grid, units, params))[:, None] * units
     e = _energies(ops, w, params)
     pn = norm(w)
     min_norm, coer_margin = pn.min(), np.min(e / (coer * pn**2) - 1.0)
@@ -396,7 +396,7 @@ def _descend_main(grid: RadialGrid, params: ModelParams, units: np.ndarray, sear
         iterations[active] = it
         grad = gradient(w[active])
         grad_norm = last_grad_norm[active] = norm(grad)
-        done = _relative_gradient(ops, params, w[active], grad_norm) <= search.tol
+        done = _relative_gradient(ops, w[active], params, grad_norm) <= search.tol
         reasons[active[done]] = "converged"
         active, grad, grad_norm = active[~done], grad[~done], grad_norm[~done]
         if not active.size:
@@ -417,7 +417,7 @@ def _descend_main(grid: RadialGrid, params: ModelParams, units: np.ndarray, sear
             trial = w[rows] - a[pending, None] * grad[pending]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero or overflowing trial finds no scale
                 u_try = trial / norm(trial)[:, None]
-            w_try = _drive(FiberMap.full(u_try, params, grid), strict=False)[:, None] * u_try
+            w_try = _drive(FiberMap.full(grid, u_try, params), strict=False)[:, None] * u_try
             e_try, e_row = _energies(ops, w_try, params), e[rows]
             decrease = _ARMIJO * a[pending] * grad_norm[pending] ** 2
             ok = np.isfinite(e_try) & (e_try <= e_row - decrease + _ENERGY_NOISE * np.abs(e_row))
@@ -437,7 +437,7 @@ def _descend_main(grid: RadialGrid, params: ModelParams, units: np.ndarray, sear
     if active.size:  # the max-iter rows: accepted a step after their last check
         last_grad_norm[active] = norm(gradient(w[active]))
     drafts = zip(range(k), iterations, reasons, traces)
-    records = _finish_starts(ops, params, w, e, last_grad_norm, search, drafts)
+    records = _finish_starts(ops, w, params, e, last_grad_norm, search, drafts)
     return records, w, min_norm, coer_margin
 
 
@@ -484,11 +484,11 @@ def _descend_aux(grid: RadialGrid, params: ModelParams, u: np.ndarray, search: S
         if not active.size:
             break
     units = u / ops.rule.norm(u)[:, None]
-    w = _drive(FiberMap.pure_power(units, params, grid))[:, None] * units
+    w = _drive(FiberMap.pure_power(grid, units, params))[:, None] * units
     grad_norm = ops.rule.norm(ops.riesz(_residual_load(ops, w, params, np.abs(w) ** (p - 2.0) * w)))
     value = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - rowwise(ops.rule.vol, np.abs(w) ** p) / p
     drafts = zip(range(len(w)), iterations, reasons, traces)
-    records = _finish_starts(ops, params, w, value, grad_norm, search, drafts)
+    records = _finish_starts(ops, w, params, value, grad_norm, search, drafts)
     return records, w, math.inf, math.inf
 
 
@@ -517,7 +517,7 @@ def ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig, st
     k = _winner(records)
     best, best_vals = records[k], w[k]
     return GroundStateResult(
-        minimizer=RadialFunction(grid, best_vals),
+        minimizer=_read_only(best_vals),
         m=best.energy,
         gradient_norm=best.gradient_norm,
         relative_gradient=best.relative_gradient,
@@ -540,10 +540,9 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     records, w, _, _ = _descend_aux(grid, params, _start_stack(grid, ops, search), search)
     k = _winner(records)
     best, best_vals = records[k], w[k]
-    w_p = RadialFunction(grid, best_vals)
     p_norm_p = float(ops.rule.vol @ np.abs(best_vals) ** params.p)
     return AuxResult(
-        w_p=w_p,
+        w_p=_read_only(best_vals),
         m_p=best.energy,
         p_norm_p=p_norm_p,
         gradient_norm=best.gradient_norm,

@@ -1,7 +1,9 @@
 """Radial discretization of the unit ball in R^4.
 
 Profiles are radial functions u(r) on (0, 1] under clamped boundary
-conditions u(1) = u'(1) = 0.  Two grid schemes are provided:
+conditions u(1) = u'(1) = 0, held as their nodal values on a grid: an
+array (n,), or a stack (k, n) of k profiles.  Two grid schemes are
+provided:
 
 ``spectral-even``
     Collocation at Gauss-Radau points of the variable s = r^2 (weight s,
@@ -39,17 +41,13 @@ import numpy as np
 __all__ = [
     "SURFACE_3SPHERE",
     "RadialGrid",
-    "RadialFunction",
     "build_grid",
-    "laplacian4",
     "log_weight",
     "weight_values",
     "WeightedRule",
     "weighted_rule",
     "rowwise",
     "ball_integral",
-    "w_inner",
-    "w_norm",
     "lebesgue_norm",
     "full_sobolev_norm",
     "pointwise_bound_coeff",
@@ -91,29 +89,6 @@ class RadialGrid:
 
     def __repr__(self):  # arrays are noise in logs
         return f"RadialGrid(n={self.n}, scheme={self.scheme!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class RadialFunction:
-    """Nodal values of a radial profile on a fixed grid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} nodal values, got shape {vals.shape}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def scaled(self, t: float) -> "RadialFunction":
-        return RadialFunction(self.grid, t * self.values)
-
-    def __repr__(self):
-        return f"RadialFunction(n={self.grid.n}, max|u|={np.abs(self.values).max():.3g})"
 
 
 # ---------------------------------------------------------------------------
@@ -338,47 +313,27 @@ class WeightedRule:
 weighted_rule = lru_cache(maxsize=32)(WeightedRule)  # one rule per (grid, beta)
 
 
-def _nodal(v, grid=None):
-    if isinstance(v, RadialFunction):
-        return v.grid, v.values
-    if grid is None:
-        raise ValueError("a grid is required for plain nodal arrays")
-    return grid, np.asarray(v, dtype=float)
-
-
-def ball_integral(v, grid: RadialGrid | None = None) -> float:
+def ball_integral(grid: RadialGrid, values: np.ndarray) -> float:
     """Integral over the unit ball of R^4 of a radial nodal field."""
-    grid, vals = _nodal(v, grid)
-    return SURFACE_3SPHERE * float(grid.quad_weights @ vals)
+    return SURFACE_3SPHERE * float(grid.quad_weights @ values)
 
 
-def w_inner(u: RadialFunction, v: RadialFunction, beta: float) -> float:
-    """Weighted scalar product int_B w(x) (lap u)(lap v) dx."""
-    if u.grid is not v.grid:
-        raise ValueError("operands live on different grids")
-    return float(weighted_rule(u.grid, beta).form(u.values, v.values))
-
-
-def w_norm(u: RadialFunction, beta: float) -> float:
-    """Norm of the weighted space: (int_B w |lap u|^2 dx)^(1/2)."""
-    return weighted_rule(u.grid, beta).norm(u.values)
-
-
-def lebesgue_norm(u: RadialFunction, s: float) -> float:
+def lebesgue_norm(grid: RadialGrid, values: np.ndarray, s: float) -> float:
     """Lebesgue norm |u|_s = (int_B |u|^s dx)^(1/s) on the ball."""
     if s < 1.0:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {s}")
-    val = ball_integral(np.abs(u.values) ** s, u.grid)
+    val = ball_integral(grid, np.abs(values) ** s)
     return float(max(val, 0.0) ** (1.0 / s))
 
 
-def full_sobolev_norm(u: RadialFunction, beta: float) -> float:
+def full_sobolev_norm(grid: RadialGrid, values: np.ndarray, beta: float):
     """Norm with the lower-order terms included:
-    (int u^2 + int |grad u|^2 + int w |lap u|^2)^(1/2), |grad u| = |u'|."""
-    grid = u.grid
-    du = grid.d1 @ u.values
-    low = ball_integral(u.values**2 + du**2, grid)
-    return float(np.sqrt(max(low, 0.0) + max(w_inner(u, u, beta), 0.0)))
+    (int u^2 + int |grad u|^2 + int w |lap u|^2)^(1/2), |grad u| = |u'|, of
+    nodal values (n,), or of each row of a stack (k, n) by products of its
+    own: a row's norm is that of the profile alone, bit for bit."""
+    du = rowwise(grid.d1, values, alone=True)
+    low = SURFACE_3SPHERE * rowwise(grid.quad_weights, values**2 + du**2, alone=True)
+    return np.sqrt(np.maximum(low, 0.0) + np.maximum(weighted_rule(grid, beta).form(values, alone=True), 0.0))
 
 
 def pointwise_bound_coeff(r: float, beta: float) -> float:
@@ -398,6 +353,13 @@ def pointwise_bound_coeff(r: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # clamped profiles
 # ---------------------------------------------------------------------------
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy of nodal values."""
+    vals = np.array(values, dtype=float)
+    vals.setflags(write=False)
+    return vals
 
 
 def _clamp(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -435,15 +397,16 @@ def clamped_even_basis(x: np.ndarray, count: int) -> np.ndarray:
 _PROFILE_MODES = 24  # coefficients of a random clamped profile, fewer on coarse grids
 
 
-def random_clamped_profile(grid: RadialGrid, rng: np.random.Generator, modes: int | None = None) -> RadialFunction:
-    """Random smooth clamped profile with 1/(1+k^2)-decaying coefficients.
+def random_clamped_profile(grid: RadialGrid, rng: np.random.Generator, modes: int | None = None) -> np.ndarray:
+    """Random smooth clamped profile with 1/(1+k^2)-decaying coefficients,
+    as read-only nodal values (n,).
 
     The expansion lives in the clamped even-Chebyshev basis of the
     variable 2 r^2 - 1, so the same (seeded) draw represents the same
     underlying function on every grid scheme.
     """
     count = min(modes if modes is not None else _PROFILE_MODES, grid.n - 2)
-    return RadialFunction(grid, _clamped_rows(grid, rng.standard_normal((1, count)))[0])
+    return _read_only(_clamped_rows(grid, rng.standard_normal((1, count)))[0])
 
 
 def _clamped_rows(grid: RadialGrid, normals: np.ndarray) -> np.ndarray:
@@ -474,29 +437,27 @@ def _profile_basis(grid: RadialGrid, count: int) -> np.ndarray:
     return basis
 
 
-def laplacian4(u: RadialFunction) -> RadialFunction:
-    """Radial Laplacian on R^4: lap u = u''(r) + (3/r) u'(r)."""
-    return RadialFunction(u.grid, u.grid.lap @ u.values)
-
-
 # ---------------------------------------------------------------------------
 # profile CSV exchange
 # ---------------------------------------------------------------------------
 
 
-def write_profile_csv(u: RadialFunction, path) -> None:
-    """Write a profile as two-column CSV (header "r,u", ascending r)."""
+def write_profile_csv(grid: RadialGrid, values: np.ndarray, path) -> None:
+    """Write nodal values (n,) as two-column CSV (header "r,u", ascending r)."""
+    if np.shape(values) != (grid.n,):
+        raise ValueError(f"expected {grid.n} nodal values, got shape {np.shape(values)}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("r,u\n")
-        for r, val in zip(u.grid.nodes, u.values):
+        for r, val in zip(grid.nodes, values):
             fh.write(f"{r:.17g},{val:.17g}\n")
 
 
-def read_profile_csv(grid: RadialGrid, path) -> RadialFunction:
-    """Read a profile written by write_profile_csv onto a matching grid."""
+def read_profile_csv(grid: RadialGrid, path) -> np.ndarray:
+    """Read a profile written by write_profile_csv onto a matching grid, as
+    read-only nodal values (n,)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (grid.n, 2):
         raise ValueError(f"profile has {data.shape[0]} rows, grid expects {grid.n}")
     if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
         raise ValueError("profile radii do not match the grid nodes")
-    return RadialFunction(grid, data[:, 1])
+    return _read_only(data[:, 1])

@@ -27,7 +27,6 @@ from .energy import (  # energy: unused here; perfbench tests rebind it
     energy,
     fibering,
     operator_cache,
-    weak_action,
 )
 from .model import (
     EXP_GUARD,
@@ -38,17 +37,12 @@ from .model import (
 )
 from .nehari import _drive, _projection, project
 from .radial import (
-    SURFACE_3SPHERE,
-    RadialFunction,
     RadialGrid,
     full_sobolev_norm,
     lebesgue_norm,
-    laplacian4,
     pointwise_bound_coeff,
     _random_clamped_rows,
     rowwise,
-    w_inner,
-    w_norm,
     weighted_rule,
 )
 
@@ -134,35 +128,23 @@ def _grid_checks(grid: RadialGrid) -> list:
     d1_floor = np.maximum(1e-11, 4.0 * _EPS * np.abs(grid.d1).sum(axis=1))
     checks.append(_floor_check("d1-constant", np.abs(grid.d1 @ np.ones(n)), d1_floor))
 
-    dome = RadialFunction(grid, (1.0 - r**2) ** 2)
-    lap_err = np.abs(laplacian4(dome).values - (-16.0 + 24.0 * r**2))
+    dome = (1.0 - r**2) ** 2
+    lap_err = np.abs(grid.lap @ dome - (-16.0 + 24.0 * r**2))
     # both schemes are exact on the quartic dome, so node by node against
     # 4 n eps (|lap| dome)_i, the rounding floor of the product (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5); the
     # worst ratio is 0.54 n eps on the spectral grids n = 8..256 and 0.11 n eps
     # on the uniform grids n = 8..800
-    checks.append(_floor_check("laplacian-oracle", lap_err, 4.0 * n * _EPS * (np.abs(grid.lap) @ dome.values)))
+    checks.append(_floor_check("laplacian-oracle", lap_err, 4.0 * n * _EPS * (np.abs(grid.lap) @ dome)))
     # rounding floor of applying the operator to profiles that do not
     # vanish at the boundary (where the large rows live): differences of
     # summation order scale with the absolute row mass
     op_mass = float(np.abs(grid.lap).sum(axis=1).max())
     const_tol = max(1e-10, 64.0 * _EPS * op_mass)
-    checks.append(
-        _bound(
-            "laplacian-quadratic",
-            float(np.abs(laplacian4(RadialFunction(grid, r**2)).values - 8.0).max()),
-            const_tol,
-        )
-    )
-    checks.append(
-        _bound(
-            "laplacian-constant",
-            float(np.abs(laplacian4(RadialFunction(grid, np.ones(n))).values).max()),
-            const_tol,
-        )
-    )
+    checks.append(_bound("laplacian-quadratic", float(np.abs(grid.lap @ r**2 - 8.0).max()), const_tol))
+    checks.append(_bound("laplacian-constant", float(np.abs(grid.lap @ np.ones(n)).max()), const_tol))
 
-    checks.append(_bound("wnorm-dome-unweighted", abs(w_norm(dome, 0.0) - 4.0 * np.pi), 1e-8))
+    checks.append(_bound("wnorm-dome-unweighted", abs(weighted_rule(grid, 0.0).norm(dome) - 4.0 * np.pi), 1e-8))
     checks.append(
         _bound(
             "ball-volume",
@@ -170,10 +152,10 @@ def _grid_checks(grid: RadialGrid) -> list:
             1e-12,
         )
     )
-    checks.append(_bound("lebesgue-dome", abs(lebesgue_norm(dome, 2.0) - np.pi / np.sqrt(30.0)), 1e-8))
+    checks.append(_bound("lebesgue-dome", abs(lebesgue_norm(grid, dome, 2.0) - np.pi / np.sqrt(30.0)), 1e-8))
     full_sq = np.pi**2 / 30.0 + 2.0 * np.pi**2 * (4.0 / 15.0) + (4.0 * np.pi) ** 2
     checks.append(
-        _bound("full-sobolev-dome-unweighted", abs(full_sobolev_norm(dome, 0.0) - math.sqrt(full_sq)), 1e-6)
+        _bound("full-sobolev-dome-unweighted", abs(full_sobolev_norm(grid, dome, 0.0) - math.sqrt(full_sq)), 1e-6)
     )
     return checks
 
@@ -182,14 +164,12 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     checks = []
     coeffs = np.array([pointwise_bound_coeff(r, beta) for r in grid.nodes[:-1]])
     # the profiles drawn in a row from the rng [seed, 100]; each row's norms
-    # by products of its own, as w_norm and full_sobolev_norm take them for it alone
+    # by products of its own, as the rule and full_sobolev_norm take them for it alone
+    rule = weighted_rule(grid, beta)
     values = _random_clamped_rows(grid, seed, [100], count)
-    s = weighted_rule(grid, beta).form(values, alone=True)
-    nw = np.sqrt(s)
+    nw = np.sqrt(rule.form(values, alone=True))
     worst_gap = float(np.max(np.abs(values[:, :-1]) - coeffs * nw[:, None]))
-    du = rowwise(grid.d1, values, alone=True)
-    low = SURFACE_3SPHERE * rowwise(grid.quad_weights, values**2 + du**2, alone=True)
-    full = np.sqrt(np.maximum(low, 0.0) + np.maximum(s, 0.0))
+    full = full_sobolev_norm(grid, values, beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nw > 0.0, full / nw, math.inf)
     ratio_ok = bool(np.all(np.isfinite(ratio) & (ratio >= 1.0 - 1e-12)))
@@ -197,13 +177,11 @@ def _profile_checks(grid: RadialGrid, beta: float, count: int, seed: int) -> lis
     checks.append(_bound("pointwise-bound", worst_gap, 1e-7))
     checks.append(_check("norm-equivalence-ratio", ratio_ok, worst_ratio, worst_ratio))
 
-    u, v, z = (RadialFunction(grid, x) for x in _random_clamped_rows(grid, seed, [7], 3))
+    u, v, z = _random_clamped_rows(grid, seed, [7], 3)
     a_coef, b_coef = 0.7, -1.3
-    combo = RadialFunction(grid, a_coef * u.values + b_coef * v.values)
-    lin_gap = abs(
-        w_inner(combo, z, beta) - a_coef * w_inner(u, z, beta) - b_coef * w_inner(v, z, beta)
-    )
-    scale = 1.0 + abs(w_inner(u, z, beta)) + abs(w_inner(v, z, beta))
+    uz, vz = rule.form(u, z), rule.form(v, z)
+    lin_gap = abs(rule.form(a_coef * u + b_coef * v, z) - a_coef * uz - b_coef * vz)
+    scale = 1.0 + abs(uz) + abs(vz)
     checks.append(_bound("bilinearity", lin_gap / scale, 1e-10))
     return checks
 
@@ -353,29 +331,26 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * eps
     pairs = _unit_profiles(grid, params.beta, seed, 200, 100)
     us, phis = pairs[0::2], pairs[1::2]
-    # weak_action of each pair, g(S) form(u, phi) - vol.(force(u) phi), by
-    # products of the pair's own: bit for bit weak_action of the pair alone
-    head = params.kirchhoff.g(ops.rule.form(us, alone=True)) * ops.rule.form(us, phis, alone=True)
-    wa = head - rowwise(ops.rule.vol, _nodal_force(us, params) * phis, alone=True)
+    wa = _weak_actions(ops, us, phis, params)
     stack = us[:, None, :] + shifts[:, None] * phis[:, None, :]
     j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)  # the 200 energies as one stack
     fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * eps)
     checks.append(_bound("weak-action-fd", float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa)))), 1e-6))
 
-    u = RadialFunction(grid, _unit_profiles(grid, params.beta, seed, 300, 1)[0])
-    t_u = _projection(u.values[None], params, grid)[0].item()
-    checks.append(_bound("fibering-deriv-fd", _fibering_fd_gap(u, params, t_u), 1e-7))
+    u = _unit_profiles(grid, params.beta, seed, 300, 1)[0]
+    t_u = _projection(grid, u[None], params)[0].item()
+    checks.append(_bound("fibering-deriv-fd", _fibering_fd_gap(grid, u, params, t_u), 1e-7))
 
     lam, t_probe = 1.7, 0.6 * t_u
-    gap = abs(fibering(u.scaled(lam), t_probe, params) - fibering(u, lam * t_probe, params))
-    checks.append(_bound("fibering-scaling", gap / (1.0 + abs(fibering(u, lam * t_probe, params))), 1e-12))
+    gap = abs(fibering(grid, lam * u, t_probe, params) - fibering(grid, u, lam * t_probe, params))
+    checks.append(_bound("fibering-scaling", gap / (1.0 + abs(fibering(grid, u, lam * t_probe, params))), 1e-12))
 
     # <J'(u), u> by quadrature against the moment form of d/dt J(t u) at t = 1
-    residual = weak_action(u, u, params)
-    gap = abs(residual - FiberMap.full(u, params).deriv(1.0))
+    residual = _weak_actions(ops, u, u, params)
+    gap = abs(residual - FiberMap.full(grid, u, params).deriv(1.0))
     checks.append(_bound("weak-action-residual-identity", gap, 1e-12 * (1.0 + abs(residual))))
 
-    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
+    load = _residual_load(ops, u, params, _nodal_force(u, params))
     v = ops.riesz(load)
     bt = ops.basis.T
     # the residual of B^T G v = B^T load, v = R load through the explicit Riesz
@@ -385,6 +360,14 @@ def _energy_checks(grid: RadialGrid, params: ModelParams, seed: int) -> list:
     floor = 16.0 * _EPS * (np.abs(bt) @ (np.abs(ops.gram) @ (np.abs(ops.riesz_matrix) @ np.abs(load)) + np.abs(load)))
     checks.append(_floor_check("gradient-defining-equations", np.abs(bt @ (ops.gram @ v) - bt @ load), floor))
     return checks
+
+
+def _weak_actions(ops, us: np.ndarray, phis: np.ndarray, params: ModelParams):
+    """<J'(u), phi> = g(S) form(u, phi) - vol.(force(u) phi) by quadrature,
+    of nodal values (n,) or of each pair of rows of stacks (k, n) by products
+    of the pair's own."""
+    head = params.kirchhoff.g(ops.rule.form(us, alone=True)) * ops.rule.form(us, phis, alone=True)
+    return head - rowwise(ops.rule.vol, _nodal_force(us, params) * phis, alone=True)
 
 
 def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: int) -> list:
@@ -397,14 +380,14 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
 
     u = _random_clamped_rows(grid, seed, [400], 1)[0]
     lams = np.array([1.0, 0.5, 2.0, 10.0])
-    t_u = _projection(lams[:, None] * u, params, grid)[0]
+    t_u = _projection(grid, lams[:, None] * u, params)[0]
     worst = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0]) / t_u[0]))
     checks.append(_bound("projection-scaling-law", worst, 1e-9))
 
     dir_values = _unit_profiles(grid, params.beta, seed, 500, count)
-    t_u, projected, energies, residuals = project(dir_values, params, grid)
+    t_u, projected, energies, residuals = project(grid, dir_values, params)
     ops = operator_cache(grid, params.beta)
-    fibers = FiberMap.full(dir_values, params, grid)
+    fibers = FiberMap.full(grid, dir_values, params)
     peaks = _energies(ops, t_u[:, None] * dir_values, params)
     sign_changes = _sign_changes(fibers, t_u, grid.n)
     # the fibering maximum is attained at the projection scale, up to a
@@ -415,7 +398,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     for start in range(0, count, _FIBER_BLOCK):
         rows = slice(start, start + _FIBER_BLOCK)
         sweep = np.linspace(0.0, 3.0 * t_u[rows], 200, axis=1)
-        sweep_max[rows] = fibering(dir_values[rows], sweep, params, grid).max(axis=1)
+        sweep_max[rows] = fibering(grid, dir_values[rows], sweep, params).max(axis=1)
     max_gaps = (peaks - sweep_max) / np.abs(peaks)
     bad = np.flatnonzero(sign_changes != 1).tolist()  # the witness is the first of them
     checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
@@ -424,7 +407,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     doubled = 2.0 * projected
     inside = np.flatnonzero(_nehari_residuals(ops, doubled, params) <= 0.0)
     scales = np.full(count, -math.inf)  # a point outside the set is not tested
-    scales[inside] = _projection(doubled[inside], params, grid)[0]
+    scales[inside] = _projection(grid, doubled[inside], params)[0]
     worst = int(np.argmax(scales))  # the margin is the headroom of the largest scale
     headroom = 1.0 + 1e-10 - scales[worst]
     checks.append(_check("projection-scale-below-one", headroom >= 0.0, headroom, worst))
@@ -482,16 +465,16 @@ def _residual_limit(ops, values: np.ndarray, params: ModelParams):
     return 4.0 * _EPS * (head + tail)
 
 
-def _fibering_fd_gap(u: RadialFunction, params: ModelParams, t_u: float, samples: int = 20) -> float:
+def _fibering_fd_gap(grid: RadialGrid, u: np.ndarray, params: ModelParams, t_u: float, samples: int = 20) -> float:
     """Worst relative gap between the fibering derivative and a fourth-order
     central difference, sampled away from the fibering maximum (there the
     derivative crosses zero and a difference quotient of the large map
     values is pure cancellation noise) and short of the exponential wall."""
     ts = np.linspace(0.1 * t_u, 0.95 * t_u, samples)
     h = 1e-4 * ts
-    j = [fibering(u, ts + c * h, params) for c in (2.0, 1.0, -1.0, -2.0)]
+    j = [fibering(grid, u, ts + c * h, params) for c in (2.0, 1.0, -1.0, -2.0)]
     fd = (-j[0] + 8.0 * j[1] - 8.0 * j[2] + j[3]) / (12.0 * h)
-    dv = FiberMap.full(u, params).deriv(ts)
+    dv = FiberMap.full(grid, u, params).deriv(ts)
     return float(np.max(np.abs(fd - dv) / (1.0 + np.abs(dv))))
 
 

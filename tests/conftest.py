@@ -4,6 +4,7 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.energy import _nodal_force, _residual_load, operator_cache
 from kirchhoff4.nehari import _relative_gradient, _start_stack
+from kirchhoff4.radial import weighted_rule
 from kirchhoff4.verify import _residual_limit
 
 
@@ -53,9 +54,9 @@ def dome_gate_ratio(grid):
     smaller.  Both schemes are exact on the dome, so the gate is met when
     every ratio is at most 1."""
     r = grid.nodes
-    dome = k4.RadialFunction(grid, (1 - r**2) ** 2)
-    err = np.abs(k4.laplacian4(dome).values - (-16 + 24 * r**2))
-    return err / np.maximum(1e-10, 8 * np.finfo(float).eps * (np.abs(grid.lap) @ dome.values))
+    dome = (1 - r**2) ** 2
+    err = np.abs(grid.lap @ dome - (-16 + 24 * r**2))
+    return err / np.maximum(1e-10, 8 * np.finfo(float).eps * (np.abs(grid.lap) @ dome))
 
 
 def chained_ground_state(grid, params, search):
@@ -68,17 +69,16 @@ def random_starts(grid, params, search):
     return _start_stack(grid, operator_cache(grid, params.beta), search)
 
 
-def minimizer_gates(gs, params):
+def minimizer_gates(grid, gs, params):
     """Relative gradient ||J'(w)|| / (g(S) ||w||) of a published minimizer and
     the rounding bound of its Nehari residual: both follow the problem's scale."""
-    values = gs.minimizer.values
-    ops = operator_cache(gs.minimizer.grid, params.beta)
-    return _relative_gradient(ops, params, values, gs.gradient_norm), _residual_limit(ops, values, params)
+    ops = operator_cache(grid, params.beta)
+    return _relative_gradient(ops, gs.minimizer, params, gs.gradient_norm), _residual_limit(ops, gs.minimizer, params)
 
 
-def project_one(u, params):
+def project_one(grid, u, params):
     """project on the stack of the one direction u: its (t_u, w, energy, residual)."""
-    t_u, w, energies, residuals = k4.project(u.values[None], params, u.grid)
+    t_u, w, energies, residuals = k4.project(grid, u[None], params)
     return t_u[0], w[0], energies[0], residuals[0]
 
 
@@ -90,7 +90,16 @@ def sobolev_gradient(ops, values, params):
 
 def unit_profile(grid, beta, seed):
     u = k4.random_clamped_profile(grid, np.random.default_rng(seed))
-    return u.scaled(1.0 / k4.w_norm(u, beta))
+    return (1.0 / weighted_rule(grid, beta).norm(u)) * u
+
+
+def weak_action(grid, u, phi, params):
+    """<J'(u), phi> = g(||u||^2) int_B w (lap u)(lap phi) dx - int_B force(u) phi dx
+    of nodal values (n,), by quadrature: the reference the solver's loads and
+    residuals are checked against."""
+    rule = weighted_rule(grid, params.beta)
+    head = params.kirchhoff.g(rule.form(u)) * rule.form(u, phi)
+    return head - rule.vol @ (_nodal_force(u, params) * phi)
 
 
 class WeakenedNonlinearity(k4.NonlinearitySpec):

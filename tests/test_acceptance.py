@@ -17,6 +17,7 @@ import kirchhoff4 as k4
 from kirchhoff4.energy import FiberMap
 from kirchhoff4.model import KirchhoffSpec
 from kirchhoff4.nehari import _drive
+from kirchhoff4.radial import weighted_rule
 from kirchhoff4.verify import check_hypotheses, run_suite
 
 from conftest import WeakenedNonlinearity, chained_ground_state, dome_gate_ratio, minimizer_gates
@@ -46,10 +47,10 @@ def _suite_verdict(suite, names, label: str):
 
 def test_criterion_01_discretization_oracles(spectral64):
     g = spectral64
-    dome = k4.RadialFunction(g, (1 - g.nodes**2) ** 2)
-    norm_gap = abs(k4.w_norm(dome, 0.0) - 4 * np.pi)
+    dome = (1 - g.nodes**2) ** 2
+    norm_gap = abs(weighted_rule(g, 0.0).norm(dome) - 4 * np.pi)
     lap_ratio = float(dome_gate_ratio(g).max())  # against max(1e-10, 8 eps (|lap| dome)_i)
-    vol_gap = abs(k4.ball_integral(np.ones(g.n), g) - np.pi**2 / 2)
+    vol_gap = abs(k4.ball_integral(g, np.ones(g.n)) - np.pi**2 / 2)
     ok = norm_gap <= 1e-8 and lap_ratio <= 1.0 and vol_gap <= 1e-12
     _verdict(
         ok,
@@ -69,7 +70,7 @@ def test_criterion_03_projection_oracles(spectral64, params_cp2):
     gap_power = abs(_drive(power)[0] - (2.0 * 3.0 / 5.0) ** 0.25)
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(1301))
     lams = np.array([1.0, 0.5, 2.0, 10.0])
-    t_u = k4.project(lams[:, None] * u.values, params_cp2, spectral64)[0]
+    t_u = k4.project(spectral64, lams[:, None] * u, params_cp2)[0]
     gap_scale = float(np.max(np.abs(t_u[1:] * lams[1:] - t_u[0])))
     ok = gap_quartic <= 1e-9 and gap_power <= 1e-10 and gap_scale <= 1e-9
     _verdict(
@@ -95,9 +96,9 @@ def fd_solution(resolved_default, params_cp2, search_default, fd400):
     return k4.ground_state(fd400, params, search_default, aux_fd.directions)
 
 
-def test_criterion_05_ground_state_quality(ground_default, fd_solution, resolved_default):
+def test_criterion_05_ground_state_quality(spectral64, ground_default, fd_solution, resolved_default):
     gs, gf = ground_default, fd_solution
-    rel_grad, resid_limit = minimizer_gates(gs, resolved_default[0])
+    rel_grad, resid_limit = minimizer_gates(spectral64, gs, resolved_default[0])
     grad_ok = gs.converged and rel_grad <= 1e-6
     resid_ok = abs(gs.residual) <= resid_limit
     positive = gs.m > 0.0
@@ -167,7 +168,7 @@ def test_criterion_10_determinism(spectral32, params_cp2):
     same = (
         a.m == b.m
         and a.gradient_norm == b.gradient_norm
-        and np.array_equal(a.minimizer.values, b.minimizer.values)
+        and np.array_equal(a.minimizer, b.minimizer)
         and a.per_start_energies == b.per_start_energies
     )
     _verdict(same, "criterion 10: bitwise determinism of repeated runs", f"m={a.m:.9g}")

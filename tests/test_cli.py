@@ -231,7 +231,7 @@ def test_solve_writes_report_and_profile(tmp_path):
     }
     grid = k4.build_grid(32, "spectral-even")
     profile = k4.read_profile_csv(grid, tmp_path / "minimizer.csv")
-    assert np.all(np.isfinite(profile.values))
+    assert np.all(np.isfinite(profile))
 
 
 def test_solve_deterministic_reports(tmp_path):

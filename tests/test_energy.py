@@ -13,25 +13,25 @@ from kirchhoff4.nehari import _drive
 from kirchhoff4.radial import weighted_rule
 from kirchhoff4.verify import _residual_limit
 
-from conftest import project_one, sobolev_gradient, unit_profile
+from conftest import project_one, sobolev_gradient, unit_profile, weak_action
 
 
 def test_energy_zero(spectral64, params_cp2):
-    zero = k4.RadialFunction(spectral64, np.zeros(64))
-    e = k4.energy(zero, params_cp2)
+    zero = np.zeros(64)
+    e = k4.energy(spectral64, zero, params_cp2)
     assert e.kirchhoff_term == e.power_term == e.f_term == e.total == 0.0
 
 
 def test_energy_decomposition(spectral64, params_cp2):
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [31, k])
-        e = k4.energy(u, params_cp2)
+        e = k4.energy(spectral64, u, params_cp2)
         assert abs(e.total - (e.kirchhoff_term - e.power_term - e.f_term)) < 1e-12 * (1 + abs(e.total))
 
 
 def test_energy_pure(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 3)
-    assert k4.energy(u, params_cp2).total == k4.energy(u, params_cp2).total
+    assert k4.energy(spectral64, u, params_cp2).total == k4.energy(spectral64, u, params_cp2).total
 
 
 def test_energy_degenerate_closed_form(spectral64):
@@ -41,11 +41,11 @@ def test_energy_degenerate_closed_form(spectral64):
         beta=0.5, q=5.0, p=6.0, cp=0.0, alpha0=0.0, delta=0.1,
         kirchhoff=KirchhoffSpec.affine(1.0, 0.0),
     )
-    dome = k4.RadialFunction(spectral64, (1 - spectral64.nodes**2) ** 2)
-    e = k4.energy(dome, params)
-    norm_sq = k4.w_norm(dome, 0.5) ** 2
-    qbit = k4.lebesgue_norm(dome, 5.0) ** 5 / 5.0
-    pbit = k4.lebesgue_norm(dome, 6.0) ** 6 / 6.0
+    dome = (1 - spectral64.nodes**2) ** 2
+    e = k4.energy(spectral64, dome, params)
+    norm_sq = weighted_rule(spectral64, 0.5).norm(dome) ** 2
+    qbit = k4.lebesgue_norm(spectral64, dome, 5.0) ** 5 / 5.0
+    pbit = k4.lebesgue_norm(spectral64, dome, 6.0) ** 6 / 6.0
     assert abs(e.kirchhoff_term - norm_sq / 2) < 1e-10 * (1 + norm_sq)
     assert abs(e.power_term - qbit) < 1e-12 * (1 + qbit)
     assert abs(e.f_term - pbit) < 1e-12 * (1 + pbit)
@@ -56,24 +56,31 @@ def test_energy_degenerate_closed_form(spectral64):
         kirchhoff=KirchhoffSpec.affine(1.0, 0.0),
         nonlinearity=params.nonlinearity,
     )
-    e0 = k4.energy(dome, params0)
+    e0 = k4.energy(spectral64, dome, params0)
     assert abs(e0.kirchhoff_term - 0.5 * (4 * np.pi) ** 2) < 1e-8
 
 
+def _load_action(grid, u, phi, params):
+    """<J'(u), phi> as the solver forms it: its nodal load (_residual_load) dotted with phi."""
+    return _residual_load(operator_cache(grid, params.beta), u, params, _nodal_force(u, params)) @ phi
+
+
 def test_weak_action_zero(spectral64, params_cp2):
-    zero = k4.RadialFunction(spectral64, np.zeros(64))
+    zero = np.zeros(64)
     phi = unit_profile(spectral64, 0.5, 4)
-    assert k4.weak_action(zero, phi, params_cp2) == 0.0
+    assert _load_action(spectral64, zero, phi, params_cp2) == 0.0
+    assert weak_action(spectral64, zero, phi, params_cp2) == 0.0
 
 
 def test_weak_action_linear_in_phi(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 5)
     a = unit_profile(spectral64, 0.5, 6)
     b = unit_profile(spectral64, 0.5, 7)
-    combo = k4.RadialFunction(spectral64, 2.0 * a.values - 3.0 * b.values)
-    left = k4.weak_action(u, combo, params_cp2)
-    right = 2.0 * k4.weak_action(u, a, params_cp2) - 3.0 * k4.weak_action(u, b, params_cp2)
-    assert abs(left - right) < 1e-10 * (1 + abs(left))
+    combo = 2.0 * a - 3.0 * b
+    for action in (_load_action, weak_action):
+        left = action(spectral64, u, combo, params_cp2)
+        right = 2.0 * action(spectral64, u, a, params_cp2) - 3.0 * action(spectral64, u, b, params_cp2)
+        assert abs(left - right) < 1e-10 * (1 + abs(left)), action
 
 
 def test_weak_action_finite_difference(spectral64, params_cp2):
@@ -81,28 +88,28 @@ def test_weak_action_finite_difference(spectral64, params_cp2):
     for k in range(50):
         u = unit_profile(spectral64, 0.5, [41, k])
         phi = unit_profile(spectral64, 0.5, [42, k])
-        plus = k4.energy(k4.RadialFunction(spectral64, u.values + eps * phi.values), params_cp2).total
-        minus = k4.energy(k4.RadialFunction(spectral64, u.values - eps * phi.values), params_cp2).total
-        wa = k4.weak_action(u, phi, params_cp2)
-        assert abs((plus - minus) / (2 * eps) - wa) <= 1e-6 * (1 + abs(wa)), k
+        plus = k4.energy(spectral64, u + eps * phi, params_cp2).total
+        minus = k4.energy(spectral64, u - eps * phi, params_cp2).total
+        for wa in (weak_action(spectral64, u, phi, params_cp2), _load_action(spectral64, u, phi, params_cp2)):
+            assert abs((plus - minus) / (2 * eps) - wa) <= 1e-6 * (1 + abs(wa)), k
 
 
 def test_weak_action_equals_residual(spectral64, params_cp2):
     # the single-profile path and the stacked kernel on a stack of one
     u = unit_profile(spectral64, 0.5, 8)
     ops = operator_cache(spectral64, 0.5)
-    assert k4.weak_action(u, u, params_cp2) == _nehari_residuals(ops, u.values[None], params_cp2)[0]
+    assert weak_action(spectral64, u, u, params_cp2) == _nehari_residuals(ops, u[None], params_cp2)[0]
 
 
 def test_stacked_residuals_match_single(spectral64, params_cp2):
     # one Laplacian product per profile instead of three: the same residual
     # to rounding, and -inf for a profile past the overflow guard
     ops = operator_cache(spectral64, 0.5)
-    rows = [unit_profile(spectral64, 0.5, [43, k]).scaled(0.5 + k) for k in range(6)]
-    stack = np.array([u.values for u in rows])
+    rows = [(0.5 + k) * unit_profile(spectral64, 0.5, [43, k]) for k in range(6)]
+    stack = np.array(rows)
     out = _nehari_residuals(ops, stack, params_cp2)
     for u, res in zip(rows, out):
-        single = k4.weak_action(u, u, params_cp2)
+        single = weak_action(spectral64, u, u, params_cp2)
         assert abs(res - single) <= 1e-13 * abs(single)
     past = 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(stack[0]).max()
     out = _nehari_residuals(ops, np.array([stack[1], past * stack[0]]), params_cp2)
@@ -120,17 +127,17 @@ def test_sobolev_gradient_zero(spectral64, params_cp2):
     ids=["spectral32", "spectral64", "spectral128", "fd400"],
 )
 def test_sobolev_gradient_defining_equations(n, scheme, params_cp2):
-    # w_inner(v, phi_j) = <load, phi_j> for every basis column phi_j, on
+    # rule.form(v, phi_j) = <load, phi_j> for every basis column phi_j, on
     # every grid, the worst-conditioned FD400 operator (cond ~1.7e9)
     # included.  The left side is the weighted product of Laplacians, as
-    # w_inner defines it: through the assembled Gram matrix its rounding
+    # rule.form defines it: through the assembled Gram matrix its rounding
     # alone reaches ~1e-8 at n=128, whatever solves the system.
     grid = k4.build_grid(n, scheme)
     ops = operator_cache(grid, 0.5)
     u = unit_profile(grid, 0.5, 9)
-    v = sobolev_gradient(ops, u.values, params_cp2)
+    v = sobolev_gradient(ops, u, params_cp2)
     lhs = (grid.lap @ ops.basis).T @ (ops.rule.wvol * (grid.lap @ v))
-    resid = lhs - ops.basis.T @ _residual_load(ops, u.values, params_cp2, _nodal_force(u.values, params_cp2))
+    resid = lhs - ops.basis.T @ _residual_load(ops, u, params_cp2, _nodal_force(u, params_cp2))
     assert np.abs(resid).max() < 1e-9
 
 
@@ -146,23 +153,23 @@ def test_weighted_rule_has_one_home(spectral64, params_cp2, monkeypatch):
     beta, g = params_cp2.beta, params_cp2.kirchhoff
     u = unit_profile(spectral64, beta, 12)
     ops = operator_cache(spectral64, beta)
-    s = float(ops.rule.form(u.values))
-    force_u = _nodal_force(u.values, params_cp2) * u.values
-    action = k4.weak_action(u, u, params_cp2)
-    gram_sq = u.values @ ops.gram @ u.values
-    bound = _residual_limit(ops, u.values, params_cp2) / (4.0 * np.finfo(float).eps)
+    s = float(ops.rule.form(u))
+    force_u = _nodal_force(u, params_cp2) * u
+    action = weak_action(spectral64, u, u, params_cp2)
+    gram_sq = u @ ops.gram @ u
+    bound = _residual_limit(ops, u, params_cp2) / (4.0 * np.finfo(float).eps)
     head = bound - np.abs(force_u) @ ops.rule.vol  # 2 g(S) times a weighted product
     rule = weighted_rule(spectral64, beta)
     monkeypatch.setitem(vars(rule), "wvol", 2.0 * rule.wvol)
     operator_cache.cache_clear()  # its Gram matrix is built from the rule
     try:
         ops = operator_cache(spectral64, beta)
-        assert k4.w_norm(u, beta) ** 2 == pytest.approx(2.0 * s, rel=1e-15)
-        assert k4.energy(u, params_cp2).kirchhoff_term == 0.5 * g.G(2.0 * s)
-        assert u.values @ ops.gram @ u.values == pytest.approx(2.0 * gram_sq, rel=1e-14)
-        moved = k4.weak_action(u, u, params_cp2) - action
+        assert weighted_rule(spectral64, beta).norm(u) ** 2 == pytest.approx(2.0 * s, rel=1e-15)
+        assert k4.energy(spectral64, u, params_cp2).kirchhoff_term == 0.5 * g.G(2.0 * s)
+        assert u @ ops.gram @ u == pytest.approx(2.0 * gram_sq, rel=1e-14)
+        moved = weak_action(spectral64, u, u, params_cp2) - action
         assert moved == pytest.approx(g.g(2.0 * s) * 2.0 * s - g.g(s) * s, rel=1e-12)
-        moved = _residual_limit(ops, u.values, params_cp2) / (4.0 * np.finfo(float).eps) - bound
+        moved = _residual_limit(ops, u, params_cp2) / (4.0 * np.finfo(float).eps) - bound
         assert moved == pytest.approx((2.0 * g.g(2.0 * s) / g.g(s) - 1.0) * head, rel=1e-12)
     finally:
         operator_cache.cache_clear()
@@ -170,17 +177,17 @@ def test_weighted_rule_has_one_home(spectral64, params_cp2, monkeypatch):
 
 def test_fibering_endpoints(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 10)
-    assert k4.fibering(u, 0.0, params_cp2) == 0.0
-    assert k4.fibering(u, 1.0, params_cp2) == k4.energy(u, params_cp2).total
+    assert k4.fibering(spectral64, u, 0.0, params_cp2) == 0.0
+    assert k4.fibering(spectral64, u, 1.0, params_cp2) == k4.energy(spectral64, u, params_cp2).total
     with pytest.raises(ValueError):
-        k4.fibering(u, -0.3, params_cp2)
+        k4.fibering(spectral64, u, -0.3, params_cp2)
 
 
 def test_fibering_deriv_finite_difference(spectral64, params_cp2):
     from kirchhoff4.verify import _fibering_fd_gap
 
     u = unit_profile(spectral64, 0.5, 11)
-    assert _fibering_fd_gap(u, params_cp2, project_one(u, params_cp2)[0]) <= 1e-7
+    assert _fibering_fd_gap(spectral64, u, params_cp2, project_one(spectral64, u, params_cp2)[0]) <= 1e-7
 
 
 def _fiber_scales(fiber, params):
@@ -193,10 +200,10 @@ def _fiber_scales(fiber, params):
 def test_fibering_deriv_chain_rule(spectral64, params_cp2, resolved_default):
     u = unit_profile(spectral64, 0.5, 12)
     for params in (params_cp2, resolved_default[0]):
-        fiber = k4.FiberMap.full(u, params)
+        fiber = k4.FiberMap.full(spectral64, u, params)
         for t in _fiber_scales(fiber, params):
             lhs = fiber.deriv(t)
-            rhs = k4.weak_action(u.scaled(t), u, params)
+            rhs = weak_action(spectral64, t * u, u, params)
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs)), (params.cp, t)
 
 
@@ -204,7 +211,7 @@ def test_fibering_deriv2_finite_difference(spectral64, params_cp2, resolved_defa
     # derivs gives deriv bit for bit and the second derivative beside it
     u = unit_profile(spectral64, 0.5, 12)
     for params in (params_cp2, resolved_default[0]):
-        fiber = k4.FiberMap.full(u, params)
+        fiber = k4.FiberMap.full(spectral64, u, params)
         for t in _fiber_scales(fiber, params):
             h = 1e-6 * t
             fd = (
@@ -218,54 +225,54 @@ def test_fibering_deriv2_finite_difference(spectral64, params_cp2, resolved_defa
 def test_fibering_scaling_identity(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 13)
     lam, t = 2.7, 0.9
-    a = k4.fibering(u.scaled(lam), t, params_cp2)
-    b = k4.fibering(u, lam * t, params_cp2)
+    a = k4.fibering(spectral64, lam * u, t, params_cp2)
+    b = k4.fibering(spectral64, u, lam * t, params_cp2)
     assert abs(a - b) < 1e-12 * (1 + abs(b))
 
 
 def test_fibering_overflow_propagates(spectral64, params_cp2):
     # past the guard the value is -inf; the breakdown of the same profile raises
     u = unit_profile(spectral64, 0.5, 14)
-    assert k4.fibering(u, 1e6, params_cp2) == -np.inf
+    assert k4.fibering(spectral64, u, 1e6, params_cp2) == -np.inf
     with pytest.raises(RangeOverflowError):
-        k4.energy(u.scaled(1e6), params_cp2)
+        k4.energy(spectral64, 1e6 * u, params_cp2)
 
 
 # The overflow convention: past the exponential guard every value kernel
 # (J, <J'(u), u>, d/dt J(tu), d^2/dt^2 J(tu)) gives -inf, where the reaction
-# tail certainly dominates.  Each takes the profile u at the scales ts and
-# gives one value per scale, or (derivs) a pair of such arrays.
+# tail certainly dominates.  Each takes the profile u on the grid at the
+# scales ts and gives one value per scale, or (derivs) a pair of such arrays.
 _VALUE_KERNELS = {
-    "fibering": lambda u, ts, params: np.array([k4.fibering(u, t, params) for t in ts]),
-    "fibering-array": lambda u, ts, params: k4.fibering(u, ts, params),
-    "_energies": lambda u, ts, params: _energies(operator_cache(u.grid, params.beta), np.outer(ts, u.values), params),
-    "_nehari_residuals": lambda u, ts, params: _nehari_residuals(
-        operator_cache(u.grid, params.beta), np.outer(ts, u.values), params
+    "fibering": lambda grid, u, ts, params: np.array([k4.fibering(grid, u, t, params) for t in ts]),
+    "fibering-array": lambda grid, u, ts, params: k4.fibering(grid, u, ts, params),
+    "_energies": lambda grid, u, ts, params: _energies(operator_cache(grid, params.beta), np.outer(ts, u), params),
+    "_nehari_residuals": lambda grid, u, ts, params: _nehari_residuals(
+        operator_cache(grid, params.beta), np.outer(ts, u), params
     ),
-    "_energies-row": lambda u, ts, params: np.array(
-        [_energies(operator_cache(u.grid, params.beta), t * u.values[None], params)[0] for t in ts]
+    "_energies-row": lambda grid, u, ts, params: np.array(
+        [_energies(operator_cache(grid, params.beta), t * u[None], params)[0] for t in ts]
     ),
-    "FiberMap.deriv": lambda u, ts, params: FiberMap.full(u, params).deriv(ts),
-    "FiberMap.derivs": lambda u, ts, params: FiberMap.full(u, params).derivs(ts),
+    "FiberMap.deriv": lambda grid, u, ts, params: FiberMap.full(grid, u, params).deriv(ts),
+    "FiberMap.derivs": lambda grid, u, ts, params: FiberMap.full(grid, u, params).derivs(ts),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(_VALUE_KERNELS))
 def test_value_kernels_give_minus_inf_past_the_guard(kernel, spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 14)
-    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
-    for got in np.atleast_2d(_VALUE_KERNELS[kernel](u, np.array([0.5, 1.1, 1e6]) * limit, params_cp2)):
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()
+    for got in np.atleast_2d(_VALUE_KERNELS[kernel](spectral64, u, np.array([0.5, 1.1, 1e6]) * limit, params_cp2)):
         assert np.isfinite(got[0]) and np.all(got[1:] == -np.inf), got
 
 
 # A breakdown, a weak action along another direction, a load or a gradient
 # raises past the guard.
 _RAISING_KERNELS = {
-    "energy": lambda w, phi, params: k4.energy(w, params),
-    "weak_action": lambda w, phi, params: k4.weak_action(w, phi, params),
-    "sobolev_gradient": lambda w, phi, params: sobolev_gradient(operator_cache(w.grid, params.beta), w.values, params),
-    "_residual_load": lambda w, phi, params: _residual_load(
-        operator_cache(w.grid, params.beta), w.values, params, _nodal_force(w.values, params)
+    "energy": lambda grid, w, phi, params: k4.energy(grid, w, params),
+    "weak_action": lambda grid, w, phi, params: _load_action(grid, w, phi, params),
+    "sobolev_gradient": lambda grid, w, phi, params: sobolev_gradient(operator_cache(grid, params.beta), w, params),
+    "_residual_load": lambda grid, w, phi, params: _residual_load(
+        operator_cache(grid, params.beta), w, params, _nodal_force(w, params)
     ),
 }
 
@@ -273,10 +280,10 @@ _RAISING_KERNELS = {
 @pytest.mark.parametrize("kernel", sorted(_RAISING_KERNELS))
 def test_breakdowns_and_gradients_raise_past_the_guard(kernel, spectral64, params_cp2):
     u, phi = unit_profile(spectral64, 0.5, 14), unit_profile(spectral64, 0.5, 15)
-    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
-    _RAISING_KERNELS[kernel](u.scaled(0.5 * limit), phi, params_cp2)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()
+    _RAISING_KERNELS[kernel](spectral64, (0.5 * limit) * u, phi, params_cp2)
     with pytest.raises(RangeOverflowError):
-        _RAISING_KERNELS[kernel](u.scaled(1.1 * limit), phi, params_cp2)
+        _RAISING_KERNELS[kernel](spectral64, (1.1 * limit) * u, phi, params_cp2)
 
 
 def test_residual_sign_window(spectral64, params_cp2):
@@ -284,18 +291,18 @@ def test_residual_sign_window(spectral64, params_cp2):
     ops = operator_cache(spectral64, 0.5)
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [51, k])
-        t_u = project_one(u, params_cp2)[0]
-        big = min(2.5 * t_u, 0.9 * guard / np.abs(u.values).max())
+        t_u = project_one(spectral64, u, params_cp2)[0]
+        big = min(2.5 * t_u, 0.9 * guard / np.abs(u).max())
         assert big > t_u
-        small_res, big_res = _nehari_residuals(ops, np.outer([0.05 * t_u, big], u.values), params_cp2)
+        small_res, big_res = _nehari_residuals(ops, np.outer([0.05 * t_u, big], u), params_cp2)
         assert small_res > 0.0
         assert big_res < 0.0
 
 
 def test_fiber_map_saturated_signs(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 15)
-    fiber = FiberMap.full(u, params_cp2)
-    t_u = project_one(u, params_cp2)[0]
+    fiber = FiberMap.full(spectral64, u, params_cp2)
+    t_u = project_one(spectral64, u, params_cp2)[0]
     assert fiber.deriv(1e6 * t_u) == -np.inf  # far past the guard
 
 
@@ -305,7 +312,7 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
     for params in (params_cp2, resolved_default[0], steep):
         u = unit_profile(spectral64, 0.5, 17)
-        fiber = FiberMap.full(u, params)
+        fiber = FiberMap.full(spectral64, u, params)
         t_u = _drive(fiber)[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
         batch = fiber.deriv(ts)
@@ -315,8 +322,8 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
         finite = np.isfinite(single)
         assert np.array_equal(batch[~finite], single[~finite])
         assert np.all(np.abs(batch[finite] - single[finite]) <= 1e-12 * np.abs(single[finite]))
-    fiber = FiberMap.full(u, params_cp2)
-    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    fiber = FiberMap.full(spectral64, u, params_cp2)
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()
     assert np.all(np.isfinite(fiber.deriv(np.array([0.5, 0.9]) * limit)))
     past = fiber.deriv(np.array([0.5, 1.1]) * limit)  # past the guard the tail dominates
     assert np.isfinite(past[0]) and past[1] == -np.inf
@@ -332,11 +339,11 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
         assert np.all(np.abs(got[finite] - want[finite]) <= tol * np.abs(want[finite]))
 
     for params in (params_cp2, resolved_default[0], steep):
-        values = np.array([unit_profile(spectral64, 0.5, [17, k]).values for k in range(200)])
-        alone = [FiberMap.full(k4.RadialFunction(spectral64, v), params) for v in values]
+        values = np.array([unit_profile(spectral64, 0.5, [17, k]) for k in range(200)])
+        alone = [FiberMap.full(spectral64, v, params) for v in values]
         t_u = np.array([_drive(f)[0] for f in alone])
         for k, tol in ((9, 0.0), (200, 1e-12)):
-            stack = FiberMap.full(values[:k], params, spectral64)
+            stack = FiberMap.full(spectral64, values[:k], params)
             sweep = t_u[:k, None] * np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
             for name, kernel in (("deriv", FiberMap.deriv), ("d2", lambda f, t: f.derivs(t)[1])):
                 got = kernel(stack, sweep)
@@ -344,7 +351,7 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
                 agree(kernel(stack, sweep[:, 1]), np.array([kernel(f, t) for f, t in zip(alone, sweep[:, 1])]), tol)
                 assert np.array_equal(kernel(stack.take([k - 1]), sweep[-1]), got[-1]), (name, k)
     # a direction with small values: t^gamma alone would overflow inside the guard
-    fiber = FiberMap.full(u.scaled(0.1), steep)
+    fiber = FiberMap.full(spectral64, 0.1 * u, steep)
     limit = steep.nonlinearity.guard_scale() / fiber.vmax[0]
     assert np.all(np.isfinite(fiber.derivs(0.9 * limit)))
 
@@ -362,12 +369,12 @@ def test_fiber_map_tail_matches_exp_reference(spectral64, params_cp2, resolved_d
         (unit_profile(spectral64, 0.5, 23), params),
         (unit_profile(spectral64, 0.5, 23), params_cp2),
     ):
-        nl, vol = prm.nonlinearity, weighted_rule(u.grid, prm.beta).vol
-        t_u = _drive(FiberMap.full(u, prm))[0]
+        nl, vol = prm.nonlinearity, weighted_rule(spectral64, prm.beta).vol
+        t_u = _drive(FiberMap.full(spectral64, u, prm))[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 400)
-        tail = FiberMap(KirchhoffSpec.affine(1e-300, 0.0), 1.0, (), nl, u.values[None], vol)
+        tail = FiberMap(KirchhoffSpec.affine(1e-300, 0.0), 1.0, (), nl, u[None], vol)
         d, d2 = tail.derivs(ts)
-        av = np.abs(u.values)
+        av = np.abs(u)
         with np.errstate(over="ignore", invalid="ignore"):
             arg = nl.alpha0 * (ts[:, None] * av) ** nl.gamma
             body = np.exp(arg) * (vol * av**nl.p)
@@ -386,10 +393,10 @@ def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
     # bit, on stacks of 1, 9 and 200 rows, at one scale per row and on sweeps
     # that reach past the guard (-inf from 10 t_u at cp = 2)
     steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
-    values = np.array([unit_profile(spectral64, 0.5, [19, k]).values for k in range(200)])
+    values = np.array([unit_profile(spectral64, 0.5, [19, k]) for k in range(200)])
     for params in (params_cp2, resolved_default[0], steep):
         for k in (1, 9, 200):
-            fiber = FiberMap.full(values[:k], params, spectral64)
+            fiber = FiberMap.full(spectral64, values[:k], params)
             t_u = np.array([_drive(fiber.take([i]))[0] for i in range(k)])
             sweep = t_u[:, None] * np.array([1e-3, 0.5, 1.0, 2.0, 10.0, 1e3])
             for ts in (sweep, sweep[:, 2], sweep[:, 4]):
@@ -399,7 +406,7 @@ def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
                 assert np.array_equal(d == -np.inf, d2 == -np.inf), (params.cp, k)
             if params is params_cp2:
                 assert np.all(fiber.derivs(sweep)[0][:, -1] == -np.inf)
-        one = FiberMap.full(values[0], params, spectral64)
+        one = FiberMap.full(spectral64, values[0], params)
         assert one.derivs(t_u[0])[0] == one.deriv(t_u[0])
 
 
@@ -415,9 +422,9 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
     for params in configs:
         u = unit_profile(spectral64, params.beta, 19)
         ops = operator_cache(spectral64, params.beta)
-        ts = np.linspace(0.0, 3.0 * project_one(u, params)[0], 200)
-        stack = np.outer(ts, u.values)
-        value = k4.fibering(u, ts, params)
+        ts = np.linspace(0.0, 3.0 * project_one(spectral64, u, params)[0], 200)
+        stack = np.outer(ts, u)
+        value = k4.fibering(spectral64, u, ts, params)
         reference = _energies(ops, stack, params)
         with np.errstate(over="ignore"):
             inside = _inside_guard(params.nonlinearity, np.abs(stack).max(axis=1))
@@ -425,7 +432,7 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
         if params is not resolved_default[0]:
             assert 0 < np.count_nonzero(~inside) < len(ts)  # partly past the guard: -inf exactly there
         terms = _energy_terms(ops, stack[inside], params)
-        scaled = _energy_terms(ops, u.values, params, ts[inside])
+        scaled = _energy_terms(ops, u, params, ts[inside])
         for term, (a, b) in zip(("power", "reaction"), zip(terms[1:], scaled[1:])):
             assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a)), (params, term)
         magnitude = sum(np.abs(x) for x in terms)
@@ -441,9 +448,9 @@ def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_defaul
     configs = (resolved_default[0], params_cp2, log_type, replace(params_cp2, beta=0.9))
     for params in configs:
         nl = params.nonlinearity
-        dirs = np.array([unit_profile(spectral64, params.beta, [19, k]).values for k in range(6)])
+        dirs = np.array([unit_profile(spectral64, params.beta, [19, k]) for k in range(6)])
         vmax = np.abs(dirs).max(axis=1)
-        t_u = k4.project(dirs, params, spectral64)[0]
+        t_u = k4.project(spectral64, dirs, params)[0]
         sweep = np.linspace(0.0, 3.0 * t_u, 200, axis=1)
         sweep[::3] = np.linspace(0.0, 0.5 * nl._exact_peak / vmax[::3], 200, axis=1)
         exact = sweep.max(axis=1) * vmax <= nl._exact_peak
@@ -454,10 +461,10 @@ def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_defaul
         inside = np.array([0, 2, 3, 5])
         sweep[2::3] = np.linspace(0.0, 0.9 * t_u[2::3], 200, axis=1)
         for rows, past in ((np.arange(6), not auto), (inside, False)):
-            value = k4.fibering(dirs[rows], sweep[rows], params, spectral64)
+            value = k4.fibering(spectral64, dirs[rows], sweep[rows], params)
             assert value.shape == (len(rows), 200) and np.any(value == -np.inf) == past, params
             for k, row in zip(rows, value):
-                alone = k4.fibering(k4.RadialFunction(spectral64, dirs[k]), sweep[k], params)
+                alone = k4.fibering(spectral64, dirs[k], sweep[k], params)
                 assert np.array_equal(row, alone), (params, k)
         # so do the terms of the mixed stack, where the Kirchhoff term hides
         # the reaction's rounding in the value
@@ -472,7 +479,7 @@ def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_defaul
         body = nl.F(sweep[exact_rows][..., None] * dirs[exact_rows][:, None, :]) @ ops.rule.vol
         assert np.all(np.abs(moment - body) <= 1e-14 * np.abs(body)), params
     with pytest.raises(ValueError, match="scales"):
-        k4.fibering(dirs, sweep[0], params, spectral64)
+        k4.fibering(spectral64, dirs, sweep[0], params)
 
 
 def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
@@ -482,7 +489,7 @@ def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
     # within the exact pure-power tail).  Each row is its own call bit for
     # bit, and no overflow or invalid operation warns
     nl = params_cp2.nonlinearity
-    dirs = np.array([unit_profile(spectral64, 0.5, [23, k]).values for k in range(4)])
+    dirs = np.array([unit_profile(spectral64, 0.5, [23, k]) for k in range(4)])
     vmax = np.abs(dirs).max(axis=1)
     limit = nl.guard_scale() / vmax
     sweep = np.stack([
@@ -496,8 +503,8 @@ def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
     assert np.count_nonzero(past, axis=1).tolist() == [0, 50, 33, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = k4.fibering(dirs, sweep, params_cp2, spectral64)
-        alone = [k4.fibering(k4.RadialFunction(spectral64, d), t, params_cp2) for d, t in zip(dirs, sweep)]
+        value = k4.fibering(spectral64, dirs, sweep, params_cp2)
+        alone = [k4.fibering(spectral64, d, t, params_cp2) for d, t in zip(dirs, sweep)]
     assert np.array_equal(value == -np.inf, past) and np.all(np.isfinite(value[~past]))
     for k in range(4):
         assert np.array_equal(value[k], alone[k]), k
@@ -505,17 +512,17 @@ def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
-    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u.values).max()
+    limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()
     ts = np.linspace(0.0, 2.0 * limit, 101)
-    batch = k4.fibering(u, ts, params_cp2)
-    single = np.array([k4.fibering(u, t, params_cp2) for t in ts])
+    batch = k4.fibering(spectral64, u, ts, params_cp2)
+    single = np.array([k4.fibering(spectral64, u, t, params_cp2) for t in ts])
     past = single == -np.inf
     assert 0 < np.sum(past) < len(ts)
     assert np.all(batch[past] == -np.inf)
     assert np.all(np.abs(batch[~past] - single[~past]) <= 1e-12 * np.abs(single[~past]))
-    assert np.all(k4.fibering(u, ts[ts > limit * 1.01], params_cp2) == -np.inf)
+    assert np.all(k4.fibering(spectral64, u, ts[ts > limit * 1.01], params_cp2) == -np.inf)
     with pytest.raises(ValueError):
-        k4.fibering(u, np.array([0.5, -0.3]), params_cp2)
+        k4.fibering(spectral64, u, np.array([0.5, -0.3]), params_cp2)
 
 
 def test_weak_action_fd_check_regression(spectral64, resolved_default):
@@ -530,7 +537,7 @@ def test_weak_action_fd_check_regression(spectral64, resolved_default):
 
 def test_energy_breakdown_fields(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 16)
-    e = k4.energy(u, params_cp2)
+    e = k4.energy(spectral64, u, params_cp2)
     assert e.kirchhoff_term > 0
     assert e.power_term > 0
     assert e.f_term > 0
@@ -551,8 +558,8 @@ def test_gradient_gate_catches_perturbed_riesz_matrix(spectral64, resolved_defau
     assert check.status == "fail" and 16.0 * (1.0 - check.margin) > 64.0  # in units of eps
     # the former gate, the residual relative to 1 + max B^T |load| below 1e-9, passes it
     u = k4.random_clamped_profile(spectral64, np.random.default_rng([1, 300]))  # the check's direction
-    u = k4.RadialFunction(spectral64, u.values / k4.w_norm(u, params.beta))
-    load = _residual_load(ops, u.values, params, _nodal_force(u.values, params))
+    u = u / weighted_rule(spectral64, params.beta).norm(u)
+    load = _residual_load(ops, u, params, _nodal_force(u, params))
     resid = ops.basis.T @ (ops.gram @ ops.riesz(load)) - ops.basis.T @ load
     assert np.abs(resid).max() / (1.0 + np.abs(ops.basis.T @ np.abs(load)).max()) < 1e-9
 

@@ -17,6 +17,7 @@ from kirchhoff4.energy import _energies, _nehari_residuals, _residual_load
 from kirchhoff4.verify import _projection_checks, _residual_limit
 
 from conftest import chained_ground_state, minimizer_gates, project_one, random_starts, sobolev_gradient, unit_profile
+from conftest import weak_action
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_fiber_starts_match_one_row_at_a_time(spectral64, params_cp2, resolved_d
     # (alpha0 = 1e8), for the pure-power maps, where a moment is zero or
     # none is positive, and on 20000 synthetic rows, where numpy's
     # vectorized log would differ from math.log
-    dirs = np.array([unit_profile(spectral64, 0.5, [93, k]).values for k in range(30)])
+    dirs = np.array([unit_profile(spectral64, 0.5, [93, k]) for k in range(30)])
     dirs *= np.geomspace(1e-30, 1e30, 30)[:, None]
     base = params_cp2
     variants = [
@@ -88,8 +89,8 @@ def test_fiber_starts_match_one_row_at_a_time(spectral64, params_cp2, resolved_d
         k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1.0, 0.1, KirchhoffSpec.log_type()),
         k4.ModelParams.create(0.5, 5.0, 6.0, 2.0, 1e8, 0.1, KirchhoffSpec.affine(1.0, 1.0)),
     ]
-    fibers = [FiberMap.full(dirs, params, spectral64) for params in variants]
-    fibers.append(FiberMap.pure_power(dirs, base, spectral64))
+    fibers = [FiberMap.full(spectral64, dirs, params) for params in variants]
+    fibers.append(FiberMap.pure_power(spectral64, dirs, base))
     zero_moments = ((5.0, [0.0, 1.0, 2.0]), (6.0, [3.0, 0.0, 0.0]))
     fibers.append(FiberMap(KirchhoffSpec.affine(1.0, 1.0), np.ones(3), zero_moments))
     fibers.append(FiberMap(KirchhoffSpec.affine(1.0, 1.0), 1.0, ((6.0, 0.0),)))
@@ -198,7 +199,7 @@ def test_projection_scaling_law(spectral64, params_cp2):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(101))
     # the extreme scales must neither read as zero nor overflow the norm
     lams = np.array([1.0, 0.5, 2.0, 10.0, 1e-150, 1e-300, 1e150])
-    t_u, w, _, _ = k4.project(lams[:, None] * u.values, params_cp2, spectral64)
+    t_u, w, _, _ = k4.project(spectral64, lams[:, None] * u, params_cp2)
     for k, lam in enumerate(lams[1:], 1):
         assert abs(t_u[k] * lam / t_u[0] - 1.0) < 1e-12, lam
         assert np.abs(w[k] - w[0]).max() < 1e-9
@@ -206,7 +207,7 @@ def test_projection_scaling_law(spectral64, params_cp2):
 
 def test_projection_rejects_zero(spectral64, params_cp2):
     with pytest.raises(ProjectionError):
-        k4.project(np.zeros((1, 64)), params_cp2, spectral64)
+        k4.project(spectral64, np.zeros((1, 64)), params_cp2)
 
 
 def test_projection_overflow_diagnostic(spectral64, params_cp2):
@@ -215,14 +216,14 @@ def test_projection_overflow_diagnostic(spectral64, params_cp2):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(5))
     for peak in (1e307, 1e-320):
         with pytest.raises(ProjectionError):
-            k4.project(peak / np.abs(u.values).max() * u.values[None], params_cp2, spectral64)
+            k4.project(spectral64, peak / np.abs(u).max() * u[None], params_cp2)
 
 
 def test_projection_point_invariants(spectral64, params_cp2):
     ops = operator_cache(spectral64, 0.5)
     for k in range(25):
         u = unit_profile(spectral64, 0.5, [61, k])
-        _, w, energy, residual = project_one(u, params_cp2)
+        _, w, energy, residual = project_one(spectral64, u, params_cp2)
         s = ops.rule.norm(w) ** 2
         assert abs(residual) <= _residual_limit(ops, w, params_cp2), k
         coer = (0.25 - 1.0 / params_cp2.q) * params_cp2.kirchhoff.g0
@@ -235,12 +236,12 @@ def test_stacked_projection_matches_single(spectral64, params_cp2, resolved_defa
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
         rngs = [np.random.default_rng([63, k]) for k in range(40)]
-        dirs = np.array([k4.random_clamped_profile(spectral64, rng).values for rng in rngs])
+        dirs = np.array([k4.random_clamped_profile(spectral64, rng) for rng in rngs])
         dirs[3] *= 1e-200  # the scale of a row does not matter
-        t_u, w, energy, residual = k4.project(dirs, params, spectral64)
+        t_u, w, energy, residual = k4.project(spectral64, dirs, params)
         assert t_u.shape == energy.shape == residual.shape == (len(dirs),) and w.shape == dirs.shape
         for k in range(len(dirs)):
-            single_t, _, single_e, _ = k4.project(dirs[k : k + 1], params, spectral64)
+            single_t, _, single_e, _ = k4.project(spectral64, dirs[k : k + 1], params)
             assert abs(t_u[k] / single_t[0] - 1.0) <= 1e-13, k
             assert abs(residual[k]) <= _residual_limit(ops, w[k], params), k
             assert abs(energy[k] / single_e[0] - 1.0) <= 1e-12, k
@@ -250,25 +251,25 @@ def test_stack_of_one_equals_single(spectral64, params_cp2, resolved_default):
     # alone, a direction gets the arithmetic of the single-profile kernels,
     # and in a stack of up to 16 its row is the stack of one, bit for bit
     for params in (params_cp2, resolved_default[0]):
-        dirs = np.array([unit_profile(spectral64, 0.5, [64, k]).values for k in range(10)])
-        stack = k4.project(dirs, params, spectral64)
+        dirs = np.array([unit_profile(spectral64, 0.5, [64, k]) for k in range(10)])
+        stack = k4.project(spectral64, dirs, params)
         for k in range(10):
-            single = k4.project(dirs[k : k + 1], params, spectral64)
+            single = k4.project(spectral64, dirs[k : k + 1], params)
             for got, want in zip(stack, single):
                 assert np.array_equal(got[k], want[0]), k
-            w = k4.RadialFunction(spectral64, single[1][0])
-            assert single[2][0] == k4.energy(w, params).total, k
-            assert single[3][0] == k4.weak_action(w, w, params), k
-    empty = k4.project(np.empty((0, 64)), params_cp2, spectral64)
+            w = single[1][0]
+            assert single[2][0] == k4.energy(spectral64, w, params).total, k
+            assert single[3][0] == weak_action(spectral64, w, w, params), k
+    empty = k4.project(spectral64, np.empty((0, 64)), params_cp2)
     assert [x.shape for x in empty] == [(0,), (0, 64), (0,), (0,)]
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_stacked_projection_names_bad_row(spectral64, params_cp2, bad):
-    dirs = np.array([unit_profile(spectral64, 0.5, [65, k]).values for k in range(4)])
+    dirs = np.array([unit_profile(spectral64, 0.5, [65, k]) for k in range(4)])
     dirs[2] = bad
     with pytest.raises(ProjectionError, match="row 2"):
-        k4.project(dirs, params_cp2, spectral64)
+        k4.project(spectral64, dirs, params_cp2)
 
 
 def _failing_search():
@@ -292,7 +293,7 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
     # in project, on grid directions: the moment form of row 3 reads NaN.  The
     # row is told by its q-moment, which every stack taken from it keeps; the
     # first stack driven is the whole one
-    dirs = np.array([unit_profile(spectral64, 0.5, [68, k]).values for k in range(6)])
+    dirs = np.array([unit_profile(spectral64, 0.5, [68, k]) for k in range(6)])
     real_derivs, marks = FiberMap.derivs, []
 
     def nan_row(fib, t):
@@ -304,7 +305,7 @@ def test_drive_isolates_rows(spectral64, params_cp2, resolved_default, monkeypat
 
     monkeypatch.setattr(FiberMap, "derivs", nan_row)
     with pytest.raises(ProjectionError, match="row 3: fibering derivative is NaN"):
-        k4.project(dirs, params_cp2, spectral64)
+        k4.project(spectral64, dirs, params_cp2)
     monkeypatch.setattr(FiberMap, "derivs", real_derivs)
     # and in the descent, at the automatic cp, where every first trial is
     # accepted: row 2 of the first trial stack comes back NaN and is
@@ -354,8 +355,8 @@ def test_moment_root_is_one_sign_change(spectral64, params_cp2):
     # the moment form, the one root function, changes sign exactly once
     # (from + to -) within 32 ulps of each root the driver returns, so which
     # float a search returns does not hang on the path it takes
-    dirs = np.array([unit_profile(spectral64, 0.5, [72, k]).values for k in range(40)])
-    fiber = FiberMap.full(dirs, params_cp2, spectral64)
+    dirs = np.array([unit_profile(spectral64, 0.5, [72, k]) for k in range(40)])
+    fiber = FiberMap.full(spectral64, dirs, params_cp2)
     for i, root in enumerate(_drive(fiber)):
         signs = np.sign(fiber.take([i]).derivs(_ulps_around(root, 32))[0])
         signs = signs[signs != 0.0]
@@ -368,8 +369,8 @@ def test_search_starts_under_the_guard(spectral64, params_cp2, monkeypatch):
     # capped there, and on these cp = 2 directions the cap is what acts
     searches = []
     monkeypatch.setattr(nehari, "_scale_search", _counting_search(searches))
-    dirs = np.array([unit_profile(spectral64, 0.5, [73, k]).values for k in range(8)])
-    fiber = FiberMap.full(dirs, params_cp2, spectral64)
+    dirs = np.array([unit_profile(spectral64, 0.5, [73, k]) for k in range(8)])
+    fiber = FiberMap.full(spectral64, dirs, params_cp2)
     roots = _drive(fiber)
     _drive(FiberMap(fiber.kirchhoff, fiber.norm_sq, fiber.power_moments))  # no tail: no cap
     cap = params_cp2.nonlinearity.guard_scale() / fiber.vmax
@@ -382,18 +383,18 @@ def test_search_starts_under_the_guard(spectral64, params_cp2, monkeypatch):
 
 def test_t_leq_one_stack(spectral64, params_cp2):
     # every doubled point lies inside the Nehari set and projects at 1/2
-    dirs = np.array([unit_profile(spectral64, 0.5, [66, k]).values for k in range(8)])
-    _, w, _, _ = k4.project(dirs, params_cp2, spectral64)
+    dirs = np.array([unit_profile(spectral64, 0.5, [66, k]) for k in range(8)])
+    _, w, _, _ = k4.project(spectral64, dirs, params_cp2)
     doubled = 2.0 * w
-    assert np.all(_projection(doubled, params_cp2, spectral64)[0] <= 1.0 + 1e-10)
-    assert np.all(np.abs(k4.project(doubled, params_cp2, spectral64)[0] - 0.5) < 1e-13)
+    assert np.all(_projection(spectral64, doubled, params_cp2)[0] <= 1.0 + 1e-10)
+    assert np.all(np.abs(k4.project(spectral64, doubled, params_cp2)[0] - 0.5) < 1e-13)
     # the halved points break the criterion's premise: they lie outside the
     # set (residual > 0) and project at scales above 1, so verify tests the
     # doubled points only where their residual is not positive
     halved = 0.5 * w
     assert np.all(_nehari_residuals(operator_cache(spectral64, 0.5), halved, params_cp2) > 0.0)
-    assert np.all(_projection(halved, params_cp2, spectral64)[0] > 1.0)
-    assert _projection(doubled[:0], params_cp2, spectral64)[0].shape == (0,)
+    assert np.all(_projection(spectral64, halved, params_cp2)[0] > 1.0)
+    assert _projection(spectral64, doubled[:0], params_cp2)[0].shape == (0,)
 
 
 def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
@@ -408,8 +409,8 @@ def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatc
     # root must still fail the check (an absolute slack of 1e-9 passed it)
     real = verify.project
 
-    def misplaced(values, params, grid):
-        t_u, *rest = real(values, params, grid)
+    def misplaced(grid, values, params):
+        t_u, *rest = real(grid, values, params)
         return (1.01 * t_u, *rest)
 
     def fibering_max():
@@ -452,8 +453,8 @@ def test_projection_residual_check_names_worst_row(spectral64, resolved_default,
     ops = operator_cache(spectral64, params.beta)
     real = verify.project
 
-    def offset(values, params, grid):  # in the stack of 20 directions
-        t_u, w, energy, residual = real(values, params, grid)
+    def offset(grid, values, params):  # in the stack of 20 directions
+        t_u, w, energy, residual = real(grid, values, params)
         if len(values) == 20:
             residual[7] = 2.0 * _residual_limit(ops, w[7], params)
         return t_u, w, energy, residual
@@ -477,8 +478,8 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
     params = resolved_default[0]
     real_projection, real_residuals = verify._projection, verify._nehari_residuals
 
-    def overshoot(values, params, grid):
-        t_u, w = real_projection(values, params, grid)
+    def overshoot(grid, values, params):
+        t_u, w = real_projection(grid, values, params)
         if len(values) == 19:  # the doubled points of the 19 directions left in the set
             t_u[6] = 1.5  # among them: direction 7
         return t_u, w
@@ -508,52 +509,52 @@ def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolve
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
         for k in range(10):
-            _, w, _, residual = project_one(unit_profile(spectral64, 0.5, [62, k]), params)
+            _, w, _, residual = project_one(spectral64, unit_profile(spectral64, 0.5, [62, k]), params)
             assert abs(residual) <= _residual_limit(ops, w, params), k
             moved = (1.0 + 1e-9) * w[None]
             assert abs(_nehari_residuals(ops, moved, params)[0]) > _residual_limit(ops, moved, params)[0], k
 
 
-def test_projection_residual_scale_of_minimizer(ground_default, resolved_default):
+def test_projection_residual_scale_of_minimizer(spectral64, ground_default, resolved_default):
     # at the solver's own minimizer the residual sits within its rounding bound
     gs = ground_default
-    assert abs(gs.residual) <= minimizer_gates(gs, resolved_default[0])[1]
+    assert abs(gs.residual) <= minimizer_gates(spectral64, gs, resolved_default[0])[1]
 
 
 def test_reprojection_of_nehari_point(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 17)
-    w = project_one(u, params_cp2)[1]
-    again = k4.project(w[None], params_cp2, spectral64)[0]
+    w = project_one(spectral64, u, params_cp2)[1]
+    again = k4.project(spectral64, w[None], params_cp2)[0]
     assert abs(again[0] - 1.0) < 1e-9
 
 
 def test_t_leq_one(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
-    doubled = k4.RadialFunction(spectral64, 2.0 * project_one(u, params_cp2)[1])
-    assert k4.weak_action(doubled, doubled, params_cp2) < 0.0
-    assert _projection(doubled.values[None], params_cp2, spectral64)[0][0] <= 1.0 + 1e-10
-    t2 = project_one(doubled, params_cp2)[0]
+    doubled = 2.0 * project_one(spectral64, u, params_cp2)[1]
+    assert weak_action(spectral64, doubled, doubled, params_cp2) < 0.0
+    assert _projection(spectral64, doubled[None], params_cp2)[0][0] <= 1.0 + 1e-10
+    t2 = project_one(spectral64, doubled, params_cp2)[0]
     assert abs(t2 - 0.5) < 1e-9
 
 
 def test_t_leq_one_precondition(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 19)
-    shrunk = 0.5 * project_one(u, params_cp2)[1]
+    shrunk = 0.5 * project_one(spectral64, u, params_cp2)[1]
     # outside the Nehari set the criterion fails: the residual is positive
     # and the point projects at a scale above 1
     assert _nehari_residuals(operator_cache(spectral64, 0.5), shrunk[None], params_cp2)[0] > 0.0
-    assert _projection(shrunk[None], params_cp2, spectral64)[0][0] > 1.0
+    assert _projection(spectral64, shrunk[None], params_cp2)[0][0] > 1.0
 
 
 def test_t_leq_one_randomized(spectral64, params_cp2):
     guard = params_cp2.nonlinearity.guard_scale()
     for k in range(100):
         u = unit_profile(spectral64, 0.5, [71, k])
-        w = project_one(u, params_cp2)[1]
+        w = project_one(spectral64, u, params_cp2)[1]
         factor = min(1.0 + 3.0 * (k % 5 + 1) / 5.0, 0.9 * guard / np.abs(w).max())
-        beyond = k4.RadialFunction(spectral64, factor * w)
-        if k4.weak_action(beyond, beyond, params_cp2) <= 0.0:
-            assert _projection(beyond.values[None], params_cp2, spectral64)[0][0] <= 1.0 + 1e-10, k
+        beyond = factor * w
+        if weak_action(spectral64, beyond, beyond, params_cp2) <= 0.0:
+            assert _projection(spectral64, beyond[None], params_cp2)[0][0] <= 1.0 + 1e-10, k
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +562,9 @@ def test_t_leq_one_randomized(spectral64, params_cp2):
 # ---------------------------------------------------------------------------
 
 
-def test_ground_state_default_quality(ground_default, resolved_default, search_default):
+def test_ground_state_default_quality(spectral64, ground_default, resolved_default, search_default):
     gs = ground_default
-    rel_grad, resid_limit = minimizer_gates(gs, resolved_default[0])
+    rel_grad, resid_limit = minimizer_gates(spectral64, gs, resolved_default[0])
     assert gs.converged
     assert gs.m > 0.0
     assert rel_grad <= 1e-6
@@ -598,14 +599,14 @@ def test_main_starts_where_the_aux_starts_end(spectral64, resolved_default, grou
     params, aux, _ = resolved_default
     ops = operator_cache(spectral64, params.beta)
     assert aux.directions.shape == (len(aux.per_start), spectral64.n)
-    best = aux.w_p.values
+    best = aux.w_p
     assert np.array_equal(aux.directions[_winner(aux.per_start)], best / ops.rule.norm(best))
-    w = _drive(FiberMap.pure_power(aux.directions, params, spectral64))[:, None] * aux.directions
+    w = _drive(FiberMap.pure_power(spectral64, aux.directions, params))[:, None] * aux.directions
     value = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - np.abs(w) ** params.p @ ops.rule.vol / params.p
     levels = np.array([r.energy for r in aux.per_start])
     assert np.all(np.abs(value - levels) <= 1e-11 * levels)  # measured: at most 2.9e-13
     # the main start from row k projects to main start k's first energy
-    w = _drive(FiberMap.full(aux.directions, params, spectral64))[:, None] * aux.directions
+    w = _drive(FiberMap.full(spectral64, aux.directions, params))[:, None] * aux.directions
     assert _energies(ops, w, params).tolist() == [rec.trace[0] for rec in ground_default.per_start]
 
 
@@ -615,13 +616,13 @@ def test_ground_state_publishes_winner_record(spectral64, ground_default, resolv
     gs, params = ground_default, resolved_default[0]
     best = gs.per_start[_winner(gs.per_start)]
     ops = operator_cache(spectral64, params.beta)
-    values = gs.minimizer.values
+    values = gs.minimizer
     assert (gs.m, gs.gradient_norm, gs.minimizer_norm) == (best.energy, best.gradient_norm, best.norm)
     assert _energies(ops, values[None], params)[0] == best.energy
     assert ops.rule.norm(sobolev_gradient(ops, values, params)) == best.gradient_norm
     assert ops.rule.norm(values) == best.norm
     assert gs.min_nehari_norm <= best.norm
-    assert gs.residual == k4.weak_action(gs.minimizer, gs.minimizer, params)
+    assert gs.residual == weak_action(spectral64, gs.minimizer, gs.minimizer, params)
 
 
 def test_default_solve_projects_its_starts_once(spectral64, resolved_default, search_default, monkeypatch):
@@ -633,7 +634,7 @@ def test_default_solve_projects_its_starts_once(spectral64, resolved_default, se
     real_full, real_drive = FiberMap.full, nehari._drive
 
     def full(*args, **kwargs):
-        builds.append(len(args[0]))
+        builds.append(len(args[1]))
         return real_full(*args, **kwargs)
 
     def drive(fiber, strict=True):
@@ -662,12 +663,12 @@ def test_start_records_are_measured_at_their_points(spectral32, resolved_default
     for rec, row in zip(records, w):
         grad_norm = ops.rule.norm(sobolev_gradient(ops, row, params))
         energy = _energies(ops, row[None], params)[0]
-        fresh = (energy, grad_norm, float(_relative_gradient(ops, params, row, grad_norm)), ops.rule.norm(row))
+        fresh = (energy, grad_norm, float(_relative_gradient(ops, row, params, grad_norm)), ops.rule.norm(row))
         assert (rec.energy, rec.gradient_norm, rec.relative_gradient, rec.norm) == fresh, rec.index
         assert rec.energy == rec.trace[-1] and rec.converged is not starved, rec.index
     gs = k4.ground_state(spectral32, params, cfg, starts)
     best = records[_winner(records)]
-    assert np.array_equal(gs.minimizer.values, w[_winner(records)])
+    assert np.array_equal(gs.minimizer, w[_winner(records)])
     assert (gs.m, gs.gradient_norm, gs.relative_gradient) == (best.energy, best.gradient_norm, best.relative_gradient)
 
 
@@ -708,14 +709,14 @@ def test_overflow_row_does_not_spoil_the_stack(spectral64, params_cp2, monkeypat
     # a row past the exponential overflow guard gets energy -inf; its
     # neighbours keep their energies and nothing raises
     ops = operator_cache(spectral64, params_cp2.beta)
-    rows = np.array([project_one(unit_profile(spectral64, 0.5, [67, k]), params_cp2)[1] for k in range(4)])
+    rows = np.array([project_one(spectral64, unit_profile(spectral64, 0.5, [67, k]), params_cp2)[1] for k in range(4)])
     rows[2] *= 2.0 * params_cp2.nonlinearity.guard_scale() / np.abs(rows[2]).max()
     values = _energies(ops, rows, params_cp2)
     assert values[2] == -math.inf
     for k in (0, 1, 3):
         assert values[k] == _energies(ops, rows[k : k + 1], params_cp2)[0], k
     with pytest.raises(k4.RangeOverflowError):
-        k4.energy(k4.RadialFunction(spectral64, rows[2]), params_cp2)
+        k4.energy(spectral64, rows[2], params_cp2)
     # the descent rejects a trial whose energy is -inf, although it is lower
     # than any: with every trial past the guard each start stalls in place
     calls = []
@@ -763,13 +764,13 @@ def test_ground_state_deterministic(spectral32, params_cp2):
     a = chained_ground_state(spectral32, params_cp2, cfg)
     b = chained_ground_state(spectral32, params_cp2, cfg)
     assert a.m == b.m
-    assert np.array_equal(a.minimizer.values, b.minimizer.values)
+    assert np.array_equal(a.minimizer, b.minimizer)
 
 
 def test_ground_state_concrete_cp_converges(spectral64, params_cp2, search_default):
     gs = chained_ground_state(spectral64, params_cp2, search_default)
     assert gs.converged
-    assert minimizer_gates(gs, params_cp2)[0] <= 1e-6
+    assert minimizer_gates(spectral64, gs, params_cp2)[0] <= 1e-6
     assert gs.m > 0
 
 
@@ -804,7 +805,7 @@ def test_aux_result_invariants(resolved_default, params_cp2, search_default):
 
 def _solver_start(grid, ops, search, k):
     """The unit-norm start direction k of a multi-start solve."""
-    u = k4.random_clamped_profile(grid, np.random.default_rng([search.seed, k])).values
+    u = k4.random_clamped_profile(grid, np.random.default_rng([search.seed, k]))
     return u / ops.rule.norm(u)
 
 
@@ -833,6 +834,16 @@ def test_aux_moment_traces_monotone(params_cp2, scheme, n):
         assert abs(trace[-1] - max(moments)) <= floor, rec.index
 
 
+def test_published_profiles_are_read_only_arrays(spectral64, resolved_default, ground_default):
+    # a solve publishes its point as read-only float nodal values (n,), a copy
+    # of the winner's row that no later step of the solver can write to
+    for profile in (resolved_default[1].w_p, ground_default.minimizer):
+        assert isinstance(profile, np.ndarray) and profile.dtype == float and profile.shape == (spectral64.n,)
+        assert not profile.flags.writeable and profile.base is None
+        with pytest.raises(ValueError):
+            profile[0] = 0.0
+
+
 def test_every_start_converges_at_the_defaults(spectral64, resolved_default, ground_default, search_default):
     # at the defaults every start of both solves reaches tol on its own, and
     # each solve publishes its winner's point as the descent or ascent left it
@@ -843,11 +854,11 @@ def test_every_start_converges_at_the_defaults(spectral64, resolved_default, gro
         for rec in result.per_start:
             assert rec.converged and rec.relative_gradient <= tol, (rec.index, rec.relative_gradient)
         assert result.per_start[_winner(result.per_start)].energy == level
-    ops, w_p, p = operator_cache(spectral64, params.beta), aux.w_p.values, params.p
+    ops, w_p, p = operator_cache(spectral64, params.beta), aux.w_p, params.p
     grad = ops.riesz(_residual_load(ops, w_p, params, np.abs(w_p) ** (p - 2.0) * w_p))
-    rel_aux = _relative_gradient(ops, params, w_p, ops.rule.norm(grad))
+    rel_aux = _relative_gradient(ops, w_p, params, ops.rule.norm(grad))
     assert rel_aux <= tol
-    assert minimizer_gates(ground_default, params)[0] <= tol
+    assert minimizer_gates(spectral64, ground_default, params)[0] <= tol
 
 
 def test_aux_searches_start_near_their_roots(spectral64, params_cp2, search_default, monkeypatch):
@@ -874,7 +885,7 @@ def test_aux_starved_starts_are_published_as_left(spectral32, params_cp2):
         assert rec.stop_reason == "max-iter" and rec.converged is False, rec.index
         assert rec.converged == (rec.relative_gradient <= cfg.tol), rec.index
     assert aux.converged is False
-    assert np.array_equal(aux.w_p.values, u[_winner(raw)])
+    assert np.array_equal(aux.w_p, u[_winner(raw)])
 
 
 def test_aux_projected_energy_closed_form(spectral64, search_default):
@@ -884,9 +895,9 @@ def test_aux_projected_energy_closed_form(spectral64, search_default):
     ops, p = operator_cache(spectral64, params.beta), params.p
     for k in range(10):
         u = unit_profile(spectral64, 0.5, [81, k])
-        w = _drive(FiberMap.pure_power(u, params))[0] * u.values
+        w = _drive(FiberMap.pure_power(spectral64, u, params))[0] * u
         level = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - ops.rule.vol @ np.abs(w) ** p / p
-        pnorm = k4.lebesgue_norm(u, p)
+        pnorm = k4.lebesgue_norm(spectral64, u, p)
         expect = (0.5 - 1.0 / p) * 2.0 ** (p / (p - 2.0)) * pnorm ** (-2.0 * p / (p - 2.0))
         assert abs(level - expect) <= 1e-9 * (1 + abs(expect)), k
 
@@ -969,7 +980,7 @@ def test_solver_log_type_kirchhoff(spectral32):
     gs = chained_ground_state(spectral32, params, cfg)
     assert gs.m > 0
     assert gs.converged
-    assert abs(gs.residual) <= minimizer_gates(gs, params)[1]
+    assert abs(gs.residual) <= minimizer_gates(spectral32, gs, params)[1]
 
 
 def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypatch):
@@ -988,9 +999,9 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
         out = call()
         return tracemalloc.get_traced_memory()[1] - base, out
 
-    def measured(values, t, params, grid):
-        stacked, out = traced_peak(lambda: real(values, t, params, grid))
-        alone = max(traced_peak(lambda: real(v, tr, params, grid))[0] for v, tr in zip(values, t))
+    def measured(grid, values, t, params):
+        stacked, out = traced_peak(lambda: real(grid, values, t, params))
+        alone = max(traced_peak(lambda: real(grid, v, tr, params))[0] for v, tr in zip(values, t))
         peaks.append((len(values), stacked, alone))
         return out
 
@@ -1001,10 +1012,10 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
     finally:
         tracemalloc.stop()
     dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 16)
-    short = np.linspace(0.0, k4.project(dirs, params_cp2, spectral64)[0], 200, axis=1)
+    short = np.linspace(0.0, k4.project(spectral64, dirs, params_cp2)[0], 200, axis=1)
     tracemalloc.start()
     try:
-        assert np.all(np.isfinite(measured(dirs, short, params_cp2, spectral64)))
+        assert np.all(np.isfinite(measured(spectral64, dirs, short, params_cp2)))
     finally:
         tracemalloc.stop()
     assert [k for k, _, _ in peaks] == [40, 16]
@@ -1020,16 +1031,16 @@ def test_solver_other_beta(spectral32):
     assert gs.m > 0
     assert gs.converged
     u = unit_profile(spectral32, params.beta, 22)
-    t_u = project_one(u, params)[0]
+    t_u = project_one(spectral32, u, params)[0]
     assert t_u > 0
-    assert k4.fibering(u, t_u, params) >= k4.fibering(u, 0.9 * t_u, params)
+    assert k4.fibering(spectral32, u, t_u, params) >= k4.fibering(spectral32, u, 0.9 * t_u, params)
 
 
 def test_projection_unique_sign_change(spectral64, resolved_default):
     params, _, _ = resolved_default
     for k in range(25):
         u = unit_profile(spectral64, 0.5, [91, k])
-        fiber = FiberMap.full(u, params)
+        fiber = FiberMap.full(spectral64, u, params)
         t_u = _drive(fiber)[0]
         ts = np.geomspace(1e-6 * t_u, 1e3 * t_u, 500)
         signs = np.sign(fiber.deriv(ts))  # -inf past the guard
@@ -1040,8 +1051,8 @@ def test_projection_unique_sign_change(spectral64, resolved_default):
 def _sign_sweep_fixture(grid, params, t_scale):
     """A stacked map of 50 directions, the roots scaled by t_scale, and each
     row's sign changes swept alone."""
-    dirs = np.array([unit_profile(grid, 0.5, [92, k]).values for k in range(50)])
-    fibers = FiberMap.full(dirs, params, grid)
+    dirs = np.array([unit_profile(grid, 0.5, [92, k]) for k in range(50)])
+    fibers = FiberMap.full(grid, dirs, params)
     t_u = _drive(fibers) * t_scale
     single = []
     for k in range(50):
@@ -1123,7 +1134,7 @@ def test_sign_sweep_block_memory(spectral64, resolved_default, monkeypatch):
     # blocks of 80 rows (2.4 MB) and one call over the 200 rows (6.0 MB)
     # exceed
     dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 200)
-    fibers = FiberMap.full(dirs, resolved_default[0], spectral64)
+    fibers = FiberMap.full(spectral64, dirs, resolved_default[0])
     t_u = _drive(fibers)
 
     def traced():
@@ -1152,8 +1163,7 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
     params = resolved_default[0] if auto_cp else params_cp2
     grid, seed, ops = spectral64, 5, operator_cache(spectral64, 0.5)
     pairs = verify._unit_profiles(grid, 0.5, seed, 200, 100)
-    wa = np.array([k4.weak_action(k4.RadialFunction(grid, u), k4.RadialFunction(grid, phi), params)
-                   for u, phi in zip(pairs[0::2], pairs[1::2])])
+    wa = np.array([weak_action(grid, u, phi, params) for u, phi in zip(pairs[0::2], pairs[1::2])])
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * 1e-5
     stack = pairs[0::2, None, :] + shifts[:, None] * pairs[1::2, None, :]
     j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)
@@ -1162,9 +1172,9 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
     assert checks["weak-action-fd"].margin == 1e-6 - float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa))))
 
     dirs = verify._unit_profiles(grid, 0.5, seed, 500, 200)
-    t_u, projected, energies, _ = k4.project(dirs, params, grid)
+    t_u, projected, energies, _ = k4.project(grid, dirs, params)
     peaks = _energies(ops, t_u[:, None] * dirs, params)
-    sweep_max = [k4.fibering(k4.RadialFunction(grid, u), np.linspace(0.0, 3.0 * t, 200), params).max()
+    sweep_max = [k4.fibering(grid, u, np.linspace(0.0, 3.0 * t, 200), params).max()
                  for u, t in zip(dirs, t_u)]
     coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
     margin = min(e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected))

@@ -7,7 +7,7 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.energy import operator_cache
 from kirchhoff4.nehari import _start_stack
-from kirchhoff4.radial import _clamp, _radau_rule, build_grid, clamped_even_basis
+from kirchhoff4.radial import _clamp, _radau_rule, build_grid, clamped_even_basis, weighted_rule
 
 from conftest import dome_gate_ratio
 
@@ -139,10 +139,8 @@ def test_laplacian_oracles(spectral64):
     # profiles that do not vanish at the boundary see the full rounding
     # mass of the boundary rows
     op_floor = 64 * np.finfo(float).eps * np.abs(g.lap).sum(axis=1).max()
-    quadratic = k4.RadialFunction(g, r**2)
-    assert np.abs(k4.laplacian4(quadratic).values - 8.0).max() < max(1e-9, op_floor)
-    constant = k4.RadialFunction(g, np.ones(g.n))
-    assert np.abs(k4.laplacian4(constant).values).max() < max(1e-10, op_floor)
+    assert np.abs(g.lap @ r**2 - 8.0).max() < max(1e-9, op_floor)
+    assert np.abs(g.lap @ np.ones(g.n)).max() < max(1e-10, op_floor)
     assert dome_gate_ratio(g).max() <= 1.0
 
 
@@ -225,29 +223,29 @@ def test_log_weight_decreasing():
 
 def test_ball_integral_values(spectral64):
     g = spectral64
-    assert abs(k4.ball_integral(np.ones(g.n), g) - np.pi**2 / 2) < 1e-12
-    assert abs(k4.ball_integral(g.nodes**2, g) - np.pi**2 / 3) < 1e-12
-    assert k4.ball_integral(np.zeros(g.n), g) == 0.0
+    assert abs(k4.ball_integral(g, np.ones(g.n)) - np.pi**2 / 2) < 1e-12
+    assert abs(k4.ball_integral(g, g.nodes**2) - np.pi**2 / 3) < 1e-12
+    assert k4.ball_integral(g, np.zeros(g.n)) == 0.0
 
 
 def test_w_norm_closed_form(spectral64):
-    dome = k4.RadialFunction(spectral64, (1 - spectral64.nodes**2) ** 2)
-    assert abs(k4.w_norm(dome, 0.0) - 4 * np.pi) < 1e-8
-    zero = k4.RadialFunction(spectral64, np.zeros(spectral64.n))
-    assert k4.w_norm(zero, 0.5) == 0.0
+    dome = (1 - spectral64.nodes**2) ** 2
+    assert abs(weighted_rule(spectral64, 0.0).norm(dome) - 4 * np.pi) < 1e-8
+    assert weighted_rule(spectral64, 0.5).norm(np.zeros(spectral64.n)) == 0.0
 
 
 def test_w_norm_convergence_invariant():
     # both schemes are exact on the dome: (lap dome)^2 r^3 is within the
     # degree each quadrature integrates exactly
     for g in (build_grid(32, "spectral-even"), build_grid(64, "spectral-even"), build_grid(400, "uniform-fd")):
-        dome = k4.RadialFunction(g, (1 - g.nodes**2) ** 2)
-        assert abs(k4.w_norm(dome, 0.0) - 4 * np.pi) < 1e-8
+        dome = (1 - g.nodes**2) ** 2
+        assert abs(weighted_rule(g, 0.0).norm(dome) - 4 * np.pi) < 1e-8
 
 
 def test_w_inner_consistency(spectral64):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(3))
-    assert abs(k4.w_inner(u, u, 0.5) - k4.w_norm(u, 0.5) ** 2) < 1e-12 * (1 + k4.w_norm(u, 0.5) ** 2)
+    rule = weighted_rule(spectral64, 0.5)
+    assert abs(rule.form(u, u) - rule.norm(u) ** 2) < 1e-12 * (1 + rule.norm(u) ** 2)
 
 
 def test_w_inner_bilinear(spectral64):
@@ -256,27 +254,27 @@ def test_w_inner_bilinear(spectral64):
     v = k4.random_clamped_profile(spectral64, rng)
     z = k4.random_clamped_profile(spectral64, rng)
     a, b = 0.37, -2.11
-    combo = k4.RadialFunction(spectral64, a * u.values + b * v.values)
-    left = k4.w_inner(combo, z, 0.5)
-    right = a * k4.w_inner(u, z, 0.5) + b * k4.w_inner(v, z, 0.5)
+    rule = weighted_rule(spectral64, 0.5)
+    left = rule.form(a * u + b * v, z)
+    right = a * rule.form(u, z) + b * rule.form(v, z)
     assert abs(left - right) < 1e-10 * (1 + abs(left))
 
 
 def test_lebesgue_norm(spectral64):
-    dome = k4.RadialFunction(spectral64, (1 - spectral64.nodes**2) ** 2)
-    assert abs(k4.lebesgue_norm(dome, 2.0) - np.pi / math.sqrt(30.0)) < 1e-10
-    assert k4.lebesgue_norm(k4.RadialFunction(spectral64, np.zeros(64)), 3.0) == 0.0
+    dome = (1 - spectral64.nodes**2) ** 2
+    assert abs(k4.lebesgue_norm(spectral64, dome, 2.0) - np.pi / math.sqrt(30.0)) < 1e-10
+    assert k4.lebesgue_norm(spectral64, np.zeros(64), 3.0) == 0.0
     c = -2.5
-    assert abs(k4.lebesgue_norm(dome.scaled(c), 3.0) - abs(c) * k4.lebesgue_norm(dome, 3.0)) < 1e-10
+    assert abs(k4.lebesgue_norm(spectral64, c * dome, 3.0) - abs(c) * k4.lebesgue_norm(spectral64, dome, 3.0)) < 1e-10
     with pytest.raises(ValueError):
-        k4.lebesgue_norm(dome, 0.5)
+        k4.lebesgue_norm(spectral64, dome, 0.5)
 
 
 def test_full_sobolev_norm(spectral64):
-    dome = k4.RadialFunction(spectral64, (1 - spectral64.nodes**2) ** 2)
+    dome = (1 - spectral64.nodes**2) ** 2
     target = math.sqrt(np.pi**2 / 30 + 2 * np.pi**2 * (4.0 / 15.0) + (4 * np.pi) ** 2)
-    assert abs(k4.full_sobolev_norm(dome, 0.0) - target) < 1e-6
-    assert k4.full_sobolev_norm(dome, 0.5) >= k4.w_norm(dome, 0.5)
+    assert abs(k4.full_sobolev_norm(spectral64, dome, 0.0) - target) < 1e-6
+    assert k4.full_sobolev_norm(spectral64, dome, 0.5) >= weighted_rule(spectral64, 0.5).norm(dome)
 
 
 def test_pointwise_bound_coeff():
@@ -297,23 +295,22 @@ def test_pointwise_estimate_random_profiles(spectral64):
     coeffs = np.array([k4.pointwise_bound_coeff(r, beta) for r in spectral64.nodes[:-1]])
     for k in range(100):
         u = k4.random_clamped_profile(spectral64, np.random.default_rng([77, k]))
-        bound = coeffs * k4.w_norm(u, beta) + 1e-7
-        assert np.all(np.abs(u.values[:-1]) <= bound), k
+        bound = coeffs * weighted_rule(spectral64, beta).norm(u) + 1e-7
+        assert np.all(np.abs(u[:-1]) <= bound), k
 
 
 def test_norm_equivalence_ratio(spectral64):
     worst = 1.0
     for k in range(100):
         u = k4.random_clamped_profile(spectral64, np.random.default_rng([78, k]))
-        ratio = k4.full_sobolev_norm(u, 0.5) / k4.w_norm(u, 0.5)
+        ratio = k4.full_sobolev_norm(spectral64, u, 0.5) / weighted_rule(spectral64, 0.5).norm(u)
         assert math.isfinite(ratio) and ratio >= 1.0
         worst = max(worst, ratio)
     assert worst < 50.0  # finite equivalence constant on this sample
 
 
 def test_clamping(spectral64):
-    raw = k4.RadialFunction(spectral64, np.cos(3 * spectral64.nodes))
-    u = _clamp(spectral64, raw.values[None])[0]
+    u = _clamp(spectral64, np.cos(3 * spectral64.nodes)[None])[0]
     assert abs(u[-1]) < 1e-12
     assert abs((spectral64.d1 @ u)[-1]) < 1e-9
     again = _clamp(spectral64, u[None])[0]
@@ -323,8 +320,8 @@ def test_clamping(spectral64):
 def test_random_profiles_clamped_both_schemes(fd400, spectral64):
     for g in (spectral64, fd400):
         u = k4.random_clamped_profile(g, np.random.default_rng(5))
-        assert abs(u.values[-1]) < 1e-9
-        assert abs((g.d1 @ u.values)[-1]) < 1e-9
+        assert abs(u[-1]) < 1e-9
+        assert abs((g.d1 @ u)[-1]) < 1e-9
 
 
 def test_random_profile_same_function_across_schemes(spectral64, fd400):
@@ -334,20 +331,20 @@ def test_random_profile_same_function_across_schemes(spectral64, fd400):
     # function on both schemes
     us = k4.random_clamped_profile(spectral64, np.random.default_rng(9), modes=5)
     uf = k4.random_clamped_profile(fd400, np.random.default_rng(9), modes=5)
-    c_s = np.linalg.lstsq(clamped_even_basis(2 * spectral64.nodes**2 - 1, 5), us.values, rcond=None)[0]
-    c_f = np.linalg.lstsq(clamped_even_basis(2 * fd400.nodes**2 - 1, 5), uf.values, rcond=None)[0]
+    c_s = np.linalg.lstsq(clamped_even_basis(2 * spectral64.nodes**2 - 1, 5), us, rcond=None)[0]
+    c_f = np.linalg.lstsq(clamped_even_basis(2 * fd400.nodes**2 - 1, 5), uf, rcond=None)[0]
     assert np.abs(c_s - c_f).max() < 1e-4
 
 
 def _drawn_unit_profile(grid, rng, beta):
     """The one-direction draw written out: random_clamped_profile's
-    arithmetic, then division by w_norm."""
+    arithmetic, then division by its weighted norm."""
     count = min(24, grid.n - 2)
     coeffs = rng.standard_normal(count) / (1.0 + np.arange(count) ** 2)
     vals = clamped_even_basis(2.0 * grid.nodes**2 - 1.0, count) @ coeffs
     vals = vals - vals[-1]
     vals = vals - 0.5 * float(grid.d1[-1] @ vals) * (grid.nodes**2 - 1.0)
-    return vals / k4.w_norm(k4.RadialFunction(grid, vals), beta)
+    return vals / weighted_rule(grid, beta).norm(vals)
 
 
 def test_stacked_unit_draws_match_one_direction_draws(spectral64, fd400):
@@ -366,7 +363,7 @@ def test_stacked_unit_draws_match_one_direction_draws(spectral64, fd400):
                 assert np.array_equal(stack, np.array(reference)), (seed, grid.n, beta)
                 assert np.array_equal(_unit_profiles(grid, beta, seed, 500, 7), stack[:7])
             one = k4.random_clamped_profile(grid, np.random.default_rng([seed, 500]))
-            assert np.array_equal(one.values / k4.w_norm(one, 0.5), _unit_profiles(grid, 0.5, seed, 500, 1)[0])
+            assert np.array_equal(one / weighted_rule(grid, 0.5).norm(one), _unit_profiles(grid, 0.5, seed, 500, 1)[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32, 2**64 + 5, 2**128 + 3])
@@ -379,24 +376,49 @@ def test_keyed_draws_match_default_rng(spectral64, seed):
     for starts in (1, 8, 32):
         stack = _start_stack(spectral64, ops, k4.SearchConfig(starts=starts, seed=seed))
         rngs = [np.random.default_rng([seed, k]) for k in range(starts)]
-        rows = np.array([k4.random_clamped_profile(spectral64, rng).values for rng in rngs])
+        rows = np.array([k4.random_clamped_profile(spectral64, rng) for rng in rngs])
         assert np.array_equal(stack, rows / ops.rule.norm(rows)[:, None]), starts
 
 
+def _assert_profile(values, n):
+    """A profile as the package hands it out: read-only float nodal values (n,)."""
+    assert isinstance(values, np.ndarray) and values.dtype == float and values.shape == (n,)
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+
+
 def test_profile_csv_roundtrip(tmp_path, spectral64):
-    u = k4.random_clamped_profile(spectral64, np.random.default_rng(21))
-    path = tmp_path / "profile.csv"
-    k4.write_profile_csv(u, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "r,u"
-    back = k4.read_profile_csv(spectral64, path)
-    assert np.array_equal(back.values, u.values)
+    # bit for bit: the CSV holds 17 significant digits
+    for grid in (spectral64, build_grid(16, "spectral-even"), build_grid(16, "uniform-fd")):
+        u = k4.random_clamped_profile(grid, np.random.default_rng(21))
+        _assert_profile(u, grid.n)
+        path = tmp_path / f"profile-{grid.scheme}-{grid.n}.csv"
+        k4.write_profile_csv(grid, u, path)
+        header = path.read_text().splitlines()[0]
+        assert header == "r,u"
+        back = k4.read_profile_csv(grid, path)
+        _assert_profile(back, grid.n)
+        assert np.array_equal(back, u) and np.array_equal(np.signbit(back), np.signbit(u)), grid
+        with pytest.raises(ValueError):
+            k4.write_profile_csv(grid, u[:-1], path)  # one nodal value per node
+
+
+def test_full_sobolev_norm_stack_matches_rows(spectral64, fd400):
+    # a stack's norms are those of its rows alone, bit for bit, at heights
+    # past rowwise's 16 rows
+    for grid in (spectral64, fd400):
+        rng = np.random.default_rng(4)
+        stack = np.array([k4.random_clamped_profile(grid, rng) for _ in range(40)])
+        for beta in (0.0, 0.5):
+            norms = k4.full_sobolev_norm(grid, stack, beta)
+            assert norms.shape == (40,)
+            assert np.array_equal(norms, [k4.full_sobolev_norm(grid, u, beta) for u in stack]), (grid, beta)
 
 
 def test_profile_csv_grid_mismatch(tmp_path, spectral64, spectral32):
     u = k4.random_clamped_profile(spectral64, np.random.default_rng(2))
     path = tmp_path / "profile.csv"
-    k4.write_profile_csv(u, path)
+    k4.write_profile_csv(spectral64, u, path)
     with pytest.raises(ValueError):
         k4.read_profile_csv(spectral32, path)
 
@@ -419,9 +441,9 @@ def test_profile_checks_match_one_profile_at_a_time(scheme, n, beta):
     rng = np.random.default_rng([seed, 100])
     for _ in range(100):
         u = k4.random_clamped_profile(grid, rng)
-        nw = k4.w_norm(u, beta)
-        gaps.append(float(np.max(np.abs(u.values[:-1]) - coeffs * nw)))
-        ratios.append(k4.full_sobolev_norm(u, beta) / nw)
+        nw = weighted_rule(grid, beta).norm(u)
+        gaps.append(float(np.max(np.abs(u[:-1]) - coeffs * nw)))
+        ratios.append(k4.full_sobolev_norm(grid, u, beta) / nw)
     checks = {c.name: c for c in _profile_checks(grid, beta, 100, seed)}
     assert checks["pointwise-bound"].margin == 1e-7 - max(gaps)
     assert checks["norm-equivalence-ratio"].status == "pass"
