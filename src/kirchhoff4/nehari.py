@@ -274,7 +274,7 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    minimizer: np.ndarray  # read-only nodal values (n,)
+    minimizer: np.ndarray = field(repr=False, compare=False)  # read-only nodal values (n,)
     m: float
     gradient_norm: float
     relative_gradient: float
@@ -290,7 +290,7 @@ class GroundStateResult:
 
 @dataclass(frozen=True)
 class AuxResult:
-    w_p: np.ndarray  # read-only nodal values (n,)
+    w_p: np.ndarray = field(repr=False, compare=False)  # read-only nodal values (n,)
     m_p: float
     p_norm_p: float
     gradient_norm: float

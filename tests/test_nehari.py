@@ -836,12 +836,16 @@ def test_aux_moment_traces_monotone(params_cp2, scheme, n):
 
 def test_published_profiles_are_read_only_arrays(spectral64, resolved_default, ground_default):
     # a solve publishes its point as read-only float nodal values (n,), a copy
-    # of the winner's row that no later step of the solver can write to
-    for profile in (resolved_default[1].w_p, ground_default.minimizer):
+    # of the winner's row that no later step of the solver can write to; like
+    # the aux directions it stays out of the result's comparison and repr
+    aux = resolved_default[1]
+    for result, name in ((aux, "w_p"), (ground_default, "minimizer")):
+        profile = getattr(result, name)
         assert isinstance(profile, np.ndarray) and profile.dtype == float and profile.shape == (spectral64.n,)
         assert not profile.flags.writeable and profile.base is None
         with pytest.raises(ValueError):
             profile[0] = 0.0
+        assert replace(result, **{name: profile.copy()}) == result and f"{name}=" not in repr(result)
 
 
 def test_every_start_converges_at_the_defaults(spectral64, resolved_default, ground_default, search_default):
