@@ -18,7 +18,7 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def energy(grid: RadialGrid, values: np.ndarray, params: ModelParams) -> EnergyB
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
 
 
-def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None):
+def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None, unit=None):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
     (n,) or a stack of profiles of shape (k, n).
 
@@ -126,32 +126,43 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=N
     q-moment Q are taken once per row, by products of the row's own at any
     height, the Kirchhoff term is (1/2) G(t^2 S) and the power term t^q Q,
     and the reaction is _scaled_reaction's.  At t = 1 the Kirchhoff and
-    power terms are those of the row alone bit for bit.
+    power terms are those of the row alone bit for bit.  With a grid unit
+    (m,) shared by the rows, t holds one scale per row and row u sweeps
+    t_u unit: each power is t_u^e unit^e, its factors formed once per row
+    and once per grid point.
     """
     alone = t is not None
     s = ops.rule.form(values, alone=alone)
     power = rowwise(ops.rule.vol, np.abs(values) ** params.q, alone) / params.q
     if t is None:
         return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
-    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t)  # first, while no (k, m) term is held
-    return 0.5 * params.kirchhoff.G(t * t * s[..., None]), t**params.q * power[..., None], reaction
+    # the reaction first, while no (k, m) term is held
+    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t, unit)
+    if unit is None:
+        return 0.5 * params.kirchhoff.G(t * t * s[..., None]), t**params.q * power[..., None], reaction
+    kirch = 0.5 * params.kirchhoff.G((t * t * s)[..., None] * (unit * unit))
+    return kirch, (t**params.q * power)[..., None] * unit**params.q, reaction
 
 
-def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t):
-    """vol . F(t u) for each row u of values at each of its scales t, shaped
-    as in _energy_terms.
+def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t, unit=None):
+    """vol . F(t u) for each row u of values at each of its scales t (or
+    t_u unit), shaped as in _energy_terms.
 
     Where every t max|u| is at most nl._exact_peak, F(t u) is the pure power
     (cp + 1) |t u|^p / p at every node, and the reaction is t^p (cp + 1) P / p
     from the p-moment P = vol . |u|^p of each row, by products of the row's
     own (F node by node agrees to about 1e-16 relative).  Otherwise each
-    row goes alone, and a row past that peak takes F on its own (m, n)
-    body: a stacked body would gather the Kummer coefficients of every row
-    at once.  At any height a row's reaction is thus its own bit for bit.
+    row goes alone at its scales, and a row past that peak takes F on its own
+    (m, n) body: a stacked body would gather the Kummer coefficients of every
+    row at once.  At any height a row's reaction is thus its own bit for bit.
     """
     av = np.abs(values)
-    if np.max(t * av.max(axis=-1, keepdims=True), initial=0.0) <= nl._exact_peak:
-        return t**nl.p * (rowwise(vol, av**nl.p, alone=True) * ((nl.cp + 1.0) / nl.p))[..., None]
+    top = t if unit is None else t[..., None] * unit.max()
+    if np.max(top * av.max(axis=-1, keepdims=True), initial=0.0) <= nl._exact_peak:
+        moment = rowwise(vol, av**nl.p, alone=True) * ((nl.cp + 1.0) / nl.p)
+        return t**nl.p * moment[..., None] if unit is None else (t**nl.p * moment)[..., None] * unit**nl.p
+    if unit is not None:
+        t = t[..., None] * unit
     if values.ndim == 1:
         return nl.F(t[..., None] * values) @ vol
     return np.array([_scaled_reaction(vol, v, nl, tr) for v, tr in zip(values, t)])
@@ -228,7 +239,8 @@ class FiberMap:
     t vmax is at most the nonlinearity's _exact_peak, every exp rounds to 1
     and the tail is t^(p-1) times the row's weight_sum, taken once too.
     Each row has reductions of its own, so it evaluates as it would alone.
-    start holds the scale each row's root search starts from (_starts).
+    start holds the scale each row's root search starts from, computed on
+    first use: a map that only sweeps never needs it.
     Synthetic moment sets (scalars: a stack of one) exercise the
     projection root finder without any grid.
     """
@@ -247,7 +259,6 @@ class FiberMap:
                 # rates relative to the largest node of the row: (t vmax)^gamma
                 # stays finite up to the guard however large gamma is
                 self.rate = tail_spec.alpha0 * (av / self.vmax[:, None]) ** tail_spec.gamma
-        self.start = self._starts()
 
     # --- builders -------------------------------------------------------
 
@@ -278,13 +289,15 @@ class FiberMap:
         sub = copy.copy(self)
         sub.norm_sq = self.norm_sq[rows]
         sub.power_moments = tuple((e, m[rows]) for e, m in self.power_moments)
-        sub.start = self.start[rows]
+        if "start" in vars(self):  # else the rows compute their own, the same bit for bit
+            sub.start = self.start[rows]
         if self.tail_spec is not None:
             for name in ("vmax", "weight", "weight_sum", "rate"):
                 setattr(sub, name, getattr(self, name)[rows])
         return sub
 
-    def _starts(self) -> np.ndarray:
+    @cached_property
+    def start(self) -> np.ndarray:
         """The start of each row's root search (nehari._scale_search), all
         rows at once: min_e max((g0 S / M_e)^(1/(e-2)), (a S^2 /
         M_e)^(1/(e-4))) over the moments M_e > 0 of the row, the larger for
@@ -319,14 +332,39 @@ class FiberMap:
 
     # --- derivative and curvature ----------------------------------------
 
-    def deriv(self, t):
+    def deriv(self, t, unit=None):
         """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row.
 
         t holds one scale per row (k,) or a sweep of scales per row (k, m);
         a stack of one also takes a scale, which gives a float, or any array
-        of scales.  A scale past its row's overflow guard gives -inf.
+        of scales.  A scale past its row's overflow guard gives -inf.  With a
+        grid unit (m,) shared by the rows, t holds one scale per row (k,) and
+        row i sweeps t_i unit: a row within the exact tail takes each power
+        as t_i^e unit^e, the others their scales formed, each row its sweep
+        alone bit for bit.
         """
-        return self._derivs(t, second=False)[0]
+        if unit is None:
+            return self._derivs(t, second=False)[0]
+        t, unit = np.asarray(t, dtype=float), np.asarray(unit, dtype=float)
+        if t.shape != (len(self),):
+            raise ValueError(f"need one scale for each of {len(self)} rows, got shape {t.shape}")
+        exact = np.ones(len(self), dtype=bool)
+        if self.tail_spec is not None:
+            exact = t * unit.max() * self.vmax <= self.tail_spec._exact_peak
+        return _by_rows(exact, lambda rows: self._shared_deriv(rows, t[rows], unit),
+                        lambda rows: self.take(rows)._derivs(t[rows, None] * unit, second=False)[0])
+
+    def _shared_deriv(self, rows, t, unit):
+        """deriv of the given rows, within the exact tail, on the shared grid unit."""
+        s_row = self.norm_sq[rows]
+        d = self.kirchhoff.g((t * t * s_row)[:, None] * (unit * unit))
+        d *= (t * s_row)[:, None] * unit
+        terms = list(self.power_moments)
+        if self.tail_spec is not None:
+            terms.append((self.tail_spec.p, self.weight_sum))
+        for e, m in terms:
+            d -= (t ** (e - 1.0) * m[rows])[:, None] * unit ** (e - 1.0)
+        return d
 
     def derivs(self, t):
         """(d/dt J(t u), d^2/dt^2 J(t u)), row by row, from one pass over the
@@ -386,7 +424,7 @@ class FiberMap:
         return t.reshape(len(self), -1), t.shape
 
 
-def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams):
+def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams, unit=None):
     """J(t u) at a scale or an array of scales (m,) of nodal values u (n,),
     or at the scales (k, m) of each row u of a stack (k, n), from the
     scale form of the one energy kernel (_energy_terms): ||u||^2 and the
@@ -394,17 +432,47 @@ def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams):
     pure-power tail, from the p-moment.  At any height each row evaluates
     as it would alone, bit for bit.  A scale past the guard is evaluated
     as 0 and gives -inf; its guard peak t max|u| is max|t u| bit for bit,
-    as rounding is monotone.
+    as rounding is monotone.  With a grid unit (m,) shared by the rows, t
+    holds one scale per row and row u sweeps t_u unit: a row within the
+    exact tail (t_u max(unit) max|u| at most _exact_peak) takes the kernel's
+    shared-grid form, the others go a row at a time at their scales formed.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if np.any(t < 0.0) or (unit is not None and np.any(np.asarray(unit) < 0.0)):
         raise ValueError("fibering scale must be nonnegative")
+    ops = operator_cache(grid, params.beta)
+    if unit is not None:
+        if t.shape != values.shape[:-1]:
+            raise ValueError(f"need one scale for each row of values {values.shape}, got shape {t.shape}")
+        unit, vals, ts = np.asarray(unit, dtype=float), np.atleast_2d(values), np.atleast_1d(t)
+        exact = ts * unit.max() * np.abs(vals).max(axis=1) <= params.nonlinearity._exact_peak
+
+        def shared(rows):
+            kirch, power, reaction = _energy_terms(ops, vals[rows], params, ts[rows], unit)
+            return kirch - power - reaction
+
+        def formed(rows):  # a row at a time: one row's reaction body and scales held at once
+            return np.array([fibering(grid, v, tr * unit, params) for v, tr in zip(vals[rows], ts[rows])])
+
+        out = _by_rows(exact, shared, formed)
+        return out if values.ndim == 2 else out[0]
     if values.ndim == 2 and (t.ndim != 2 or len(t) != len(values)):
         raise ValueError(f"need the scales (k, m) of {len(values)} rows, got shape {t.shape}")
     ts = np.atleast_1d(t)
     with np.errstate(over="ignore"):
         inside = _inside_guard(params.nonlinearity, ts * np.abs(values).max(axis=-1, keepdims=True))
     scales = ts if inside.all() else np.where(inside, ts, 0.0)  # no (k, m) copy where none is past the guard
-    kirch, power, reaction = _energy_terms(operator_cache(grid, params.beta), values, params, scales)
+    kirch, power, reaction = _energy_terms(ops, values, params, scales)
     out = np.where(inside, kirch - power - reaction, -np.inf)
     return float(out[0]) if not t.ndim else out
+
+
+def _by_rows(exact, shared, formed):
+    """The rows (k, m) of a sweep: shared(rows) where exact, formed(rows)
+    elsewhere; a slice of every row (no copy) where one kind covers all."""
+    if exact.all() or not exact.any():
+        return (shared if exact.all() else formed)(slice(None))
+    first = shared(exact)
+    out = np.empty((len(exact), first.shape[1]))
+    out[exact], out[~exact] = first, formed(~exact)
+    return out

@@ -36,7 +36,6 @@ _EPS = np.finfo(float).eps
 _UNIT_FACTOR_BOUND = _EPS / 4.0  # below it 1F1(a; a+1; X) rounds to 1
 _KUMMER_BINS = 4  # Taylor bins per unit of X; |h| <= 1/8 ...
 _KUMMER_TERMS = 11  # ... so the first dropped term, h^11/11!, is below eps/50
-_KUMMER_SERIES_MAX = 1.0 / 8.0  # up to here the defining series needs <= 11 terms
 
 
 class RangeOverflowError(ValueError):
@@ -216,8 +215,7 @@ def _kummer_tables(a: float):
     coefficients about the centres c of bins of width 1/_KUMMER_BINS,
     c_k = (1/k!) sum_i a/(a+k+i) c^i/i!: sums of positive terms, exact to
     rounding.  Returns (coefficients by term and bin, asymptotic
-    coefficients (1-a)_k / switch^k, switch, coefficients a/((a+k) k!) of
-    the defining series).
+    coefficients (1-a)_k / switch^k, switch).
     """
     switch = max(40, math.ceil(a))
     while True:
@@ -230,39 +228,32 @@ def _kummer_tables(a: float):
     centre = (np.arange(switch * _KUMMER_BINS) + 0.5) / _KUMMER_BINS
     i = np.arange(1.0, switch + 12 * math.sqrt(switch) + 40)  # Poisson(c) tail < 1e-20
     powers = np.cumprod(np.hstack([np.ones((centre.size, 1)), centre[:, None] / i]), axis=1)
-    k = np.arange(_KUMMER_TERMS + 1.0)
+    k = np.arange(float(_KUMMER_TERMS))
     inv_fact = 1.0 / np.cumprod(np.maximum(k, 1.0))
-    coef = (a / (a + k[:-1, None] + np.append(0.0, i))) @ powers.T * inv_fact[:-1, None]
-    return coef, asym, switch, a / (a + k) * inv_fact
+    coef = (a / (a + k[:, None] + np.append(0.0, i))) @ powers.T * inv_fact[:, None]
+    return coef, asym, switch
 
 
-def _horner(coef, x: np.ndarray) -> np.ndarray:
+def _horner(coef, x: np.ndarray, bins=None) -> np.ndarray:
     """sum_k coef[k] x^k by Horner's rule, in numpy's polyval order; each
-    coef[k] is a scalar or an array shaped like x."""
-    acc = np.full_like(x, coef[-1])
+    coef[k] a scalar, or with bins a table indexed by them, gathered one
+    term at a time."""
+    acc = np.full_like(x, coef[-1] if bins is None else coef[-1][bins])
     for c in coef[-2::-1]:
         acc *= x
-        acc += c
+        acc += c if bins is None else c[bins]
     return acc
 
 
 def _kummer(a: float, x: np.ndarray) -> np.ndarray:
     """1F1(a; a+1; x) = e^x 1F1(1; a+1; -x) for x > 0, to a few ulps."""
-    coef, asym, switch, series = _kummer_tables(a)
-    top = float(x.max())
-    if top <= _KUMMER_SERIES_MAX:
-        # the terms shrink by at least x each, so the tail past the first
-        # term below eps/32 stays under eps/16
-        cut = 2
-        while series[cut] * top**cut > _EPS / 32:
-            cut += 1
-        return _horner(series[:cut], x)
+    coef, asym, switch = _kummer_tables(a)
     out = np.empty_like(x)
     low = x < switch
     xl = x[low] * _KUMMER_BINS
     j = xl.astype(np.intp)
-    out[low] = _horner(coef[:, j], (xl - j - 0.5) / _KUMMER_BINS)
-    if top >= switch:
+    out[low] = _horner(coef, (xl - j - 0.5) / _KUMMER_BINS, j)
+    if not low.all():
         xh = x[~low]
         inv = 1.0 / xh
         out[~low] = a * np.exp(xh) * inv * _horner(asym, switch * inv)

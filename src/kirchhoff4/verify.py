@@ -392,13 +392,14 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     sign_changes = _sign_changes(fibers, t_u, grid.n)
     # the fibering maximum is attained at the projection scale, up to a
     # slack relative to it (levels can be ~1e-36); past the guard the map
-    # is -inf, far below its maximum.  The sweep goes _FIBER_BLOCK rows a
-    # call, and each row's is its sweep alone (fibering at any height)
+    # is -inf, far below its maximum.  Each row sweeps t_u times one shared
+    # grid on [0, 3], _FIBER_BLOCK rows a call, and each row's is its sweep
+    # alone (fibering at any height)
     sweep_max = np.empty(count)
+    unit = np.linspace(0.0, 3.0, _FIBER_SCALES)
     for start in range(0, count, _FIBER_BLOCK):
         rows = slice(start, start + _FIBER_BLOCK)
-        sweep = np.linspace(0.0, 3.0 * t_u[rows], 200, axis=1)
-        sweep_max[rows] = fibering(grid, dir_values[rows], sweep, params).max(axis=1)
+        sweep_max[rows] = fibering(grid, dir_values[rows], t_u[rows], params, unit=unit).max(axis=1)
     max_gaps = (peaks - sweep_max) / np.abs(peaks)
     bad = np.flatnonzero(sign_changes != 1).tolist()  # the witness is the first of them
     checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
@@ -421,6 +422,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
 
 
 _FIBER_BLOCK = 50  # rows of one call of the fibering-maximum sweep
+_FIBER_SCALES = 200
 _SWEEP_SCALES = 500
 _SIGN_BLOCK = 40  # rows of one block of the sign sweep within the exact tail
 _SWEEP_DOUBLES = 2**18  # the (rows, scales, n) exp body of one block of the sign sweep
@@ -428,24 +430,25 @@ _SWEEP_DOUBLES = 2**18  # the (rows, scales, n) exp body of one block of the sig
 
 def _sign_changes(fibers: FiberMap, t_u: np.ndarray, n: int) -> np.ndarray:
     """The sign changes of each row's fibering derivative (-inf past the
-    guard, zeros skipped) over a log grid from 1e-6 t_u to 1e3 t_u of its
-    scale, n the nodes of a row; each row gets the arithmetic of its sweep
-    alone.  A row whose sweep stays within the exact pure-power tail (1e3
-    t_u vmax at most _exact_peak, or no tail) forms no exp body: those rows
-    go _SIGN_BLOCK a call, a block's (rows, scales) arrays peaking at about
-    1.3 MB (all 200 rows in one call raise the peak RSS of verify by about
-    5 MB).  The other rows go in blocks sized so that the exp body holds
-    about _SWEEP_DOUBLES doubles (8 rows at n = 64, 1 at n = 400)."""
+    guard, zeros skipped) over t_u times one shared log grid from 1e-6 to
+    1e3, n the nodes of a row; each row gets the arithmetic of its sweep
+    alone (FiberMap.deriv on the grid).  A row whose sweep stays within the
+    exact pure-power tail (1e3 t_u vmax at most _exact_peak, or no tail)
+    forms no exp body: those rows go _SIGN_BLOCK a call, a block's (rows,
+    scales) arrays peaking at about 0.7 MB (one call over all 200 rows
+    peaks at about 2.0 MB).  The other rows go in blocks sized so that the
+    exp body holds about _SWEEP_DOUBLES doubles (8 rows at n = 64, 1 at
+    n = 400)."""
     exact = np.ones(len(t_u), dtype=bool)
     if fibers.tail_spec is not None:
         exact = 1e3 * t_u * fibers.vmax <= fibers.tail_spec._exact_peak
     wide = max(1, _SWEEP_DOUBLES // (_SWEEP_SCALES * n))
+    unit = np.geomspace(1e-6, 1e3, _SWEEP_SCALES)
     changes = np.empty(len(t_u), dtype=int)
     for rows, block in ((np.flatnonzero(exact), _SIGN_BLOCK), (np.flatnonzero(~exact), wide)):
         for start in range(0, len(rows), block):
             sub = rows[start : start + block]
-            ts = np.geomspace(1e-6 * t_u[sub], 1e3 * t_u[sub], _SWEEP_SCALES, axis=1)
-            signs = np.sign(fibers.take(sub).deriv(ts))
+            signs = np.sign(fibers.take(sub).deriv(t_u[sub], unit=unit))
             changes[sub] = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
             for k in np.flatnonzero((signs == 0.0).any(axis=1)):  # recount without the zeros
                 kept = signs[k][signs[k] != 0.0]
@@ -472,7 +475,8 @@ def _fibering_fd_gap(grid: RadialGrid, u: np.ndarray, params: ModelParams, t_u: 
     values is pure cancellation noise) and short of the exponential wall."""
     ts = np.linspace(0.1 * t_u, 0.95 * t_u, samples)
     h = 1e-4 * ts
-    j = [fibering(grid, u, ts + c * h, params) for c in (2.0, 1.0, -1.0, -2.0)]
+    shifted = ts + np.array([2.0, 1.0, -1.0, -2.0])[:, None] * h  # the four sweeps in one call
+    j = fibering(grid, u, shifted.ravel(), params).reshape(shifted.shape)
     fd = (-j[0] + 8.0 * j[1] - 8.0 * j[2] + j[3]) / (12.0 * h)
     dv = FiberMap.full(grid, u, params).deriv(ts)
     return float(np.max(np.abs(fd - dv) / (1.0 + np.abs(dv))))

@@ -510,6 +510,82 @@ def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
         assert np.array_equal(value[k], alone[k]), k
 
 
+def _sign_counts(d):
+    """Sign changes of each row, zeros skipped."""
+    counts = []
+    for row in np.sign(d):
+        row = row[row != 0.0]
+        counts.append(int(np.count_nonzero(row[1:] != row[:-1])))
+    return counts
+
+
+@pytest.mark.parametrize("case", ["auto", "auto-beta0.9", "cp2-tiny-alpha0"])
+def test_shared_grid_sweeps_match_the_formed_scales(spectral64, resolved_default, params_cp2, case):
+    # verify's sign sweep (FiberMap.deriv) and maximum sweep (fibering) take
+    # one grid of relative scales for all rows.  Within the exact tail each
+    # power of a scale is t_u^e unit^e: the sign changes equal those at the
+    # scales t_u unit formed, and each value lies within 8 eps of the
+    # magnitude of its terms from the formed one (at most 3.95 eps measured).
+    # With alpha0 = 1e-300 at cp = 2 the whole sweep stays exact and the
+    # tail is a third of the p-power term
+    params = {
+        "auto": resolved_default[0],
+        "auto-beta0.9": replace(resolved_default[0], beta=0.9),
+        "cp2-tiny-alpha0": replace(params_cp2, nonlinearity=replace(params_cp2.nonlinearity, alpha0=1e-300)),
+    }[case]
+    nl, eps = params.nonlinearity, np.finfo(float).eps
+    dirs = np.array([unit_profile(spectral64, params.beta, [93, k]) for k in range(50)])
+    fibers = FiberMap.full(spectral64, dirs, params)
+    t_u = _drive(fibers)
+    signs, peaks = np.geomspace(1e-6, 1e3, 500), np.linspace(0.0, 3.0, 200)
+    assert np.all(1e3 * t_u * fibers.vmax <= nl._exact_peak)
+
+    d = fibers.deriv(t_u, unit=signs)
+    formed = t_u[:, None] * signs
+    assert _sign_counts(d) == _sign_counts(fibers.deriv(formed)) == [1] * 50
+    s = fibers.norm_sq[:, None]
+    terms = [params.kirchhoff.g(formed * formed * s) * formed * s, formed ** (nl.p - 1.0) * fibers.weight_sum[:, None]]
+    terms += [formed ** (e - 1.0) * m[:, None] for e, m in fibers.power_moments]
+    assert np.all(np.abs(d - fibers.deriv(formed)) <= 8.0 * eps * sum(terms))
+    value = k4.fibering(spectral64, dirs, t_u, params, unit=peaks)
+    formed = t_u[:, None] * peaks
+    terms = _energy_terms(operator_cache(spectral64, params.beta), dirs, params, formed)
+    gap = np.abs(value - k4.fibering(spectral64, dirs, formed, params))
+    assert np.all(gap <= 8.0 * eps * sum(np.abs(x) for x in terms))
+    with pytest.raises(ValueError, match="scale"):
+        k4.fibering(spectral64, dirs, formed, params, unit=peaks)
+    with pytest.raises(ValueError, match="scale"):
+        fibers.deriv(formed, unit=signs)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9])
+def test_shared_grid_sweeps_split_rows_past_the_exact_tail(spectral64, resolved_default, beta):
+    # at the automatic cp, every fifth row moved to 100 _exact_peak / max|u|
+    # leaves the exact tail (its sign sweep ends past the guard, its maximum
+    # sweep stays inside it) and goes at its scales formed: in a stack that
+    # mixes both kinds, each row gets its sweep alone bit for bit, and the
+    # exact rows get what they get in a stack of exact rows only
+    params = replace(resolved_default[0], beta=beta)
+    nl = params.nonlinearity
+    dirs = np.array([unit_profile(spectral64, beta, [93, k]) for k in range(50)])
+    fibers = FiberMap.full(spectral64, dirs, params)
+    t_u = _drive(fibers)
+    signs, peaks = np.geomspace(1e-6, 1e3, 500), np.linspace(0.0, 3.0, 200)
+    past = np.arange(50) % 5 == 1
+    t_mixed = np.where(past, 100.0 * nl._exact_peak / fibers.vmax, t_u)
+    assert np.array_equal(3.0 * t_mixed * fibers.vmax > nl._exact_peak, past)
+    assert np.array_equal(1e3 * t_mixed * fibers.vmax > nl._exact_peak, past)
+    d_mixed = fibers.deriv(t_mixed, unit=signs)
+    value_mixed = k4.fibering(spectral64, dirs, t_mixed, params, unit=peaks)
+    assert np.all(d_mixed[past, -1] == -np.inf) and np.all(np.isfinite(value_mixed))
+    assert np.array_equal(d_mixed[~past], fibers.take(~past).deriv(t_u[~past], unit=signs))
+    assert np.array_equal(value_mixed[~past], k4.fibering(spectral64, dirs[~past], t_u[~past], params, unit=peaks))
+    for k in range(50):
+        alone = fibers.take([k]).deriv(t_mixed[k : k + 1], unit=signs)[0]
+        assert np.array_equal(d_mixed[k], alone), k
+        assert np.array_equal(value_mixed[k], k4.fibering(spectral64, dirs[k], t_mixed[k], params, unit=peaks)), k
+
+
 def test_fibering_array_matches_scalar(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
     limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()

