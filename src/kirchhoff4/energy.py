@@ -117,19 +117,14 @@ def energy(grid: RadialGrid, values: np.ndarray, params: ModelParams) -> EnergyB
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
 
 
-def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None, unit=None):
+def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None, unit=None, inside=None):
     """Kirchhoff, power and reaction terms of J for nodal values of shape
     (n,) or a stack of profiles of shape (k, n).
 
-    With scales t, (m,) for a profile or (k, m) for a stack, the terms of
-    J(t u) for each row u at each of its scales: S = ||u||^2 and the
-    q-moment Q are taken once per row, by products of the row's own at any
-    height, the Kirchhoff term is (1/2) G(t^2 S) and the power term t^q Q,
-    and the reaction is _scaled_reaction's.  At t = 1 the Kirchhoff and
-    power terms are those of the row alone bit for bit.  With a grid unit
-    (m,) shared by the rows, t holds one scale per row and row u sweeps
-    t_u unit: each power is t_u^e unit^e, its factors formed once per row
-    and once per grid point.
+    With scales, the terms of J(t u) of each row u of a stack over its sweep
+    (_scale_form), as _power's: S = ||u||^2 and the q-moment Q once per row,
+    by products of the row's own, for (1/2) G(t^2 S) and t^q Q, and the
+    reaction of _scaled_reaction, the scales outside inside (k, m) as 0.
     """
     alone = t is not None
     s = ops.rule.form(values, alone=alone)
@@ -137,35 +132,23 @@ def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=N
     if t is None:
         return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
     # the reaction first, while no (k, m) term is held
-    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t, unit)
-    if unit is None:
-        return 0.5 * params.kirchhoff.G(t * t * s[..., None]), t**params.q * power[..., None], reaction
-    kirch = 0.5 * params.kirchhoff.G((t * t * s)[..., None] * (unit * unit))
-    return kirch, (t**params.q * power)[..., None] * unit**params.q, reaction
+    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t, unit, inside)
+    return 0.5 * params.kirchhoff.G(_power(t, unit, 2.0, s)), _power(t, unit, params.q, power), reaction
 
 
-def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t, unit=None):
-    """vol . F(t u) for each row u of values at each of its scales t (or
-    t_u unit), shaped as in _energy_terms.
-
-    Where every t max|u| is at most nl._exact_peak, F(t u) is the pure power
-    (cp + 1) |t u|^p / p at every node, and the reaction is t^p (cp + 1) P / p
-    from the p-moment P = vol . |u|^p of each row, by products of the row's
-    own (F node by node agrees to about 1e-16 relative).  Otherwise each
-    row goes alone at its scales, and a row past that peak takes F on its own
-    (m, n) body: a stacked body would gather the Kummer coefficients of every
-    row at once.  At any height a row's reaction is thus its own bit for bit.
-    """
-    av = np.abs(values)
-    top = t if unit is None else t[..., None] * unit.max()
-    if np.max(top * av.max(axis=-1, keepdims=True), initial=0.0) <= nl._exact_peak:
-        moment = rowwise(vol, av**nl.p, alone=True) * ((nl.cp + 1.0) / nl.p)
-        return t**nl.p * moment[..., None] if unit is None else (t**nl.p * moment)[..., None] * unit**nl.p
-    if unit is not None:
-        t = t[..., None] * unit
-    if values.ndim == 1:
-        return nl.F(t[..., None] * values) @ vol
-    return np.array([_scaled_reaction(vol, v, nl, tr) for v, tr in zip(values, t)])
+def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t, unit=None, inside=None):
+    """vol . F(t u) of each row u of a stack (k, n) over its sweep, as _power's.
+    A row within the exact pure-power tail (t_u max(unit) max|u| at most
+    nl._exact_peak) takes t^p (cp + 1) P / p from P = vol . |u|^p (F agrees
+    to about 1e-16 relative); any other F on its own (m, n) body at its
+    scales formed, those outside inside as 0 (a stacked body would gather
+    the Kummer coefficients of every row at once), each bit for bit alone."""
+    exact = _top(t, unit) * np.abs(values).max(axis=1) <= nl._exact_peak
+    out = _power(t, unit, nl.p, rowwise(vol, np.abs(values) ** nl.p, alone=True) * ((nl.cp + 1.0) / nl.p))
+    for i in np.flatnonzero(~exact):
+        scales = np.where(True if inside is None else inside[i], _formed(t[i : i + 1], unit)[0], 0.0)
+        out[i] = nl.F(scales[:, None] * values[i]) @ vol
+    return out
 
 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -333,146 +316,127 @@ class FiberMap:
     # --- derivative and curvature ----------------------------------------
 
     def deriv(self, t, unit=None):
-        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row.
+        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row,
+        over a sweep (_scale_form): one scale per row (k,), a scale (a float)
+        or an array of scales of a stack of one, or t_u unit (k, m).  A scale
+        past its row's overflow guard gives -inf.  Each row evaluates as it
+        would alone, bit for bit."""
+        return self._derivs(t, unit, second=False)[0]
 
-        t holds one scale per row (k,) or a sweep of scales per row (k, m);
-        a stack of one also takes a scale, which gives a float, or any array
-        of scales.  A scale past its row's overflow guard gives -inf.  With a
-        grid unit (m,) shared by the rows, t holds one scale per row (k,) and
-        row i sweeps t_i unit: a row within the exact tail takes each power
-        as t_i^e unit^e, the others their scales formed, each row its sweep
-        alone bit for bit.
-        """
-        if unit is None:
-            return self._derivs(t, second=False)[0]
-        t, unit = np.asarray(t, dtype=float), np.asarray(unit, dtype=float)
-        if t.shape != (len(self),):
-            raise ValueError(f"need one scale for each of {len(self)} rows, got shape {t.shape}")
-        exact = np.ones(len(self), dtype=bool)
-        if self.tail_spec is not None:
-            exact = t * unit.max() * self.vmax <= self.tail_spec._exact_peak
-        return _by_rows(exact, lambda rows: self._shared_deriv(rows, t[rows], unit),
-                        lambda rows: self.take(rows)._derivs(t[rows, None] * unit, second=False)[0])
+    def derivs(self, t, unit=None):
+        """(d/dt J(t u), d^2/dt^2 J(t u)) from one pass over the scales and the
+        exponential body; t and unit as for deriv, -inf past the guard."""
+        return self._derivs(t, unit, second=True)
 
-    def _shared_deriv(self, rows, t, unit):
-        """deriv of the given rows, within the exact tail, on the shared grid unit."""
-        s_row = self.norm_sq[rows]
-        d = self.kirchhoff.g((t * t * s_row)[:, None] * (unit * unit))
-        d *= (t * s_row)[:, None] * unit
-        terms = list(self.power_moments)
-        if self.tail_spec is not None:
-            terms.append((self.tail_spec.p, self.weight_sum))
-        for e, m in terms:
-            d -= (t ** (e - 1.0) * m[rows])[:, None] * unit ** (e - 1.0)
-        return d
-
-    def derivs(self, t):
-        """(d/dt J(t u), d^2/dt^2 J(t u)), row by row, from one pass over the
-        scales and the exponential body; t as for deriv, -inf past the guard."""
-        return self._derivs(t, second=True)
-
-    def _derivs(self, t, second: bool):
-        """(deriv,) or, when second, (deriv, d^2/dt^2 J(t u)) at the scales t."""
-        t, shape = self._sweep(t)
+    def _derivs(self, t, unit, second: bool):
+        """(deriv,) or, when second, (deriv, d^2/dt^2 J(t u)) over the sweep."""
+        t, unit, shape = _scale_form((len(self),), t, unit)
         s_row = self.norm_sq[:, None]
-        s = t * t * s_row
-        g = self.kirchhoff.g(s)
-        d = g * t * s_row
-        d2 = 2.0 * self.kirchhoff.g_prime(s) * (t * s_row) ** 2 + g * s_row if second else None
+        # t S as (t)(S), or on a grid as (unit)(t_u S): g t S is then (g t) S in
+        # the root search, and a profile's at t_u = 1 bit for bit
+        lead, rest = (t[:, None], s_row) if unit is None else (unit, (t * self.norm_sq)[:, None])
+        s = _power(t, unit, 2.0, self.norm_sq)
+        d = self.kirchhoff.g(s)  # g(t^2 S), then in place g t S
+        d2 = 2.0 * self.kirchhoff.g_prime(s) * (lead * rest) ** 2 + d * s_row if second else None
+        del s  # one (k, m) array fewer held while the moments are taken
+        d *= lead
+        d *= rest
         for e, m in self.power_moments:
-            d -= t ** (e - 1.0) * m[:, None]
+            d -= _power(t, unit, e - 1.0, m)
             if second:
-                d2 -= (e - 1.0) * t ** (e - 2.0) * m[:, None]
-        if self.tail_spec is not None:
-            nl = self.tail_spec
-            peak = t * self.vmax[:, None]
-            # the tail sums weight_i exp(arg_i), and for d^2 weight_i exp(arg_i)
-            # (p - 1 + gamma arg_i): the weight sum where every exp rounds to 1
+                d2 -= (e - 1.0) * _power(t, unit, e - 2.0) * m[:, None]
+        nl = self.tail_spec
+        if nl is not None:
+            # the tail sums weight_i exp(arg_i), for d^2 weight_i exp(arg_i) (p - 1 + gamma
+            # arg_i): its closed form (_tail) wherever each row's largest peak passes
+            peak = _top(t, unit) * self.vmax
             exact = peak <= nl._exact_peak
-            n_exact = np.count_nonzero(exact)
-            if n_exact == exact.size:
-                d = d - t ** (nl.p - 1.0) * self.weight_sum[:, None]
+        if nl is not None and np.count_nonzero(exact) == len(exact):  # cheaper than all() on small stacks
+            d -= self._tail(t, unit, 1)
+            if second:
+                d2 -= self._tail(t, unit, 2)
+        elif nl is not None:
+            # without a unit each row's peak is its one scale's; on a grid, each scale's
+            peak = peak[:, None] if unit is None else _formed(t, unit) * self.vmax[:, None]
+            exact = exact[:, None] if unit is None else peak <= nl._exact_peak
+            some = np.count_nonzero(exact)
+            with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+                weight = self.weight[:, :, None]
+                scaled = peak**nl.gamma
+                inside = nl.alpha0 * scaled <= EXP_GUARD  # _inside_guard(nl, peak), sharing the power
+                arg = scaled[..., None] * self.rate[:, None, :]
+                body = np.exp(arg)
+                mass = _power(t, unit, nl.p - 1.0) * np.matmul(body, weight)[..., 0]
+                mass = np.where(exact, self._tail(t, unit, 1), mass) if some else mass
+                d = np.where(inside, d - mass, -np.inf)
                 if second:
-                    d2 = d2 - t ** (nl.p - 2.0) * ((nl.p - 1.0) * self.weight_sum[:, None])
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
-                    weight = self.weight[:, :, None]
-                    scaled = peak**nl.gamma
-                    inside = nl.alpha0 * scaled <= EXP_GUARD  # _inside_guard(nl, peak), sharing the power
-                    arg = scaled[..., None] * self.rate[:, None, :]
-                    body = np.exp(arg)
-                    mass = np.matmul(body, weight)[..., 0]
-                    if n_exact:
-                        mass = np.where(exact, self.weight_sum[:, None], mass)
-                    d = np.where(inside, d - t ** (nl.p - 1.0) * mass, -np.inf)
-                    if second:
-                        arg *= nl.gamma  # in place: body *= p - 1 + gamma arg
-                        arg += nl.p - 1.0
-                        body *= arg
-                        mass = np.matmul(body, weight)[..., 0]
-                        if n_exact:
-                            mass = np.where(exact, (nl.p - 1.0) * self.weight_sum[:, None], mass)
-                        d2 = np.where(inside, d2 - t ** (nl.p - 2.0) * mass, -np.inf)
+                    arg *= nl.gamma  # in place: body *= p - 1 + gamma arg
+                    arg += nl.p - 1.0
+                    body *= arg
+                    mass = _power(t, unit, nl.p - 2.0) * np.matmul(body, weight)[..., 0]
+                    mass = np.where(exact, self._tail(t, unit, 2), mass) if some else mass
+                    d2 = np.where(inside, d2 - mass, -np.inf)
         out = tuple(x.reshape(shape) for x in ((d, d2) if second else (d,)))
         return tuple(float(x) for x in out) if not shape else out
 
-    def _sweep(self, t):
-        """The scales as a (k, m) array, and the shape of the result."""
-        t = np.asarray(t, dtype=float)
-        if len(self) != 1 and t.shape[:1] != (len(self),):
-            raise ValueError(f"need the scales of {len(self)} rows, got shape {t.shape}")
-        return t.reshape(len(self), -1), t.shape
+    def _tail(self, t, unit, order: int):
+        """The tail's term of d (order 1) or of d^2 (order 2) where every exp
+        rounds to 1: t^(p-1) W or t^(p-2) (p - 1) W, W the weight sum."""
+        p = self.tail_spec.p
+        return _power(t, unit, p - order, self.weight_sum if order == 1 else (p - 1.0) * self.weight_sum)
 
 
 def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams, unit=None):
-    """J(t u) at a scale or an array of scales (m,) of nodal values u (n,),
-    or at the scales (k, m) of each row u of a stack (k, n), from the
-    scale form of the one energy kernel (_energy_terms): ||u||^2 and the
-    q-moment once per row, and the reaction per scale or, within the exact
-    pure-power tail, from the p-moment.  At any height each row evaluates
-    as it would alone, bit for bit.  A scale past the guard is evaluated
-    as 0 and gives -inf; its guard peak t max|u| is max|t u| bit for bit,
-    as rounding is monotone.  With a grid unit (m,) shared by the rows, t
-    holds one scale per row and row u sweeps t_u unit: a row within the
-    exact tail (t_u max(unit) max|u| at most _exact_peak) takes the kernel's
-    shared-grid form, the others go a row at a time at their scales formed.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or (unit is not None and np.any(np.asarray(unit) < 0.0)):
+    """J(t u) of nodal values u (n,), or of each row u of a stack (k, n),
+    over a sweep (_scale_form): a profile at a scale or an array of scales,
+    a stack at one scale per row, or t_u unit.  It is the scale form of the
+    one energy kernel (_energy_terms), and at any height each row evaluates
+    as it would alone, bit for bit.  A scale past the guard gives -inf; its
+    guard peak t_u unit max|u| is max|t_u unit u| bit for bit, as rounding
+    is monotone."""
+    t, unit, shape = _scale_form(np.shape(values)[:-1], t, unit)
+    if (t < 0.0).any() or (unit is not None and (unit < 0.0).any()):
         raise ValueError("fibering scale must be nonnegative")
-    ops = operator_cache(grid, params.beta)
-    if unit is not None:
-        if t.shape != values.shape[:-1]:
-            raise ValueError(f"need one scale for each row of values {values.shape}, got shape {t.shape}")
-        unit, vals, ts = np.asarray(unit, dtype=float), np.atleast_2d(values), np.atleast_1d(t)
-        exact = ts * unit.max() * np.abs(vals).max(axis=1) <= params.nonlinearity._exact_peak
-
-        def shared(rows):
-            kirch, power, reaction = _energy_terms(ops, vals[rows], params, ts[rows], unit)
-            return kirch - power - reaction
-
-        def formed(rows):  # a row at a time: one row's reaction body and scales held at once
-            return np.array([fibering(grid, v, tr * unit, params) for v, tr in zip(vals[rows], ts[rows])])
-
-        out = _by_rows(exact, shared, formed)
-        return out if values.ndim == 2 else out[0]
-    if values.ndim == 2 and (t.ndim != 2 or len(t) != len(values)):
-        raise ValueError(f"need the scales (k, m) of {len(values)} rows, got shape {t.shape}")
-    ts = np.atleast_1d(t)
-    with np.errstate(over="ignore"):
-        inside = _inside_guard(params.nonlinearity, ts * np.abs(values).max(axis=-1, keepdims=True))
-    scales = ts if inside.all() else np.where(inside, ts, 0.0)  # no (k, m) copy where none is past the guard
-    kirch, power, reaction = _energy_terms(ops, values, params, scales)
-    out = np.where(inside, kirch - power - reaction, -np.inf)
-    return float(out[0]) if not t.ndim else out
+    vals = np.atleast_2d(values)
+    nl, vmax = params.nonlinearity, np.abs(vals).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+        # each row's largest scale first: no (k, m) mask where every row is inside
+        inside = _inside_guard(nl, _top(t, unit) * vmax)
+        inside = None if inside.all() else _inside_guard(nl, _formed(t, unit) * vmax[:, None])
+        kirch, power, reaction = _energy_terms(operator_cache(grid, params.beta), vals, params, t, unit, inside)
+        out = kirch - power - reaction if inside is None else np.where(inside, kirch - power - reaction, -np.inf)
+    return float(out[0, 0]) if not shape else out.reshape(shape)
 
 
-def _by_rows(exact, shared, formed):
-    """The rows (k, m) of a sweep: shared(rows) where exact, formed(rows)
-    elsewhere; a slice of every row (no copy) where one kind covers all."""
-    if exact.all() or not exact.any():
-        return (shared if exact.all() else formed)(slice(None))
-    first = shared(exact)
-    out = np.empty((len(exact), first.shape[1]))
-    out[exact], out[~exact] = first, formed(~exact)
-    return out
+def _scale_form(rows: tuple, t, unit):
+    """The one form of a sweep: a scale t_u per row (k,) times a grid unit
+    (m,) that all rows share, or None; and the shape of the result.  rows is
+    () for a profile (n,), (k,) for a stack.  Without a unit a stack takes a
+    scale per row, and a profile (or a stack of one) at any array of scales
+    takes them as its unit at t_u = 1: as 1^e M = M and 1 x = x, bit for bit
+    the profile at those scales."""
+    t = np.asarray(t, dtype=float)
+    if unit is None and math.prod(rows) == 1 and not (rows and t.shape == rows):
+        return np.ones(1), t.reshape(-1), t.shape
+    if t.shape != rows:
+        raise ValueError(f"need one scale for each row {rows}, got scales of shape {t.shape}")
+    if unit is None:
+        return t, None, rows
+    unit = np.asarray(unit, dtype=float)
+    return t.reshape(-1), unit, rows + unit.shape
+
+
+def _power(t, unit, e: float, coef=None):
+    """coef t^e at each scale of a sweep as (t_u^e coef) unit^e: (k, m), or (k, 1) without a unit."""
+    head = t**e if coef is None else t**e * coef
+    return head[:, None] if unit is None else head[:, None] * unit**e
+
+
+def _formed(t, unit):
+    """The scales t_u unit of each row formed, (k, m), or (k, 1) without a unit."""
+    return t[:, None] if unit is None else t[:, None] * unit
+
+
+def _top(t, unit):
+    """The largest scale of each row's sweep: its exact-tail and guard tests take it."""
+    return t if unit is None else t * unit.max(initial=0.0)

@@ -455,10 +455,10 @@ def _descend_aux(grid: RadialGrid, params: ModelParams, u: np.ndarray, search: S
     p <v, v/||v|| - u> = p (||v|| - <v, u>) >= 0 (Journee, Nesterov,
     Richtarik & Sepulchre, JMLR 11, 2010, sec. 2).  The rows step in
     lockstep, one stacked Riesz product per step, and each row stops once
-    its moment rises by no more than its rounding floor.  The ascent visits
-    no Nehari point, so it reports no path norms or margins (inf, inf); each
-    final direction is projected onto the Nehari set of the pure-power
-    functional, and the start judged there.
+    its moment rises by no more than its rounding floor.  It returns only
+    (records, w), as the ascent visits no Nehari point to take path norms
+    or margins at; each final direction is projected onto the Nehari set
+    of the pure-power functional, and the start judged there.
     """
     p = params.p
     ops = operator_cache(grid, params.beta)
@@ -489,7 +489,7 @@ def _descend_aux(grid: RadialGrid, params: ModelParams, u: np.ndarray, search: S
     value = 0.5 * params.kirchhoff.G(ops.rule.form(w)) - rowwise(ops.rule.vol, np.abs(w) ** p) / p
     drafts = zip(range(len(w)), iterations, reasons, traces)
     records = _finish_starts(ops, w, params, value, grad_norm, search, drafts)
-    return records, w, math.inf, math.inf
+    return records, w
 
 
 def _winner(records: list) -> int:
@@ -537,7 +537,7 @@ def aux_ground_state(grid: RadialGrid, params: ModelParams, search: SearchConfig
     if params.p <= 4.0:
         raise ValueError(f"auxiliary problem needs p > 4, got {params.p}")
     ops = operator_cache(grid, params.beta)
-    records, w, _, _ = _descend_aux(grid, params, _start_stack(grid, ops, search), search)
+    records, w = _descend_aux(grid, params, _start_stack(grid, ops, search), search)
     k = _winner(records)
     best, best_vals = records[k], w[k]
     p_norm_p = float(ops.rule.vol @ np.abs(best_vals) ** params.p)

@@ -433,17 +433,17 @@ def _sign_changes(fibers: FiberMap, t_u: np.ndarray, n: int) -> np.ndarray:
     guard, zeros skipped) over t_u times one shared log grid from 1e-6 to
     1e3, n the nodes of a row; each row gets the arithmetic of its sweep
     alone (FiberMap.deriv on the grid).  A row whose sweep stays within the
-    exact pure-power tail (1e3 t_u vmax at most _exact_peak, or no tail)
-    forms no exp body: those rows go _SIGN_BLOCK a call, a block's (rows,
-    scales) arrays peaking at about 0.7 MB (one call over all 200 rows
-    peaks at about 2.0 MB).  The other rows go in blocks sized so that the
-    exp body holds about _SWEEP_DOUBLES doubles (8 rows at n = 64, 1 at
-    n = 400)."""
+    exact pure-power tail (t_u max(grid) vmax at most _exact_peak, the test
+    FiberMap.deriv makes, or no tail) forms no exp body: those rows go
+    _SIGN_BLOCK a call, a block's (rows, scales) arrays peaking at about
+    0.7 MB (one call over all 200 rows peaks at about 2.0 MB).  The other
+    rows go in blocks sized so that the exp body holds about _SWEEP_DOUBLES
+    doubles (8 rows at n = 64, 1 at n = 400)."""
+    unit = np.geomspace(1e-6, 1e3, _SWEEP_SCALES)
     exact = np.ones(len(t_u), dtype=bool)
     if fibers.tail_spec is not None:
-        exact = 1e3 * t_u * fibers.vmax <= fibers.tail_spec._exact_peak
+        exact = t_u * unit.max() * fibers.vmax <= fibers.tail_spec._exact_peak
     wide = max(1, _SWEEP_DOUBLES // (_SWEEP_SCALES * n))
-    unit = np.geomspace(1e-6, 1e3, _SWEEP_SCALES)
     changes = np.empty(len(t_u), dtype=int)
     for rows, block in ((np.flatnonzero(exact), _SIGN_BLOCK), (np.flatnonzero(~exact), wide)):
         for start in range(0, len(rows), block):

@@ -328,9 +328,9 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     past = fiber.deriv(np.array([0.5, 1.1]) * limit)  # past the guard the tail dominates
     assert np.isfinite(past[0]) and past[1] == -np.inf
     # a stacked map of 9 or 200 directions: each row's deriv and d^2, on
-    # a sweep (k, m) and at one scale per row (k,), equal those of the
-    # direction's own map.  Up to 16 rows a row has the arithmetic of its
-    # one-row map (radial.rowwise); past 16 the BLAS product of the
+    # a sweep t_u unit (k, m) and at one scale per row (k,), equal those of
+    # the direction's own map.  Up to 16 rows a row has the arithmetic of
+    # its one-row map (radial.rowwise); past 16 the BLAS product of the
     # Laplacian rounds the row norms differently, by up to 1e-13 relative,
     # so the scales stay off the root, where d cancels
     def agree(got, want, tol):
@@ -342,14 +342,14 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
         values = np.array([unit_profile(spectral64, 0.5, [17, k]) for k in range(200)])
         alone = [FiberMap.full(spectral64, v, params) for v in values]
         t_u = np.array([_drive(f)[0] for f in alone])
+        unit = np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
         for k, tol in ((9, 0.0), (200, 1e-12)):
             stack = FiberMap.full(spectral64, values[:k], params)
-            sweep = t_u[:k, None] * np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
-            for name, kernel in (("deriv", FiberMap.deriv), ("d2", lambda f, t: f.derivs(t)[1])):
-                got = kernel(stack, sweep)
-                agree(got, np.array([kernel(f, ts) for f, ts in zip(alone, sweep)]), tol)
-                agree(kernel(stack, sweep[:, 1]), np.array([kernel(f, t) for f, t in zip(alone, sweep[:, 1])]), tol)
-                assert np.array_equal(kernel(stack.take([k - 1]), sweep[-1]), got[-1]), (name, k)
+            for name, kernel in (("deriv", FiberMap.deriv), ("d2", lambda f, t, unit=None: f.derivs(t, unit)[1])):
+                got = kernel(stack, t_u[:k], unit)
+                agree(got, np.array([kernel(f, t_u[i : i + 1], unit)[0] for i, f in enumerate(alone[:k])]), tol)
+                agree(kernel(stack, 0.5 * t_u[:k]), np.array([kernel(f, 0.5 * t) for f, t in zip(alone, t_u[:k])]), tol)
+                assert np.array_equal(kernel(stack.take([k - 1]), t_u[k - 1 : k], unit)[0], got[-1]), (name, k)
     # a direction with small values: t^gamma alone would overflow inside the guard
     fiber = FiberMap.full(spectral64, 0.1 * u, steep)
     limit = steep.nonlinearity.guard_scale() / fiber.vmax[0]
@@ -391,21 +391,21 @@ def test_fiber_map_tail_matches_exp_reference(spectral64, params_cp2, resolved_d
 def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
     # derivs shares one pass between both outputs; its first is deriv bit for
     # bit, on stacks of 1, 9 and 200 rows, at one scale per row and on sweeps
-    # that reach past the guard (-inf from 10 t_u at cp = 2)
+    # t_u unit that reach past the guard (-inf from 10 t_u at cp = 2)
     steep = k4.ModelParams.create(0.99, 5.0, 6.0, 2.0, 1.0, 0.1, params_cp2.kirchhoff)
     values = np.array([unit_profile(spectral64, 0.5, [19, k]) for k in range(200)])
     for params in (params_cp2, resolved_default[0], steep):
         for k in (1, 9, 200):
             fiber = FiberMap.full(spectral64, values[:k], params)
             t_u = np.array([_drive(fiber.take([i]))[0] for i in range(k)])
-            sweep = t_u[:, None] * np.array([1e-3, 0.5, 1.0, 2.0, 10.0, 1e3])
-            for ts in (sweep, sweep[:, 2], sweep[:, 4]):
-                d, d2 = fiber.derivs(ts)
-                assert d.shape == d2.shape == ts.shape
-                assert np.array_equal(d, fiber.deriv(ts)), (params.cp, k)
+            unit = np.array([1e-3, 0.5, 1.0, 2.0, 10.0, 1e3])
+            for ts, grid_unit in ((t_u, unit), (t_u, None), (10.0 * t_u, None)):
+                d, d2 = fiber.derivs(ts, grid_unit)
+                assert d.shape == d2.shape == ts.shape + np.shape(grid_unit)
+                assert np.array_equal(d, fiber.deriv(ts, grid_unit)), (params.cp, k)
                 assert np.array_equal(d == -np.inf, d2 == -np.inf), (params.cp, k)
             if params is params_cp2:
-                assert np.all(fiber.derivs(sweep)[0][:, -1] == -np.inf)
+                assert np.all(fiber.derivs(t_u, unit)[0][:, -1] == -np.inf)
         one = FiberMap.full(spectral64, values[0], params)
         assert one.derivs(t_u[0])[0] == one.deriv(t_u[0])
 
@@ -432,7 +432,7 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
         if params is not resolved_default[0]:
             assert 0 < np.count_nonzero(~inside) < len(ts)  # partly past the guard: -inf exactly there
         terms = _energy_terms(ops, stack[inside], params)
-        scaled = _energy_terms(ops, u, params, ts[inside])
+        scaled = [x[0] for x in _energy_terms(ops, u[None], params, np.ones(1), ts[inside])]
         for term, (a, b) in zip(("power", "reaction"), zip(terms[1:], scaled[1:])):
             assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a)), (params, term)
         magnitude = sum(np.abs(x) for x in terms)
@@ -440,71 +440,72 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
 
 
 def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_default):
-    # a stack (k, n) with scales (k, m) gives each row its sweep alone, bit
+    # a stack (k, n) swept over t_u unit gives each row its sweep alone, bit
     # for bit, with -inf past the guard at the same places.  Rows 0 and 3
     # stay within the exact pure-power tail, so at cp = 2 the stack mixes
     # exact and general rows; at the automatic cp every row is exact
     log_type = replace(params_cp2, kirchhoff=KirchhoffSpec.log_type())
     configs = (resolved_default[0], params_cp2, log_type, replace(params_cp2, beta=0.9))
+    unit = np.linspace(0.0, 1.0, 200)
     for params in configs:
         nl = params.nonlinearity
         dirs = np.array([unit_profile(spectral64, params.beta, [19, k]) for k in range(6)])
         vmax = np.abs(dirs).max(axis=1)
         t_u = k4.project(spectral64, dirs, params)[0]
-        sweep = np.linspace(0.0, 3.0 * t_u, 200, axis=1)
-        sweep[::3] = np.linspace(0.0, 0.5 * nl._exact_peak / vmax[::3], 200, axis=1)
-        exact = sweep.max(axis=1) * vmax <= nl._exact_peak
+        top = 3.0 * t_u
+        top[::3] = 0.5 * nl._exact_peak / vmax[::3]
+        exact = top * vmax <= nl._exact_peak
         auto = params is resolved_default[0]
         assert exact.all() if auto else exact.tolist() == [True, False, False, True, False, False]
         # the whole stack, partly past the guard off the automatic cp; and,
         # with rows 2 and 5 short of it, a mixed stack wholly inside
         inside = np.array([0, 2, 3, 5])
-        sweep[2::3] = np.linspace(0.0, 0.9 * t_u[2::3], 200, axis=1)
+        top[2::3] = 0.9 * t_u[2::3]
         for rows, past in ((np.arange(6), not auto), (inside, False)):
-            value = k4.fibering(spectral64, dirs[rows], sweep[rows], params)
+            value = k4.fibering(spectral64, dirs[rows], top[rows], params, unit=unit)
             assert value.shape == (len(rows), 200) and np.any(value == -np.inf) == past, params
             for k, row in zip(rows, value):
-                alone = k4.fibering(spectral64, dirs[k], sweep[k], params)
+                alone = k4.fibering(spectral64, dirs[k], top[k], params, unit=unit)
                 assert np.array_equal(row, alone), (params, k)
+        # a stack at one scale per row is its sweep on the grid [1]
+        at_top = k4.fibering(spectral64, dirs, top, params)
+        assert np.array_equal(at_top, k4.fibering(spectral64, dirs, top, params, unit=np.ones(1))[:, 0]), params
         # so do the terms of the mixed stack, where the Kirchhoff term hides
         # the reaction's rounding in the value
         ops = operator_cache(spectral64, params.beta)
-        terms = _energy_terms(ops, dirs[inside], params, sweep[inside])
+        terms = _energy_terms(ops, dirs[inside], params, top[inside], unit)
         for k, *row in zip(inside, *terms):
-            for a, b in zip(row, _energy_terms(ops, dirs[k], params, sweep[k])):
-                assert np.array_equal(a, b), (params, k)
+            for a, b in zip(row, _energy_terms(ops, dirs[k : k + 1], params, top[k : k + 1], unit)):
+                assert np.array_equal(a, b[0]), (params, k)
         # the exact tail from the p-moment against F(t u) at every node
         exact_rows = np.flatnonzero(exact)
-        moment = _energy_terms(ops, dirs[exact_rows], params, sweep[exact_rows])[2]
-        body = nl.F(sweep[exact_rows][..., None] * dirs[exact_rows][:, None, :]) @ ops.rule.vol
+        moment = _energy_terms(ops, dirs[exact_rows], params, top[exact_rows], unit)[2]
+        body = nl.F((top[exact_rows, None] * unit)[..., None] * dirs[exact_rows][:, None, :]) @ ops.rule.vol
         assert np.all(np.abs(moment - body) <= 1e-14 * np.abs(body)), params
+    # a stack takes one scale per row: the scales (k, m) of each row formed are no sweep
     with pytest.raises(ValueError, match="scales"):
-        k4.fibering(spectral64, dirs, sweep[0], params)
+        k4.fibering(spectral64, dirs, top[:, None] * unit, params)
 
 
 def test_fibering_stack_masks_rows_past_the_guard(spectral64, params_cp2):
-    # scales past the guard are evaluated as 0 and masked to -inf in one
-    # call: a (4, 50) stack at cp = 2 with row 1 wholly past the guard and
-    # row 2 past it from its 17th scale on, rows 0 and 3 inside it (row 3
-    # within the exact pure-power tail).  Each row is its own call bit for
-    # bit, and no overflow or invalid operation warns
+    # scales past the guard are evaluated as 0 in the reaction and masked to
+    # -inf in one call: a (4, 50) sweep at cp = 2 with row 1 wholly past the
+    # guard and row 2 past it from its 13th scale on, rows 0 and 3 inside
+    # it (row 3 within the exact pure-power tail).  Each row is its own call
+    # bit for bit, and no overflow or invalid operation warns
     nl = params_cp2.nonlinearity
     dirs = np.array([unit_profile(spectral64, 0.5, [23, k]) for k in range(4)])
     vmax = np.abs(dirs).max(axis=1)
     limit = nl.guard_scale() / vmax
-    sweep = np.stack([
-        np.linspace(0.0, 0.9 * limit[0], 50),
-        np.linspace(1.1 * limit[1], 3.0 * limit[1], 50),
-        np.linspace(0.0, 3.0 * limit[2], 50),
-        np.linspace(0.0, 0.5 * nl._exact_peak / vmax[3], 50),
-    ])
+    unit = np.linspace(0.1, 1.0, 50)
+    top = np.array([0.9 * limit[0], 30.0 * limit[1], 3.0 * limit[2], 0.5 * nl._exact_peak / vmax[3]])
     with np.errstate(over="ignore"):
-        past = ~_inside_guard(nl, sweep * vmax[:, None])
-    assert np.count_nonzero(past, axis=1).tolist() == [0, 50, 33, 0]
+        past = ~_inside_guard(nl, (top[:, None] * unit) * vmax[:, None])
+    assert np.count_nonzero(past, axis=1).tolist() == [0, 50, 37, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = k4.fibering(spectral64, dirs, sweep, params_cp2)
-        alone = [k4.fibering(spectral64, d, t, params_cp2) for d, t in zip(dirs, sweep)]
+        value = k4.fibering(spectral64, dirs, top, params_cp2, unit=unit)
+        alone = [k4.fibering(spectral64, d, t, params_cp2, unit=unit) for d, t in zip(dirs, top)]
     assert np.array_equal(value == -np.inf, past) and np.all(np.isfinite(value[~past]))
     for k in range(4):
         assert np.array_equal(value[k], alone[k]), k
@@ -523,9 +524,10 @@ def _sign_counts(d):
 def test_shared_grid_sweeps_match_the_formed_scales(spectral64, resolved_default, params_cp2, case):
     # verify's sign sweep (FiberMap.deriv) and maximum sweep (fibering) take
     # one grid of relative scales for all rows.  Within the exact tail each
-    # power of a scale is t_u^e unit^e: the sign changes equal those at the
-    # scales t_u unit formed, and each value lies within 8 eps of the
-    # magnitude of its terms from the formed one (at most 3.95 eps measured).
+    # power of a scale is t_u^e unit^e: the sign changes equal those of each
+    # row's own map at the scales t_u unit formed, and each value lies within
+    # 8 eps of the magnitude of its terms from the formed one (at most 3.93
+    # eps measured).
     # With alpha0 = 1e-300 at cp = 2 the whole sweep stays exact and the
     # tail is a third of the p-power term
     params = {
@@ -542,20 +544,23 @@ def test_shared_grid_sweeps_match_the_formed_scales(spectral64, resolved_default
 
     d = fibers.deriv(t_u, unit=signs)
     formed = t_u[:, None] * signs
-    assert _sign_counts(d) == _sign_counts(fibers.deriv(formed)) == [1] * 50
+    by_row = np.array([fibers.take([k]).deriv(formed[k]) for k in range(50)])
+    assert _sign_counts(d) == _sign_counts(by_row) == [1] * 50
     s = fibers.norm_sq[:, None]
     terms = [params.kirchhoff.g(formed * formed * s) * formed * s, formed ** (nl.p - 1.0) * fibers.weight_sum[:, None]]
     terms += [formed ** (e - 1.0) * m[:, None] for e, m in fibers.power_moments]
-    assert np.all(np.abs(d - fibers.deriv(formed)) <= 8.0 * eps * sum(terms))
+    assert np.all(np.abs(d - by_row) <= 8.0 * eps * sum(terms))
     value = k4.fibering(spectral64, dirs, t_u, params, unit=peaks)
     formed = t_u[:, None] * peaks
-    terms = _energy_terms(operator_cache(spectral64, params.beta), dirs, params, formed)
-    gap = np.abs(value - k4.fibering(spectral64, dirs, formed, params))
+    terms = _energy_terms(operator_cache(spectral64, params.beta), dirs, params, t_u, peaks)
+    gap = np.abs(value - np.array([k4.fibering(spectral64, u, ts, params) for u, ts in zip(dirs, formed)]))
     assert np.all(gap <= 8.0 * eps * sum(np.abs(x) for x in terms))
-    with pytest.raises(ValueError, match="scale"):
-        k4.fibering(spectral64, dirs, formed, params, unit=peaks)
-    with pytest.raises(ValueError, match="scale"):
-        fibers.deriv(formed, unit=signs)
+    # the scales (k, m) formed are no sweep of a stack, with or without a unit
+    for grid_unit in (peaks, None):
+        with pytest.raises(ValueError, match="scale"):
+            k4.fibering(spectral64, dirs, formed, params, unit=grid_unit)
+        with pytest.raises(ValueError, match="scale"):
+            fibers.deriv(formed, unit=grid_unit)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.9])
@@ -586,6 +591,38 @@ def test_shared_grid_sweeps_split_rows_past_the_exact_tail(spectral64, resolved_
         assert np.array_equal(value_mixed[k], k4.fibering(spectral64, dirs[k], t_mixed[k], params, unit=peaks)), k
 
 
+def test_sweeps_across_the_exact_tail_take_each_rows_largest_scale(spectral64, params_cp2):
+    # at cp = 2 on a map of the tail alone (no moments, g = 1e-300: d = -tail)
+    # each row's largest scale t_u max(unit) decides its row: rows 0-2 stay
+    # within the exact tail, rows 3-5 leave it inside the sweep although
+    # t_u max|u| is within it, rows 6-7 reach past the guard.  Each row of
+    # the mixed stack is its row alone bit for bit (an exact row keeps its
+    # closed form in a call that forms the exp body) and within 8 eps of the
+    # row at its scales formed; so is the reaction of the energy kernel
+    nl, eps = params_cp2.nonlinearity, np.finfo(float).eps
+    ops = operator_cache(spectral64, 0.5)
+    dirs = np.array([unit_profile(spectral64, 0.5, [25, k]) for k in range(8)])
+    vmax = np.abs(dirs).max(axis=1)
+    unit = np.geomspace(1e-3, 40.0, 100)
+    t = np.repeat([0.02 * nl._exact_peak, 0.5 * nl._exact_peak, 0.1 * nl.guard_scale()], [3, 3, 2]) / vmax
+    assert np.array_equal(t * unit.max() * vmax <= nl._exact_peak, np.arange(8) < 3)
+    tail = FiberMap(KirchhoffSpec.affine(1e-300, 0.0), np.ones(8), (), nl, dirs, ops.rule.vol)
+    got = tail.derivs(t, unit)
+    assert np.all(got[0][6:, -1] == -np.inf) and np.all(np.isfinite(got[0][:6]))
+    for k in range(8):
+        for a, b, formed in zip(got, tail.take([k]).derivs(t[k : k + 1], unit), tail.take([k]).derivs(t[k] * unit)):
+            assert np.array_equal(a[k], b[0]), k
+            finite = np.isfinite(formed)
+            assert np.array_equal(finite, np.isfinite(a[k])), k
+            assert np.all(np.abs(a[k][finite] - formed[finite]) <= 8.0 * eps * np.abs(formed[finite])), k
+    for a, b in zip(got, tail.take(slice(0, 3)).derivs(t[:3], unit)):
+        assert np.array_equal(a[:3], b)
+    reaction = _energy_terms(ops, dirs[:6], params_cp2, t[:6], unit)[2]
+    for k in range(6):
+        formed = _energy_terms(ops, dirs[k : k + 1], params_cp2, np.ones(1), t[k] * unit)[2][0]
+        assert np.all(np.abs(reaction[k] - formed) <= 8.0 * eps * formed), k
+
+
 def test_fibering_array_matches_scalar(spectral64, params_cp2):
     u = unit_profile(spectral64, 0.5, 18)
     limit = params_cp2.nonlinearity.guard_scale() / np.abs(u).max()
@@ -599,6 +636,33 @@ def test_fibering_array_matches_scalar(spectral64, params_cp2):
     assert np.all(k4.fibering(spectral64, u, ts[ts > limit * 1.01], params_cp2) == -np.inf)
     with pytest.raises(ValueError):
         k4.fibering(spectral64, u, np.array([0.5, -0.3]), params_cp2)
+
+
+@pytest.mark.parametrize("case", ["auto", "cp2", "cp2-beta0.9"])
+def test_profile_scales_are_the_unit_at_scale_one(spectral64, resolved_default, params_cp2, case):
+    # a profile, or a map of one row, at an array of scales ts takes them as
+    # its grid unit at t_u = 1: fibering, deriv and derivs give bit for bit
+    # what t_u = 1 with unit = ts gives, shaped as ts (a scale gives a
+    # float), with -inf past the guard (from about 10 t_u at cp = 2)
+    params = {
+        "auto": resolved_default[0],
+        "cp2": params_cp2,
+        "cp2-beta0.9": replace(params_cp2, beta=0.9),
+    }[case]
+    u = unit_profile(spectral64, params.beta, 24)
+    fiber = FiberMap.full(spectral64, u, params)
+    ts = project_one(spectral64, u, params)[0] * np.geomspace(1e-3, 1e3, 120)
+    one = np.ones(1)
+    value = k4.fibering(spectral64, u, ts, params)
+    assert np.array_equal(value, k4.fibering(spectral64, u, 1.0, params, unit=ts))
+    assert np.array_equal(fiber.deriv(ts), fiber.deriv(one, unit=ts)[0])
+    for got, want in zip(fiber.derivs(ts), fiber.derivs(one, unit=ts)):
+        assert np.array_equal(got, want[0])
+    assert np.array_equal(k4.fibering(spectral64, u, ts.reshape(4, 30), params), value.reshape(4, 30))
+    assert np.array_equal(fiber.deriv(ts.reshape(4, 30)), fiber.deriv(ts).reshape(4, 30))
+    assert isinstance(k4.fibering(spectral64, u, ts[7], params), float) and isinstance(fiber.deriv(ts[7]), float)
+    past = value == -np.inf
+    assert np.array_equal(fiber.deriv(ts) == -np.inf, past) and past.any() == (case != "auto")
 
 
 def test_weak_action_fd_check_regression(spectral64, resolved_default):

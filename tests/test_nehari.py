@@ -432,8 +432,8 @@ def test_fibering_max_check_fails_a_mutated_reaction(spectral64, resolved_defaul
     energy_module = sys.modules[FiberMap.__module__]  # kirchhoff4.energy; the package exports a function of that name
     real = energy_module._energy_terms
 
-    def mutated(ops, values, params, t=None, unit=None):
-        kirch, power, reaction = real(ops, values, params, t, unit)
+    def mutated(*args):
+        kirch, power, reaction = real(*args)
         return kirch, power, factor * reaction
 
     def fibering_max():
@@ -696,10 +696,10 @@ def test_stacked_rows_are_independent(spectral64, resolved_default, descend):
     # another's step size, curvature pair, mask or stop
     params = resolved_default[0]
     starts = random_starts(spectral64, params, k4.SearchConfig(starts=8))
-    wide, wide_vals, _, _ = descend(spectral64, params, starts, k4.SearchConfig(starts=8))
+    wide, wide_vals = descend(spectral64, params, starts, k4.SearchConfig(starts=8))[:2]
     assert len(wide) == 8
     for k in (0, 5):
-        (alone,), vals, _, _ = descend(spectral64, params, starts[k : k + 1], k4.SearchConfig(starts=1))
+        (alone,), vals = descend(spectral64, params, starts[k : k + 1], k4.SearchConfig(starts=1))[:2]
         assert alone.iterations > 1 and len(alone.trace) > 2, k
         assert replace(alone, index=k) == wide[k], k
         assert np.array_equal(vals[0], wide_vals[k]), k
@@ -883,7 +883,7 @@ def test_aux_starved_starts_are_published_as_left(spectral32, params_cp2):
     # ascent left it, bit for bit its _descend_aux record, and unconverged
     cfg = k4.SearchConfig(starts=4, max_iter=2, tol=1e-6, seed=5)
     aux = k4.aux_ground_state(spectral32, params_cp2, cfg)
-    raw, u, _, _ = _descend_aux(spectral32, params_cp2, random_starts(spectral32, params_cp2, cfg), cfg)
+    raw, u = _descend_aux(spectral32, params_cp2, random_starts(spectral32, params_cp2, cfg), cfg)
     assert aux.per_start == raw
     for rec in aux.per_start:
         assert rec.stop_reason == "max-iter" and rec.converged is False, rec.index
@@ -988,12 +988,13 @@ def test_solver_log_type_kirchhoff(spectral32):
 
 
 def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypatch):
-    # at cp = 2 no block of the sweep stays within the exact tail, and a
+    # at cp = 2 no row of the sweep stays within the exact tail, and a
     # 16-row reaction body (with the Kummer coefficients it gathers) would
     # hold ~16 times the memory of one direction's: each call of the sweep
     # peaks within 10% of the largest of its rows swept alone.  Every row
     # of the sweep passes the guard, and a block short of it is held to the
-    # same bound; either goes through the energy kernel as one stack
+    # same bound; either goes through the energy kernel as one stack, its
+    # reaction one row at a time
     real = verify.fibering
     peaks = []
 
@@ -1016,10 +1017,10 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
     finally:
         tracemalloc.stop()
     dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 16)
-    short = np.linspace(0.0, k4.project(spectral64, dirs, params_cp2)[0], 200, axis=1)
+    t_u = k4.project(spectral64, dirs, params_cp2)[0]
     tracemalloc.start()
     try:
-        assert np.all(np.isfinite(measured(spectral64, dirs, short, params_cp2)))
+        assert np.all(np.isfinite(measured(spectral64, dirs, t_u, params_cp2, unit=np.linspace(0.0, 1.0, 200))))
     finally:
         tracemalloc.stop()
     assert [k for k, _, _ in peaks] == [40, 16]
@@ -1126,7 +1127,7 @@ def test_sign_sweep_skips_zeros():
     # zeros for a change.  Row 1's root lies past its sweep: no change
     fibers = FiberMap(KirchhoffSpec.affine(1.0, 0.0), [1e-310, 1.0], ((6.0, [1e-270, 1e-40]),))
     t_u = np.array([1e-10, 1e-13])
-    signs = np.sign(fibers.deriv(np.geomspace(1e-6 * t_u, 1e3 * t_u, 500, axis=1)))
+    signs = np.sign(fibers.deriv(t_u, unit=np.geomspace(1e-6, 1e3, 500)))
     assert np.any(signs[0] == 0.0) and not np.any(signs[1] == 0.0)
     assert verify._sign_changes(fibers, t_u, 64).tolist() == [1, 0]
 
@@ -1162,31 +1163,34 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
     # weak-action-fd, projection-fibering-max, projection-coercivity and
     # adams-critical-sampling take their stacks by products of each row's
     # own: each margin equals the one taken a profile at a time, with
-    # weak_action, fibering, ops.rule.norm and vol @ exp
+    # weak_action, fibering (each direction over t_u times the check's own
+    # grid on [0, 3]), ops.rule.norm and vol @ exp, at seeds 5 and 1 (the
+    # default)
     params = resolved_default[0] if auto_cp else params_cp2
-    grid, seed, ops = spectral64, 5, operator_cache(spectral64, 0.5)
-    pairs = verify._unit_profiles(grid, 0.5, seed, 200, 100)
-    wa = np.array([weak_action(grid, u, phi, params) for u, phi in zip(pairs[0::2], pairs[1::2])])
-    shifts = np.array([2.0, 1.0, -1.0, -2.0]) * 1e-5
-    stack = pairs[0::2, None, :] + shifts[:, None] * pairs[1::2, None, :]
-    j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)
-    fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * 1e-5)
-    checks = {c.name: c for c in verify._energy_checks(grid, params, seed)}
-    assert checks["weak-action-fd"].margin == 1e-6 - float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa))))
+    grid, ops = spectral64, operator_cache(spectral64, 0.5)
+    for seed in (5, 1):
+        pairs = verify._unit_profiles(grid, 0.5, seed, 200, 100)
+        wa = np.array([weak_action(grid, u, phi, params) for u, phi in zip(pairs[0::2], pairs[1::2])])
+        shifts = np.array([2.0, 1.0, -1.0, -2.0]) * 1e-5
+        stack = pairs[0::2, None, :] + shifts[:, None] * pairs[1::2, None, :]
+        j = _energies(ops, stack.reshape(-1, grid.n), params).reshape(-1, 4)
+        fd = (-j[:, 0] + 8.0 * j[:, 1] - 8.0 * j[:, 2] + j[:, 3]) / (12.0 * 1e-5)
+        checks = {c.name: c for c in verify._energy_checks(grid, params, seed)}
+        assert checks["weak-action-fd"].margin == 1e-6 - float(np.max(np.abs(fd - wa) / (1.0 + np.abs(wa)))), seed
 
-    dirs = verify._unit_profiles(grid, 0.5, seed, 500, 200)
-    t_u, projected, energies, _ = k4.project(grid, dirs, params)
-    peaks = _energies(ops, t_u[:, None] * dirs, params)
-    sweep_max = [k4.fibering(grid, u, np.linspace(0.0, 3.0 * t, 200), params).max()
-                 for u, t in zip(dirs, t_u)]
-    coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
-    margin = min(e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected))
-    checks = {c.name: c for c in _projection_checks(grid, params, 200, seed)}
-    assert checks["projection-fibering-max"].margin == float(np.min((peaks - sweep_max) / np.abs(peaks)))
-    assert checks["projection-coercivity"].margin == margin + 1e-9
+        dirs = verify._unit_profiles(grid, 0.5, seed, 500, 200)
+        t_u, projected, energies, _ = k4.project(grid, dirs, params)
+        peaks = _energies(ops, t_u[:, None] * dirs, params)
+        unit = np.linspace(0.0, 3.0, 200)
+        sweep_max = [k4.fibering(grid, u, t, params, unit=unit).max() for u, t in zip(dirs, t_u)]
+        coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
+        margin = min(e / (coer * ops.rule.norm(w) ** 2) - 1.0 for e, w in zip(energies.tolist(), projected))
+        checks = {c.name: c for c in _projection_checks(grid, params, 200, seed)}
+        assert checks["projection-fibering-max"].margin == float(np.min((peaks - sweep_max) / np.abs(peaks))), seed
+        assert checks["projection-coercivity"].margin == margin + 1e-9, seed
 
-    alpha = k4.adams_constant(0.5)
-    sup = max(float(ops.rule.vol @ np.exp(alpha * np.abs(u) ** params.gamma))
-              for u in verify._unit_profiles(grid, 0.5, seed, 900, 50))
-    check = verify._adams_check(grid, params, 50, seed)[0]
-    assert check.status == "pass" and check.margin == sup
+        alpha = k4.adams_constant(0.5)
+        sup = max(float(ops.rule.vol @ np.exp(alpha * np.abs(u) ** params.gamma))
+                  for u in verify._unit_profiles(grid, 0.5, seed, 900, 50))
+        check = verify._adams_check(grid, params, 50, seed)[0]
+        assert check.status == "pass" and check.margin == sup, seed
