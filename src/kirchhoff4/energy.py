@@ -117,38 +117,12 @@ def energy(grid: RadialGrid, values: np.ndarray, params: ModelParams) -> EnergyB
     return EnergyBreakdown(kirch, power, reaction, kirch - power - reaction)
 
 
-def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams, t=None, unit=None, inside=None):
-    """Kirchhoff, power and reaction terms of J for nodal values of shape
-    (n,) or a stack of profiles of shape (k, n).
-
-    With scales, the terms of J(t u) of each row u of a stack over its sweep
-    (_scale_form), as _power's: S = ||u||^2 and the q-moment Q once per row,
-    by products of the row's own, for (1/2) G(t^2 S) and t^q Q, and the
-    reaction of _scaled_reaction, the scales outside inside (k, m) as 0.
-    """
-    alone = t is not None
-    s = ops.rule.form(values, alone=alone)
-    power = rowwise(ops.rule.vol, np.abs(values) ** params.q, alone) / params.q
-    if t is None:
-        return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
-    # the reaction first, while no (k, m) term is held
-    reaction = _scaled_reaction(ops.rule.vol, values, params.nonlinearity, t, unit, inside)
-    return 0.5 * params.kirchhoff.G(_power(t, unit, 2.0, s)), _power(t, unit, params.q, power), reaction
-
-
-def _scaled_reaction(vol: np.ndarray, values: np.ndarray, nl, t, unit=None, inside=None):
-    """vol . F(t u) of each row u of a stack (k, n) over its sweep, as _power's.
-    A row within the exact pure-power tail (t_u max(unit) max|u| at most
-    nl._exact_peak) takes t^p (cp + 1) P / p from P = vol . |u|^p (F agrees
-    to about 1e-16 relative); any other F on its own (m, n) body at its
-    scales formed, those outside inside as 0 (a stacked body would gather
-    the Kummer coefficients of every row at once), each bit for bit alone."""
-    exact = _top(t, unit) * np.abs(values).max(axis=1) <= nl._exact_peak
-    out = _power(t, unit, nl.p, rowwise(vol, np.abs(values) ** nl.p, alone=True) * ((nl.cp + 1.0) / nl.p))
-    for i in np.flatnonzero(~exact):
-        scales = np.where(True if inside is None else inside[i], _formed(t[i : i + 1], unit)[0], 0.0)
-        out[i] = nl.F(scales[:, None] * values[i]) @ vol
-    return out
+def _energy_terms(ops: _WOperators, values: np.ndarray, params: ModelParams):
+    """Kirchhoff, power and reaction terms of J, node by node, for nodal
+    values (n,) or a stack (k, n); those of J(t u) are FiberMap.value's."""
+    s = ops.rule.form(values)
+    power = rowwise(ops.rule.vol, np.abs(values) ** params.q) / params.q
+    return 0.5 * params.kirchhoff.G(s), power, rowwise(ops.rule.vol, params.nonlinearity.F(values))
 
 
 def _nodal_force(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -166,10 +140,8 @@ def _residual_load(ops: _WOperators, values: np.ndarray, params: ModelParams, fo
 
 def _inside_guard(nl, peaks):
     """Whether profiles of these largest magnitudes keep the exponential
-    argument under the overflow guard, in the arithmetic of the guard of F:
-    the one place that decides it (FiberMap forms the same product from the
-    power its exp argument shares).  Callers silence overflow, since an
-    overflowing argument is past the guard."""
+    argument under the overflow guard, in the arithmetic of F's guard (as
+    FiberMap.derivs); callers silence overflow, which is past the guard."""
     return nl._exp_arg(peaks) <= EXP_GUARD
 
 
@@ -210,18 +182,19 @@ def _nehari_residuals(ops, values, params):
 
 class FiberMap:
     """Scalar restrictions t -> J(t u) of a stack of k directions, a row
-    each, reduced to moments of the direction.
+    each, reduced to moments of the direction: the one fibering kernel.
 
     norm_sq holds S = ||u||^2 per row, and power_moments (exponent e,
     moment M) pairs, M per row, contributing -(t^e / e) M to the value.
     The exponential tail of the reaction term (absent for the pure-power
     functional and for alpha0 = 0) is carried by per-node weights
     vol |v|^p and rates alpha0 (|v|/vmax)^gamma, taken once: since
-    |t v|^e = t^e |v|^e, its derivative is t^(p-1) sum_i weight_i
-    exp((t vmax)^gamma rate_i), one exp per (scale, node) pair.  Where
-    t vmax is at most the nonlinearity's _exact_peak, every exp rounds to 1
-    and the tail is t^(p-1) times the row's weight_sum, taken once too.
-    Each row has reductions of its own, so it evaluates as it would alone.
+    |t v|^e = t^e |v|^e, with X_i = (t vmax)^gamma rate_i its value is
+    t^p / p sum_i weight_i 1F1(p/gamma; p/gamma + 1; X_i) and its
+    derivative t^(p-1) sum_i weight_i exp(X_i).  Where t vmax is at most
+    the nonlinearity's _exact_peak, every factor rounds to 1 and the tail
+    takes the row's weight_sum, taken once too.  Each row has reductions
+    of its own, so at any height it evaluates as it would alone, bit for bit.
     start holds the scale each row's root search starts from, computed on
     first use: a map that only sweeps never needs it.
     Synthetic moment sets (scalars: a stack of one) exercise the
@@ -251,18 +224,18 @@ class FiberMap:
         values (n,), or along each row of a stack (k, n)."""
         rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
         nl = params.nonlinearity
-        i_q = rowwise(rule.vol, np.abs(vals) ** params.q)
-        i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
+        i_q = rowwise(rule.vol, np.abs(vals) ** params.q, alone=True)
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p, alone=True)
         tail = nl if nl.alpha0 > 0.0 else None  # alpha0 = 0: F = (cp + 1) |t|^p / p, no tail
         moments = ((params.q, i_q), (params.p, (nl.cp if tail else nl.cp + 1.0) * i_p))
-        return cls(params.kirchhoff, rule.form(vals), moments, tail, vals, rule.vol)
+        return cls(params.kirchhoff, rule.form(vals, alone=True), moments, tail, vals, rule.vol)
 
     @classmethod
     def pure_power(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams) -> "FiberMap":
         """Fibering maps of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p; values as for full."""
         rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
-        i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
-        return cls(params.kirchhoff, rule.form(vals), ((params.p, i_p),))
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p, alone=True)
+        return cls(params.kirchhoff, rule.form(vals, alone=True), ((params.p, i_p),))
 
     def __len__(self) -> int:
         return len(self.norm_sq)
@@ -313,13 +286,41 @@ class FiberMap:
                 start = np.minimum(start, self.tail_spec.guard_scale() / self.vmax)
         return start
 
-    # --- derivative and curvature ----------------------------------------
+    # --- value, derivative and curvature ---------------------------------
+
+    def value(self, t, unit=None):
+        """J(t u) = (1/2) G(t^2 S) - sum (t^e / e) M - tail, row by row, over
+        a sweep (_scale_form); -inf past the guard, whose peak t_u unit vmax
+        is max|t_u unit u| bit for bit, as rounding is monotone."""
+        t, unit, shape = _scale_form(len(self), t, unit)
+        nl, inside = self.tail_spec, None  # inside: the (k, m) scales inside the guard, None if all are
+        with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
+            if nl is not None and not _inside_guard(nl, _top(t, unit) * self.vmax).all():  # each row's largest first
+                inside = _inside_guard(nl, _formed(t, unit) * self.vmax[:, None])
+            head, terms = self._terms(t, unit, inside)
+            out = reduce(np.subtract, terms, head)
+        out = out if inside is None else np.where(inside, out, -np.inf)
+        return float(out[0, 0]) if not shape else out.reshape(shape)
+
+    def _terms(self, t, unit, inside=None):
+        """(1/2) G(t^2 S) and the list of the (t^e / e) M, then the tail's if
+        any: t^p W / p on a row whose largest scale is at most _exact_peak /
+        vmax, else its (m, n) body at its scales formed (those outside inside
+        as 0), a row at a time: a stacked body gathers all rows' Kummer tables."""
+        terms, nl = [], self.tail_spec
+        if nl is not None:  # first, while no other (k, m) term is held
+            terms.append(_power(t, unit, nl.p, self.weight_sum / nl.p))
+            for i in np.flatnonzero(_top(t, unit) * self.vmax > nl._exact_peak):
+                scales = _formed(t[i : i + 1], unit)[0]
+                scales = scales if inside is None else np.where(inside[i], scales, 0.0)
+                arg = (scales * self.vmax[i]) ** nl.gamma  # (m,): no (m, n) body outlives its row
+                terms[0][i] = scales**nl.p / nl.p * (nl._kummer_factor(arg[:, None] * self.rate[i]) @ self.weight[i])
+        head = 0.5 * self.kirchhoff.G(_power(t, unit, 2.0, self.norm_sq))
+        return head, [_power(t, unit, e, m / e) for e, m in self.power_moments] + terms
 
     def deriv(self, t, unit=None):
-        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row,
-        over a sweep (_scale_form): one scale per row (k,), a scale (a float)
-        or an array of scales of a stack of one, or t_u unit (k, m).  A scale
-        past its row's overflow guard gives -inf.  Each row evaluates as it
+        """d/dt J(t u) = g(t^2 S) t S - sum t^(e-1) M - tail, row by row, over
+        a sweep (_scale_form); -inf past the guard.  Each row evaluates as it
         would alone, bit for bit."""
         return self._derivs(t, unit, second=False)[0]
 
@@ -330,7 +331,7 @@ class FiberMap:
 
     def _derivs(self, t, unit, second: bool):
         """(deriv,) or, when second, (deriv, d^2/dt^2 J(t u)) over the sweep."""
-        t, unit, shape = _scale_form((len(self),), t, unit)
+        t, unit, shape = _scale_form(len(self), t, unit)
         s_row = self.norm_sq[:, None]
         # t S as (t)(S), or on a grid as (unit)(t_u S): g t S is then (g t) S in
         # the root search, and a profile's at t_u = 1 bit for bit
@@ -387,36 +388,23 @@ class FiberMap:
 
 
 def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams, unit=None):
-    """J(t u) of nodal values u (n,), or of each row u of a stack (k, n),
-    over a sweep (_scale_form): a profile at a scale or an array of scales,
-    a stack at one scale per row, or t_u unit.  It is the scale form of the
-    one energy kernel (_energy_terms), and at any height each row evaluates
-    as it would alone, bit for bit.  A scale past the guard gives -inf; its
-    guard peak t_u unit max|u| is max|t_u unit u| bit for bit, as rounding
-    is monotone."""
-    t, unit, shape = _scale_form(np.shape(values)[:-1], t, unit)
-    if (t < 0.0).any() or (unit is not None and (unit < 0.0).any()):
+    """J(t u) of nodal values u (n,), or of each row u of a stack (k, n), over
+    a sweep (_scale_form): FiberMap.value of the directions' map, -inf past
+    the guard."""
+    if (np.asarray(t) < 0.0).any() or (unit is not None and (np.asarray(unit) < 0.0).any()):
         raise ValueError("fibering scale must be nonnegative")
-    vals = np.atleast_2d(values)
-    nl, vmax = params.nonlinearity, np.abs(vals).max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # past the guard: masked to -inf
-        # each row's largest scale first: no (k, m) mask where every row is inside
-        inside = _inside_guard(nl, _top(t, unit) * vmax)
-        inside = None if inside.all() else _inside_guard(nl, _formed(t, unit) * vmax[:, None])
-        kirch, power, reaction = _energy_terms(operator_cache(grid, params.beta), vals, params, t, unit, inside)
-        out = kirch - power - reaction if inside is None else np.where(inside, kirch - power - reaction, -np.inf)
-    return float(out[0, 0]) if not shape else out.reshape(shape)
+    return FiberMap.full(grid, values, params).value(t, unit)
 
 
-def _scale_form(rows: tuple, t, unit):
-    """The one form of a sweep: a scale t_u per row (k,) times a grid unit
-    (m,) that all rows share, or None; and the shape of the result.  rows is
-    () for a profile (n,), (k,) for a stack.  Without a unit a stack takes a
-    scale per row, and a profile (or a stack of one) at any array of scales
-    takes them as its unit at t_u = 1: as 1^e M = M and 1 x = x, bit for bit
-    the profile at those scales."""
+def _scale_form(k: int, t, unit):
+    """The one form of a sweep of a stack of k rows: a scale t_u per row (k,)
+    times a grid unit (m,) that all rows share, or None; and the shape of
+    the result.  A map of one row (a profile's) also takes a scale with a
+    unit, and without one any array of scales but (1,) as its unit at t_u =
+    1: as 1^e M = M and 1 x = x, bit for bit the profile at those scales."""
     t = np.asarray(t, dtype=float)
-    if unit is None and math.prod(rows) == 1 and not (rows and t.shape == rows):
+    rows = () if k == 1 and t.ndim == 0 else (k,)
+    if unit is None and k == 1 and t.shape != (1,):
         return np.ones(1), t.reshape(-1), t.shape
     if t.shape != rows:
         raise ValueError(f"need one scale for each row {rows}, got scales of shape {t.shape}")

@@ -188,20 +188,21 @@ class NonlinearitySpec:
         X = alpha0 T^gamma (DLMF 8.5, 13.2).  The T^p/p prefactor keeps tiny
         T representable.  Where X <= eps/4 the factor 1F1(a; a+1; X) =
         1 + a X/(a+1) + ... rounds to 1, so it is evaluated only above that
-        bound (see _kummer), and not at all when no |t| passes _exact_peak.
+        bound (_kummer_factor), and not at all when no |t| passes _exact_peak.
         """
         t = np.asarray(t, dtype=float)
         at = np.abs(t)
         arg = self._tail_arg(at)
         at_p = at**self.p
         power_part = self.cp * at_p / self.p
-        if arg is None:
-            return power_part + at_p / self.p
-        arg, tail = np.asarray(arg), np.array(at_p / self.p)
-        big = arg > _UNIT_FACTOR_BOUND
-        if big.any():
-            tail[big] *= _kummer(self.p / self.gamma, arg[big])
-        return power_part + tail
+        return power_part + at_p / self.p * (1.0 if arg is None else self._kummer_factor(arg))
+
+    def _kummer_factor(self, arg):
+        """1F1(a; a+1; X) of the exponential arguments X, a = p/gamma, for F
+        and FiberMap.value: 1 where X <= eps/4, where it rounds to 1."""
+        out, big = np.ones_like(arg), arg > _UNIT_FACTOR_BOUND
+        out[big] = _kummer(self.p / self.gamma, arg[big])
+        return out
 
 
 @lru_cache(maxsize=8)

@@ -327,28 +327,27 @@ def test_fiber_map_deriv_array_matches_scalar(spectral64, params_cp2, resolved_d
     assert np.all(np.isfinite(fiber.deriv(np.array([0.5, 0.9]) * limit)))
     past = fiber.deriv(np.array([0.5, 1.1]) * limit)  # past the guard the tail dominates
     assert np.isfinite(past[0]) and past[1] == -np.inf
-    # a stacked map of 9 or 200 directions: each row's deriv and d^2, on
-    # a sweep t_u unit (k, m) and at one scale per row (k,), equal those of
-    # the direction's own map.  Up to 16 rows a row has the arithmetic of
-    # its one-row map (radial.rowwise); past 16 the BLAS product of the
-    # Laplacian rounds the row norms differently, by up to 1e-13 relative,
-    # so the scales stay off the root, where d cancels
-    def agree(got, want, tol):
-        finite = np.isfinite(want)
-        assert np.array_equal(got == -np.inf, want == -np.inf)
-        assert np.all(np.abs(got[finite] - want[finite]) <= tol * np.abs(want[finite]))
-
+    # a stacked map of 9 or 200 directions: each row's value, deriv and
+    # d^2, on a sweep t_u unit (k, m) and at one scale per row (k,), equal
+    # those of the direction's own map bit for bit, -inf past the guard
+    kernels = (
+        ("value", FiberMap.value),
+        ("deriv", FiberMap.deriv),
+        ("d2", lambda f, t, unit=None: f.derivs(t, unit)[1]),
+    )
     for params in (params_cp2, resolved_default[0], steep):
         values = np.array([unit_profile(spectral64, 0.5, [17, k]) for k in range(200)])
         alone = [FiberMap.full(spectral64, v, params) for v in values]
         t_u = np.array([_drive(f)[0] for f in alone])
         unit = np.array([1e-3, 0.5, 2.0, 10.0, 1e3])  # past the guard from 10 t_u at cp = 2
-        for k, tol in ((9, 0.0), (200, 1e-12)):
+        for k in (9, 200):
             stack = FiberMap.full(spectral64, values[:k], params)
-            for name, kernel in (("deriv", FiberMap.deriv), ("d2", lambda f, t, unit=None: f.derivs(t, unit)[1])):
+            for name, kernel in kernels:
                 got = kernel(stack, t_u[:k], unit)
-                agree(got, np.array([kernel(f, t_u[i : i + 1], unit)[0] for i, f in enumerate(alone[:k])]), tol)
-                agree(kernel(stack, 0.5 * t_u[:k]), np.array([kernel(f, 0.5 * t) for f, t in zip(alone, t_u[:k])]), tol)
+                want = np.array([kernel(f, t_u[i : i + 1], unit)[0] for i, f in enumerate(alone[:k])])
+                assert np.array_equal(got, want) and np.any(got == -np.inf) == (params is not resolved_default[0])
+                want = np.array([kernel(f, 0.5 * t) for f, t in zip(alone, t_u[:k])])
+                assert np.array_equal(kernel(stack, 0.5 * t_u[:k]), want), (name, k)
                 assert np.array_equal(kernel(stack.take([k - 1]), t_u[k - 1 : k], unit)[0], got[-1]), (name, k)
     # a direction with small values: t^gamma alone would overflow inside the guard
     fiber = FiberMap.full(spectral64, 0.1 * u, steep)
@@ -410,10 +409,22 @@ def test_derivs_first_output_is_deriv(spectral64, params_cp2, resolved_default):
         assert one.derivs(t_u[0])[0] == one.deriv(t_u[0])
 
 
+def _value_terms(fibers, t, unit):
+    """The Kirchhoff, power and reaction terms of the value of a map of
+    FiberMap.full, whose moments are the q-power and the p-power of F, then
+    the exponential tail of F."""
+    head, (power, *reaction) = fibers._terms(t, unit)
+    return head, power, sum(reaction)
+
+
 def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolved_default):
-    # fibering takes ||u||^2 and the q-moment once and F per scale; the stack
-    # of scaled profiles forms lap(t u) and |t u|^q per scale.  The power and
-    # reaction terms agree to rounding; the Kirchhoff term differs by the
+    # fibering takes ||u||^2, the q- and p-moments and the tail's weights
+    # once (FiberMap.value); the stack of scaled profiles forms lap(t u),
+    # |t u|^q and F(t u) per scale.  The power terms agree to rounding, and
+    # the reactions to 4 eps max(1, X), X = alpha0 (t max|u|)^gamma the
+    # largest exponential argument: exp amplifies the relative rounding of
+    # an argument by the argument (at most 2.33 eps X measured over four
+    # directions of each configuration).  The Kirchhoff term differs by the
     # rounding of the form, ||t u||^2 against t^2 ||u||^2 (up to 1.4e-13
     # relative on 30 directions at beta = 0.9), so the value is compared
     # against the magnitude of its terms
@@ -432,9 +443,10 @@ def test_fibering_scale_form_matches_scaled_stack(spectral64, params_cp2, resolv
         if params is not resolved_default[0]:
             assert 0 < np.count_nonzero(~inside) < len(ts)  # partly past the guard: -inf exactly there
         terms = _energy_terms(ops, stack[inside], params)
-        scaled = [x[0] for x in _energy_terms(ops, u[None], params, np.ones(1), ts[inside])]
-        for term, (a, b) in zip(("power", "reaction"), zip(terms[1:], scaled[1:])):
-            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a)), (params, term)
+        scaled = [x[0] for x in _value_terms(FiberMap.full(spectral64, u, params), np.ones(1), ts[inside])]
+        assert np.all(np.abs(terms[1] - scaled[1]) <= 1e-14 * terms[1]), params
+        arg = np.maximum(1.0, params.nonlinearity._exp_arg(ts[inside] * np.abs(u).max()))
+        assert np.all(np.abs(terms[2] - scaled[2]) <= 4.0 * np.finfo(float).eps * arg * terms[2]), params
         magnitude = sum(np.abs(x) for x in terms)
         assert np.all(np.abs(value[inside] - reference[inside]) <= 1e-12 * magnitude), params
 
@@ -473,13 +485,13 @@ def test_fibering_stack_matches_each_row(spectral64, params_cp2, resolved_defaul
         # so do the terms of the mixed stack, where the Kirchhoff term hides
         # the reaction's rounding in the value
         ops = operator_cache(spectral64, params.beta)
-        terms = _energy_terms(ops, dirs[inside], params, top[inside], unit)
+        terms = _value_terms(FiberMap.full(spectral64, dirs[inside], params), top[inside], unit)
         for k, *row in zip(inside, *terms):
-            for a, b in zip(row, _energy_terms(ops, dirs[k : k + 1], params, top[k : k + 1], unit)):
+            for a, b in zip(row, _value_terms(FiberMap.full(spectral64, dirs[k], params), top[k : k + 1], unit)):
                 assert np.array_equal(a, b[0]), (params, k)
-        # the exact tail from the p-moment against F(t u) at every node
+        # the exact tail from the p-moment and the weight sum against F(t u) at every node
         exact_rows = np.flatnonzero(exact)
-        moment = _energy_terms(ops, dirs[exact_rows], params, top[exact_rows], unit)[2]
+        moment = _value_terms(FiberMap.full(spectral64, dirs[exact_rows], params), top[exact_rows], unit)[2]
         body = nl.F((top[exact_rows, None] * unit)[..., None] * dirs[exact_rows][:, None, :]) @ ops.rule.vol
         assert np.all(np.abs(moment - body) <= 1e-14 * np.abs(body)), params
     # a stack takes one scale per row: the scales (k, m) of each row formed are no sweep
@@ -522,7 +534,7 @@ def _sign_counts(d):
 
 @pytest.mark.parametrize("case", ["auto", "auto-beta0.9", "cp2-tiny-alpha0"])
 def test_shared_grid_sweeps_match_the_formed_scales(spectral64, resolved_default, params_cp2, case):
-    # verify's sign sweep (FiberMap.deriv) and maximum sweep (fibering) take
+    # verify's sign sweep (FiberMap.deriv) and maximum sweep (FiberMap.value) take
     # one grid of relative scales for all rows.  Within the exact tail each
     # power of a scale is t_u^e unit^e: the sign changes equal those of each
     # row's own map at the scales t_u unit formed, and each value lies within
@@ -552,7 +564,7 @@ def test_shared_grid_sweeps_match_the_formed_scales(spectral64, resolved_default
     assert np.all(np.abs(d - by_row) <= 8.0 * eps * sum(terms))
     value = k4.fibering(spectral64, dirs, t_u, params, unit=peaks)
     formed = t_u[:, None] * peaks
-    terms = _energy_terms(operator_cache(spectral64, params.beta), dirs, params, t_u, peaks)
+    terms = _value_terms(fibers, t_u, peaks)
     gap = np.abs(value - np.array([k4.fibering(spectral64, u, ts, params) for u, ts in zip(dirs, formed)]))
     assert np.all(gap <= 8.0 * eps * sum(np.abs(x) for x in terms))
     # the scales (k, m) formed are no sweep of a stack, with or without a unit
@@ -598,7 +610,8 @@ def test_sweeps_across_the_exact_tail_take_each_rows_largest_scale(spectral64, p
     # t_u max|u| is within it, rows 6-7 reach past the guard.  Each row of
     # the mixed stack is its row alone bit for bit (an exact row keeps its
     # closed form in a call that forms the exp body) and within 8 eps of the
-    # row at its scales formed; so is the reaction of the energy kernel
+    # row at its scales formed; so is its value, -tail (the head g t^2 / 2
+    # is below 1e-300)
     nl, eps = params_cp2.nonlinearity, np.finfo(float).eps
     ops = operator_cache(spectral64, 0.5)
     dirs = np.array([unit_profile(spectral64, 0.5, [25, k]) for k in range(8)])
@@ -617,10 +630,36 @@ def test_sweeps_across_the_exact_tail_take_each_rows_largest_scale(spectral64, p
             assert np.all(np.abs(a[k][finite] - formed[finite]) <= 8.0 * eps * np.abs(formed[finite])), k
     for a, b in zip(got, tail.take(slice(0, 3)).derivs(t[:3], unit)):
         assert np.array_equal(a[:3], b)
-    reaction = _energy_terms(ops, dirs[:6], params_cp2, t[:6], unit)[2]
+    value = tail.take(slice(0, 6)).value(t[:6], unit)
     for k in range(6):
-        formed = _energy_terms(ops, dirs[k : k + 1], params_cp2, np.ones(1), t[k] * unit)[2][0]
-        assert np.all(np.abs(reaction[k] - formed) <= 8.0 * eps * formed), k
+        assert np.array_equal(value[k], tail.take([k]).value(t[k : k + 1], unit)[0]), k
+        formed = tail.take([k]).value(t[k] * unit)
+        assert np.all(np.abs(value[k] - formed) <= 8.0 * eps * np.abs(formed)), k
+
+
+def test_value_of_maps_without_a_tail(spectral64, params_cp2):
+    # the auxiliary map (pure_power) and the full map at alpha0 = 0 carry no
+    # tail: the value (1/2) G(t^2 S) - sum (t^e / e) M agrees with the terms
+    # of the scaled profiles node by node, its power terms to rounding and
+    # its value to the rounding of the form, ||t u||^2 against t^2 ||u||^2
+    u = unit_profile(spectral64, 0.5, 27)
+    ops, p = operator_cache(spectral64, 0.5), params_cp2.p
+    poly = replace(params_cp2, nonlinearity=replace(params_cp2.nonlinearity, alpha0=0.0))
+    ts = np.linspace(0.0, 3.0 * project_one(spectral64, u, poly)[0], 7)
+    stack = np.outer(ts, u)
+    kirch, q_term, reaction = _energy_terms(ops, stack, poly)
+    aux = FiberMap.pure_power(spectral64, u, params_cp2)
+    (power,) = aux._terms(np.ones(1), ts)[1]
+    assert np.all(np.abs(power[0] - (np.abs(stack) ** p) @ ops.rule.vol / p) <= 1e-14 * power[0])
+    value = aux.value(ts)
+    assert np.all(np.abs(value - (kirch - power[0])) <= 1e-12 * (kirch + power[0]))
+    full = FiberMap.full(spectral64, u, poly)
+    assert full.tail_spec is None
+    terms = full._terms(np.ones(1), ts)[1]
+    for a, b in zip(terms, (q_term, reaction)):
+        assert np.all(np.abs(a[0] - b) <= 1e-14 * b)
+    value = k4.fibering(spectral64, u, ts, poly)
+    assert np.all(np.abs(value - (kirch - q_term - reaction)) <= 1e-12 * (kirch + q_term + reaction))
 
 
 def test_fibering_array_matches_scalar(spectral64, params_cp2):
@@ -641,9 +680,10 @@ def test_fibering_array_matches_scalar(spectral64, params_cp2):
 @pytest.mark.parametrize("case", ["auto", "cp2", "cp2-beta0.9"])
 def test_profile_scales_are_the_unit_at_scale_one(spectral64, resolved_default, params_cp2, case):
     # a profile, or a map of one row, at an array of scales ts takes them as
-    # its grid unit at t_u = 1: fibering, deriv and derivs give bit for bit
-    # what t_u = 1 with unit = ts gives, shaped as ts (a scale gives a
-    # float), with -inf past the guard (from about 10 t_u at cp = 2)
+    # its grid unit at t_u = 1: fibering, value, deriv and derivs give bit
+    # for bit what t_u = 1 with unit = ts gives, shaped as ts (a scale gives
+    # a float), with -inf past the guard (from about 10 t_u at cp = 2);
+    # fibering is the value of the profile's map
     params = {
         "auto": resolved_default[0],
         "cp2": params_cp2,
@@ -655,12 +695,16 @@ def test_profile_scales_are_the_unit_at_scale_one(spectral64, resolved_default, 
     one = np.ones(1)
     value = k4.fibering(spectral64, u, ts, params)
     assert np.array_equal(value, k4.fibering(spectral64, u, 1.0, params, unit=ts))
+    assert np.array_equal(value, fiber.value(ts)) and np.array_equal(value, fiber.value(one, unit=ts)[0])
+    assert np.array_equal(value, fiber.value(1.0, unit=ts))
     assert np.array_equal(fiber.deriv(ts), fiber.deriv(one, unit=ts)[0])
     for got, want in zip(fiber.derivs(ts), fiber.derivs(one, unit=ts)):
         assert np.array_equal(got, want[0])
     assert np.array_equal(k4.fibering(spectral64, u, ts.reshape(4, 30), params), value.reshape(4, 30))
     assert np.array_equal(fiber.deriv(ts.reshape(4, 30)), fiber.deriv(ts).reshape(4, 30))
+    assert np.array_equal(fiber.value(ts.reshape(4, 30)), value.reshape(4, 30))
     assert isinstance(k4.fibering(spectral64, u, ts[7], params), float) and isinstance(fiber.deriv(ts[7]), float)
+    assert isinstance(fiber.value(ts[7]), float)
     past = value == -np.inf
     assert np.array_equal(fiber.deriv(ts) == -np.inf, past) and past.any() == (case != "auto")
 

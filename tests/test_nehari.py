@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -404,6 +403,18 @@ def test_projection_residual_gate_at_cp2(spectral64, params_cp2):
     assert checks["projection-residual"].status == "pass"
 
 
+def test_projection_residual_gate_holds_the_roots_spread():
+    # `verify --beta 0.9 --cp 2 --n 16`: with gamma X near 600 the root's
+    # one-ulp spread moves the residual by about eps t_u^2 |d^2/dt^2 J(tu)|,
+    # which the floor 4 eps (head + tail) alone missed by up to 3.1 times
+    # (margin -2.14 at direction 0); with the spread in the floor the worst
+    # ratio is 0.50
+    grid, base = k4.build_grid(16, "spectral-even"), k4.default_params(cp=2.0)
+    params = k4.ModelParams.create(0.9, base.q, base.p, 2.0, base.alpha0, base.delta, base.kirchhoff)
+    check = next(c for c in _projection_checks(grid, params, 200, 1) if c.name == "projection-residual")
+    assert check.status == "pass" and check.margin > 0.25, check
+
+
 def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatch):
     # the fibering peaks at the automatic cp are ~1e-35: a scale 1% off the
     # root must still fail the check (an absolute slack of 1e-9 passed it)
@@ -425,23 +436,23 @@ def test_fibering_max_check_is_relative(spectral64, resolved_default, monkeypatc
 
 @pytest.mark.parametrize("factor", [1.05, 0.95])
 def test_fibering_max_check_fails_a_mutated_reaction(spectral64, resolved_default, monkeypatch, factor):
-    # the sweep and the peaks share the one energy kernel: a reaction term
-    # scaled either way moves the maximum of J(tu) off the projection scale
-    # (which the moment form still finds), so the check fails.  A sweep with
-    # a kernel of its own, left unmutated, let the factor 0.95 pass
-    energy_module = sys.modules[FiberMap.__module__]  # kirchhoff4.energy; the package exports a function of that name
-    real = energy_module._energy_terms
+    # the sweep and the peaks share the one value kernel, FiberMap._terms: a
+    # reaction term (the p-power of F and its tail) scaled either way moves
+    # the maximum of J(tu) off the projection scale (which the derivative
+    # still finds), so the check fails.  Peaks with a kernel of their own,
+    # left unmutated, let the factor 1.05 pass (margin +2.4e-2)
+    real = FiberMap._terms
 
-    def mutated(*args):
-        kirch, power, reaction = real(*args)
-        return kirch, power, factor * reaction
+    def mutated(self, *args):
+        head, (power, *reaction) = real(self, *args)  # FiberMap.full: the q-power, then F's p-power and tail
+        return head, [power] + [factor * x for x in reaction]
 
     def fibering_max():
         checks = _projection_checks(spectral64, resolved_default[0], 40, 1)
         return next(c for c in checks if c.name == "projection-fibering-max")
 
     assert fibering_max().status == "pass"
-    monkeypatch.setattr(energy_module, "_energy_terms", mutated)
+    monkeypatch.setattr(FiberMap, "_terms", mutated)
     check = fibering_max()
     assert check.status == "fail" and check.margin < 0.0, check
 
@@ -505,14 +516,17 @@ def test_scale_below_one_check_names_worst_direction(spectral64, resolved_defaul
 
 def test_projection_residual_gate_catches_offset(spectral64, params_cp2, resolved_default):
     # a point moved off the Nehari set by a relative 1e-9 along its ray
-    # breaks the rounding bound, at cp = 2 and at the automatic cp ~ 1e77
+    # breaks the rounding bound, at cp = 2 and at the automatic cp ~ 1e77,
+    # also with the root's spread eps |d^2/ds^2 J(s w)| at s = 1 added, as
+    # projection-residual adds it
     ops = operator_cache(spectral64, 0.5)
     for params in (params_cp2, resolved_default[0]):
         for k in range(10):
             _, w, _, residual = project_one(spectral64, unit_profile(spectral64, 0.5, [62, k]), params)
             assert abs(residual) <= _residual_limit(ops, w, params), k
             moved = (1.0 + 1e-9) * w[None]
-            assert abs(_nehari_residuals(ops, moved, params)[0]) > _residual_limit(ops, moved, params)[0], k
+            spread = np.finfo(float).eps * abs(FiberMap.full(spectral64, w, params).derivs(1.0)[1])
+            assert abs(_nehari_residuals(ops, moved, params)[0]) > _residual_limit(ops, moved, params)[0] + spread, k
 
 
 def test_projection_residual_scale_of_minimizer(spectral64, ground_default, resolved_default):
@@ -989,13 +1003,13 @@ def test_solver_log_type_kirchhoff(spectral32):
 
 def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypatch):
     # at cp = 2 no row of the sweep stays within the exact tail, and a
-    # 16-row reaction body (with the Kummer coefficients it gathers) would
+    # 16-row tail body (with the Kummer coefficients it gathers) would
     # hold ~16 times the memory of one direction's: each call of the sweep
-    # peaks within 10% of the largest of its rows swept alone.  Every row
-    # of the sweep passes the guard, and a block short of it is held to the
-    # same bound; either goes through the energy kernel as one stack, its
-    # reaction one row at a time
-    real = verify.fibering
+    # (FiberMap.value with a unit) peaks within 10% of the largest of its
+    # rows swept alone.  Every row of the sweep passes the guard, and a
+    # block short of it is held to the same bound; either goes as one
+    # stack, its tail one row at a time
+    real = FiberMap.value
     peaks = []
 
     def traced_peak(call):
@@ -1004,13 +1018,15 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
         out = call()
         return tracemalloc.get_traced_memory()[1] - base, out
 
-    def measured(grid, values, t, params, unit=None):
-        stacked, out = traced_peak(lambda: real(grid, values, t, params, unit))
-        alone = max(traced_peak(lambda: real(grid, v, tr, params, unit))[0] for v, tr in zip(values, t))
-        peaks.append((len(values), stacked, alone))
+    def measured(fibers, t, unit=None):
+        if unit is None:  # the peaks, one scale per row: no sweep
+            return real(fibers, t)
+        stacked, out = traced_peak(lambda: real(fibers, t, unit))
+        alone = max(traced_peak(lambda: real(fibers.take([k]), t[k : k + 1], unit))[0] for k in range(len(t)))
+        peaks.append((len(fibers), stacked, alone))
         return out
 
-    monkeypatch.setattr(verify, "fibering", measured)
+    monkeypatch.setattr(FiberMap, "value", measured)
     tracemalloc.start()
     try:
         _projection_checks(spectral64, params_cp2, 40, 1)
@@ -1018,9 +1034,10 @@ def test_fibering_sweep_memory_is_one_direction(spectral64, params_cp2, monkeypa
         tracemalloc.stop()
     dirs = verify._unit_profiles(spectral64, 0.5, 1, 500, 16)
     t_u = k4.project(spectral64, dirs, params_cp2)[0]
+    fibers = FiberMap.full(spectral64, dirs, params_cp2)
     tracemalloc.start()
     try:
-        assert np.all(np.isfinite(measured(spectral64, dirs, t_u, params_cp2, unit=np.linspace(0.0, 1.0, 200))))
+        assert np.all(np.isfinite(measured(fibers, t_u, unit=np.linspace(0.0, 1.0, 200))))
     finally:
         tracemalloc.stop()
     assert [k for k, _, _ in peaks] == [40, 16]
@@ -1163,9 +1180,9 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
     # weak-action-fd, projection-fibering-max, projection-coercivity and
     # adams-critical-sampling take their stacks by products of each row's
     # own: each margin equals the one taken a profile at a time, with
-    # weak_action, fibering (each direction over t_u times the check's own
-    # grid on [0, 3]), ops.rule.norm and vol @ exp, at seeds 5 and 1 (the
-    # default)
+    # weak_action, fibering (each direction at t_u, and over t_u times the
+    # check's own grid on [0, 3]), ops.rule.norm and vol @ exp, at seeds 5
+    # and 1 (the default)
     params = resolved_default[0] if auto_cp else params_cp2
     grid, ops = spectral64, operator_cache(spectral64, 0.5)
     for seed in (5, 1):
@@ -1180,7 +1197,7 @@ def test_stacked_margins_match_one_profile_at_a_time(spectral64, resolved_defaul
 
         dirs = verify._unit_profiles(grid, 0.5, seed, 500, 200)
         t_u, projected, energies, _ = k4.project(grid, dirs, params)
-        peaks = _energies(ops, t_u[:, None] * dirs, params)
+        peaks = np.array([k4.fibering(grid, u, t, params) for u, t in zip(dirs, t_u)])
         unit = np.linspace(0.0, 3.0, 200)
         sweep_max = [k4.fibering(grid, u, t, params, unit=unit).max() for u, t in zip(dirs, t_u)]
         coer = (0.25 - 1.0 / params.q) * params.kirchhoff.g0
