@@ -193,8 +193,8 @@ class FiberMap:
     t^p / p sum_i weight_i 1F1(p/gamma; p/gamma + 1; X_i) and its
     derivative t^(p-1) sum_i weight_i exp(X_i).  Where t vmax is at most
     the nonlinearity's _exact_peak, every factor rounds to 1 and the tail
-    takes the row's weight_sum, taken once too.  Each row has reductions
-    of its own, so at any height it evaluates as it would alone, bit for bit.
+    takes the row's weight_sum, taken once too.  Each row evaluates from its
+    moments as it would alone, bit for bit, as do those of a map built alone.
     start holds the scale each row's root search starts from, computed on
     first use: a map that only sweeps never needs it.
     Synthetic moment sets (scalars: a stack of one) exercise the
@@ -219,23 +219,24 @@ class FiberMap:
     # --- builders -------------------------------------------------------
 
     @classmethod
-    def full(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams) -> "FiberMap":
-        """Fibering maps of the full energy J along a direction of nodal
-        values (n,), or along each row of a stack (k, n)."""
+    def full(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams, alone: bool = False) -> "FiberMap":
+        """Fibering maps of the full energy J along a direction of nodal values
+        (n,), or each row of a stack (k, n), reduced as rowwise says: past 16
+        rows, unless alone, by one BLAS product (S rounds ~8 times less)."""
         rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
         nl = params.nonlinearity
-        i_q = rowwise(rule.vol, np.abs(vals) ** params.q, alone=True)
-        i_p = rowwise(rule.vol, np.abs(vals) ** params.p, alone=True)
+        i_q = rowwise(rule.vol, np.abs(vals) ** params.q, alone)
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p, alone)
         tail = nl if nl.alpha0 > 0.0 else None  # alpha0 = 0: F = (cp + 1) |t|^p / p, no tail
         moments = ((params.q, i_q), (params.p, (nl.cp if tail else nl.cp + 1.0) * i_p))
-        return cls(params.kirchhoff, rule.form(vals, alone=True), moments, tail, vals, rule.vol)
+        return cls(params.kirchhoff, rule.form(vals, alone=alone), moments, tail, vals, rule.vol)
 
     @classmethod
     def pure_power(cls, grid: RadialGrid, values: np.ndarray, params: ModelParams) -> "FiberMap":
         """Fibering maps of the auxiliary functional (1/2) G(||u||^2) - (1/p) |u|_p^p; values as for full."""
         rule, vals = weighted_rule(grid, params.beta), np.atleast_2d(values)
-        i_p = rowwise(rule.vol, np.abs(vals) ** params.p, alone=True)
-        return cls(params.kirchhoff, rule.form(vals, alone=True), ((params.p, i_p),))
+        i_p = rowwise(rule.vol, np.abs(vals) ** params.p)
+        return cls(params.kirchhoff, rule.form(vals), ((params.p, i_p),))
 
     def __len__(self) -> int:
         return len(self.norm_sq)
@@ -305,16 +306,18 @@ class FiberMap:
     def _terms(self, t, unit, inside=None):
         """(1/2) G(t^2 S) and the list of the (t^e / e) M, then the tail's if
         any: t^p W / p on a row whose largest scale is at most _exact_peak /
-        vmax, else its (m, n) body at its scales formed (those outside inside
-        as 0), a row at a time: a stacked body gathers all rows' Kummer tables."""
+        vmax, else its body at its scales formed (those outside inside as 0):
+        on a grid (m, n) a row at a time, at one scale a row all in one call."""
         terms, nl = [], self.tail_spec
         if nl is not None:  # first, while no other (k, m) term is held
             terms.append(_power(t, unit, nl.p, self.weight_sum / nl.p))
-            for i in np.flatnonzero(_top(t, unit) * self.vmax > nl._exact_peak):
-                scales = _formed(t[i : i + 1], unit)[0]
-                scales = scales if inside is None else np.where(inside[i], scales, 0.0)
-                arg = (scales * self.vmax[i]) ** nl.gamma  # (m,): no (m, n) body outlives its row
-                terms[0][i] = scales**nl.p / nl.p * (nl._kummer_factor(arg[:, None] * self.rate[i]) @ self.weight[i])
+            rows = np.flatnonzero(_top(t, unit) * self.vmax > nl._exact_peak)
+            for sub in [rows] if unit is None and rows.size else rows[:, None]:
+                scales = _formed(t[sub], unit)
+                scales = scales if inside is None else np.where(inside[sub], scales, 0.0)
+                arg = (scales * self.vmax[sub, None]) ** nl.gamma
+                mass = np.matmul(nl._kummer_factor(arg[..., None] * self.rate[sub, None, :]), self.weight[sub, :, None])
+                terms[0][sub] = scales**nl.p / nl.p * mass[..., 0]  # no body outlives its rows
         head = 0.5 * self.kirchhoff.G(_power(t, unit, 2.0, self.norm_sq))
         return head, [_power(t, unit, e, m / e) for e, m in self.power_moments] + terms
 
@@ -389,11 +392,11 @@ class FiberMap:
 
 def fibering(grid: RadialGrid, values: np.ndarray, t, params: ModelParams, unit=None):
     """J(t u) of nodal values u (n,), or of each row u of a stack (k, n), over
-    a sweep (_scale_form): FiberMap.value of the directions' map, -inf past
-    the guard."""
+    a sweep (_scale_form): FiberMap.value of the directions' map built alone,
+    so each row's is its profile's bit for bit; -inf past the guard."""
     if (np.asarray(t) < 0.0).any() or (unit is not None and (np.asarray(unit) < 0.0).any()):
         raise ValueError("fibering scale must be nonnegative")
-    return FiberMap.full(grid, values, params).value(t, unit)
+    return FiberMap.full(grid, values, params, alone=True).value(t, unit)
 
 
 def _scale_form(k: int, t, unit):

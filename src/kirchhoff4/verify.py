@@ -387,7 +387,7 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     dir_values = _unit_profiles(grid, params.beta, seed, 500, count)
     t_u, projected, energies, residuals = project(grid, dir_values, params)
     ops = operator_cache(grid, params.beta)
-    fibers = FiberMap.full(grid, dir_values, params)  # one map for the sign and maximum sweeps and the peaks
+    fibers = FiberMap.full(grid, dir_values, params, alone=True)  # one map, the rows' own, for the sweeps and peaks
     sign_changes = _sign_changes(fibers, t_u, grid.n)
     # the fibering maximum is attained at the projection scale, up to a slack
     # relative to it (levels can be ~1e-36); past the guard the map is -inf.
@@ -403,6 +403,9 @@ def _projection_checks(grid: RadialGrid, params: ModelParams, count: int, seed: 
     bad = np.flatnonzero(sign_changes != 1).tolist()  # the witness is the first of them
     checks.append(_check("projection-unique-sign-change", not bad, -1.0 if bad else 1.0, bad[0] if bad else None))
     checks.append(_worst("projection-fibering-max", max_gaps, range(count)))
+    # the kernel's level against the nodal J, to the same slack: a factor common to peaks and sweeps passes the above
+    gaps = np.abs(peaks - energies) / np.abs(energies)
+    checks.append(_bound("projection-fibering-level", float(gaps.max()), 1e-9, int(np.argmax(gaps))))
     # scale-below-one criterion on the doubled points inside the Nehari set
     doubled = 2.0 * projected
     inside = np.flatnonzero(_nehari_residuals(ops, doubled, params) <= 0.0)

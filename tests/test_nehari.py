@@ -457,6 +457,22 @@ def test_fibering_max_check_fails_a_mutated_reaction(spectral64, resolved_defaul
     assert check.status == "fail" and check.margin < 0.0, check
 
 
+def test_fibering_level_check_fails_a_scaled_value(spectral64, params_cp2, monkeypatch):
+    # a factor common to the peaks and the sweeps of the value kernel leaves
+    # the maximum of J(tu) at the projection scale, so projection-fibering-max
+    # passes; the level against the nodal J of the projected points fails
+    real = FiberMap.value
+
+    def checks():
+        return {c.name: c for c in _projection_checks(spectral64, params_cp2, 20, 1)}
+
+    assert checks()["projection-fibering-level"].status == "pass"
+    monkeypatch.setattr(FiberMap, "value", lambda self, t, unit=None: 1.05 * real(self, t, unit))
+    scaled = checks()
+    level = scaled["projection-fibering-level"]
+    assert scaled["projection-fibering-max"].status == "pass" and level.status == "fail" and level.margin < 0.0
+
+
 def test_projection_residual_check_names_worst_row(spectral64, resolved_default, monkeypatch):
     # the margin is the headroom of the worst |residual| / limit ratio, and
     # the witness is its row
